@@ -125,17 +125,18 @@ def backbone_backward(cache: dict, g_levels, g_low_level, weights: dict):
     """Accumulate gradients for all backbone parameters.
 
     g_levels are upstream gradients per pyramid level, g_low_level the one on
-    the low-level tap (may be None). Returns (grads dict, grad wrt image).
+    the low-level tap (may be None). Returns (grads dict covering the
+    backbone.* weights only, grad wrt image).
     """
     cfg = cache["cfg"]
-    grads = {k: np.zeros_like(v) for k, v in weights.items()}
+    grads = {}
 
     def back_block(name, spec, gy):
+        # every block runs once per forward, so its gradient is assigned, not summed
         x, pre = cache[name]
         gpre = T.relu_backward(pre, gy)
-        gx, gw, gb = T.conv2d_backward(x, weights[name + ".w"], spec, gpre)
-        grads[name + ".w"] += gw
-        grads[name + ".b"] += gb
+        gx, grads[name + ".w"], grads[name + ".b"] = T.conv2d_backward(
+            x, weights[name + ".w"], spec, gpre)
         return gx
 
     g_stem_out = None
@@ -154,4 +155,8 @@ def backbone_backward(cache: dict, g_levels, g_low_level, weights: dict):
     g = g_stem_out
     for i in reversed(range(cfg.stem_convs)):
         g = back_block(f"backbone.stem.{i}", S3D2, g)
+    for k, v in weights.items():
+        # levels without an upstream gradient get zeros
+        if k.startswith("backbone.") and k not in grads:
+            grads[k] = np.zeros_like(v)
     return grads, g

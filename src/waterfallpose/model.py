@@ -43,10 +43,10 @@ def model_forward(image: np.ndarray, weights: dict, pyr: PyramidConfig,
 def model_backward(cache, g_heat, g_offsets, weights, pyr: PyramidConfig,
                    wf: WaterfallConfig):
     """Returns (grads dict covering every weight, gradient on the image)."""
-    grads = {k: np.zeros_like(v) for k, v in weights.items()}
+    grads = {k: np.zeros_like(v) for k, v in weights.items()
+             if not k.startswith("backbone.")}
     g_levels, g_low = waterfall_module_backward(cache["wf"], g_heat, g_offsets,
                                                 weights, wf, grads)
     bb_grads, g_image = backbone_backward(cache["bb"], g_levels, g_low, weights)
-    for k, v in bb_grads.items():
-        grads[k] += v
+    grads.update(bb_grads)
     return grads, g_image

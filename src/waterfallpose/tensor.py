@@ -67,18 +67,79 @@ class ConvSpec:
         return (size + 2 * pad - eff) // self.stride + 1
 
 
-def _patch_indices(spec: ConvSpec, oh: int, ow: int):
-    # rows[i, oi] = input row read by kernel row i at output row oi (in padded coords)
-    rows = np.arange(spec.kh)[:, None] * spec.dilation + np.arange(oh)[None, :] * spec.stride
-    cols = np.arange(spec.kw)[:, None] * spec.dilation + np.arange(ow)[None, :] * spec.stride
-    return rows, cols
+def _tap_window(offset: int, size: int, out: int, stride: int):
+    """Output and input slices of one kernel tap along one axis.
+
+    Output index o reads input index offset + o * stride; the slices cover the
+    outputs whose reads land inside [0, size). None when no read does.
+    """
+    lo = max(0, -(offset // stride))
+    hi = min(out, (size - 1 - offset) // stride + 1)
+    if hi <= lo:
+        return None
+    first = lo * stride + offset
+    return slice(lo, hi), slice(first, first + (hi - lo - 1) * stride + 1, stride)
 
 
-def _im2col(x: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
-    """Gather patches of x into shape (N, C, kh, kw, oh, ow)."""
-    xp = np.pad(x, ((0, 0), (0, 0), (spec.pad_h, spec.pad_h), (spec.pad_w, spec.pad_w)))
-    rows, cols = _patch_indices(spec, oh, ow)
-    return xp[:, :, rows[:, None, :, None], cols[None, :, None, :]]
+def _live_taps(spec: ConvSpec, h: int, w: int, oh: int, ow: int):
+    """(tap index, output window, input window) for every kernel tap that reads
+    at least one input pixel. Taps that fall wholly in the zero padding, such
+    as the outer taps of a dilation larger than the map, contribute nothing and
+    are left out of the GEMM."""
+    taps = []
+    for i in range(spec.kh):
+        rows = _tap_window(i * spec.dilation - spec.pad_h, h, oh, spec.stride)
+        if rows is None:
+            continue
+        for j in range(spec.kw):
+            cols = _tap_window(j * spec.dilation - spec.pad_w, w, ow, spec.stride)
+            if cols is not None:
+                taps.append((i * spec.kw + j, (rows[0], cols[0]), (rows[1], cols[1])))
+    return taps
+
+
+def _reads_input_as_is(taps, x_shape, oh: int, ow: int) -> bool:
+    h, w = x_shape[2], x_shape[3]
+    if len(taps) != 1 or (oh, ow) != (h, w):
+        return False
+    _, _, (rows, cols) = taps[0]
+    return rows == slice(0, h, 1) and cols == slice(0, w, 1)
+
+
+def _im2col(x: np.ndarray, taps, oh: int, ow: int) -> np.ndarray:
+    """Column matrix (N, C * len(taps), oh * ow), row c * len(taps) + t holding
+    tap t of channel c: a new contiguous array filled with one strided slice
+    copy per tap, or x itself, reshaped, when its one tap reads x as it is
+    (1x1 stride-1 unpadded convs, and dilations so large that only the
+    centre tap reaches the map)."""
+    n, c = x.shape[:2]
+    if _reads_input_as_is(taps, x.shape, oh, ow):
+        return x.reshape(n, c, oh * ow)
+    cols = np.zeros((n, c, len(taps), oh, ow), dtype=x.dtype)
+    for t, (_, (orow, ocol), (irow, icol)) in enumerate(taps):
+        cols[:, :, t, orow, ocol] = x[:, :, irow, icol]
+    return cols.reshape(n, c * len(taps), oh * ow)
+
+
+def _col2im(gcols: np.ndarray, taps, x_shape, oh: int, ow: int) -> np.ndarray:
+    """Adjoint of _im2col: add each tap's column gradient back onto the input."""
+    n, c = x_shape[:2]
+    if _reads_input_as_is(taps, x_shape, oh, ow):
+        return gcols.reshape(x_shape)
+    gcols = gcols.reshape(n, c, len(taps), oh, ow)
+    gx = np.zeros(x_shape, dtype=gcols.dtype)
+    for t, (_, (orow, ocol), (irow, icol)) in enumerate(taps):
+        gx[:, :, irow, icol] += gcols[:, :, t, orow, ocol]
+    return gx
+
+
+def _tap_matrix(w: np.ndarray, taps) -> np.ndarray:
+    """Weights as a (Cout, Cin * len(taps)) matrix matching _im2col's rows."""
+    cout, cin, kh, kw = w.shape
+    if len(taps) == kh * kw:
+        return w.reshape(cout, cin * kh * kw)
+    w3 = w.reshape(cout, cin, kh * kw)[:, :, [t for t, _, _ in taps]]
+    return w3.reshape(cout, cin * len(taps))
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -86,6 +147,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> np.nd
 
     No kernel flip; zero padding; dilation spaces the taps spec.dilation pixels
     apart. Output extents follow floor((S + 2*pad - (k-1)*d - 1) / stride) + 1.
+    Computed as one GEMM of the weights with the im2col column matrix.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d wants 4-axis tensors, got x{x.shape}, w{w.shape}")
@@ -101,9 +163,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> np.nd
     if oh < 1 or ow < 1:
         raise ShapeError(
             f"conv2d output would be {oh}x{ow} for input {h}x{wd} with {spec}")
-    patches = _im2col(x, spec, oh, ow)
-    y = np.tensordot(w, patches, axes=([1, 2, 3], [1, 2, 3]))
-    y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+    taps = _live_taps(spec, h, wd, oh, ow)
+    y = np.matmul(_tap_matrix(w, taps), _im2col(x, taps, oh, ow)).reshape(n, cout, oh, ow)
     y += b[None, :, None, None]
     return y
 
@@ -111,18 +172,21 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> np.nd
 def conv2d_backward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, gy: np.ndarray):
     """Gradients of conv2d w.r.t. (x, w, b) given upstream gy (N,Cout,oh,ow)."""
     n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
     oh, ow = gy.shape[2], gy.shape[3]
     gb = gy.sum(axis=(0, 2, 3))
-    patches = _im2col(x, spec, oh, ow)
-    gw = np.tensordot(gy, patches, axes=([0, 2, 3], [0, 4, 5]))
-    gpat = np.einsum("ocij,nohw->ncijhw", w, gy)
-    gxp = np.zeros((n, cin, h + 2 * spec.pad_h, wd + 2 * spec.pad_w), dtype=x.dtype)
-    d, s = spec.dilation, spec.stride
-    for i in range(spec.kh):
-        for j in range(spec.kw):
-            gxp[:, :, i * d: i * d + oh * s: s, j * d: j * d + ow * s: s] += gpat[:, :, i, j]
-    gx = gxp[:, :, spec.pad_h: spec.pad_h + h, spec.pad_w: spec.pad_w + wd]
-    return np.ascontiguousarray(gx), gw, gb
+    taps = _live_taps(spec, h, wd, oh, ow)
+    gy3 = gy.reshape(n, cout, oh * ow)
+    cols = _im2col(x, taps, oh, ow)
+    gw_live = np.tensordot(gy3, cols, axes=([0, 2], [0, 2]))
+    if len(taps) == kh * kw:
+        gw = gw_live.reshape(w.shape)
+    else:
+        gw = np.zeros((cout, cin, kh * kw), dtype=gw_live.dtype)
+        gw[:, :, [t for t, _, _ in taps]] = gw_live.reshape(cout, cin, len(taps))
+        gw = gw.reshape(w.shape)
+    gcols = np.matmul(_tap_matrix(w, taps).T, gy3)
+    return _col2im(gcols, taps, x.shape, oh, ow), gw, gb
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
@@ -148,6 +212,17 @@ def _resize_axis(in_size: int, out_size: int, dtype):
     return lo, hi, frac
 
 
+def _resize_matrix(in_size: int, out_size: int, dtype) -> np.ndarray:
+    """(out_size, in_size) interpolation matrix of one axis: row o holds the
+    two weights _resize_axis gives output index o."""
+    lo, hi, frac = _resize_axis(in_size, out_size, dtype)
+    m = np.zeros((out_size, in_size), dtype=dtype)
+    rows = np.arange(out_size)
+    m[rows, lo] += 1 - frac
+    m[rows, hi] += frac
+    return m
+
+
 def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resize the spatial extents by bilinear interpolation.
 
@@ -168,22 +243,18 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def bilinear_resize_backward(x_shape, gy: np.ndarray) -> np.ndarray:
+    """The resize is separable, y = Rh x Rw^T per plane, so gx = Rh^T gy Rw."""
     n, c, h, w = x_shape
     out_h, out_w = gy.shape[2], gy.shape[3]
     if (out_h, out_w) == (h, w):
         return gy.copy()
-    r0, r1, fr = _resize_axis(h, out_h, gy.dtype)
-    c0, c1, fc = _resize_axis(w, out_w, gy.dtype)
-    fr = fr[:, None]
-    fc = fc[None, :]
-    gx = np.zeros(x_shape, dtype=gy.dtype)
-    ni = np.arange(n)[:, None, None, None]
-    ci = np.arange(c)[None, :, None, None]
-    for ri, wr in ((r0, 1 - fr), (r1, fr)):
-        for cj, wc in ((c0, 1 - fc), (c1, fc)):
-            np.add.at(gx, (ni, ci, ri[None, None, :, None], cj[None, None, None, :]),
-                      gy * (wr * wc))
-    return gx
+    rh = _resize_matrix(h, out_h, gy.dtype)
+    rw = _resize_matrix(w, out_w, gy.dtype)
+    return np.matmul(np.matmul(rh.T, gy), rw)
+
+
+# corner (row, col) steps of a bilinear read, in the order of the cached values
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _sample_planes(x: np.ndarray, rows: np.ndarray, cols: np.ndarray):
@@ -191,6 +262,10 @@ def _sample_planes(x: np.ndarray, rows: np.ndarray, cols: np.ndarray):
 
     Out-of-bounds corner taps contribute zero. Returns the sampled values of
     shape (N, C, T, h, w) together with the pieces the backward pass needs.
+
+    The reads are one np.take over the (C, N*H*W + 1) stack of planes, with a
+    flat (sample, row, col) index shared by every channel; the extra last
+    column is zero and stands in for every out-of-bounds corner.
     """
     n, c, h, w = x.shape
     r0 = np.floor(rows)
@@ -200,44 +275,51 @@ def _sample_planes(x: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     r0 = r0.astype(np.intp)
     c0 = c0.astype(np.intp)
 
-    corners = []
-    for dr, dc, wgt in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
-                        (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
+    outside = n * h * w
+    first = np.arange(n).reshape((n,) + (1,) * (rows.ndim - 1)) * (h * w)
+    index = np.empty((4,) + rows.shape, dtype=np.intp)
+    for k, (dr, dc) in enumerate(_CORNERS):
         ri = r0 + dr
         cj = c0 + dc
         valid = (ri >= 0) & (ri < h) & (cj >= 0) & (cj < w)
-        ric = np.clip(ri, 0, h - 1)
-        cjc = np.clip(cj, 0, w - 1)
-        corners.append((ric, cjc, valid, wgt))
+        index[k] = np.where(valid, first + ri * w + cj, outside)
+    weight = np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc, fr * (1 - fc), fr * fc])
 
-    ni = np.arange(n).reshape(n, 1, 1, 1, 1)
-    ci = np.arange(c).reshape(1, c, 1, 1, 1)
-    out = np.zeros((n, c) + rows.shape[1:], dtype=x.dtype)
-    vals4 = []
-    for ric, cjc, valid, wgt in corners:
-        v = x[ni, ci, ric[:, None], cjc[:, None]] * valid[:, None].astype(x.dtype)
-        vals4.append(v)
-        out += v * wgt[:, None]
-    return out, (r0, c0, fr, fc, corners, vals4)
+    planes = np.zeros((c, outside + 1), dtype=x.dtype)
+    planes[:, :outside] = x.transpose(1, 0, 2, 3).reshape(c, outside)
+    vals = np.take(planes, index.reshape(4, -1), axis=1)      # (C, 4, M)
+    out = (vals * weight.reshape(4, -1)).sum(axis=1)          # (C, M)
+    out = out.reshape((c,) + rows.shape).swapaxes(0, 1)
+    return out, (index, weight, fr, fc, vals)
 
 
 def _sample_planes_backward(x_shape, cache, gy: np.ndarray):
-    """Backward of _sample_planes: gradients w.r.t. x and the (rows, cols)."""
+    """Backward of _sample_planes: gradients w.r.t. x and the (rows, cols).
+
+    The x gradient scatters each corner's weighted upstream value back to the
+    pixel it read, with one np.bincount per channel over the shared flat index.
+    """
     n, c, h, w = x_shape
-    r0, c0, fr, fc, corners, vals4 = cache
-    gx = np.zeros(x_shape, dtype=gy.dtype)
-    ni = np.arange(n).reshape(n, 1, 1, 1, 1)
-    ci = np.arange(c).reshape(1, c, 1, 1, 1)
-    for (ric, cjc, valid, wgt), _v in zip(corners, vals4):
-        contrib = gy * wgt[:, None] * valid[:, None].astype(gy.dtype)
-        np.add.at(gx, (ni, ci, ric[:, None], cjc[:, None]), contrib)
-    v00, v01, v10, v11 = vals4
+    index, weight, fr, fc, vals = cache
+    size = n * h * w + 1
+    g = gy.swapaxes(0, 1).reshape(c, 1, -1)                   # (C, 1, M)
+    contrib = (g * weight.reshape(4, -1)).reshape(c, -1)      # (C, 4M)
+    flat = index.reshape(-1)
+    gx = np.empty((c, size), dtype=gy.dtype)
+    for ch in range(c):
+        gx[ch] = np.bincount(flat, weights=contrib[ch], minlength=size)
+    gx = gx[:, :-1].reshape(c, n, h, w).transpose(1, 0, 2, 3)
+
+    v00, v01, v10, v11 = (vals[:, k] for k in range(4))
+    g = g[:, 0]
+    fr = fr.reshape(-1)
+    fc = fc.reshape(-1)
     # d(out)/d(row) = (1-fc)*(v10-v00) + fc*(v11-v01), summed over channels
-    dvr = (1 - fc)[:, None] * (v10 - v00) + fc[:, None] * (v11 - v01)
-    dvc = (1 - fr)[:, None] * (v01 - v00) + fr[:, None] * (v11 - v10)
-    grows = (gy * dvr).sum(axis=1)
-    gcols = (gy * dvc).sum(axis=1)
-    return gx, grows, gcols
+    dvr = (1 - fc) * (v10 - v00) + fc * (v11 - v01)
+    dvc = (1 - fr) * (v01 - v00) + fr * (v11 - v10)
+    grows = (g * dvr).sum(axis=0).reshape(index.shape[1:])
+    gcols = (g * dvc).sum(axis=0).reshape(index.shape[1:])
+    return np.ascontiguousarray(gx), grows, gcols
 
 
 def bilinear_sample(x: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -243,6 +243,12 @@ def train_loop(samples, weights: dict, pyr: PyramidConfig, wf: WaterfallConfig,
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, sample {int(idx)}")
             grads, _ = model_backward(cache, gh, go, weights, pyr, wf)
+            # a finite loss can still carry a NaN or inf gradient into Adam
+            bad = next((name for name in sorted(grads)
+                        if not np.isfinite(grads[name]).all()), None)
+            if bad is not None:
+                raise TrainingError(
+                    f"non-finite gradient at epoch {epoch}, sample {int(idx)}: {bad}")
             optim_step(weights, grads, state, lr)
             sums += (lh, lo, total)
         n = max(len(samples), 1)

@@ -37,6 +37,14 @@ TAP_GRID = np.array([(r, c) for r in (-1, 0, 1) for c in (-1, 0, 1)], dtype=np.f
 # bias that makes the affine predictor emit exactly the canonical grid
 IDENTITY_AFFINE = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
 
+# linear map from the affine parameters (a_rr, a_rc, a_cr, a_cc, t_r, t_c) to
+# the 18 tap displacements: row 2i is tap i's row, row 2i+1 its column
+TAP_AFFINE = np.zeros((18, 6))
+TAP_AFFINE[0::2, 0:2] = TAP_GRID
+TAP_AFFINE[1::2, 2:4] = TAP_GRID
+TAP_AFFINE[0::2, 4] = 1.0
+TAP_AFFINE[1::2, 5] = 1.0
+
 
 @dataclass(frozen=True)
 class WaterfallConfig:
@@ -300,27 +308,14 @@ def affine_to_offsets(params: np.ndarray) -> np.ndarray:
     n, c, h, w = params.shape
     if c != 6:
         raise T.ShapeError(f"affine parameters need 6 channels, got {c}")
-    a_rr, a_rc, a_cr, a_cc, t_r, t_c = (params[:, i] for i in range(6))
-    out = np.empty((n, 18, h, w), dtype=params.dtype)
-    for i, (pr, pc) in enumerate(TAP_GRID):
-        out[:, 2 * i] = a_rr * pr + a_rc * pc + t_r
-        out[:, 2 * i + 1] = a_cr * pr + a_cc * pc + t_c
-    return out
+    taps = np.matmul(TAP_AFFINE.astype(params.dtype), params.reshape(n, 6, h * w))
+    return taps.reshape(n, 18, h, w)
 
 
 def affine_to_offsets_backward(g_offsets: np.ndarray) -> np.ndarray:
     n, c, h, w = g_offsets.shape
-    g = np.zeros((n, 6, h, w), dtype=g_offsets.dtype)
-    for i, (pr, pc) in enumerate(TAP_GRID):
-        gr = g_offsets[:, 2 * i]
-        gc = g_offsets[:, 2 * i + 1]
-        g[:, 0] += gr * pr
-        g[:, 1] += gr * pc
-        g[:, 2] += gc * pr
-        g[:, 3] += gc * pc
-        g[:, 4] += gr
-        g[:, 5] += gc
-    return g
+    g = np.matmul(TAP_AFFINE.T.astype(g_offsets.dtype), g_offsets.reshape(n, 18, h * w))
+    return g.reshape(n, 6, h, w)
 
 
 def predict_offsets(features: np.ndarray, weights: dict, name: str):
@@ -365,10 +360,11 @@ def adaptive_conv(x: np.ndarray, w9: np.ndarray, offsets: np.ndarray):
     rows = base_r + offsets[:, 0::2].astype(np.float64)   # (N, 9, h, w)
     cols = base_c + offsets[:, 1::2].astype(np.float64)
     sampled, scache = T._sample_planes(x, rows, cols)
-    y = np.tensordot(w9.reshape(w9.shape[0], cin, 9), sampled,
-                     axes=([1, 2], [1, 2])).transpose(1, 0, 2, 3)
+    # one GEMM over the (N, Cin*9, h*w) column matrix of sampled taps
+    sampled = sampled.reshape(n, cin * 9, h * w)
+    y = np.matmul(w9.reshape(w9.shape[0], cin * 9), sampled)
     cache = {"x": x, "sampled": sampled, "scache": scache, "w9": w9}
-    return np.ascontiguousarray(y), cache
+    return y.reshape(n, w9.shape[0], h, w), cache
 
 
 def adaptive_conv_backward(cache, gy):
@@ -376,12 +372,12 @@ def adaptive_conv_backward(cache, gy):
     x = cache["x"]
     sampled = cache["sampled"]
     w9 = cache["w9"]
-    cin = x.shape[1]
-    w3 = w9.reshape(w9.shape[0], cin, 9)
-    gw9 = np.einsum("nohw,ncthw->oct", gy, sampled).reshape(w9.shape)
-    g_sampled = np.einsum("oct,nohw->ncthw", w3, gy)
-    gx, grows, gcols = T._sample_planes_backward(x.shape, cache["scache"], g_sampled)
-    n, _, h, w = x.shape
+    n, cin, h, w = x.shape
+    gy3 = gy.reshape(n, w9.shape[0], h * w)
+    gw9 = np.tensordot(gy3, sampled, axes=([0, 2], [0, 2])).reshape(w9.shape)
+    g_sampled = np.matmul(w9.reshape(w9.shape[0], cin * 9).T, gy3)
+    gx, grows, gcols = T._sample_planes_backward(
+        x.shape, cache["scache"], g_sampled.reshape(n, cin, 9, h, w))
     g_off = np.empty((n, 18, h, w), dtype=gy.dtype)
     g_off[:, 0::2] = grows.astype(gy.dtype)
     g_off[:, 1::2] = gcols.astype(gy.dtype)

@@ -224,6 +224,25 @@ class TestLoop:
             runs.append(save_checkpoint(w2, state, cfg.epochs, "fp"))
         assert runs[0] == runs[1]
 
+    def test_non_finite_gradient_raises(self, rng, monkeypatch):
+        samples = self._tiny_samples(rng)
+        pyr, wf, weights = toy_setup()
+        before = {k: v.copy() for k, v in weights.items()}
+        real_backward = TR.model_backward
+
+        def poisoned(*args, **kwargs):
+            grads, g_image = real_backward(*args, **kwargs)
+            grads["llf.mid.w"].flat[3] = np.nan
+            return grads, g_image
+
+        monkeypatch.setattr(TR, "model_backward", poisoned)
+        cfg = TR.TrainConfig(epochs=1, seed=5, **IDENTITY_AUG)
+        with pytest.raises(TR.TrainingError,
+                           match=r"non-finite gradient at epoch 0, sample \d+: llf\.mid\.w"):
+            TR.train_loop(samples, weights, pyr, wf, cfg)
+        for k in before:
+            np.testing.assert_array_equal(weights[k], before[k])
+
     def test_loss_decreases_and_log_format(self, rng):
         samples = self._tiny_samples(rng)
         cfg = TR.TrainConfig(epochs=8, seed=3, **IDENTITY_AUG)
