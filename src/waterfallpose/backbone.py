@@ -68,7 +68,7 @@ def init_backbone_weights(cfg: PyramidConfig, rng: np.random.Generator,
     weights = {}
 
     def add(name, cout, cin):
-        std = np.sqrt(2.0 / (cin * 9))
+        std = np.sqrt(2.0 / (cin * 9)) if cin else 0.0   # a zero-width level has no fan-in
         weights[name + ".w"] = (rng.standard_normal((cout, cin, 3, 3)) * std).astype(dtype)
         weights[name + ".b"] = np.zeros(cout, dtype=dtype)
 
@@ -84,11 +84,11 @@ def init_backbone_weights(cfg: PyramidConfig, rng: np.random.Generator,
     return weights
 
 
-def backbone_forward(image: np.ndarray, weights: dict, cfg: PyramidConfig):
+def backbone_forward(image: np.ndarray, weights: dict, cfg: PyramidConfig, tape=None):
     """Run the stem and the four level branches.
 
     image is (N, 3, H, W) with H and W divisible by 8 * base_stride. Returns
-    (FeaturePyramid, cache); the cache feeds backbone_backward.
+    (FeaturePyramid, tape).
     """
     n, c, h, w = image.shape
     if c != 3:
@@ -97,13 +97,10 @@ def backbone_forward(image: np.ndarray, weights: dict, cfg: PyramidConfig):
     if h % div or w % div:
         raise T.ShapeError(
             f"image extents {h}x{w} must be divisible by {div}; pad the input first")
-
-    cache = {"cfg": cfg}
+    tape = T.Tape() if tape is None else tape
 
     def block(name, x, spec):
-        y = T.conv2d(x, weights[name + ".w"], weights[name + ".b"], spec)
-        cache[name] = (x, y)
-        return T.relu(y)
+        return tape.relu(tape.conv(x, weights, name, spec))
 
     x = image
     for i in range(cfg.stem_convs):
@@ -118,45 +115,4 @@ def backbone_forward(image: np.ndarray, weights: dict, cfg: PyramidConfig):
             spec = S3D2 if j < lv else S3
             y = block(f"backbone.level{lv}.{j}", y, spec)
         levels.append(y)
-    return FeaturePyramid(levels, low_level), cache
-
-
-def backbone_backward(cache: dict, g_levels, g_low_level, weights: dict):
-    """Accumulate gradients for all backbone parameters.
-
-    g_levels are upstream gradients per pyramid level, g_low_level the one on
-    the low-level tap (may be None). Returns (grads dict covering the
-    backbone.* weights only, grad wrt image).
-    """
-    cfg = cache["cfg"]
-    grads = {}
-
-    def back_block(name, spec, gy):
-        # every block runs once per forward, so its gradient is assigned, not summed
-        x, pre = cache[name]
-        gpre = T.relu_backward(pre, gy)
-        gx, grads[name + ".w"], grads[name + ".b"] = T.conv2d_backward(
-            x, weights[name + ".w"], spec, gpre)
-        return gx
-
-    g_stem_out = None
-    for lv in range(4):
-        g = g_levels[lv]
-        if g is None:
-            continue
-        n_convs = lv + cfg.num_blocks if lv else cfg.num_blocks
-        for j in reversed(range(n_convs)):
-            spec = S3D2 if j < lv else S3
-            g = back_block(f"backbone.level{lv}.{j}", spec, g)
-        g_stem_out = g if g_stem_out is None else g_stem_out + g
-    if g_low_level is not None:
-        g_stem_out = g_low_level if g_stem_out is None else g_stem_out + g_low_level
-
-    g = g_stem_out
-    for i in reversed(range(cfg.stem_convs)):
-        g = back_block(f"backbone.stem.{i}", S3D2, g)
-    for k, v in weights.items():
-        # levels without an upstream gradient get zeros
-        if k.startswith("backbone.") and k not in grads:
-            grads[k] = np.zeros_like(v)
-    return grads, g
+    return FeaturePyramid(levels, low_level), tape

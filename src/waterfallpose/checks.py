@@ -37,11 +37,14 @@ def _toy_model(seed=0, dtype=np.float64):
     return pyr, wf, weights
 
 
-def _naive_conv(x, w, b, spec):
+def conv2d_naive(x, w, b, spec):
+    """Six-nested-loop cross-correlation oracle: float64 products, zero outside
+    the input, and its own output-extent formula rather than ConvSpec's."""
     n, cin, h, wd = x.shape
     cout = w.shape[0]
-    oh, ow = spec.out_extent(h, 0), spec.out_extent(wd, 1)
-    y = np.zeros((n, cout, oh, ow))
+    oh = (h + 2 * spec.pad_h - (spec.kh - 1) * spec.dilation - 1) // spec.stride + 1
+    ow = (wd + 2 * spec.pad_w - (spec.kw - 1) * spec.dilation - 1) // spec.stride + 1
+    y = np.zeros((n, cout, oh, ow), dtype=np.float64)
     for bi in range(n):
         for oc in range(cout):
             for oi in range(oh):
@@ -53,7 +56,7 @@ def _naive_conv(x, w, b, spec):
                                 ri = oi * spec.stride - spec.pad_h + ki * spec.dilation
                                 cj = oj * spec.stride - spec.pad_w + kj * spec.dilation
                                 if 0 <= ri < h and 0 <= cj < wd:
-                                    acc += float(x[bi, ic, ri, cj] * w[oc, ic, ki, kj])
+                                    acc += float(x[bi, ic, ri, cj]) * float(w[oc, ic, ki, kj])
                     y[bi, oc, oi, oj] = acc + float(b[oc])
     return y
 
@@ -126,9 +129,8 @@ def gradient_checks():
     fm = rng.standard_normal((1, wf.head_width, 8, 8))
     gh = rng.standard_normal((1, wf.heatmap_channels, 8, 8))
     go = rng.standard_normal((1, wf.offset_channels, 8, 8))
-    maps, hcache = W.heads_forward(fm, weights, wf)
-    grads = {k: np.zeros_like(v) for k, v in weights.items()}
-    g_fm = W.heads_backward(hcache, gh, go, weights, wf, grads)
+    maps, tape = W.heads_forward(fm, weights, wf)
+    grads, (g_fm,) = tape.backward([(maps.heatmaps, gh), (maps.offsets, go)], wrt=[fm])
 
     def head_loss(v):
         m, _ = W.heads_forward(v, weights, wf)
@@ -215,7 +217,7 @@ def selftest_checks():
         w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
         b = rng.standard_normal(2).astype(np.float32)
         worst = max(worst, T.relative_error(
-            T.conv2d(x, w, b, spec), _naive_conv(x, w, b, spec)))
+            T.conv2d(x, w, b, spec), conv2d_naive(x, w, b, spec)))
     record("conv_oracle", worst <= 1e-5, f"max rel err {worst:.2e}")
 
     # adaptive conv degeneracy
@@ -247,7 +249,7 @@ def selftest_checks():
     for _ in range(40):
         preds, gts, params2 = _random_eval_scene(rng)
         res = evaluate(preds, gts, params2)
-        ap_ref, ar_ref = _bruteforce_eval(preds, gts, params2)
+        ap_ref, ar_ref = bruteforce_eval(preds, gts, params2)
         ok_eval &= (res.ap == ap_ref and res.ar == ar_ref)
     record("evaluator_bruteforce_equivalence", ok_eval)
 
@@ -315,8 +317,13 @@ def _random_eval_scene(rng):
     return preds, gts, params
 
 
-def _bruteforce_eval(preds_by_image, gts_by_image, params):
-    """Plain-loop reference: greedy matching and direct PR integration."""
+def bruteforce_eval(preds_by_image, gts_by_image, params):
+    """Plain-loop reference: greedy matching and direct PR integration.
+
+    Returns overall (AP, AR). Pair similarity comes from the library's oks()
+    because libm exp() is not bitwise identical across call paths; closed-form
+    tests pin the OKS formula itself.
+    """
     image_ids = sorted(set(gts_by_image) | set(preds_by_image))
     n_gt = sum(len([g for g in gts_by_image.get(i, []) if g.num_labeled()])
                for i in image_ids)

@@ -241,10 +241,18 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
+def _unpack(fmt: str, data: bytes, offset: int):
+    """(struct.unpack_from values, end offset); a short buffer is a FormatError."""
+    end = offset + struct.calcsize(fmt)
+    if len(data) < end:
+        raise FormatError(f"checkpoint truncated at byte {len(data)}")
+    return struct.unpack_from(fmt, data, offset), end
+
+
 def _unpack_str(data: bytes, offset: int):
-    (n,) = struct.unpack_from("<I", data, offset)
-    start = offset + 4
-    return data[start: start + n].decode(), start + n
+    (n,), start = _unpack("<I", data, offset)
+    (raw,), end = _unpack(f"{n}s", data, start)
+    return raw.decode(), end
 
 
 def save_checkpoint(weights: dict, optim_state, epoch: int, fingerprint: str) -> bytes:
@@ -279,18 +287,17 @@ def load_checkpoint(data: bytes, expected_fingerprint: str | None = None):
     """Returns (weights, optim_state or None, epoch, fingerprint)."""
     if data[:4] != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic")
-    version, epoch = struct.unpack_from("<II", data, 4)
+    (version, epoch), pos = _unpack("<II", data, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    fingerprint, pos = _unpack_str(data, 12)
+    fingerprint, pos = _unpack_str(data, pos)
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise FormatError(
             "checkpoint was written under a different configuration "
             f"(fingerprint {fingerprint[:12]}... != {expected_fingerprint[:12]}...)")
     meta, pos = _unpack_str(data, pos)
     shapes = json.loads(meta)
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    (count,), pos = _unpack("<I", data, pos)
     entries = {}
     for _ in range(count):
         name, pos = _unpack_str(data, pos)

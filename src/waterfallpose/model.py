@@ -1,17 +1,17 @@
 """Full network: image -> feature pyramid -> waterfall head -> pose maps.
 
 Weights live in one flat dict keyed by layer name, which keeps the optimizer,
-the checkpoint writer, and gradient bookkeeping trivial.
+the checkpoint writer, and gradient bookkeeping trivial. The layers are
+written forward only: each kernel they run is recorded on a tensor.Tape with
+its analytic backward, and the backward pass is one replay of that tape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .backbone import PyramidConfig, init_backbone_weights, backbone_forward, \
-    backbone_backward
-from .waterfall import WaterfallConfig, init_waterfall_weights, \
-    waterfall_module_forward, waterfall_module_backward
+from .backbone import PyramidConfig, init_backbone_weights, backbone_forward
+from .waterfall import WaterfallConfig, init_waterfall_weights, waterfall_module_forward
 
 
 def check_widths(pyr: PyramidConfig, wf: WaterfallConfig):
@@ -35,18 +35,23 @@ def init_model_weights(pyr: PyramidConfig, wf: WaterfallConfig, seed: int,
 
 def model_forward(image: np.ndarray, weights: dict, pyr: PyramidConfig,
                   wf: WaterfallConfig):
-    pyramid, bb_cache = backbone_forward(image, weights, pyr)
-    maps, wf_cache = waterfall_module_forward(pyramid, weights, wf)
-    return maps, {"bb": bb_cache, "wf": wf_cache}
+    """Returns (PoseMaps, tape); the tape feeds model_backward."""
+    pyramid, tape = backbone_forward(image, weights, pyr)
+    maps, tape = waterfall_module_forward(pyramid, weights, wf, tape)
+    tape.image, tape.maps = image, maps     # the ends model_backward replays between
+    return maps, tape
 
 
 def model_backward(cache, g_heat, g_offsets, weights, pyr: PyramidConfig,
                    wf: WaterfallConfig):
-    """Returns (grads dict covering every weight, gradient on the image)."""
-    grads = {k: np.zeros_like(v) for k, v in weights.items()
-             if not k.startswith("backbone.")}
-    g_levels, g_low = waterfall_module_backward(cache["wf"], g_heat, g_offsets,
-                                                weights, wf, grads)
-    bb_grads, g_image = backbone_backward(cache["bb"], g_levels, g_low, weights)
-    grads.update(bb_grads)
+    """Replay the tape model_forward returned (cache) from the heatmap and
+    offset gradients. Returns (grads dict covering every weight, gradient on
+    the image); a weight the replay does not reach gets zeros.
+    """
+    grads, (g_image,) = cache.backward(
+        [(cache.maps.heatmaps, g_heat), (cache.maps.offsets, g_offsets)],
+        wrt=[cache.image])
+    for name, w in weights.items():
+        if name not in grads:
+            grads[name] = np.zeros_like(w)
     return grads, g_image

@@ -1,10 +1,13 @@
-"""Dense 4-axis tensor kernels and their hand-written backward passes.
+"""Dense 4-axis tensor kernels, their hand-written backward passes, and the
+tape that pairs them.
 
 Every value in the pipeline is a numpy array of shape (N, C, H, W), row-major
 with width fastest. Compute stays in the dtype of the inputs: float32 for
 normal runs, float64 for gradient checking. Kernels are pure functions; the
 backward of each op takes the original inputs plus the upstream gradient, so
-no hidden state survives between calls.
+no hidden state survives between calls. A Tape records the kernels a forward
+pass runs and replays their backwards in reverse, so composite layers are
+written forward only.
 """
 
 from __future__ import annotations
@@ -388,6 +391,109 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid_backward(y: np.ndarray, gy: np.ndarray) -> np.ndarray:
     # takes the forward output y, not the pre-activation
     return gy * y * (1.0 - y)
+
+
+def weight(weights: dict, name: str) -> np.ndarray:
+    """weights[name]; a missing entry is a ShapeError that names it."""
+    try:
+        return weights[name]
+    except KeyError:
+        raise ShapeError(f"missing weight {name!r}") from None
+
+
+class Tape:
+    """Reverse-mode record of one forward pass (Baydin et al., "Automatic
+    Differentiation in Machine Learning: a Survey", arXiv 1502.05767).
+
+    Each recording method runs one kernel and appends a node: its output (an
+    array, or a tuple of arrays for split), its inputs (arrays, or the names
+    of the weights it read), and a closure over the kernel's analytic
+    backward. Arrays are matched by identity, so an array read by several
+    nodes collects the sum of their gradients.
+    """
+
+    def __init__(self):
+        self.nodes = []
+
+    def record(self, out, inputs, backward):
+        """Append a node and return out. backward takes one gradient per
+        output and returns one gradient per input, in order."""
+        self.nodes.append((out, inputs, backward))
+        return out
+
+    def backward(self, seeds, wrt=()):
+        """Replay the nodes once, newest first, popping each as it runs.
+
+        seeds are (array, gradient) pairs; wrt lists arrays that no node
+        produced. Returns (gradients by weight name, [gradient of each wrt
+        array]): a weight the replay does not reach has no entry, a wrt array
+        it does not reach gets None. Leaves the tape empty.
+        """
+        grads, wgrads = {}, {}
+
+        def accumulate(store, key, g):
+            store[key] = g if key not in store else store[key] + g
+
+        for a, g in seeds:
+            accumulate(grads, id(a), g)
+        while self.nodes:
+            out, inputs, backward = self.nodes.pop()
+            if isinstance(out, tuple):   # a split: parts without a gradient get zeros
+                gys = [grads.pop(id(o), None) for o in out]
+                if all(g is None for g in gys):
+                    continue
+                gins = backward(*[np.zeros_like(o) if g is None else g
+                                  for o, g in zip(out, gys)])
+            else:
+                gy = grads.pop(id(out), None)
+                if gy is None:
+                    continue
+                gins = backward(gy)
+            for x, g in zip(inputs, gins):
+                if isinstance(x, str):
+                    accumulate(wgrads, x, g)
+                else:
+                    accumulate(grads, id(x), g)
+        return wgrads, [grads.get(id(a)) for a in wrt]
+
+    # one recording method per kernel; each calls the kernel and its backward
+    # by module-level name at call time
+
+    def conv(self, x, weights: dict, name: str, spec: ConvSpec):
+        """conv2d with weights[name + ".w"] and bias weights[name + ".b"]."""
+        w, b = weight(weights, name + ".w"), weight(weights, name + ".b")
+        return self.record(conv2d(x, w, b, spec), (x, name + ".w", name + ".b"),
+                           lambda gy: conv2d_backward(x, w, spec, gy))
+
+    def relu(self, x):
+        return self.record(relu(x), (x,), lambda gy: (relu_backward(x, gy),))
+
+    def sigmoid(self, x):
+        y = sigmoid(x)
+        return self.record(y, (x,), lambda gy: (sigmoid_backward(y, gy),))
+
+    def add(self, a, b):
+        return self.record(a + b, (a, b), lambda gy: (gy, gy))
+
+    def pool(self, x):
+        return self.record(global_avg_pool(x), (x,),
+                           lambda gy: (global_avg_pool_backward(x.shape, gy),))
+
+    def resize(self, x, out_h: int, out_w: int):
+        return self.record(bilinear_resize(x, out_h, out_w), (x,),
+                           lambda gy: (bilinear_resize_backward(x.shape, gy),))
+
+    def concat(self, parts):
+        parts = tuple(parts)
+        y = concat_channels(parts)
+        counts = [p.shape[1] for p in parts]
+        return self.record(y, parts, lambda gy: concat_channels_backward(counts, gy))
+
+    def split(self, x, counts):
+        """Channel slices of x with counts[i] channels each, as a tuple; the
+        adjoint concatenates the slices' gradients, zeros for any without."""
+        return self.record(tuple(concat_channels_backward(counts, x)), (x,),
+                           lambda *gys: (concat_channels(gys),))
 
 
 def numeric_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

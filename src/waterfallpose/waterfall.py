@@ -169,130 +169,58 @@ def init_waterfall_weights(cfg: WaterfallConfig, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # stage 1: pyramid fusion
 
-def fuse_pyramid(p: FeaturePyramid):
+def fuse_pyramid(p: FeaturePyramid, tape=None):
     """Resize levels 1..3 to level-0 extents and concatenate in level order.
 
-    Zero-width levels contribute no channels. Returns (g0, cache).
+    Zero-width levels contribute no channels. Returns (g0, tape).
     """
+    tape = T.Tape() if tape is None else tape
     h, w = p.base_extents()
-    parts = []
-    widths = []
-    for lv, f in enumerate(p.levels):
-        widths.append(f.shape[1])
-        if f.shape[1] == 0:
-            continue
-        parts.append(f if lv == 0 else T.bilinear_resize(f, h, w))
-    g0 = T.concat_channels(parts)
-    cache = {"widths": widths, "shapes": [f.shape for f in p.levels]}
-    return g0, cache
-
-
-def fuse_pyramid_backward(cache, gy):
-    counts = [c for c in cache["widths"] if c > 0]
-    slices = T.concat_channels_backward(counts, gy)
-    grads = []
-    it = iter(slices)
-    for lv, shape in enumerate(cache["shapes"]):
-        if shape[1] == 0:
-            grads.append(np.zeros(shape, dtype=gy.dtype))
-            continue
-        g = next(it)
-        grads.append(g if lv == 0 else T.bilinear_resize_backward(shape, g))
-    return grads
+    parts = [f if lv == 0 else tape.resize(f, h, w)
+             for lv, f in enumerate(p.levels) if f.shape[1]]
+    return tape.concat(parts), tape
 
 
 # ---------------------------------------------------------------------------
 # stage 2: waterfall cascade
 
-def waterfall_forward(g0: np.ndarray, weights: dict, cfg: WaterfallConfig):
+def waterfall_forward(g0: np.ndarray, weights: dict, cfg: WaterfallConfig, tape=None):
     """Cascade of dilated 3x3 convolutions plus a pooled branch.
 
     Each branch output feeds the next branch; the four branch outputs and the
     pooled branch are concatenated and a 1x1 brings the width to
-    cfg.waterfall_width. Returns (f_waterfall, cache).
+    cfg.waterfall_width. Returns (f_waterfall, tape).
     """
     if g0.shape[1] != cfg.fused_width:
         raise T.ShapeError(
             f"fused input has {g0.shape[1]} channels, config says {cfg.fused_width}")
-    h, w = g0.shape[2], g0.shape[3]
-    cache = {"g0": g0, "branches": []}
+    tape = T.Tape() if tape is None else tape
     x = g0
     outs = []
     for i, d in enumerate(cfg.dilations):
         spec = T.ConvSpec(3, 3, pad_h=d, pad_w=d, dilation=d)
-        pre = T.conv2d(x, weights[f"wf.branch{i}.w"], weights[f"wf.branch{i}.b"], spec)
-        y = T.relu(pre)
-        cache["branches"].append((x, pre, spec))
-        outs.append(y)
-        x = y
-    pooled = T.global_avg_pool(g0)
-    pool_pre = T.conv2d(pooled, weights["wf.pool.w"], weights["wf.pool.b"], S1)
-    pool_map = T.bilinear_resize(pool_pre, h, w)
-    cache["pool"] = (pooled, pool_pre.shape)
-    cat = T.concat_channels(outs + [pool_map])
-    out = T.conv2d(cat, weights["wf.out.w"], weights["wf.out.b"], S1)
-    cache["cat"] = cat
-    return out, cache
-
-
-def waterfall_backward(cache, gy, weights, cfg: WaterfallConfig, grads: dict):
-    cat = cache["cat"]
-    gcat, gw, gb = T.conv2d_backward(cat, weights["wf.out.w"], S1, gy)
-    grads["wf.out.w"] += gw
-    grads["wf.out.b"] += gb
-    parts = T.concat_channels_backward([cfg.branch_width] * 5, gcat)
-    g_branch_out = parts[:4]
-    g_pool_map = parts[4]
-
-    pooled, pool_pre_shape = cache["pool"]
-    g_pool_pre = T.bilinear_resize_backward(pool_pre_shape, g_pool_map)
-    g_pooled, gw, gb = T.conv2d_backward(pooled, weights["wf.pool.w"], S1, g_pool_pre)
-    grads["wf.pool.w"] += gw
-    grads["wf.pool.b"] += gb
-    g_g0 = T.global_avg_pool_backward(cache["g0"].shape, g_pooled)
-
-    g_next = None
-    for i in reversed(range(4)):
-        x, pre, spec = cache["branches"][i]
-        g_out = g_branch_out[i] if g_next is None else g_branch_out[i] + g_next
-        gpre = T.relu_backward(pre, g_out)
-        gx, gw, gb = T.conv2d_backward(x, weights[f"wf.branch{i}.w"], spec, gpre)
-        grads[f"wf.branch{i}.w"] += gw
-        grads[f"wf.branch{i}.b"] += gb
-        g_next = gx
-    return g_g0 + g_next
+        x = tape.relu(tape.conv(x, weights, f"wf.branch{i}", spec))
+        outs.append(x)
+    pooled = tape.conv(tape.pool(g0), weights, "wf.pool", S1)
+    outs.append(tape.resize(pooled, g0.shape[2], g0.shape[3]))
+    return tape.conv(tape.concat(outs), weights, "wf.out", S1), tape
 
 
 # ---------------------------------------------------------------------------
 # stage 3: low-level fusion and reduction
 
 def fuse_low_level(low_level: np.ndarray, f_waterfall: np.ndarray,
-                   weights: dict, cfg: WaterfallConfig):
+                   weights: dict, cfg: WaterfallConfig, tape=None):
     """Project the low-level map to the waterfall width, add, then two 1x1
-    stages, the last reducing to cfg.head_width. Returns (f_maps, cache)."""
+    stages, the last reducing to cfg.head_width. Returns (f_maps, tape)."""
     if low_level.shape[2:] != f_waterfall.shape[2:]:
         raise T.ShapeError(
             f"low-level extents {low_level.shape[2:]} do not match waterfall "
             f"extents {f_waterfall.shape[2:]}")
-    proj = T.conv2d(low_level, weights["llf.proj.w"], weights["llf.proj.b"], S1)
-    s = proj + f_waterfall
-    mid = T.conv2d(s, weights["llf.mid.w"], weights["llf.mid.b"], S1)
-    out = T.conv2d(mid, weights["llf.out.w"], weights["llf.out.b"], S1)
-    cache = {"low_level": low_level, "s": s, "mid": mid}
-    return out, cache
-
-
-def fuse_low_level_backward(cache, gy, weights, grads: dict):
-    gmid, gw, gb = T.conv2d_backward(cache["mid"], weights["llf.out.w"], S1, gy)
-    grads["llf.out.w"] += gw
-    grads["llf.out.b"] += gb
-    gs, gw, gb = T.conv2d_backward(cache["s"], weights["llf.mid.w"], S1, gmid)
-    grads["llf.mid.w"] += gw
-    grads["llf.mid.b"] += gb
-    g_low, gw, gb = T.conv2d_backward(cache["low_level"], weights["llf.proj.w"], S1, gs)
-    grads["llf.proj.w"] += gw
-    grads["llf.proj.b"] += gb
-    return g_low, gs  # gs is also the gradient on f_waterfall
+    tape = T.Tape() if tape is None else tape
+    s = tape.add(tape.conv(low_level, weights, "llf.proj", S1), f_waterfall)
+    mid = tape.conv(s, weights, "llf.mid", S1)
+    return tape.conv(mid, weights, "llf.out", S1), tape
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +246,13 @@ def affine_to_offsets_backward(g_offsets: np.ndarray) -> np.ndarray:
     return g.reshape(n, 6, h, w)
 
 
-def predict_offsets(features: np.ndarray, weights: dict, name: str):
+def predict_offsets(features: np.ndarray, weights: dict, name: str, tape=None):
     """1x1 predictor emitting 6 affine parameters per pixel, expanded to the
-    18-channel tap displacement field. Returns (offsets, cache)."""
-    params = T.conv2d(features, weights[name + ".w"], weights[name + ".b"], S1)
-    return affine_to_offsets(params), {"features": features}
-
-
-def predict_offsets_backward(cache, g_offsets, weights, name, grads: dict):
-    g_params = affine_to_offsets_backward(g_offsets)
-    gx, gw, gb = T.conv2d_backward(cache["features"], weights[name + ".w"], S1, g_params)
-    grads[name + ".w"] += gw
-    grads[name + ".b"] += gb
-    return gx
+    18-channel tap displacement field. Returns (offsets, tape)."""
+    tape = T.Tape() if tape is None else tape
+    params = tape.conv(features, weights, name, S1)
+    return tape.record(affine_to_offsets(params), (params,),
+                       lambda g: (affine_to_offsets_backward(g),)), tape
 
 
 def canonical_offsets(n: int, h: int, w: int, dtype=np.float32) -> np.ndarray:
@@ -387,98 +309,44 @@ def adaptive_conv_backward(cache, gy):
 # ---------------------------------------------------------------------------
 # stage 4: heads
 
-def heads_forward(f_maps: np.ndarray, weights: dict, cfg: WaterfallConfig):
+def _adaptive_branch(tape, x: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
+    """Tap predictor, adaptive conv over x, ReLU, 1x1 out: one head branch,
+    with the adaptive conv recorded on the tape like any other kernel."""
+    offsets, _ = predict_offsets(x, weights, prefix + ".taps", tape)
+    name = prefix + ".adapt.w"
+    y, cache = adaptive_conv(x, T.weight(weights, name), offsets)
+    y = tape.record(y, (x, name, offsets), lambda gy: adaptive_conv_backward(cache, gy))
+    return tape.conv(tape.relu(y), weights, prefix + ".out", S1)
+
+
+def heads_forward(f_maps: np.ndarray, weights: dict, cfg: WaterfallConfig, tape=None):
     """Keypoint and offset heads over the fused feature map.
 
     Keypoint head: offset-predicted adaptive conv, ReLU, 1x1 to the score
     channels, sigmoid. Offset head: 1x1 expansion into per-keypoint groups,
     each with its own adaptive conv and 1x1 down to a (dx, dy) pair.
-    Returns (PoseMaps, cache).
+    Returns (PoseMaps, tape).
     """
     if f_maps.shape[1] != cfg.head_width:
         raise T.ShapeError(
             f"head input has {f_maps.shape[1]} channels, config says {cfg.head_width}")
-    cache = {}
-
-    kp_off, c1 = predict_offsets(f_maps, weights, "head.kp.taps")
-    kp_ad, c2 = adaptive_conv(f_maps, weights["head.kp.adapt.w"], kp_off)
-    kp_act = T.relu(kp_ad)
-    kp_pre = T.conv2d(kp_act, weights["head.kp.out.w"], weights["head.kp.out.b"], S1)
-    heat = T.sigmoid(kp_pre)
-    cache["kp"] = (c1, c2, kp_ad, kp_act, heat)
-
-    g = cfg.group_width
-    expanded = T.conv2d(f_maps, weights["head.off.expand.w"],
-                        weights["head.off.expand.b"], S1)
-    cache["expanded"] = expanded
-    cache["groups"] = []
-    outs = []
-    for k in range(cfg.offset_groups):
-        feat = np.ascontiguousarray(expanded[:, k * g:(k + 1) * g])
-        off, c3 = predict_offsets(feat, weights, f"head.off.g{k}.taps")
-        ad, c4 = adaptive_conv(feat, weights[f"head.off.g{k}.adapt.w"], off)
-        act = T.relu(ad)
-        out = T.conv2d(act, weights[f"head.off.g{k}.out.w"],
-                       weights[f"head.off.g{k}.out.b"], S1)
-        cache["groups"].append((feat, c3, c4, ad, act))
-        outs.append(out)
-    offsets = T.concat_channels(outs)
-    cache["f_maps"] = f_maps
-    return PoseMaps(heat, offsets), cache
-
-
-def heads_backward(cache, g_heat, g_offsets, weights, cfg: WaterfallConfig, grads):
-    f_maps = cache["f_maps"]
-    g = cfg.group_width
-
-    c1, c2, kp_ad, kp_act, heat = cache["kp"]
-    g_pre = T.sigmoid_backward(heat, g_heat)
-    g_act, gw, gb = T.conv2d_backward(kp_act, weights["head.kp.out.w"], S1, g_pre)
-    grads["head.kp.out.w"] += gw
-    grads["head.kp.out.b"] += gb
-    g_ad = T.relu_backward(kp_ad, g_act)
-    gx, gw9, g_off = adaptive_conv_backward(c2, g_ad)
-    grads["head.kp.adapt.w"] += gw9
-    g_fmaps = gx + predict_offsets_backward(c1, g_off, weights, "head.kp.taps", grads)
-
-    g_parts = T.concat_channels_backward([2] * cfg.offset_groups, g_offsets)
-    g_expanded = np.zeros_like(cache["expanded"])
-    for k in range(cfg.offset_groups):
-        feat, c3, c4, ad, act = cache["groups"][k]
-        g_out = g_parts[k]
-        g_act, gw, gb = T.conv2d_backward(act, weights[f"head.off.g{k}.out.w"], S1, g_out)
-        grads[f"head.off.g{k}.out.w"] += gw
-        grads[f"head.off.g{k}.out.b"] += gb
-        g_ad = T.relu_backward(ad, g_act)
-        gx, gw9, g_off = adaptive_conv_backward(c4, g_ad)
-        grads[f"head.off.g{k}.adapt.w"] += gw9
-        g_feat = gx + predict_offsets_backward(c3, g_off, weights,
-                                               f"head.off.g{k}.taps", grads)
-        g_expanded[:, k * g:(k + 1) * g] += g_feat
-    gx, gw, gb = T.conv2d_backward(f_maps, weights["head.off.expand.w"], S1, g_expanded)
-    grads["head.off.expand.w"] += gw
-    grads["head.off.expand.b"] += gb
-    return g_fmaps + gx
+    tape = T.Tape() if tape is None else tape
+    heat = tape.sigmoid(_adaptive_branch(tape, f_maps, weights, "head.kp"))
+    expanded = tape.conv(f_maps, weights, "head.off.expand", S1)
+    groups = tape.split(expanded, [cfg.group_width] * cfg.offset_groups)
+    offsets = tape.concat(_adaptive_branch(tape, feat, weights, f"head.off.g{k}")
+                          for k, feat in enumerate(groups))
+    return PoseMaps(heat, offsets), tape
 
 
 # ---------------------------------------------------------------------------
 # full module
 
-def waterfall_module_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig):
-    """fuse_pyramid -> waterfall -> low-level fusion -> heads."""
-    g0, c_fuse = fuse_pyramid(p)
-    f_wf, c_wf = waterfall_forward(g0, weights, cfg)
-    f_maps, c_llf = fuse_low_level(p.low_level, f_wf, weights, cfg)
-    maps, c_heads = heads_forward(f_maps, weights, cfg)
-    cache = {"fuse": c_fuse, "wf": c_wf, "llf": c_llf, "heads": c_heads}
-    return maps, cache
-
-
-def waterfall_module_backward(cache, g_heat, g_offsets, weights,
-                              cfg: WaterfallConfig, grads: dict):
-    """Returns (per-level gradients, gradient on the low-level map)."""
-    g_fmaps = heads_backward(cache["heads"], g_heat, g_offsets, weights, cfg, grads)
-    g_low, g_wf = fuse_low_level_backward(cache["llf"], g_fmaps, weights, grads)
-    g_g0 = waterfall_backward(cache["wf"], g_wf, weights, cfg, grads)
-    g_levels = fuse_pyramid_backward(cache["fuse"], g_g0)
-    return g_levels, g_low
+def waterfall_module_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig,
+                             tape=None):
+    """fuse_pyramid -> waterfall -> low-level fusion -> heads.
+    Returns (PoseMaps, tape)."""
+    g0, tape = fuse_pyramid(p, tape)
+    f_wf, _ = waterfall_forward(g0, weights, cfg, tape)
+    f_maps, _ = fuse_low_level(p.low_level, f_wf, weights, cfg, tape)
+    return heads_forward(f_maps, weights, cfg, tape)

@@ -6,29 +6,3 @@ import pytest
 def rng():
     return np.random.default_rng(20240813)
 
-
-def conv2d_naive(x, w, b, spec):
-    """Six-nested-loop cross-correlation oracle, independent of the fast path.
-
-    Walks every (batch, out-channel, out-row, out-col, in-channel, tap) index
-    and sums products directly, treating out-of-bounds input as zero.
-    """
-    n, cin, h, wd = x.shape
-    cout = w.shape[0]
-    oh = (h + 2 * spec.pad_h - (spec.kh - 1) * spec.dilation - 1) // spec.stride + 1
-    ow = (wd + 2 * spec.pad_w - (spec.kw - 1) * spec.dilation - 1) // spec.stride + 1
-    y = np.zeros((n, cout, oh, ow), dtype=np.float64)
-    for bi in range(n):
-        for oc in range(cout):
-            for oi in range(oh):
-                for oj in range(ow):
-                    acc = 0.0
-                    for ic in range(cin):
-                        for ki in range(spec.kh):
-                            for kj in range(spec.kw):
-                                ri = oi * spec.stride - spec.pad_h + ki * spec.dilation
-                                cj = oj * spec.stride - spec.pad_w + kj * spec.dilation
-                                if 0 <= ri < h and 0 <= cj < wd:
-                                    acc += float(x[bi, ic, ri, cj]) * float(w[oc, ic, ki, kj])
-                    y[bi, oc, oi, oj] = acc + float(b[oc])
-    return y

@@ -13,7 +13,7 @@ from waterfallpose import tensor as T
 from waterfallpose import waterfall as W
 from waterfallpose.backbone import PyramidConfig
 from waterfallpose.decode import DecodeConfig, decode_poses
-from waterfallpose.metrics import OksParams, oks, evaluate, DEFAULT_THRESHOLDS
+from waterfallpose.metrics import OksParams, oks, evaluate
 from waterfallpose.model import init_model_weights, model_forward, model_backward
 from waterfallpose.targets import Keypoint, PersonAnnotation, \
     render_keypoint_heatmaps, render_offset_targets
@@ -22,8 +22,7 @@ from waterfallpose.train import TrainConfig, lr_at_epoch, \
 from waterfallpose.waterfall import WaterfallConfig
 from waterfallpose.decode import PoseInstance
 
-from conftest import conv2d_naive
-from eval_oracle import evaluate_oracle
+from waterfallpose.checks import bruteforce_eval, conv2d_naive
 from test_decode import synth_scene, render_scene
 
 
@@ -227,7 +226,7 @@ def test_07_evaluator_equivalence():
                     float(rng.uniform(0, 1))))
             total_preds += len(preds[img])
         res = evaluate(preds, gts, params)
-        ap_ref, ar_ref = evaluate_oracle(preds, gts, params, DEFAULT_THRESHOLDS)
+        ap_ref, ar_ref = bruteforce_eval(preds, gts, params)
         all_equal &= (res.ap == ap_ref and res.ar == ar_ref)
     report(7, "evaluator equals the brute-force oracle on 500 fuzzed scenes",
            all_equal)

@@ -3,7 +3,7 @@ import pytest
 
 from waterfallpose import tensor as T
 from waterfallpose.backbone import PyramidConfig, init_backbone_weights, \
-    backbone_forward, backbone_backward
+    backbone_forward
 
 
 def test_paper_width_shapes(rng):
@@ -70,8 +70,8 @@ def test_stem_gradient_matches_numeric(rng):
         p, _ = backbone_forward(img, wset, cfg)
         return sum(float((f * g).sum()) for f, g in zip(p.levels, proj))
 
-    p, cache = backbone_forward(img, weights, cfg)
-    grads, _ = backbone_backward(cache, proj, None, weights)
+    p, tape = backbone_forward(img, weights, cfg)
+    grads, _ = tape.backward(zip(p.levels, proj))
     for name in ("backbone.stem.0.w", "backbone.stem.1.w", "backbone.stem.0.b"):
         def f(v, name=name):
             trial = dict(weights)
@@ -94,7 +94,7 @@ def test_image_gradient_matches_numeric(rng):
         s = sum(float((f_ * g).sum()) for f_, g in zip(p.levels, proj))
         return s + float((p.low_level * gll).sum())
 
-    _, cache = backbone_forward(img, weights, cfg)
-    _, g_img = backbone_backward(cache, proj, gll, weights)
+    p, tape = backbone_forward(img, weights, cfg)
+    _, (g_img,) = tape.backward([*zip(p.levels, proj), (p.low_level, gll)], wrt=[img])
     num = T.numeric_gradient(f, img)
     assert T.relative_error(g_img, num) <= 1e-6

@@ -160,6 +160,14 @@ class TestCheckpoint:
         with pytest.raises(D.FormatError, match="version"):
             D.load_checkpoint(bytes(blob))
 
+    def test_every_prefix_is_format_error(self, rng):
+        w = self._weights(rng)
+        optim = {"step": 1, "m": w, "v": w}
+        blob = D.save_checkpoint(w, optim, 2, "fp")
+        for end in range(len(blob)):
+            with pytest.raises(D.FormatError):
+                D.load_checkpoint(blob[:end])
+
     def test_no_optimizer_state(self, rng):
         blob = D.save_checkpoint(self._weights(rng), None, 3, "fp")
         _, optim, epoch, _ = D.load_checkpoint(blob)

@@ -6,7 +6,7 @@ import pytest
 
 from waterfallpose import tensor as T
 from waterfallpose import waterfall as W
-from conftest import conv2d_naive
+from waterfallpose.checks import conv2d_naive
 
 
 def _kernel_outputs(rng, dtype):

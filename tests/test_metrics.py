@@ -3,10 +3,10 @@ import pytest
 
 from waterfallpose.decode import PoseInstance
 from waterfallpose.metrics import OksParams, UndefinedOksError, oks, \
-    match_and_score, evaluate, interpolated_ap, pr_curve, DEFAULT_THRESHOLDS
+    match_and_score, evaluate, interpolated_ap, pr_curve
 from waterfallpose.targets import Keypoint, PersonAnnotation
 
-from eval_oracle import evaluate_oracle
+from waterfallpose.checks import bruteforce_eval
 
 
 def gt_person(points, area=100.0, crowd_index=None):
@@ -203,6 +203,6 @@ class TestEvaluator:
         for _ in range(120):
             preds, gts, params = self._random_scene(rng)
             res = evaluate(preds, gts, params)
-            ap_ref, ar_ref = evaluate_oracle(preds, gts, params, DEFAULT_THRESHOLDS)
+            ap_ref, ar_ref = bruteforce_eval(preds, gts, params)
             assert res.ap == ap_ref
             assert res.ar == ar_ref

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from waterfallpose import tensor as T
-from conftest import conv2d_naive
+from waterfallpose.checks import conv2d_naive
 
 
 class TestConstructor:
@@ -246,6 +246,47 @@ class TestConcat:
         parts = T.concat_channels_backward([1, 4, 2], gy)
         assert [p.shape[1] for p in parts] == [1, 4, 2]
         np.testing.assert_array_equal(np.concatenate(parts, axis=1), gy)
+
+
+class TestTape:
+    def test_two_consumers_get_the_sum(self, rng):
+        x = rng.standard_normal((1, 2, 3, 3))
+        tape = T.Tape()
+        y = tape.add(tape.relu(x), tape.sigmoid(x))
+        gy = rng.standard_normal(y.shape)
+        _, (gx,) = tape.backward([(y, gy)], wrt=[x])
+        s = T.sigmoid(x)
+        np.testing.assert_allclose(gx, T.relu_backward(x, gy) + T.sigmoid_backward(s, gy))
+
+    def test_unreached_inputs_get_nothing(self, rng):
+        x = rng.standard_normal((1, 2, 4, 4))
+        unused = rng.standard_normal((1, 2, 4, 4))
+        weights = {"a.w": rng.standard_normal((3, 2, 1, 1)), "a.b": np.zeros(3),
+                   "b.w": rng.standard_normal((3, 2, 1, 1)), "b.b": np.zeros(3)}
+        tape = T.Tape()
+        ya = tape.conv(x, weights, "a", T.ConvSpec(1, 1))
+        tape.conv(unused, weights, "b", T.ConvSpec(1, 1))
+        grads, (gx, g_unused) = tape.backward([(ya, np.ones_like(ya))], wrt=[x, unused])
+        assert set(grads) == {"a.w", "a.b"}
+        assert gx is not None and g_unused is None
+
+    def test_split_adjoint_concats_with_zeros(self, rng):
+        x = rng.standard_normal((2, 6, 3, 3))
+        tape = T.Tape()
+        a, b, c = tape.split(x, [1, 3, 2])
+        np.testing.assert_array_equal(np.concatenate([a, b, c], axis=1), x)
+        ga = rng.standard_normal(a.shape)
+        gc = rng.standard_normal(c.shape)
+        _, (gx,) = tape.backward([(a, ga), (c, gc)], wrt=[x])
+        np.testing.assert_array_equal(gx, np.concatenate([ga, np.zeros(b.shape), gc], axis=1))
+
+    def test_backward_empties_the_tape(self, rng):
+        x = rng.standard_normal((1, 1, 2, 2))
+        tape = T.Tape()
+        y = tape.relu(tape.pool(x))
+        assert len(tape.nodes) == 2
+        tape.backward([(y, np.ones_like(y))])
+        assert tape.nodes == []
 
 
 class TestNumericGradient:

@@ -299,3 +299,21 @@ class TestFullModelGradient:
             num = T.numeric_gradient(f, weights[name].reshape(1, 1, 1, -1), h=1e-6)
             assert T.relative_error(grads[name], num.reshape(weights[name].shape)) \
                 <= 1e-6, name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_width_level_gets_zero_gradients(self, rng, dtype):
+        widths = (2, 0, 2, 2)
+        pyr = PyramidConfig(widths=widths, stem_width=2)
+        wf = WaterfallConfig(level_widths=widths, low_level_width=2, branch_width=2,
+                             out_width=3, final_width=2, keypoints=2, group_width=2)
+        weights = init_model_weights(pyr, wf, seed=1, dtype=dtype)
+        img = rng.uniform(0, 1, size=(1, 3, 32, 32)).astype(dtype)
+        maps, cache = model_forward(img, weights, pyr, wf)
+        grads, g_image = model_backward(cache, np.ones_like(maps.heatmaps),
+                                        np.ones_like(maps.offsets), weights, pyr, wf)
+        assert set(grads) == set(weights)
+        for name, w in weights.items():
+            assert grads[name].shape == w.shape and grads[name].dtype == w.dtype, name
+            if name.startswith("backbone.level1."):
+                assert not grads[name].any(), name
+        assert g_image.shape == img.shape and g_image.dtype == dtype

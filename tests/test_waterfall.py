@@ -43,9 +43,9 @@ class TestFusePyramid:
 
     def test_backward(self, rng):
         p = make_pyramid(rng, widths=(2, 2, 2, 2), low=2, dtype=np.float64)
-        g0, cache = W.fuse_pyramid(p)
+        g0, tape = W.fuse_pyramid(p)
         gy = rng.standard_normal(g0.shape)
-        grads = W.fuse_pyramid_backward(cache, gy)
+        _, grads = tape.backward([(g0, gy)], wrt=p.levels)
         for lv in range(4):
             def f(v, lv=lv):
                 q = FeaturePyramid(
@@ -252,9 +252,8 @@ class TestPredictOffsets:
                W.init_waterfall_weights(cfg, rng, offset_init="random").items()}
         feat = rng.standard_normal((1, cfg.head_width, 4, 4))
         gy = rng.standard_normal((1, 18, 4, 4))
-        _, cache = W.predict_offsets(feat, wts, "head.kp.taps")
-        grads = {k: np.zeros_like(v) for k, v in wts.items()}
-        gx = W.predict_offsets_backward(cache, gy, wts, "head.kp.taps", grads)
+        off, tape = W.predict_offsets(feat, wts, "head.kp.taps")
+        grads, (gx,) = tape.backward([(off, gy)], wrt=[feat])
         num = T.numeric_gradient(
             lambda v: float((W.predict_offsets(v, wts, "head.kp.taps")[0] * gy).sum()), feat)
         assert T.relative_error(gx, num) <= 1e-6
@@ -365,9 +364,9 @@ class TestFullModule:
             maps, _ = W.waterfall_module_forward(pyr, wset, cfg)
             return float((maps.heatmaps * gh).sum() + (maps.offsets * go).sum())
 
-        maps, cache = W.waterfall_module_forward(p, wts, cfg)
-        grads = {k: np.zeros_like(v) for k, v in wts.items()}
-        g_levels, g_low = W.waterfall_module_backward(cache, gh, go, wts, cfg, grads)
+        maps, tape = W.waterfall_module_forward(p, wts, cfg)
+        grads, (*g_levels, g_low) = tape.backward(
+            [(maps.heatmaps, gh), (maps.offsets, go)], wrt=[*p.levels, p.low_level])
 
         num = T.numeric_gradient(
             lambda v: loss(FeaturePyramid([v] + p.levels[1:], p.low_level), wts),
