@@ -165,40 +165,50 @@ def gradient_checks():
     img = rng.uniform(0, 1, size=(1, 3, 32, 32))
     anns = [PersonAnnotation([Keypoint(3.2, 4.1, 2), Keypoint(5.5, 2.2, 2)],
                              area=16.0)]
-    heat_t = render_keypoint_heatmaps(anns, 2, 8, 8).astype(np.float64)
-    off_t, off_m, off_s = (a.astype(np.float64)
-                           for a in render_offset_targets(anns, 2, 8, 8))
-    tcfg = TrainConfig()
-
-    def model_loss(wset):
-        m, _ = model_forward(img, wset, pyr, wf)
-        return total_loss(m, heat_t, off_t, off_m, off_s, tcfg)[0]
-
-    maps, cache = model_forward(img, weights, pyr, wf)
-    _, _, _, gh, go = total_loss(maps, heat_t, off_t, off_m, off_s, tcfg)
-    grads, _ = model_backward(cache, gh, go, weights, pyr, wf)
-    check_rng = np.random.default_rng(7)
-    worst = 0.0
-    for name in sorted(weights):
-        flat = weights[name].reshape(-1)
-        coords = np.arange(flat.size)
-        if flat.size > 6:
-            coords = check_rng.choice(flat.size, size=6, replace=False)
-        for j in coords:
-            orig = flat[j]
-            h = 1e-6
-            flat[j] = orig + h
-            fp = model_loss(weights)
-            flat[j] = orig - h
-            fm_ = model_loss(weights)
-            flat[j] = orig
-            num = (fp - fm_) / (2 * h)
-            ana = grads[name].reshape(-1)[j]
-            denom = max(abs(num), abs(ana), 1e-3)
-            worst = max(worst, abs(num - ana) / denom)
+    worst = full_model_gradient_error(img, anns, weights, pyr, wf, coords=6, seed=7)
     results.append(("full_model/sampled_params", worst <= GRAD_TOL,
                     f"worst rel err {worst:.2e}"))
     return results
+
+
+def full_model_gradient_error(img, anns, weights, pyr, wf, coords, seed):
+    """Worst relative error of the analytic gradient of total_loss (targets
+    rendered from anns at base resolution) against central differences with
+    step 1e-6, at up to `coords` coordinates of each weight drawn with
+    default_rng(seed) in sorted name order. Nudges weights in place and
+    restores every coordinate it touches."""
+    k = wf.keypoints
+    hh, hw = img.shape[2] // pyr.base_stride, img.shape[3] // pyr.base_stride
+    heat_t = render_keypoint_heatmaps(anns, k, hh, hw).astype(np.float64)
+    off_t, off_m, off_s = (a.astype(np.float64)
+                           for a in render_offset_targets(anns, k, hh, hw))
+    tcfg = TrainConfig()
+
+    def model_loss():
+        m, _ = model_forward(img, weights, pyr, wf)
+        return total_loss(m, heat_t, off_t, off_m, off_s, tcfg)[0]
+
+    maps, tape = model_forward(img, weights, pyr, wf)
+    _, _, _, gh, go = total_loss(maps, heat_t, off_t, off_m, off_s, tcfg)
+    grads, _ = model_backward(tape, gh, go, weights, pyr, wf)
+    coord_rng = np.random.default_rng(seed)
+    h = 1e-6
+    worst = 0.0
+    for name in sorted(weights):
+        flat = weights[name].reshape(-1)
+        picks = np.arange(flat.size) if flat.size <= coords else \
+            coord_rng.choice(flat.size, size=coords, replace=False)
+        for j in picks:
+            orig = flat[j]
+            flat[j] = orig + h
+            fp = model_loss()
+            flat[j] = orig - h
+            fm = model_loss()
+            flat[j] = orig
+            num = (fp - fm) / (2 * h)
+            ana = grads[name].reshape(-1)[j]
+            worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1e-3))
+    return worst
 
 
 def selftest_checks():

@@ -22,21 +22,11 @@ class ConfigError(ValueError):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (tuple, list)):
         return ",".join(_fmt(v) for v in value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
 def _parse_list(cast):
@@ -60,8 +50,6 @@ SCHEMA = {
     "waterfall.final_width": (int, 0),
     "waterfall.keypoints": (int, 17),
     "waterfall.group_width": (int, 15),
-    "waterfall.center_map": (_parse_bool, True),
-    "waterfall.per_keypoint_offsets": (_parse_bool, True),
     "train.epochs": (int, 140),
     "train.base_lr": (float, 1e-3),
     "train.lr_steps": (_parse_list(int), (90, 120)),
@@ -72,7 +60,6 @@ SCHEMA = {
     "train.translate_px": (float, 40.0),
     "train.heatmap_weight": (float, 1.0),
     "train.offset_weight": (float, 0.03),
-    "train.optimizer": (str, "adam"),
     "train.seed": (int, 0),
     "train.sigma": (float, 3.0),
     "train.offset_radius": (float, 4.0),
@@ -114,9 +101,7 @@ class RunConfig:
             out_width=v["waterfall.out_width"] or None,
             final_width=v["waterfall.final_width"] or None,
             keypoints=v["waterfall.keypoints"],
-            group_width=v["waterfall.group_width"],
-            center_map=v["waterfall.center_map"],
-            per_keypoint_offsets=v["waterfall.per_keypoint_offsets"])
+            group_width=v["waterfall.group_width"])
 
     @property
     def train(self) -> TrainConfig:
@@ -129,7 +114,7 @@ class RunConfig:
             translate_px=v["train.translate_px"],
             heatmap_weight=v["train.heatmap_weight"],
             offset_weight=v["train.offset_weight"],
-            optimizer=v["train.optimizer"], seed=v["train.seed"],
+            seed=v["train.seed"],
             sigma=v["train.sigma"], offset_radius=v["train.offset_radius"],
             checkpoint_every=v["train.checkpoint_every"])
 

@@ -18,6 +18,7 @@ Wire formats:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -61,9 +62,46 @@ class Dataset:
 
 
 def _require(obj, key, where):
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     if key not in obj:
         raise FormatError(f"{where}: missing required field {key!r}")
     return obj[key]
+
+
+def _require_list(obj, key, where):
+    value = _require(obj, key, where)
+    if not isinstance(value, list):
+        raise FormatError(f"{where}: {key!r} must be a JSON list")
+    return value
+
+
+def _number(value, where) -> float:
+    """A JSON number as a float; null, booleans, strings and containers are
+    a FormatError."""
+    if type(value) not in (int, float):   # excludes bool, an int subclass
+        raise FormatError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, where) -> list:
+    """_number over a list, with one call for the whole list."""
+    for v in values:
+        if type(v) not in (int, float):
+            raise FormatError(f"{where}: expected a number, got {v!r}")
+    return [float(v) for v in values]
+
+
+def _integer(value, where) -> int:
+    x = _number(value, where)
+    if not math.isfinite(x):
+        raise FormatError(f"{where}: expected an integer, got {value!r}")
+    return int(x)
+
+
+def _where(kind, i, rec):
+    """How messages name record i of a list: by its id when it is an object."""
+    return f"{kind}[id={rec.get('id')!r}]" if isinstance(rec, dict) else f"{kind}[{i}]"
 
 
 def parse_annotations(text: str) -> Dataset:
@@ -75,8 +113,9 @@ def parse_annotations(text: str) -> Dataset:
     if not isinstance(doc, dict):
         raise FormatError("annotation file must be a JSON object")
 
-    cats = _require(doc, "categories", "annotation file")
-    if not cats or "keypoints" not in cats[0]:
+    cats = _require_list(doc, "categories", "annotation file")
+    if not cats or not isinstance(cats[0], dict) \
+            or not isinstance(cats[0].get("keypoints"), list):
         raise FormatError("categories[0] must list the keypoint names")
     names = list(cats[0]["keypoints"])
     k = len(names)
@@ -86,14 +125,15 @@ def parse_annotations(text: str) -> Dataset:
 
     images = []
     crowd = {}
-    for rec in _require(doc, "images", "annotation file"):
-        where = f"images[id={rec.get('id')!r}]"
+    for i, rec in enumerate(_require_list(doc, "images", "annotation file")):
+        where = _where("images", i, rec)
         img = ImageRecord(
-            id=int(_require(rec, "id", where)),
+            id=_integer(_require(rec, "id", where), where),
             file_name=str(_require(rec, "file_name", where)),
-            height=int(_require(rec, "height", where)),
-            width=int(_require(rec, "width", where)),
-            crowd_index=(float(rec["crowd_index"]) if "crowd_index" in rec else None),
+            height=_integer(_require(rec, "height", where), where),
+            width=_integer(_require(rec, "width", where), where),
+            crowd_index=(_number(rec["crowd_index"], where) if "crowd_index" in rec
+                         else None),
         )
         if img.crowd_index is not None and not 0.0 <= img.crowd_index <= 1.0:
             raise FormatError(f"{where}: crowd_index must lie in [0, 1]")
@@ -105,34 +145,36 @@ def parse_annotations(text: str) -> Dataset:
 
     annotations = {img.id: [] for img in images}
     ann_ids = {img.id: [] for img in images}
-    for rec in _require(doc, "annotations", "annotation file"):
+    for i, rec in enumerate(_require_list(doc, "annotations", "annotation file")):
+        where = _where("annotations", i, rec)
+        image_id = _integer(_require(rec, "image_id", where), where)
         aid = rec.get("id")
-        where = f"annotations[id={aid!r}]"
-        image_id = int(_require(rec, "image_id", where))
         if image_id not in ids:
             raise FormatError(f"{where}: references unknown image id {image_id}")
-        kps = _require(rec, "keypoints", where)
+        kps = _require_list(rec, "keypoints", where)
         if len(kps) != 3 * k:
             raise FormatError(
                 f"{where}: keypoints array has {len(kps)} numbers, expected {3 * k}")
+        vals = _numbers(kps, where)
         triples = []
         for j in range(k):
-            x, y, v = kps[3 * j: 3 * j + 3]
-            v = int(v)
+            x, y, v = vals[3 * j: 3 * j + 3]
             if v not in (0, 1, 2):
-                raise FormatError(f"{where}: visibility flag {v} out of range")
-            triples.append(Keypoint(float(x), float(y), v))
+                raise FormatError(f"{where}: visibility flag {v:g} out of range")
+            triples.append((x, y, int(v)))
         bbox = rec.get("bbox", [0.0, 0.0, 0.0, 0.0])
-        if len(bbox) != 4:
+        if not isinstance(bbox, list) or len(bbox) != 4:
             raise FormatError(f"{where}: bbox must have 4 numbers")
+        area = _number(_require(rec, "area", where), where)
+        bbox = tuple(_numbers(bbox, where))
         try:
-            ann = PersonAnnotation(triples, float(_require(rec, "area", where)),
-                                   tuple(float(v) for v in bbox),
+            ann = PersonAnnotation([Keypoint(*t) for t in triples], area, bbox,
                                    crowd_index=crowd[image_id])
         except ValueError as e:
             raise FormatError(f"{where}: {e}") from e
         annotations[image_id].append(ann)
-        ann_ids[image_id].append(int(aid) if aid is not None else len(ann_ids[image_id]))
+        ann_ids[image_id].append(_integer(aid, where) if aid is not None
+                                 else len(ann_ids[image_id]))
     return Dataset(images, annotations, names, source, ann_ids)
 
 
@@ -179,7 +221,7 @@ def read_tensor(data: bytes, offset: int = 0):
     if len(data) < offset + 20:
         raise FormatError("tensor dump truncated in header")
     shape = struct.unpack_from("<4I", data, offset + 4)
-    count = int(np.prod([int(s) for s in shape], dtype=np.int64))
+    count = math.prod(shape)   # exact: a forged header must not wrap to a small count
     end = offset + 20 + 4 * count
     if len(data) < end:
         raise FormatError(
@@ -210,7 +252,11 @@ def read_image_ppm(data: bytes) -> np.ndarray:
         if start == pos:
             raise FormatError("PPM header ended unexpectedly")
         fields.append(data[start:pos])
+    if not all(f.isdigit() for f in fields):
+        raise FormatError(f"PPM header fields must be decimal numbers, got {fields}")
     width, height, maxval = (int(f) for f in fields)
+    if width < 1 or height < 1:
+        raise FormatError(f"PPM image is {width}x{height}; need at least 1x1")
     if maxval != 255:
         raise FormatError(f"only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace after maxval
@@ -252,7 +298,10 @@ def _unpack(fmt: str, data: bytes, offset: int):
 def _unpack_str(data: bytes, offset: int):
     (n,), start = _unpack("<I", data, offset)
     (raw,), end = _unpack(f"{n}s", data, start)
-    return raw.decode(), end
+    try:
+        return raw.decode(), end
+    except UnicodeDecodeError as e:
+        raise FormatError(f"checkpoint string at byte {start} is not UTF-8") from e
 
 
 def save_checkpoint(weights: dict, optim_state, epoch: int, fingerprint: str) -> bytes:
@@ -296,7 +345,12 @@ def load_checkpoint(data: bytes, expected_fingerprint: str | None = None):
             "checkpoint was written under a different configuration "
             f"(fingerprint {fingerprint[:12]}... != {expected_fingerprint[:12]}...)")
     meta, pos = _unpack_str(data, pos)
-    shapes = json.loads(meta)
+    try:
+        shapes = json.loads(meta)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"checkpoint shape table is not valid JSON: {e}") from e
+    if not isinstance(shapes, dict):
+        raise FormatError("checkpoint shape table must be a JSON object")
     (count,), pos = _unpack("<I", data, pos)
     entries = {}
     for _ in range(count):
@@ -304,13 +358,20 @@ def load_checkpoint(data: bytes, expected_fingerprint: str | None = None):
         t, used = read_tensor(data, pos)
         pos += used
         if name in shapes:
-            t = t.reshape(shapes[name])
+            try:
+                t = t.reshape(shapes[name])
+            except (TypeError, ValueError) as e:
+                raise FormatError(f"checkpoint entry {name!r} does not fit its "
+                                  f"shape {shapes[name]!r}") from e
         entries[name] = t
     weights = {k[len("weights/"):]: v for k, v in entries.items()
                if k.startswith("weights/")}
     optim = None
     if "optim/step" in entries:
-        optim = {"step": int(entries["optim/step"].reshape(-1)[0]), "m": {}, "v": {}}
+        step = entries["optim/step"].reshape(-1)
+        if step.size != 1 or not np.isfinite(step[0]):
+            raise FormatError("checkpoint optimizer step is not one finite number")
+        optim = {"step": int(step[0]), "m": {}, "v": {}}
         for k, v in entries.items():
             if k.startswith("optim/m/"):
                 optim["m"][k[len("optim/m/"):]] = v
@@ -346,19 +407,18 @@ def parse_results(text: str, k: int) -> dict:
     out = {}
     for i, rec in enumerate(doc):
         where = f"results[{i}]"
-        image_id = int(_require(rec, "image_id", where))
-        kps = _require(rec, "keypoints", where)
+        image_id = _integer(_require(rec, "image_id", where), where)
+        kps = _require_list(rec, "keypoints", where)
         if len(kps) != 3 * k:
             raise FormatError(
                 f"{where}: keypoints array has {len(kps)} numbers, expected {3 * k}")
         score = _require(rec, "score", where)
-        if not isinstance(score, (int, float)) or not np.isfinite(score):
+        if isinstance(score, bool) or not isinstance(score, (int, float)) \
+                or not np.isfinite(score):
             raise FormatError(f"{where}: malformed score {score!r}")
-        triples = []
-        for j in range(k):
-            x, y, s = (float(v) for v in kps[3 * j: 3 * j + 3])
-            if not (np.isfinite(x) and np.isfinite(y) and np.isfinite(s)):
-                raise FormatError(f"{where}: non-finite keypoint entry")
-            triples.append((x, y, s))
+        vals = _numbers(kps, where)
+        if not all(map(math.isfinite, vals)):
+            raise FormatError(f"{where}: non-finite keypoint entry")
+        triples = [tuple(vals[3 * j: 3 * j + 3]) for j in range(k)]
         out.setdefault(image_id, []).append(PoseInstance(triples, float(score)))
     return out

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .metrics import OksParams, oks
 from .targets import Keypoint, PersonAnnotation
 from .waterfall import PoseMaps
 
@@ -71,23 +72,14 @@ def nms_peaks(plane: np.ndarray, cfg: DecodeConfig):
     return [(x, y, s) for s, y, x in peaks[: cfg.max_instances]]
 
 
-def _pairwise_oks(a: PoseInstance, b: PoseInstance, falloffs) -> float:
-    # b plays the reference role; scale from its keypoint bounding box
-    s2 = b.bbox_area()
-    total = 0.0
-    for (ax, ay, _), (bx, by, _), kf in zip(a.keypoints, b.keypoints, falloffs):
-        d2 = (ax - bx) ** 2 + (ay - by) ** 2
-        total += float(np.exp(-d2 / (2.0 * s2 * kf * kf)))
-    return total / len(a.keypoints)
-
-
 def decode_poses(maps: PoseMaps, cfg: DecodeConfig):
     """Turn heatmaps and offsets into scored pose instances.
 
     For every center peak c, joint k sits at c + offsets(2k:2k+1, c), scored
     by sampling heatmap channel k there; the instance score is the center
     score times the mean joint score. Instances that duplicate a
-    higher-scored one (pairwise OKS above cfg.duplicate_oks) are dropped.
+    higher-scored one (OKS against it, as the reference pose, above
+    cfg.duplicate_oks) are dropped.
     """
     heat = maps.heatmaps
     offs = maps.offsets
@@ -113,13 +105,14 @@ def decode_poses(maps: PoseMaps, cfg: DecodeConfig):
         candidates.append(PoseInstance(joints, cs * (sum(scores) / k)))
 
     candidates.sort(key=lambda inst: -inst.score)
-    falloffs = cfg.falloffs if cfg.falloffs is not None else (0.1,) * k
-    if len(falloffs) != k:
-        raise ValueError(f"need {k} falloffs, got {len(falloffs)}")
-    kept = []
+    params = OksParams(cfg.falloffs if cfg.falloffs is not None else (0.1,) * k)
+    if len(params.falloffs) != k:
+        raise ValueError(f"need {k} falloffs, got {len(params.falloffs)}")
+    kept, kept_anns = [], []
     for cand in candidates:
-        if all(_pairwise_oks(cand, prev, falloffs) <= cfg.duplicate_oks for prev in kept):
+        if all(oks(cand, ann, params) <= cfg.duplicate_oks for ann in kept_anns):
             kept.append(cand)
+            kept_anns.append(instance_to_annotation(cand))
     return kept
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .targets import PersonAnnotation
-from .decode import PoseInstance
 
 DEFAULT_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
 RECALL_POINTS = tuple(i / 100.0 for i in range(101))
@@ -66,8 +65,9 @@ class UndefinedOksError(ValueError):
     """OKS is undefined for a ground truth with no labeled keypoints."""
 
 
-def oks(pred: PoseInstance, gt: PersonAnnotation, params: OksParams) -> float:
-    """Similarity of a prediction to one ground-truth person, in [0, 1]."""
+def oks(pred, gt: PersonAnnotation, params: OksParams) -> float:
+    """Similarity of a prediction (a decode.PoseInstance, or anything with
+    (x, y, score) keypoints) to one ground-truth person, in [0, 1]."""
     if len(gt.keypoints) != len(pred.keypoints):
         raise ValueError(
             f"keypoint count mismatch: prediction {len(pred.keypoints)}, "

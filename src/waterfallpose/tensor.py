@@ -21,16 +21,6 @@ class ShapeError(ValueError):
     """Raised when tensor extents do not satisfy an operation's contract."""
 
 
-def tensor(data, dtype=np.float32) -> np.ndarray:
-    """Validate and return a 4-axis array (N, C, H, W) of the given dtype."""
-    arr = np.ascontiguousarray(data, dtype=dtype)
-    if arr.ndim != 4:
-        raise ShapeError(f"expected 4 axes (N,C,H,W), got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor values must be finite")
-    return arr
-
-
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     """Max absolute difference normalized by the larger magnitude of a and b."""
     a = np.asarray(a, dtype=np.float64)
@@ -204,21 +194,16 @@ def global_avg_pool_backward(x_shape, gy: np.ndarray) -> np.ndarray:
     return np.broadcast_to(gy / (h * w), x_shape).astype(gy.dtype).copy()
 
 
-def _resize_axis(in_size: int, out_size: int, dtype):
-    # Source coordinate per output index, align-corners-false, edge-clamped.
+def _resize_matrix(in_size: int, out_size: int, dtype) -> np.ndarray:
+    """(out_size, in_size) interpolation matrix of one axis: row o weights the
+    two input taps around o's source coordinate, taken align-corners-false
+    and clamped to the edge."""
     scale = in_size / out_size
     src = (np.arange(out_size, dtype=np.float64) + 0.5) * scale - 0.5
     src = np.clip(src, 0.0, in_size - 1)
     lo = np.floor(src).astype(np.intp)
     hi = np.minimum(lo + 1, in_size - 1)
     frac = (src - lo).astype(dtype)
-    return lo, hi, frac
-
-
-def _resize_matrix(in_size: int, out_size: int, dtype) -> np.ndarray:
-    """(out_size, in_size) interpolation matrix of one axis: row o holds the
-    two weights _resize_axis gives output index o."""
-    lo, hi, frac = _resize_axis(in_size, out_size, dtype)
     m = np.zeros((out_size, in_size), dtype=dtype)
     rows = np.arange(out_size)
     m[rows, lo] += 1 - frac
@@ -227,7 +212,8 @@ def _resize_matrix(in_size: int, out_size: int, dtype) -> np.ndarray:
 
 
 def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize the spatial extents by bilinear interpolation.
+    """Resize the spatial extents by bilinear interpolation: the resize is
+    separable, y = Rh x Rw^T per plane.
 
     Same-size resize returns a bitwise copy of the input.
     """
@@ -236,17 +222,13 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     n, c, h, w = x.shape
     if (out_h, out_w) == (h, w):
         return x.copy()
-    r0, r1, fr = _resize_axis(h, out_h, x.dtype)
-    c0, c1, fc = _resize_axis(w, out_w, x.dtype)
-    fr = fr[:, None]
-    fc = fc[None, :]
-    top = x[:, :, r0[:, None], c0[None, :]] * (1 - fc) + x[:, :, r0[:, None], c1[None, :]] * fc
-    bot = x[:, :, r1[:, None], c0[None, :]] * (1 - fc) + x[:, :, r1[:, None], c1[None, :]] * fc
-    return top * (1 - fr) + bot * fr
+    rh = _resize_matrix(h, out_h, x.dtype)
+    rw = _resize_matrix(w, out_w, x.dtype)
+    return np.matmul(np.matmul(rh, x), rw.T)
 
 
 def bilinear_resize_backward(x_shape, gy: np.ndarray) -> np.ndarray:
-    """The resize is separable, y = Rh x Rw^T per plane, so gx = Rh^T gy Rw."""
+    """Adjoint of y = Rh x Rw^T: gx = Rh^T gy Rw."""
     n, c, h, w = x_shape
     out_h, out_w = gy.shape[2], gy.shape[3]
     if (out_h, out_w) == (h, w):

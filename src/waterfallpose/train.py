@@ -30,7 +30,6 @@ class TrainConfig:
     translate_px: float = 40.0
     heatmap_weight: float = 1.0
     offset_weight: float = 0.03
-    optimizer: str = "adam"
     seed: int = 0
     sigma: float = 3.0
     offset_radius: float = 4.0
@@ -43,8 +42,6 @@ class TrainConfig:
             raise ValueError("lr steps must be increasing")
         if self.scale_range[0] > self.scale_range[1] or self.scale_range[0] <= 0:
             raise ValueError(f"bad scale range {self.scale_range}")
-        if self.optimizer != "adam":
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:

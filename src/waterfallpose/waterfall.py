@@ -48,8 +48,8 @@ TAP_AFFINE[1::2, 5] = 1.0
 
 @dataclass(frozen=True)
 class WaterfallConfig:
-    """Widths and switches for the whole head; every kernel shape follows
-    from these fields alone."""
+    """Widths for the whole head; every kernel shape follows from these
+    fields alone."""
 
     level_widths: tuple = (32, 64, 128, 256)
     low_level_width: int = 32
@@ -59,8 +59,6 @@ class WaterfallConfig:
     final_width: int | None = None     # width entering the heads, default fused // 4
     keypoints: int = 17
     group_width: int = 15
-    center_map: bool = True
-    per_keypoint_offsets: bool = True
 
     def __post_init__(self):
         if len(self.level_widths) != 4 or any(c < 0 for c in self.level_widths):
@@ -94,15 +92,11 @@ class WaterfallConfig:
 
     @property
     def heatmap_channels(self) -> int:
-        return self.keypoints + (1 if self.center_map else 0)
-
-    @property
-    def offset_groups(self) -> int:
-        return self.keypoints if self.per_keypoint_offsets else 1
+        return self.keypoints + 1
 
     @property
     def offset_channels(self) -> int:
-        return 2 * self.offset_groups
+        return 2 * self.keypoints
 
 
 @dataclass
@@ -158,8 +152,8 @@ def init_waterfall_weights(cfg: WaterfallConfig, rng: np.random.Generator,
     adaptive("head.kp.adapt", f, f)
     conv("head.kp.out", cfg.heatmap_channels, f)
     g = cfg.group_width
-    conv("head.off.expand", cfg.offset_groups * g, f)
-    for k in range(cfg.offset_groups):
+    conv("head.off.expand", cfg.keypoints * g, f)
+    for k in range(cfg.keypoints):
         predictor(f"head.off.g{k}.taps", g)
         adaptive(f"head.off.g{k}.adapt", g, g)
         conv(f"head.off.g{k}.out", 2, g)
@@ -256,12 +250,10 @@ def predict_offsets(features: np.ndarray, weights: dict, name: str, tape=None):
 
 
 def canonical_offsets(n: int, h: int, w: int, dtype=np.float32) -> np.ndarray:
-    """Tap displacements that make adaptive_conv read the regular 3x3 grid."""
-    out = np.empty((n, 18, h, w), dtype=dtype)
-    for i, (pr, pc) in enumerate(TAP_GRID):
-        out[:, 2 * i] = pr
-        out[:, 2 * i + 1] = pc
-    return out
+    """Tap displacements that make adaptive_conv read the regular 3x3 grid:
+    the identity affine expanded, exact since every product is of 0 or +-1."""
+    identity = IDENTITY_AFFINE.astype(dtype).reshape(1, 6, 1, 1)
+    return affine_to_offsets(np.broadcast_to(identity, (n, 6, h, w)))
 
 
 def adaptive_conv(x: np.ndarray, w9: np.ndarray, offsets: np.ndarray):
@@ -333,7 +325,7 @@ def heads_forward(f_maps: np.ndarray, weights: dict, cfg: WaterfallConfig, tape=
     tape = T.Tape() if tape is None else tape
     heat = tape.sigmoid(_adaptive_branch(tape, f_maps, weights, "head.kp"))
     expanded = tape.conv(f_maps, weights, "head.off.expand", S1)
-    groups = tape.split(expanded, [cfg.group_width] * cfg.offset_groups)
+    groups = tape.split(expanded, [cfg.group_width] * cfg.keypoints)
     offsets = tape.concat(_adaptive_branch(tape, feat, weights, f"head.off.g{k}")
                           for k, feat in enumerate(groups))
     return PoseMaps(heat, offsets), tape

@@ -14,11 +14,10 @@ from waterfallpose import waterfall as W
 from waterfallpose.backbone import PyramidConfig
 from waterfallpose.decode import DecodeConfig, decode_poses
 from waterfallpose.metrics import OksParams, oks, evaluate
-from waterfallpose.model import init_model_weights, model_forward, model_backward
-from waterfallpose.targets import Keypoint, PersonAnnotation, \
-    render_keypoint_heatmaps, render_offset_targets
+from waterfallpose.model import init_model_weights, model_forward
+from waterfallpose.targets import Keypoint, PersonAnnotation
 from waterfallpose.train import TrainConfig, lr_at_epoch, \
-    sample_affine_params, augment_sample, total_loss, train_loop
+    sample_affine_params, augment_sample, train_loop
 from waterfallpose.waterfall import WaterfallConfig
 from waterfallpose.decode import PoseInstance
 
@@ -82,7 +81,7 @@ def test_02_adaptive_conv_degeneracy():
 
 
 def test_03_gradient_suite():
-    from waterfallpose.checks import gradient_checks
+    from waterfallpose.checks import full_model_gradient_error, gradient_checks
     start = time.monotonic()
     results = gradient_checks()
     layer_ok = all(ok for _, ok, _ in results)
@@ -100,35 +99,7 @@ def test_03_gradient_suite():
     img = rng.uniform(0, 1, size=(1, 3, 32, 32))
     anns = [PersonAnnotation([Keypoint(3.1, 4.2, 2), Keypoint(5.6, 2.3, 2)],
                              area=16.0)]
-    heat_t = render_keypoint_heatmaps(anns, 2, 8, 8).astype(np.float64)
-    off_t, off_m, off_s = (a.astype(np.float64)
-                           for a in render_offset_targets(anns, 2, 8, 8))
-    tcfg = TrainConfig()
-
-    def loss_of(wset):
-        m, _ = model_forward(img, wset, pyr, wf)
-        return total_loss(m, heat_t, off_t, off_m, off_s, tcfg)[0]
-
-    maps, cache = model_forward(img, weights, pyr, wf)
-    _, _, _, gh, go = total_loss(maps, heat_t, off_t, off_m, off_s, tcfg)
-    grads, _ = model_backward(cache, gh, go, weights, pyr, wf)
-    coord_rng = np.random.default_rng(7)
-    worst = 0.0
-    for name in sorted(weights):
-        flat = weights[name].reshape(-1)
-        coords = np.arange(flat.size) if flat.size <= 4 else \
-            coord_rng.choice(flat.size, size=4, replace=False)
-        for j in coords:
-            orig = flat[j]
-            step = 1e-6
-            flat[j] = orig + step
-            fp = loss_of(weights)
-            flat[j] = orig - step
-            fm = loss_of(weights)
-            flat[j] = orig
-            num = (fp - fm) / (2 * step)
-            ana = grads[name].reshape(-1)[j]
-            worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1e-3))
+    worst = full_model_gradient_error(img, anns, weights, pyr, wf, coords=4, seed=7)
     elapsed = time.monotonic() - start
     report(3, "analytic gradients match central differences (64-bit)",
            layer_ok and worst <= 1e-6 and elapsed < 300.0,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,19 @@ class TestTrainEval:
                      "--results", str(tmp / "r.json")])  # default config: K=17
         assert code == 2
         assert "keypoints" in capsys.readouterr().err
+
+    def test_eval_malformed_image_record(self, workdir, capsys):
+        tmp, cfg = workdir
+        doc = json.loads((tmp / "data.json").read_text())
+        doc["images"] = [5]
+        (tmp / "bad.json").write_text(json.dumps(doc))
+        (tmp / "r.json").write_text("[]")
+        code = main(["eval", "--config", str(tmp / "toy.cfg"),
+                     "--dataset", str(tmp / "bad.json"),
+                     "--results", str(tmp / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "images[0]" in err
 
 
 class TestChecks:

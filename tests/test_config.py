@@ -46,6 +46,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config("dwasp.dilations = 1,2,3,4")
 
+    @pytest.mark.parametrize("line", [
+        "waterfall.center_map = true",
+        "waterfall.per_keypoint_offsets = true",
+        "train.optimizer = adam",
+    ])
+    def test_removed_key_rejected(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config(line)
+
+    def test_canonical_text_has_one_line_per_key(self):
+        assert len(default_config().canonical_text().splitlines()) == 34
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("train.epochs = banana")

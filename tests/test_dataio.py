@@ -64,6 +64,29 @@ class TestAnnotations:
             with pytest.raises(D.FormatError):
                 D.parse_annotations(raw.decode("utf-8", errors="replace"))
 
+    def test_null_keypoint_value_rejected(self):
+        kps = [None, 0.0, 2] + [0.0, 0.0, 2] * 16
+        with pytest.raises(D.FormatError, match=r"annotations\[id=10\].*number"):
+            D.parse_annotations(json.dumps(minimal_doc(keypoints=kps)))
+
+    def test_non_object_image_rejected(self):
+        doc = minimal_doc()
+        doc["images"] = [5]
+        with pytest.raises(D.FormatError, match=r"images\[0\].*object"):
+            D.parse_annotations(json.dumps(doc))
+
+    def test_non_object_annotation_rejected(self):
+        doc = minimal_doc()
+        doc["annotations"] = [7]
+        with pytest.raises(D.FormatError, match=r"annotations\[0\].*object"):
+            D.parse_annotations(json.dumps(doc))
+
+    def test_categories_as_object_rejected(self):
+        doc = minimal_doc()
+        doc["categories"] = doc["categories"][0]
+        with pytest.raises(D.FormatError, match="categories"):
+            D.parse_annotations(json.dumps(doc))
+
     def test_bad_visibility_flag(self):
         kps = [0.0, 0.0, 7] * 17
         with pytest.raises(D.FormatError, match="visibility"):
@@ -94,6 +117,11 @@ class TestTensorDump:
         with pytest.raises(D.FormatError, match="truncated"):
             D.read_tensor(data[:-3])
 
+    def test_overflowing_extents_rejected(self):
+        data = b"BAT1" + np.array([65536] * 4, dtype="<u4").tobytes() + b"\x00" * 8
+        with pytest.raises(D.FormatError, match="truncated"):
+            D.read_tensor(data)
+
 
 class TestPpm:
     def test_white_pixel(self):
@@ -112,6 +140,14 @@ class TestPpm:
     def test_wrong_maxval_rejected(self):
         with pytest.raises(D.FormatError, match="maxval"):
             D.read_image_ppm(b"P6\n1 1\n65535\n\xff\xff\xff\xff\xff\xff")
+
+    def test_empty_image_rejected(self):
+        with pytest.raises(D.FormatError, match="0x0"):
+            D.read_image_ppm(b"P6\n0 0\n255\n")
+
+    def test_non_numeric_header_rejected(self):
+        with pytest.raises(D.FormatError, match="decimal"):
+            D.read_image_ppm(b"P6\n1 x\n255\n\xff\xff\xff")
 
     def test_write_read_round_trip(self, rng):
         img = (rng.integers(0, 256, size=(1, 3, 5, 7)) / 255.0).astype(np.float32)
@@ -168,6 +204,18 @@ class TestCheckpoint:
             with pytest.raises(D.FormatError):
                 D.load_checkpoint(blob[:end])
 
+    def test_every_byte_mutation_loads_or_is_format_error(self, rng):
+        w = self._weights(rng)
+        blob = D.save_checkpoint(w, {"step": 7, "m": w, "v": w}, 2, "fp")
+        for pos in range(len(blob)):
+            for value in (0x00, 0x7F, 0xFF, ord('"')):
+                mutated = bytearray(blob)
+                mutated[pos] = value
+                try:
+                    D.load_checkpoint(bytes(mutated))
+                except D.FormatError:
+                    pass
+
     def test_no_optimizer_state(self, rng):
         blob = D.save_checkpoint(self._weights(rng), None, 3, "fp")
         _, optim, epoch, _ = D.load_checkpoint(blob)
@@ -189,6 +237,20 @@ class TestResults:
 
     def test_malformed_score_rejected(self):
         text = json.dumps([{"image_id": 1, "keypoints": [0, 0, 0], "score": "high"}])
+        with pytest.raises(D.FormatError, match="score"):
+            D.parse_results(text, 1)
+
+    def test_non_object_record_rejected(self):
+        with pytest.raises(D.FormatError, match=r"results\[0\].*object"):
+            D.parse_results("[5]", 1)
+
+    def test_null_keypoints_rejected(self):
+        text = json.dumps([{"image_id": 1, "keypoints": None, "score": 0.5}])
+        with pytest.raises(D.FormatError, match="keypoints"):
+            D.parse_results(text, 1)
+
+    def test_boolean_score_rejected(self):
+        text = json.dumps([{"image_id": 1, "keypoints": [0, 0, 0], "score": True}])
         with pytest.raises(D.FormatError, match="score"):
             D.parse_results(text, 1)
 

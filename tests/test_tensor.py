@@ -5,20 +5,6 @@ from waterfallpose import tensor as T
 from waterfallpose.checks import conv2d_naive
 
 
-class TestConstructor:
-    def test_accepts_nested_lists(self):
-        t = T.tensor([[[[1.0, 2.0]]]])
-        assert t.shape == (1, 1, 1, 2) and t.dtype == np.float32
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(T.ShapeError, match="4 axes"):
-            T.tensor(np.zeros((3, 3)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            T.tensor(np.full((1, 1, 1, 1), np.nan))
-
-
 class TestConv2d:
     def test_identity_1x1_kernel(self, rng):
         x = rng.standard_normal((2, 3, 5, 4)).astype(np.float32)
@@ -176,6 +162,42 @@ class TestBilinearResize:
         x = np.array([[[[3.5]]]], dtype=np.float32)
         y = T.bilinear_resize(x, 6, 9)
         np.testing.assert_array_equal(y, np.full((1, 1, 6, 9), 3.5, dtype=np.float32))
+
+    @staticmethod
+    def _naive_resize(x, out_h, out_w):
+        """Per-pixel float64 oracle: align-corners-false source coordinate,
+        clamped to the edge, then a two-tap lerp along each axis."""
+        def taps(in_size, out_size, o):
+            src = min(max((o + 0.5) * in_size / out_size - 0.5, 0.0), in_size - 1.0)
+            lo = int(np.floor(src))
+            return lo, min(lo + 1, in_size - 1), src - lo
+
+        n, c, h, w = x.shape
+        x = x.astype(np.float64)
+        y = np.zeros((n, c, out_h, out_w))
+        for i in range(out_h):
+            r0, r1, fr = taps(h, out_h, i)
+            for j in range(out_w):
+                c0, c1, fc = taps(w, out_w, j)
+                top = x[:, :, r0, c0] * (1 - fc) + x[:, :, r0, c1] * fc
+                bot = x[:, :, r1, c0] * (1 - fc) + x[:, :, r1, c1] * fc
+                y[:, :, i, j] = top * (1 - fr) + bot * fr
+        return y
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_pixel_oracle(self, rng, dtype):
+        # up, down, mixed, 1-pixel and non-square maps, 25 shapes per dtype
+        shapes = [(1, 1, 1, 1, 4, 6), (1, 2, 1, 5, 3, 2), (2, 1, 4, 1, 7, 1),
+                  (1, 3, 8, 8, 1, 1), (1, 2, 2, 3, 16, 16), (1, 2, 16, 16, 2, 3)]
+        while len(shapes) < 25:
+            n, c = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            h, w, oh, ow = (int(v) for v in rng.integers(1, 13, size=4))
+            shapes.append((n, c, h, w, oh, ow))
+        for n, c, h, w, oh, ow in shapes:
+            x = rng.standard_normal((n, c, h, w)).astype(dtype)
+            y = T.bilinear_resize(x, oh, ow)
+            assert y.shape == (n, c, oh, ow) and y.dtype == dtype
+            assert T.relative_error(y, self._naive_resize(x, oh, ow)) <= 1e-6
 
     def test_backward(self, rng):
         x = rng.standard_normal((1, 2, 3, 4))

@@ -297,13 +297,6 @@ class TestHeads:
         with pytest.raises(ValueError, match="cannot support"):
             toy_cfg(keypoints=40)
 
-    def test_single_group_mode(self, rng):
-        cfg = toy_cfg(per_keypoint_offsets=False)
-        wts = W.init_waterfall_weights(cfg, rng)
-        f = rng.standard_normal((1, cfg.head_width, 4, 4)).astype(np.float32)
-        maps, _ = W.heads_forward(f, wts, cfg)
-        assert maps.offsets.shape == (1, 2, 4, 4)
-
 
 class TestFullModule:
     def test_shapes_at_paper_widths(self, rng):
