@@ -13,7 +13,7 @@ from . import tensor as T
 from . import waterfall as W
 from .backbone import PyramidConfig
 from .decode import DecodeConfig, decode_poses
-from .metrics import OksParams, oks, evaluate, DEFAULT_THRESHOLDS
+from .metrics import OksParams, EvalResult, oks, evaluate, DEFAULT_THRESHOLDS
 from .model import init_model_weights, model_forward, model_backward
 from .targets import Keypoint, PersonAnnotation, render_keypoint_heatmaps, \
     render_offset_targets
@@ -258,9 +258,8 @@ def selftest_checks():
     ok_eval = True
     for _ in range(40):
         preds, gts, params2 = _random_eval_scene(rng)
-        res = evaluate(preds, gts, params2)
-        ap_ref, ar_ref = bruteforce_eval(preds, gts, params2)
-        ok_eval &= (res.ap == ap_ref and res.ar == ar_ref)
+        ok_eval &= (evaluate(preds, gts, params2).as_row()
+                    == bruteforce_eval(preds, gts, params2).as_row())
     record("evaluator_bruteforce_equivalence", ok_eval)
 
     # schedule
@@ -327,43 +326,95 @@ def _random_eval_scene(rng):
     return preds, gts, params
 
 
-def bruteforce_eval(preds_by_image, gts_by_image, params):
+def bruteforce_eval(preds_by_image, gts_by_image, params, style="coco",
+                    area_edges=(32.0 ** 2, 96.0 ** 2), crowd_edges=(0.1, 0.8)):
     """Plain-loop reference: greedy matching and direct PR integration.
 
-    Returns overall (AP, AR). Pair similarity comes from the library's oks()
-    because libm exp() is not bitwise identical across call paths; closed-form
-    tests pin the OKS formula itself.
+    Returns the whole EvalResult: AP, AP50, AP75 and AR over all ground
+    truths, AP per bucket of the style (COCO area medium/large, or CrowdPose
+    crowd index easy/medium/hard) and AR per area bucket. A bucket keeps its
+    own ground truths, the detections matched to them and every unmatched
+    detection; an empty bucket is None. Pair similarity comes from the
+    library's oks() because libm exp() is not bitwise identical across call
+    paths; closed-form tests pin the OKS formula itself.
     """
+    lo, hi = area_edges
+    area_buckets = {"medium": lambda g: lo <= g.area < hi,
+                    "large": lambda g: g.area >= hi}
+    if style == "coco":
+        ap_buckets = area_buckets
+    elif style == "crowdpose":
+        edges = {"easy": (0.0, crowd_edges[0]), "medium": crowd_edges,
+                 "hard": (crowd_edges[1], 1.0 + 1e-9)}
+        ap_buckets = {name: (lambda g, a=a, b=b: g.crowd_index is not None
+                             and a <= g.crowd_index < b)
+                      for name, (a, b) in edges.items()}
+    else:
+        raise ValueError(f"unknown evaluation style {style!r}")
+
     image_ids = sorted(set(gts_by_image) | set(preds_by_image))
-    n_gt = sum(len([g for g in gts_by_image.get(i, []) if g.num_labeled()])
-               for i in image_ids)
-    if n_gt == 0:
-        return 0.0, 0.0
-    aps, ars = [], []
-    for t in DEFAULT_THRESHOLDS:
-        tagged = []
-        for img in image_ids:
-            gts = [g for g in gts_by_image.get(img, []) if g.num_labeled()]
-            preds = sorted(preds_by_image.get(img, []), key=lambda p: -p.score)
-            used = set()
-            for rank, p in enumerate(preds):
-                choices = [(oks(p, g, params), -gi) for gi, g in enumerate(gts)
-                           if gi not in used]
-                choices.sort(reverse=True)
-                hit = bool(choices) and choices[0][0] >= t
-                if hit:
-                    used.add(-choices[0][1])
-                tagged.append((-p.score, img, rank, hit))
-        tagged.sort()
+    gts_of = {i: [g for g in gts_by_image.get(i, []) if g.num_labeled()]
+              for i in image_ids}
+    everyone = [g for i in image_ids for g in gts_of[i]]
+
+    def ap_of(hits, n):
         tp = 0
         curve = []
-        for rank, (_, _, _, hit) in enumerate(tagged, start=1):
+        for rank, hit in enumerate(hits, start=1):
             tp += 1 if hit else 0
-            curve.append((tp / n_gt, tp / rank))
+            curve.append((tp / n, tp / rank))
         total = 0.0
         for j in range(101):
             r = j / 100.0
             total += max((p for rec, p in curve if rec >= r), default=0.0)
-        aps.append(total / 101)
-        ars.append(tp / n_gt)
-    return sum(aps) / len(aps), sum(ars) / len(ars)
+        return total / 101
+
+    preds_of = {i: sorted(preds_by_image.get(i, []), key=lambda p: -p.score)
+                for i in image_ids}
+    sim = {i: [[oks(p, g, params) for g in gts_of[i]] for p in preds_of[i]]
+           for i in image_ids}
+    aps, ars = [], []
+    bucket_aps = {name: [] for name in ap_buckets}
+    bucket_ars = {name: [] for name in area_buckets}
+    for t in DEFAULT_THRESHOLDS:
+        tagged = []
+        for img in image_ids:
+            gts = gts_of[img]
+            used = set()
+            for rank, p in enumerate(preds_of[img]):
+                choices = [(sim[img][rank][gi], -gi) for gi in range(len(gts))
+                           if gi not in used]
+                choices.sort(reverse=True)
+                matched = None
+                if choices and choices[0][0] >= t:
+                    matched = gts[-choices[0][1]]
+                    used.add(-choices[0][1])
+                tagged.append((-p.score, img, rank, matched))
+        tagged.sort(key=lambda e: e[:3])
+        ranked = [matched for _, _, _, matched in tagged]
+        if everyone:
+            aps.append(ap_of([m is not None for m in ranked], len(everyone)))
+            ars.append(sum(1 for m in ranked if m is not None) / len(everyone))
+        for name, inside in ap_buckets.items():
+            n = sum(1 for g in everyone if inside(g))
+            if n:
+                kept = [m is not None for m in ranked if m is None or inside(m)]
+                bucket_aps[name].append(ap_of(kept, n))
+        for name, inside in area_buckets.items():
+            n = sum(1 for g in everyone if inside(g))
+            if n:
+                hits = sum(1 for m in ranked if m is not None and inside(m))
+                bucket_ars[name].append(hits / n)
+
+    def mean(vals):
+        return sum(vals) / len(vals) if vals else None
+
+    return EvalResult(
+        ap=mean(aps) or 0.0,
+        ap50=aps[DEFAULT_THRESHOLDS.index(0.5)] if aps else 0.0,
+        ap75=aps[DEFAULT_THRESHOLDS.index(0.75)] if aps else 0.0,
+        ap_buckets={name: mean(v) for name, v in bucket_aps.items()},
+        ar=mean(ars) or 0.0,
+        ar_medium=mean(bucket_ars["medium"]),
+        ar_large=mean(bucket_ars["large"]),
+    )

@@ -81,7 +81,10 @@ def _number(value, where) -> float:
     a FormatError."""
     if type(value) not in (int, float):   # excludes bool, an int subclass
         raise FormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:                 # an integer beyond the float range
+        raise FormatError(f"{where}: number out of range") from None
 
 
 def _numbers(values, where) -> list:
@@ -89,7 +92,10 @@ def _numbers(values, where) -> list:
     for v in values:
         if type(v) not in (int, float):
             raise FormatError(f"{where}: expected a number, got {v!r}")
-    return [float(v) for v in values]
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise FormatError(f"{where}: number out of range") from None
 
 
 def _integer(value, where) -> int:
@@ -413,8 +419,8 @@ def parse_results(text: str, k: int) -> dict:
             raise FormatError(
                 f"{where}: keypoints array has {len(kps)} numbers, expected {3 * k}")
         score = _require(rec, "score", where)
-        if isinstance(score, bool) or not isinstance(score, (int, float)) \
-                or not np.isfinite(score):
+        if type(score) not in (int, float) \
+                or not math.isfinite(_number(score, f"{where} score")):
             raise FormatError(f"{where}: malformed score {score!r}")
         vals = _numbers(kps, where)
         if not all(map(math.isfinite, vals)):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .metrics import OksParams, oks
+from .metrics import OksParams, oks_matrix
 from .targets import Keypoint, PersonAnnotation
 from .waterfall import PoseMaps
 
@@ -92,28 +92,37 @@ def decode_poses(maps: PoseMaps, cfg: DecodeConfig):
         raise T.ShapeError(
             f"expected {k + 1} heatmap channels (K joints + center), got {heat.shape[1]}")
 
-    candidates = []
-    for cx, cy, cs in nms_peaks(heat[0, k].astype(np.float64), cfg):
-        joints = []
-        scores = []
-        for j in range(k):
-            x = cx + float(offs[0, 2 * j, cy, cx])
-            y = cy + float(offs[0, 2 * j + 1, cy, cx])
-            sc = float(T.bilinear_sample(heat[:, j: j + 1], np.array([[y, x]]))[0, 0, 0])
-            joints.append((x, y, sc))
-            scores.append(sc)
-        candidates.append(PoseInstance(joints, cs * (sum(scores) / k)))
+    peaks = nms_peaks(heat[0, k].astype(np.float64), cfg)
+    if not peaks:
+        return []
+    cx = np.array([x for x, _, _ in peaks])
+    cy = np.array([y for _, y, _ in peaks])
+    at_center = offs[0][:, cy, cx].astype(np.float64)          # (2K, P)
+    xs = (cx + at_center[0::2]).T                               # (P, K)
+    ys = (cy + at_center[1::2]).T
+    # one read of all K heatmap channels at every joint point; joint j of
+    # peak p is point p*K + j, read from channel j
+    points = np.stack([ys.ravel(), xs.ravel()], axis=1)
+    sampled = T.bilinear_sample(heat[:, :k], points)[0]         # (K, P*K)
+    joint = np.tile(np.arange(k), len(peaks))
+    scores = sampled[joint, np.arange(len(joint))].reshape(len(peaks), k).astype(np.float64)
 
+    candidates = []
+    for (_, _, cs), px, py, ps in zip(peaks, xs.tolist(), ys.tolist(), scores.tolist()):
+        candidates.append(PoseInstance(list(zip(px, py, ps)), cs * (sum(ps) / k)))
     candidates.sort(key=lambda inst: -inst.score)
+
     params = OksParams(cfg.falloffs if cfg.falloffs is not None else (0.1,) * k)
     if len(params.falloffs) != k:
         raise ValueError(f"need {k} falloffs, got {len(params.falloffs)}")
-    kept, kept_anns = [], []
-    for cand in candidates:
-        if all(oks(cand, ann, params) <= cfg.duplicate_oks for ann in kept_anns):
-            kept.append(cand)
-            kept_anns.append(instance_to_annotation(cand))
-    return kept
+    # similarity of every candidate to every candidate taken as the reference
+    sims = oks_matrix(candidates, [instance_to_annotation(c) for c in candidates],
+                      params).tolist()
+    kept = []
+    for i, cand in enumerate(candidates):
+        if all(sims[i][j] <= cfg.duplicate_oks for j in kept):
+            kept.append(i)
+    return [candidates[i] for i in kept]
 
 
 def instance_to_annotation(inst: PoseInstance) -> PersonAnnotation:

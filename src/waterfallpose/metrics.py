@@ -5,11 +5,13 @@ The similarity between a predicted and a ground-truth pose is
     OKS = sum_i exp(-d_i^2 / (2 s^2 k_i^2)) [v_i > 0]  /  sum_i [v_i > 0]
 
 with d_i the Euclidean distance between matching keypoints, s = sqrt(area)
-of the target, and k_i a per-keypoint falloff constant. Average precision
-follows the standard keypoint protocol: greedy highest-similarity matching
-per image at each threshold, then a 101-point interpolated precision-recall
-integral over score-ranked detections; AP averages the thresholds
-0.50:0.05:0.95 and AR averages the final recalls.
+of the target, and k_i a per-keypoint falloff constant. oks_matrix computes
+it for every (prediction, ground truth) pair of an image at once; oks() is
+its 1x1 case. Average precision follows the standard keypoint protocol: the
+image's similarity matrix is built once, greedy highest-similarity matching
+runs over it at each threshold, then a 101-point interpolated
+precision-recall integral over score-ranked detections; AP averages the
+thresholds 0.50:0.05:0.95 and AR averages the final recalls.
 
 Undefined buckets (no ground truths) are reported as None, never as 0.
 """
@@ -17,6 +19,7 @@ Undefined buckets (no ground truths) are reported as None, never as 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .targets import PersonAnnotation
 
 DEFAULT_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
 RECALL_POINTS = tuple(i / 100.0 for i in range(101))
+_RECALL_LEVELS = np.array(RECALL_POINTS)
 
 
 @dataclass(frozen=True)
@@ -65,46 +69,65 @@ class UndefinedOksError(ValueError):
     """OKS is undefined for a ground truth with no labeled keypoints."""
 
 
-def oks(pred, gt: PersonAnnotation, params: OksParams) -> float:
-    """Similarity of a prediction (a decode.PoseInstance, or anything with
-    (x, y, score) keypoints) to one ground-truth person, in [0, 1]."""
-    if len(gt.keypoints) != len(pred.keypoints):
-        raise ValueError(
-            f"keypoint count mismatch: prediction {len(pred.keypoints)}, "
-            f"ground truth {len(gt.keypoints)}")
-    if len(params.falloffs) != len(gt.keypoints):
-        raise ValueError(f"need {len(gt.keypoints)} falloffs, got {len(params.falloffs)}")
-    s2 = gt.area
-    total = 0.0
-    visible = 0
-    for (px, py, _), kp, kf in zip(pred.keypoints, gt.keypoints, params.falloffs):
-        if kp.v == 0:
-            continue
-        d2 = (px - kp.x) ** 2 + (py - kp.y) ** 2
-        total += float(np.exp(-d2 / (2.0 * s2 * kf * kf)))
-        visible += 1
-    if visible == 0:
+def oks_matrix(preds, gts, params: OksParams) -> np.ndarray:
+    """OKS of every prediction (anything with (x, y, score) keypoints)
+    against every ground-truth person, as a (P, G) float64 array.
+
+    One numpy pass over the keypoints: unlabeled ground-truth joints add
+    nothing to a pair's sum or to its count. The per-joint terms are summed
+    in joint order, as a scalar loop would. Raises UndefinedOksError when a
+    ground truth has no labeled joint.
+    """
+    k = len(params.falloffs)
+    for kind, people in (("prediction", preds), ("ground truth", gts)):
+        for person in people:
+            if len(person.keypoints) != k:
+                raise ValueError(
+                    f"keypoint count mismatch: {kind} has {len(person.keypoints)} "
+                    f"keypoints, {k} falloffs given")
+    n_pred, n_gt = len(preds), len(gts)
+    pred_kps = np.fromiter(chain.from_iterable(kp for p in preds for kp in p.keypoints),
+                           np.float64, n_pred * k * 3).reshape(n_pred, 1, k, 3)
+    gt_kps = np.fromiter(chain.from_iterable((kp.x, kp.y, kp.v) for g in gts
+                                             for kp in g.keypoints),
+                         np.float64, n_gt * k * 3).reshape(1, n_gt, k, 3)
+    labeled = gt_kps[0, :, :, 2] > 0
+    count = labeled.sum(axis=1)
+    if not count.all():
         raise UndefinedOksError("ground truth has no labeled keypoints")
-    return total / visible
+    # unlabeled joints may hold any coordinate; read them as 0 so no inf or
+    # nan enters the masked-out terms
+    gt_xy = np.where(labeled[..., None], gt_kps[..., :2], 0.0)
+    area = np.array([g.area for g in gts], dtype=np.float64).reshape(n_gt, 1)
+    falloff = np.asarray(params.falloffs, dtype=np.float64)
+    d2 = (pred_kps[..., 0] - gt_xy[..., 0]) ** 2 + (pred_kps[..., 1] - gt_xy[..., 1]) ** 2
+    terms = np.where(labeled, np.exp(-d2 / (2.0 * area * falloff * falloff)), 0.0)
+    # add.accumulate runs strictly left to right; sum() would pair the terms
+    total = np.add.accumulate(terms, axis=2)[..., -1]
+    return total / count
 
 
-def match_and_score(preds, gts, threshold: float, params: OksParams):
-    """Greedy matching of score-sorted predictions to ground truths.
+def oks(pred, gt: PersonAnnotation, params: OksParams) -> float:
+    """Similarity of one prediction to one ground-truth person, in [0, 1]:
+    the 1x1 case of oks_matrix."""
+    return float(oks_matrix([pred], [gt], params)[0, 0])
 
-    Each prediction, taken in the given (descending score) order, claims the
-    unmatched ground truth with the highest OKS if that OKS reaches the
-    threshold; equal similarities go to the earlier ground truth. Returns one
+
+def match_and_score(sims, threshold: float):
+    """Greedy matching over a (P, G) OKS matrix whose rows are the
+    predictions in descending score order.
+
+    Each prediction, in row order, picks the unclaimed ground truth with the
+    highest OKS (equal similarities go to the earlier ground truth) and
+    claims it if that OKS reaches the threshold. Returns one
     (is_tp, matched_gt_index_or_None) pair per prediction.
     """
-    taken = [False] * len(gts)
+    taken = [False] * sims.shape[1]
     labels = []
-    for pred in preds:
+    for row in sims.tolist():
         best, best_gt = -1.0, None
-        for gi, gt in enumerate(gts):
-            if taken[gi]:
-                continue
-            sim = oks(pred, gt, params)
-            if sim > best:
+        for gi, sim in enumerate(row):
+            if sim > best and not taken[gi]:
                 best, best_gt = sim, gi
         if best_gt is not None and best >= threshold:
             taken[best_gt] = True
@@ -115,31 +138,28 @@ def match_and_score(preds, gts, threshold: float, params: OksParams):
 
 
 def interpolated_ap(curve):
-    """101-point interpolated AP over (recall, precision) pairs in rank order.
+    """101-point interpolated AP over (recall, precision) pairs in rank order
+    (so recall never decreases along the curve).
 
     At each recall level r in {0.00, 0.01, ..., 1.00} the interpolated
-    precision is the best precision at recall >= r; AP is their mean.
+    precision is the best precision at recall >= r (0 when no point reaches
+    r); AP is their mean, summed in recall order.
     """
-    if not curve:
+    if not len(curve):
         return 0.0
-    total = 0.0
-    for r in RECALL_POINTS:
-        best = 0.0
-        for rec, prec in curve:
-            if rec >= r and prec > best:
-                best = prec
-        total += best
-    return total / len(RECALL_POINTS)
+    recall, precision = np.asarray(curve, dtype=np.float64).reshape(-1, 2).T
+    # best precision from each point to the end; the appended 0 answers the
+    # levels that no point reaches
+    suffix_best = np.maximum.accumulate(np.append(precision, 0.0)[::-1])[::-1]
+    at_level = suffix_best[np.searchsorted(recall, _RECALL_LEVELS, side="left")]
+    return float(np.add.accumulate(at_level)[-1]) / len(RECALL_POINTS)
 
 
 def pr_curve(flags, n_gt):
     """(recall, precision) after each detection of a score-ranked TP/FP list."""
-    tp = 0
-    curve = []
-    for fi, is_tp in enumerate(flags):
-        tp += 1 if is_tp else 0
-        curve.append((tp / n_gt, tp / (fi + 1)))
-    return curve
+    tp = np.cumsum(np.asarray(flags, dtype=np.int64))
+    rank = np.arange(1, len(tp) + 1)
+    return list(zip((tp / n_gt).tolist(), (tp / rank).tolist()))
 
 
 def _bucket_predicates(style, area_edges, crowd_edges):
@@ -189,40 +209,42 @@ def evaluate(preds_by_image: dict, gts_by_image: dict, params: OksParams,
             for i, p in enumerate(ordered_preds[img])]
     pool.sort()
 
-    ap_preds = _bucket_predicates(style, area_edges, crowd_edges)
-    area_preds = _bucket_predicates("coco", area_edges, crowd_edges)
-    n_gt = sum(len(v) for v in valid_gts.values())
+    def membership(predicates):
+        """Per bucket: (count, per image one in-bucket flag per ground truth)."""
+        out = {}
+        for name, predicate in predicates.items():
+            inside = {img: [predicate(g) for g in valid_gts[img]] for img in image_ids}
+            out[name] = (sum(sum(v) for v in inside.values()), inside)
+        return out
 
-    def bucket_count(predicate):
-        return sum(1 for v in valid_gts.values() for g in v if predicate(g))
+    ap_buckets = membership(_bucket_predicates(style, area_edges, crowd_edges))
+    ar_buckets = membership(_bucket_predicates("coco", area_edges, crowd_edges))
+    n_gt = sum(len(v) for v in valid_gts.values())
 
     ap_per_t = []
     ar_per_t = []
-    bucket_ap = {name: [] for name in ap_preds}
-    bucket_ar = {name: [] for name in area_preds}
+    bucket_ap = {name: [] for name in ap_buckets}
+    bucket_ar = {name: [] for name in ar_buckets}
+    sims = {img: oks_matrix(ordered_preds[img], valid_gts[img], params)
+            for img in image_ids}
     for t in thresholds:
-        matches = {img: match_and_score(ordered_preds[img], valid_gts[img], t, params)
-                   for img in image_ids}
-        ranked = [(matches[img][i], img) for _, img, i in pool]
+        matches = {img: match_and_score(sims[img], t) for img in image_ids}
+        ranked = [matches[img][i] + (img,) for _, img, i in pool]
         if n_gt > 0:
-            flags = [is_tp for (is_tp, _), _ in ranked]
+            flags = [is_tp for is_tp, _, _ in ranked]
             ap_per_t.append(interpolated_ap(pr_curve(flags, n_gt)))
             ar_per_t.append(sum(flags) / n_gt)
-        for name, predicate in ap_preds.items():
-            count = bucket_count(predicate)
+        for name, (count, inside) in ap_buckets.items():
             if count == 0:
                 continue
             # keep the bucket's gts and their matches; everything unmatched
             # stays a false positive
-            flags = [is_tp for (is_tp, gi), img in ranked
-                     if not (is_tp and not predicate(valid_gts[img][gi]))]
+            flags = [is_tp for is_tp, gi, img in ranked if not is_tp or inside[img][gi]]
             bucket_ap[name].append(interpolated_ap(pr_curve(flags, count)))
-        for name, predicate in area_preds.items():
-            count = bucket_count(predicate)
+        for name, (count, inside) in ar_buckets.items():
             if count == 0:
                 continue
-            hits = sum(1 for (is_tp, gi), img in ranked
-                       if is_tp and predicate(valid_gts[img][gi]))
+            hits = sum(1 for is_tp, gi, img in ranked if is_tp and inside[img][gi])
             bucket_ar[name].append(hits / count)
 
     def mean(vals):

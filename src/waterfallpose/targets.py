@@ -7,6 +7,7 @@ annotations first, see scale_annotations).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ class Keypoint:
     def __post_init__(self):
         if self.v not in (0, 1, 2):
             raise ValueError(f"visibility must be 0, 1 or 2, got {self.v}")
-        if self.v > 0 and not (np.isfinite(self.x) and np.isfinite(self.y)):
+        if self.v > 0 and not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("labeled keypoints need finite coordinates")
 
 

@@ -196,9 +196,8 @@ def test_07_evaluator_equivalence():
                     [(float(x), float(y), 1.0) for x, y in pts],
                     float(rng.uniform(0, 1))))
             total_preds += len(preds[img])
-        res = evaluate(preds, gts, params)
-        ap_ref, ar_ref = bruteforce_eval(preds, gts, params)
-        all_equal &= (res.ap == ap_ref and res.ar == ar_ref)
+        all_equal &= (evaluate(preds, gts, params).as_row()
+                      == bruteforce_eval(preds, gts, params).as_row())
     report(7, "evaluator equals the brute-force oracle on 500 fuzzed scenes",
            all_equal)
 

@@ -69,6 +69,12 @@ class TestAnnotations:
         with pytest.raises(D.FormatError, match=r"annotations\[id=10\].*number"):
             D.parse_annotations(json.dumps(minimal_doc(keypoints=kps)))
 
+    def test_integer_beyond_float_range_rejected(self):
+        doc = minimal_doc()
+        doc["annotations"][0]["area"] = 10 ** 400
+        with pytest.raises(D.FormatError, match=r"annotations\[id=10\].*out of range"):
+            D.parse_annotations(json.dumps(doc))
+
     def test_non_object_image_rejected(self):
         doc = minimal_doc()
         doc["images"] = [5]
@@ -253,6 +259,14 @@ class TestResults:
         text = json.dumps([{"image_id": 1, "keypoints": [0, 0, 0], "score": True}])
         with pytest.raises(D.FormatError, match="score"):
             D.parse_results(text, 1)
+
+    @pytest.mark.parametrize("field", ["image_id", "keypoints", "score"])
+    def test_integer_beyond_float_range_rejected(self, field):
+        rec = {"image_id": 1, "keypoints": [0, 0, 0], "score": 0.5}
+        huge = 10 ** 400
+        rec[field] = [0, huge, 0] if field == "keypoints" else huge
+        with pytest.raises(D.FormatError, match="out of range"):
+            D.parse_results(json.dumps([rec]), 1)
 
     def test_wrong_arity_rejected(self):
         text = json.dumps([{"image_id": 1, "keypoints": [0, 0, 0], "score": 0.5}])

@@ -1,6 +1,8 @@
 import numpy as np
 
-from waterfallpose.decode import DecodeConfig, nms_peaks, decode_poses
+from waterfallpose import tensor as T
+from waterfallpose.decode import DecodeConfig, PoseInstance, nms_peaks, decode_poses, \
+    instance_to_annotation
 from waterfallpose.metrics import OksParams, oks
 from waterfallpose.targets import Keypoint, PersonAnnotation, \
     render_keypoint_heatmaps, render_offset_targets
@@ -147,3 +149,50 @@ class TestDecodePoses:
         poses = decode_poses(maps, DecodeConfig(nms_window=1, duplicate_oks=0.9))
         assert len(poses) == 1
         assert poses[0].score >= 0.9
+
+    def test_matches_per_joint_reference(self, rng):
+        """Batched sampling and the similarity matrix give what one sample per
+        joint and one oks() per (candidate, kept instance) pair give."""
+        def reference(maps, cfg):
+            heat, offs = maps.heatmaps, maps.offsets
+            k = offs.shape[1] // 2
+            cands = []
+            for cx, cy, cs in nms_peaks(heat[0, k].astype(np.float64), cfg):
+                joints = []
+                for j in range(k):
+                    x = cx + float(offs[0, 2 * j, cy, cx])
+                    y = cy + float(offs[0, 2 * j + 1, cy, cx])
+                    sc = float(T.bilinear_sample(heat[:, j: j + 1], np.array([[y, x]]))[0, 0, 0])
+                    joints.append((x, y, sc))
+                cands.append(PoseInstance(joints, cs * (sum(s for _, _, s in joints) / k)))
+            cands.sort(key=lambda inst: -inst.score)
+            params = OksParams.uniform(k)
+            kept = []
+            for cand in cands:
+                if all(oks(cand, instance_to_annotation(other), params) <= cfg.duplicate_oks
+                       for other in kept):
+                    kept.append(cand)
+            return kept
+
+        suppressed = 0
+        for trial in range(40):
+            k = int(rng.integers(1, 18))
+            h, w = (int(v) for v in rng.integers(6, 30, size=2))
+            dtype = np.float32 if trial % 2 else np.float64
+            heat = rng.uniform(0, 1, size=(1, k + 1, h, w)).astype(dtype)
+            offs = rng.standard_normal((1, 2 * k, h, w)) * rng.uniform(0.2, 6)
+            if trial % 4 < 2:   # every center points near one pose: duplicates
+                rows, cols = np.mgrid[0:h, 0:w]
+                for j, (ax, ay) in enumerate(rng.uniform(0, min(h, w), size=(k, 2))):
+                    offs[0, 2 * j] += ax - cols
+                    offs[0, 2 * j + 1] += ay - rows
+            offs = offs.astype(dtype)
+            cfg = DecodeConfig(center_threshold=float(rng.uniform(0, 0.8)),
+                               max_instances=int(rng.integers(1, 40)),
+                               duplicate_oks=float(rng.uniform(0.2, 1.0)))
+            got = decode_poses(PoseMaps(heat, offs), cfg)
+            want = reference(PoseMaps(heat, offs), cfg)
+            assert [(p.keypoints, p.score) for p in got] == \
+                [(p.keypoints, p.score) for p in want]
+            suppressed += len(nms_peaks(heat[0, k].astype(np.float64), cfg)) - len(got)
+        assert suppressed > 0

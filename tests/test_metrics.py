@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waterfallpose.decode import PoseInstance
-from waterfallpose.metrics import OksParams, UndefinedOksError, oks, \
-    match_and_score, evaluate, interpolated_ap, pr_curve
+from waterfallpose.metrics import OksParams, UndefinedOksError, RECALL_POINTS, oks, \
+    oks_matrix, match_and_score, evaluate, interpolated_ap, pr_curve
 from waterfallpose.targets import Keypoint, PersonAnnotation
 
 from waterfallpose.checks import bruteforce_eval
@@ -82,28 +85,145 @@ class TestOks:
             prev = val
 
 
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+coords = st.floats(-500.0, 500.0)
+# an unlabeled joint may carry any coordinate, non-finite ones included
+unlabeled_coords = st.sampled_from([0.0, 7.5, -3.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def person_lists(draw):
+    """K in 1..17, up to 4 predictions and 4 ground truths (each with at
+    least one labeled joint among mixed visibilities), random falloffs."""
+    k = draw(st.integers(1, 17))
+    params = OksParams(tuple(draw(st.lists(st.floats(0.01, 2.0), min_size=k, max_size=k))))
+    preds = [PoseInstance([(draw(coords), draw(coords), 1.0) for _ in range(k)], 1.0)
+             for _ in range(draw(st.integers(0, 4)))]
+    gts = []
+    for _ in range(draw(st.integers(0, 4))):
+        vis = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any))
+        kps = [Keypoint(draw(coords), draw(coords), v) if v else
+               Keypoint(draw(unlabeled_coords), draw(unlabeled_coords), 0) for v in vis]
+        gts.append(PersonAnnotation(kps, area=draw(st.floats(0.01, 1e5))))
+    return preds, gts, params
+
+
+def oks_by_loop(pred, gt, params):
+    """The OKS formula term by term, in math.exp."""
+    total, labeled = 0.0, 0
+    for (px, py, _), kp, kf in zip(pred.keypoints, gt.keypoints, params.falloffs):
+        if kp.v:
+            d2 = (px - kp.x) ** 2 + (py - kp.y) ** 2
+            total += math.exp(-d2 / (2.0 * gt.area * kf * kf))
+            labeled += 1
+    return total / labeled
+
+
+class TestOksMatrix:
+    @PROPERTY
+    @given(person_lists())
+    def test_every_entry_is_the_scalar_oks(self, scene):
+        preds, gts, params = scene
+        sims = oks_matrix(preds, gts, params)
+        assert sims.shape == (len(preds), len(gts)) and sims.dtype == np.float64
+        for i, pred in enumerate(preds):
+            for j, gt in enumerate(gts):
+                assert sims[i, j] == oks(pred, gt, params)      # bitwise
+                assert sims[i, j] == pytest.approx(oks_by_loop(pred, gt, params),
+                                                   rel=1e-12, abs=1e-300)
+                assert 0.0 <= sims[i, j] <= 1.0
+
+    @settings(PROPERTY, max_examples=100)
+    @given(person_lists(), st.data())
+    def test_gt_without_labeled_joint_raises(self, scene, data):
+        preds, gts, params = scene
+        k = len(params.falloffs)
+        blank = PersonAnnotation([Keypoint(1.0, 2.0, 0)] * k, area=10.0)
+        gts.insert(data.draw(st.integers(0, len(gts))), blank)
+        with pytest.raises(UndefinedOksError):
+            oks_matrix(preds, gts, params)
+
+    def test_empty_sides(self):
+        params = OksParams.uniform(3)
+        gts = [gt_person([(1, 2, 2), (3, 4, 0), (5, 6, 1)])]
+        preds = [pred_person([(1, 2), (3, 4), (5, 6)])] * 2
+        assert oks_matrix([], gts, params).shape == (0, 1)
+        assert oks_matrix(preds, [], params).shape == (2, 0)
+        assert oks_matrix([], [], params).shape == (0, 0)
+
+    def test_keypoint_count_mismatch(self):
+        with pytest.raises(ValueError, match="keypoint count"):
+            oks_matrix([pred_person([(1, 2)])], [gt_person([(1, 2, 2), (3, 4, 2)])],
+                       OksParams.uniform(2))
+
+
+def ap_by_loop(curve):
+    """The 101-point definition: at each recall level, the best precision at
+    recall >= the level (0 if none), averaged."""
+    total = 0.0
+    for r in RECALL_POINTS:
+        best = 0.0
+        for rec, prec in curve:
+            if rec >= r and prec > best:
+                best = prec
+        total += best
+    return total / len(RECALL_POINTS)
+
+
+def pr_by_loop(flags, n_gt):
+    tp, curve = 0, []
+    for rank, hit in enumerate(flags, start=1):
+        tp += 1 if hit else 0
+        curve.append((tp / n_gt, tp / rank))
+    return curve
+
+
+class TestApProperties:
+    @PROPERTY
+    @given(st.lists(st.booleans(), max_size=80), st.integers(0, 40))
+    def test_ranked_flags(self, flags, missed):
+        # empty lists, all false positives and runs of repeated recall
+        # (every false positive repeats the recall before it) all occur
+        n_gt = max(sum(flags) + missed, 1)
+        curve = pr_curve(flags, n_gt)
+        assert curve == pr_by_loop(flags, n_gt)
+        assert interpolated_ap(curve) == ap_by_loop(curve)
+
+    @PROPERTY
+    @given(st.lists(st.tuples(st.sampled_from(RECALL_POINTS) | st.floats(0.0, 1.0),
+                              st.floats(0.0, 1.0)), max_size=40))
+    def test_any_curve_with_nondecreasing_recall(self, points):
+        recalls = sorted(r for r, _ in points)
+        curve = [(r, p) for r, (_, p) in zip(recalls, points)]
+        assert interpolated_ap(curve) == ap_by_loop(curve)
+
+    def test_all_false_positives_and_empty(self):
+        assert interpolated_ap(pr_curve([False] * 7, 3)) == 0.0
+        assert interpolated_ap(pr_curve([], 3)) == 0.0
+
+
 class TestMatching:
     def test_perfect_match(self):
         gts = [gt_person([(5, 5, 2)])]
         preds = [pred_person([(5, 5)], score=0.9)]
-        labels = match_and_score(preds, gts, 0.75, OksParams.uniform(1))
+        labels = match_and_score(oks_matrix(preds, gts, OksParams.uniform(1)), 0.75)
         assert labels == [(True, 0)]
 
     def test_second_claimant_is_fp(self):
         gts = [gt_person([(5, 5, 2)])]
         preds = [pred_person([(5, 5)], score=0.9), pred_person([(5.1, 5)], score=0.5)]
-        labels = match_and_score(preds, gts, 0.5, OksParams.uniform(1))
+        labels = match_and_score(oks_matrix(preds, gts, OksParams.uniform(1)), 0.5)
         assert labels == [(True, 0), (False, None)]
 
     def test_no_gts_all_fp(self):
         preds = [pred_person([(1, 1)], score=0.4)] * 3
-        labels = match_and_score(preds, [], 0.5, OksParams.uniform(1))
+        labels = match_and_score(oks_matrix(preds, [], OksParams.uniform(1)), 0.5)
         assert labels == [(False, None)] * 3
 
     def test_prefers_highest_oks(self):
         gts = [gt_person([(0, 0, 2)]), gt_person([(3, 0, 2)])]
         preds = [pred_person([(2.5, 0)], score=0.8)]
-        labels = match_and_score(preds, gts, 0.0, OksParams.uniform(1))
+        labels = match_and_score(oks_matrix(preds, gts, OksParams.uniform(1)), 0.0)
         assert labels == [(True, 1)]
 
 
@@ -202,7 +322,24 @@ class TestEvaluator:
     def test_matches_bruteforce_oracle_on_fuzzed_scenes(self, rng):
         for _ in range(120):
             preds, gts, params = self._random_scene(rng)
-            res = evaluate(preds, gts, params)
-            ap_ref, ar_ref = bruteforce_eval(preds, gts, params)
-            assert res.ap == ap_ref
-            assert res.ar == ar_ref
+            assert evaluate(preds, gts, params).as_row() == \
+                bruteforce_eval(preds, gts, params).as_row()
+
+    @pytest.mark.parametrize("style", ["coco", "crowdpose"])
+    def test_bucketed_rows_match_oracle(self, rng, style):
+        # area edges inside the scenes' area range and crowd indices on and
+        # between the edges, so every bucket is populated in some scenes
+        edges = {"area_edges": (30.0, 80.0), "crowd_edges": (0.3, 0.7)}
+        defined = {}
+        for _ in range(50):
+            preds, gts, params = self._random_scene(rng, n_img=3)
+            for anns in gts.values():
+                for ann in anns:
+                    ann.crowd_index = [None, 0.0, 0.3, 0.7, 1.0,
+                                       float(rng.uniform(0, 1))][int(rng.integers(6))]
+            res = evaluate(preds, gts, params, style=style, **edges)
+            assert res.as_row() == \
+                bruteforce_eval(preds, gts, params, style=style, **edges).as_row()
+            for name, value in res.as_row().items():
+                defined[name] = defined.get(name, 0) + (value is not None)
+        assert min(defined.values()) >= 10
