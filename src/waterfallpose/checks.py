@@ -12,10 +12,10 @@ import numpy as np
 from . import tensor as T
 from . import waterfall as W
 from .backbone import PyramidConfig
-from .decode import DecodeConfig, decode_poses
+from .decode import DecodeConfig, PoseInstance, decode_poses
 from .metrics import OksParams, EvalResult, oks, evaluate, DEFAULT_THRESHOLDS
 from .model import init_model_weights, model_forward, model_backward
-from .targets import Keypoint, PersonAnnotation, render_keypoint_heatmaps, \
+from .targets import PersonAnnotation, render_keypoint_heatmaps, \
     render_offset_targets
 from .train import TrainConfig, lr_at_epoch, heatmap_loss, offset_loss, total_loss
 from .waterfall import WaterfallConfig, PoseMaps
@@ -163,7 +163,7 @@ def gradient_checks():
 
     # full model through the losses, sampled parameter coordinates
     img = rng.uniform(0, 1, size=(1, 3, 32, 32))
-    anns = [PersonAnnotation([Keypoint(3.2, 4.1, 2), Keypoint(5.5, 2.2, 2)],
+    anns = [PersonAnnotation([(3.2, 4.1, 2), (5.5, 2.2, 2)],
                              area=16.0)]
     worst = full_model_gradient_error(img, anns, weights, pyr, wf, coords=6, seed=7)
     results.append(("full_model/sampled_params", worst <= GRAD_TOL,
@@ -278,7 +278,7 @@ def selftest_checks():
                          branch_width=2, out_width=2, final_width=2,
                          keypoints=1, group_width=1)
     img = rng.uniform(0, 1, size=(1, 3, 32, 32)).astype(np.float32)
-    samples = [(img, [PersonAnnotation([Keypoint(12.0, 14.0, 2)], area=36.0)])]
+    samples = [(img, [PersonAnnotation([(12.0, 14.0, 2)], area=36.0)])]
     tcfg = TrainConfig(epochs=2, seed=5)
     blobs = []
     for _ in range(2):
@@ -300,29 +300,26 @@ def _random_scene(rng, k):
             continue
         deltas = rng.uniform(-5, 5, size=(k, 2))
         deltas -= deltas.mean(axis=0)
-        kps = [Keypoint(cx + float(dx), cy + float(dy), 2) for dx, dy in deltas]
+        kps = np.hstack([deltas + (cx, cy), np.full((k, 1), 2.0)])
         anns.append(PersonAnnotation(kps, area=120.0))
         centers.append((cx, cy))
     return anns
 
 
 def _random_eval_scene(rng):
-    from .decode import PoseInstance
     params = OksParams.uniform(2)
     preds, gts = {}, {}
     for img in range(2):
         gts[img] = []
         for _ in range(int(rng.integers(0, 5))):
             pts = rng.uniform(0, 40, size=(2, 2))
-            gts[img].append(PersonAnnotation(
-                [Keypoint(float(x), float(y), 2) for x, y in pts],
-                area=float(rng.uniform(4, 120))))
+            gts[img].append(PersonAnnotation(np.hstack([pts, np.full((2, 1), 2.0)]),
+                                             area=float(rng.uniform(4, 120))))
         preds[img] = []
         for _ in range(int(rng.integers(0, 7))):
             pts = rng.uniform(0, 40, size=(2, 2)) + rng.standard_normal((2, 2)) * 3
-            preds[img].append(PoseInstance(
-                [(float(x), float(y), 1.0) for x, y in pts],
-                float(rng.uniform(0, 1))))
+            preds[img].append(PoseInstance(np.hstack([pts, np.ones((2, 1))]),
+                                           float(rng.uniform(0, 1))))
     return preds, gts, params
 
 

@@ -80,11 +80,6 @@ def _pad_to_divisor(img: np.ndarray, divisor: int) -> np.ndarray:
     return np.pad(img, ((0, 0), (0, 0), (0, ph), (0, pw)))
 
 
-def _scale_instance(inst: PoseInstance, factor: float) -> PoseInstance:
-    return PoseInstance([(x * factor, y * factor, s) for x, y, s in inst.keypoints],
-                        inst.score)
-
-
 MARKER_COLORS = [
     (255, 60, 60), (60, 220, 60), (80, 120, 255), (240, 220, 60),
     (230, 80, 230), (70, 220, 220), (250, 150, 60), (160, 255, 120),
@@ -127,7 +122,7 @@ def _draw_overlay(image: np.ndarray, poses) -> np.ndarray:
     """Keypoint markers plus chain edges between consecutive keypoints."""
     canvas = image.copy()
     for inst in poses:
-        pts = inst.keypoints
+        pts = inst.keypoints.tolist()
         for (x0, y0, _), (x1, y1, _) in zip(pts, pts[1:]):
             _draw_line(canvas, x0, y0, x1, y1, (255, 255, 255))
         for j, (x, y, _) in enumerate(pts):
@@ -172,7 +167,7 @@ def cmd_infer(args) -> int:
     maps, _ = model_forward(padded, weights, cfg.pyramid, cfg.waterfall)
     poses = decode_poses(maps, cfg.decode)
     stride = float(cfg.pyramid.base_stride)
-    poses_img = [_scale_instance(p, stride) for p in poses]
+    poses_img = [PoseInstance(p.keypoints * (stride, stride, 1.0), p.score) for p in poses]
     _write_file(args.out_poses, dataio.write_results({args.image_id: poses_img}))
     if args.out_overlay:
         _write_file(args.out_overlay,

@@ -13,6 +13,9 @@ Wire formats:
                 bbox, keypoints triplets), and "categories" (keypoint names).
   results       JSON list of {image_id, keypoints [x, y, score] * K, score}.
   images        binary PPM (P6), 8-bit, maxval 255.
+
+In memory a person's keypoints are one (K, 3) float64 array of the triplets;
+a reader converts all of a file's keypoint lists in one pass.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .targets import Keypoint, PersonAnnotation
+from .targets import PersonAnnotation
 from .decode import PoseInstance
 
 TENSOR_MAGIC = b"BAT1"
@@ -100,9 +104,22 @@ def _numbers(values, where) -> list:
 
 def _integer(value, where) -> int:
     x = _number(value, where)
-    if not math.isfinite(x):
+    if not x.is_integer():                # also false for inf and nan
         raise FormatError(f"{where}: expected an integer, got {value!r}")
     return int(x)
+
+
+def _keypoint_rows(records, k) -> np.ndarray:
+    """The 3*k-long keypoint lists of (where, list, ...) records as one
+    (N, K, 3) float64 array: one type check over the flat list, one conversion."""
+    flat = list(chain.from_iterable(r[1] for r in records))
+    try:
+        if set(map(type, flat)) <= {int, float}:   # excludes bool, an int subclass
+            return np.array(flat, dtype=np.float64).reshape(len(records), k, 3)
+    except OverflowError:                 # an integer beyond the float range
+        pass
+    # record by record, which names the first bad one
+    return np.array([_numbers(r[1], r[0]) for r in records]).reshape(len(records), k, 3)
 
 
 def _where(kind, i, rec):
@@ -114,7 +131,7 @@ def parse_annotations(text: str) -> Dataset:
     """Parse the JSON annotation schema into a Dataset."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:               # JSONDecodeError, or an over-long integer
         raise FormatError(f"annotation file is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise FormatError("annotation file must be a JSON object")
@@ -149,33 +166,29 @@ def parse_annotations(text: str) -> Dataset:
     if len(ids) != len(images):
         raise FormatError("duplicate image ids")
 
-    annotations = {img.id: [] for img in images}
-    ann_ids = {img.id: [] for img in images}
+    records = []
     for i, rec in enumerate(_require_list(doc, "annotations", "annotation file")):
         where = _where("annotations", i, rec)
         image_id = _integer(_require(rec, "image_id", where), where)
-        aid = rec.get("id")
         if image_id not in ids:
             raise FormatError(f"{where}: references unknown image id {image_id}")
         kps = _require_list(rec, "keypoints", where)
         if len(kps) != 3 * k:
             raise FormatError(
                 f"{where}: keypoints array has {len(kps)} numbers, expected {3 * k}")
-        vals = _numbers(kps, where)
-        triples = []
-        for j in range(k):
-            x, y, v = vals[3 * j: 3 * j + 3]
-            if v not in (0, 1, 2):
-                raise FormatError(f"{where}: visibility flag {v:g} out of range")
-            triples.append((x, y, int(v)))
         bbox = rec.get("bbox", [0.0, 0.0, 0.0, 0.0])
         if not isinstance(bbox, list) or len(bbox) != 4:
             raise FormatError(f"{where}: bbox must have 4 numbers")
         area = _number(_require(rec, "area", where), where)
-        bbox = tuple(_numbers(bbox, where))
+        records.append((where, kps, image_id, rec.get("id"), area,
+                        tuple(_numbers(bbox, where))))
+
+    annotations = {img.id: [] for img in images}
+    ann_ids = {img.id: [] for img in images}
+    rows = _keypoint_rows(records, k)
+    for (where, _, image_id, aid, area, bbox), kps in zip(records, rows):
         try:
-            ann = PersonAnnotation([Keypoint(*t) for t in triples], area, bbox,
-                                   crowd_index=crowd[image_id])
+            ann = PersonAnnotation(kps, area, bbox, crowd_index=crowd[image_id])
         except ValueError as e:
             raise FormatError(f"{where}: {e}") from e
         annotations[image_id].append(ann)
@@ -198,10 +211,11 @@ def serialize_annotations(ds: Dataset) -> str:
             rec["crowd_index"] = float(img.crowd_index)
         doc["images"].append(rec)
     for img in ds.images:
-        for ann, aid in zip(ds.annotations[img.id], ds.ann_ids.get(img.id, [])):
-            flat = []
-            for kp in ann.keypoints:
-                flat.extend([float(kp.x), float(kp.y), int(kp.v)])
+        anns, aids = ds.annotations[img.id], ds.ann_ids.get(img.id, [])
+        if len(aids) != len(anns):
+            raise ValueError(f"image {img.id}: {len(anns)} annotations, {len(aids)} ids")
+        for ann, aid in zip(anns, aids):
+            flat = [c for x, y, v in ann.keypoints.tolist() for c in (x, y, int(v))]
             doc["annotations"].append({
                 "id": int(aid), "image_id": img.id, "area": float(ann.area),
                 "bbox": [float(v) for v in ann.bbox], "keypoints": flat,
@@ -353,7 +367,7 @@ def load_checkpoint(data: bytes, expected_fingerprint: str | None = None):
     meta, pos = _unpack_str(data, pos)
     try:
         shapes = json.loads(meta)
-    except json.JSONDecodeError as e:
+    except ValueError as e:               # JSONDecodeError, or an over-long integer
         raise FormatError(f"checkpoint shape table is not valid JSON: {e}") from e
     if not isinstance(shapes, dict):
         raise FormatError("checkpoint shape table must be a JSON object")
@@ -395,10 +409,7 @@ def write_results(instances_by_image: dict) -> str:
     out = []
     for image_id in sorted(instances_by_image):
         for inst in instances_by_image[image_id]:
-            flat = []
-            for x, y, s in inst.keypoints:
-                flat.extend([float(x), float(y), float(s)])
-            out.append({"image_id": image_id, "keypoints": flat,
+            out.append({"image_id": image_id, "keypoints": inst.keypoints.ravel().tolist(),
                         "score": float(inst.score)})
     return json.dumps(out, indent=1)
 
@@ -406,11 +417,11 @@ def write_results(instances_by_image: dict) -> str:
 def parse_results(text: str, k: int) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:               # JSONDecodeError, or an over-long integer
         raise FormatError(f"results file is not valid JSON: {e}") from e
     if not isinstance(doc, list):
         raise FormatError("results file must be a JSON list")
-    out = {}
+    records = []
     for i, rec in enumerate(doc):
         where = f"results[{i}]"
         image_id = _integer(_require(rec, "image_id", where), where)
@@ -422,9 +433,13 @@ def parse_results(text: str, k: int) -> dict:
         if type(score) not in (int, float) \
                 or not math.isfinite(_number(score, f"{where} score")):
             raise FormatError(f"{where}: malformed score {score!r}")
-        vals = _numbers(kps, where)
-        if not all(map(math.isfinite, vals)):
-            raise FormatError(f"{where}: non-finite keypoint entry")
-        triples = [tuple(vals[3 * j: 3 * j + 3]) for j in range(k)]
-        out.setdefault(image_id, []).append(PoseInstance(triples, float(score)))
+        records.append((where, kps, image_id, float(score)))
+
+    rows = _keypoint_rows(records, k)
+    finite = np.isfinite(rows).all(axis=(1, 2))
+    if not finite.all():
+        raise FormatError(f"{records[np.argmin(finite)][0]}: non-finite keypoint entry")
+    out = {}
+    for (_, _, image_id, score), kps in zip(records, rows):
+        out.setdefault(image_id, []).append(PoseInstance(kps, score))
     return out

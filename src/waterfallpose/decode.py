@@ -8,21 +8,23 @@ import numpy as np
 
 from . import tensor as T
 from .metrics import OksParams, oks_matrix
-from .targets import Keypoint, PersonAnnotation
+from .targets import PersonAnnotation
 from .waterfall import PoseMaps
 
 
 @dataclass
 class PoseInstance:
-    """Decoded person: K scored keypoints (x, y, score) and an instance score."""
+    """Decoded person: its own (K, 3) float64 (x, y, score) array and a score."""
 
-    keypoints: list          # (x, y, score) triples
+    keypoints: np.ndarray
     score: float
 
+    def __post_init__(self):
+        self.keypoints = np.array(self.keypoints, dtype=np.float64).reshape(-1, 3)
+
     def bbox_area(self) -> float:
-        xs = [p[0] for p in self.keypoints]
-        ys = [p[1] for p in self.keypoints]
-        return max(max(xs) - min(xs), 1.0) * max(max(ys) - min(ys), 1.0)
+        lo, hi = self.keypoints[:, :2].min(axis=0), self.keypoints[:, :2].max(axis=0)
+        return max(float(hi[0] - lo[0]), 1.0) * max(float(hi[1] - lo[1]), 1.0)
 
 
 @dataclass(frozen=True)
@@ -107,9 +109,9 @@ def decode_poses(maps: PoseMaps, cfg: DecodeConfig):
     joint = np.tile(np.arange(k), len(peaks))
     scores = sampled[joint, np.arange(len(joint))].reshape(len(peaks), k).astype(np.float64)
 
-    candidates = []
-    for (_, _, cs), px, py, ps in zip(peaks, xs.tolist(), ys.tolist(), scores.tolist()):
-        candidates.append(PoseInstance(list(zip(px, py, ps)), cs * (sum(ps) / k)))
+    # the mean joint score sums the joints in order
+    candidates = [PoseInstance(kps, cs * (sum(ps) / k)) for (_, _, cs), kps, ps in
+                  zip(peaks, np.stack([xs, ys, scores], axis=2), scores.tolist())]
     candidates.sort(key=lambda inst: -inst.score)
 
     params = OksParams(cfg.falloffs if cfg.falloffs is not None else (0.1,) * k)
@@ -128,5 +130,5 @@ def decode_poses(maps: PoseMaps, cfg: DecodeConfig):
 def instance_to_annotation(inst: PoseInstance) -> PersonAnnotation:
     """View a decoded instance as an annotation (all keypoints labeled
     visible, area from the keypoint bounding box)."""
-    kps = [Keypoint(x, y, 2) for x, y, _ in inst.keypoints]
+    kps = np.hstack([inst.keypoints[:, :2], np.full((len(inst.keypoints), 1), 2.0)])
     return PersonAnnotation(kps, inst.bbox_area())

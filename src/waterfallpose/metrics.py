@@ -19,7 +19,6 @@ Undefined buckets (no ground truths) are reported as None, never as 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -70,7 +69,7 @@ class UndefinedOksError(ValueError):
 
 
 def oks_matrix(preds, gts, params: OksParams) -> np.ndarray:
-    """OKS of every prediction (anything with (x, y, score) keypoints)
+    """OKS of every prediction (anything with (K, 3) (x, y, score) keypoints)
     against every ground-truth person, as a (P, G) float64 array.
 
     One numpy pass over the keypoints: unlabeled ground-truth joints add
@@ -86,11 +85,8 @@ def oks_matrix(preds, gts, params: OksParams) -> np.ndarray:
                     f"keypoint count mismatch: {kind} has {len(person.keypoints)} "
                     f"keypoints, {k} falloffs given")
     n_pred, n_gt = len(preds), len(gts)
-    pred_kps = np.fromiter(chain.from_iterable(kp for p in preds for kp in p.keypoints),
-                           np.float64, n_pred * k * 3).reshape(n_pred, 1, k, 3)
-    gt_kps = np.fromiter(chain.from_iterable((kp.x, kp.y, kp.v) for g in gts
-                                             for kp in g.keypoints),
-                         np.float64, n_gt * k * 3).reshape(1, n_gt, k, 3)
+    pred_kps = np.array([p.keypoints for p in preds]).reshape(n_pred, 1, k, 3)
+    gt_kps = np.array([g.keypoints for g in gts]).reshape(1, n_gt, k, 3)
     labeled = gt_kps[0, :, :, 2] > 0
     count = labeled.sum(axis=1)
     if not count.all():

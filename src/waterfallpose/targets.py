@@ -1,6 +1,7 @@
 """Ground-truth rendering: Gaussian keypoint/center heatmaps and the masked
 offset field that supervises the regression head.
 
+A person's keypoints are one (K, 3) float64 array of (x, y, v) rows.
 Coordinates here are heatmap pixels (the caller rescales image-space
 annotations first, see scale_annotations).
 """
@@ -14,47 +15,43 @@ import numpy as np
 
 
 @dataclass
-class Keypoint:
-    x: float
-    y: float
-    v: int  # 0 unlabeled, 1 labeled but occluded, 2 labeled and visible
-
-    def __post_init__(self):
-        if self.v not in (0, 1, 2):
-            raise ValueError(f"visibility must be 0, 1 or 2, got {self.v}")
-        if self.v > 0 and not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("labeled keypoints need finite coordinates")
-
-
-@dataclass
 class PersonAnnotation:
-    keypoints: list
+    """keypoints: a (K, 3) float64 array of (x, y, v) rows; v is 0 unlabeled
+    (any coordinate, NaN included), 1 labeled but occluded, 2 labeled and visible."""
+
+    keypoints: np.ndarray
     area: float
     bbox: tuple = (0.0, 0.0, 0.0, 0.0)
     crowd_index: float | None = None
 
     def __post_init__(self):
-        if any(k.v > 0 for k in self.keypoints) and not self.area > 0:
+        self.keypoints = np.array(self.keypoints, dtype=np.float64).reshape(-1, 3)
+        for x, y, v in self.keypoints.tolist():   # scalar: cheaper than numpy at K = 17
+            if v not in (0, 1, 2):
+                raise ValueError(f"visibility must be 0, 1 or 2, got {v:g}")
+            if v > 0 and not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError("labeled keypoints need finite coordinates")
+        if not self.area > 0 and self.num_labeled():
             raise ValueError("annotations with labeled keypoints need a positive area")
 
     def labeled_centroid(self):
-        pts = [(k.x, k.y) for k in self.keypoints if k.v > 0]
+        pts = self.keypoints[self.keypoints[:, 2] > 0, :2].tolist()
         if not pts:
             return None
-        xs, ys = zip(*pts)
+        xs, ys = zip(*pts)     # builtin sums, in joint order
         return sum(xs) / len(pts), sum(ys) / len(pts)
 
     def num_labeled(self) -> int:
-        return sum(1 for k in self.keypoints if k.v > 0)
+        return int(np.count_nonzero(self.keypoints[:, 2] > 0))
 
 
 def scale_annotations(anns, factor: float):
     """Map annotations between coordinate systems (area scales quadratically)."""
     out = []
     for ann in anns:
-        kps = [Keypoint(k.x * factor, k.y * factor, k.v) for k in ann.keypoints]
         x, y, w, h = ann.bbox
-        out.append(PersonAnnotation(kps, ann.area * factor * factor,
+        out.append(PersonAnnotation(ann.keypoints * (factor, factor, 1.0),
+                                    ann.area * factor * factor,
                                     (x * factor, y * factor, w * factor, h * factor),
                                     ann.crowd_index))
     return out
@@ -88,9 +85,9 @@ def render_keypoint_heatmaps(anns, k: int, h: int, w: int, sigma: float = 3.0):
     for ann in anns:
         if len(ann.keypoints) != k:
             raise ValueError(f"annotation has {len(ann.keypoints)} keypoints, expected {k}")
-        for j, kp in enumerate(ann.keypoints):
-            if kp.v > 0:
-                splat(j, kp.x, kp.y)
+        for j, (x, y, v) in enumerate(ann.keypoints.tolist()):
+            if v > 0:
+                splat(j, x, y)
         center = ann.labeled_centroid()
         if center is not None:
             splat(k, center[0], center[1])
@@ -134,12 +131,11 @@ def render_offset_targets(anns, k: int, h: int, w: int, radius: float = 4.0):
         if not sel.any():
             continue
         py, px = np.nonzero(sel)
-        for j, kp in enumerate(ann.keypoints):
-            if kp.v == 0:
-                continue
-            offsets[0, 2 * j, py, px] = kp.x - px
-            offsets[0, 2 * j + 1, py, px] = kp.y - py
-            mask[0, 2 * j, py, px] = 1.0
-            mask[0, 2 * j + 1, py, px] = 1.0
+        labeled = ann.keypoints[:, 2] > 0
+        ch = 2 * np.nonzero(labeled)[0][:, None]      # (J, 1) x-channels
+        offsets[0, ch, py, px] = ann.keypoints[labeled, :1] - px
+        offsets[0, ch + 1, py, px] = ann.keypoints[labeled, 1:2] - py
+        mask[0, ch, py, px] = 1.0
+        mask[0, ch + 1, py, px] = 1.0
         scale[0, 0, py, px] = np.sqrt(ann.area) / 2.0
     return offsets, mask, scale

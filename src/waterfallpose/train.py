@@ -10,7 +10,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import PyramidConfig
 from .model import model_forward, model_backward
-from .targets import Keypoint, PersonAnnotation, scale_annotations, \
+from .targets import PersonAnnotation, scale_annotations, \
     render_keypoint_heatmaps, render_offset_targets
 from .waterfall import WaterfallConfig
 
@@ -151,14 +151,11 @@ def augment_sample(image: np.ndarray, anns, rng: np.random.Generator,
         warped = warp_image(image, m)
     out_anns = []
     for ann in anns:
-        kps = []
-        for kp in ann.keypoints:
-            nx = m[0, 0] * kp.x + m[0, 1] * kp.y + m[0, 2]
-            ny = m[1, 0] * kp.x + m[1, 1] * kp.y + m[1, 2]
-            v = kp.v
-            if v > 0 and not (0.0 <= nx <= w - 1 and 0.0 <= ny <= h - 1):
-                v = 0
-            kps.append(Keypoint(float(nx), float(ny), v))
+        x, y, v = ann.keypoints.T
+        nx = m[0, 0] * x + m[0, 1] * y + m[0, 2]
+        ny = m[1, 0] * x + m[1, 1] * y + m[1, 2]
+        inside = (0.0 <= nx) & (nx <= w - 1) & (0.0 <= ny) & (ny <= h - 1)
+        kps = np.stack([nx, ny, np.where(inside, v, 0.0)], axis=1)
         bx, by, bw, bh = ann.bbox
         corners = np.array([[bx, by, 1], [bx + bw, by, 1],
                             [bx, by + bh, 1], [bx + bw, by + bh, 1]]).T

@@ -15,7 +15,7 @@ from waterfallpose.backbone import PyramidConfig
 from waterfallpose.decode import DecodeConfig, decode_poses
 from waterfallpose.metrics import OksParams, oks, evaluate
 from waterfallpose.model import init_model_weights, model_forward
-from waterfallpose.targets import Keypoint, PersonAnnotation
+from waterfallpose.targets import PersonAnnotation
 from waterfallpose.train import TrainConfig, lr_at_epoch, \
     sample_affine_params, augment_sample, train_loop
 from waterfallpose.waterfall import WaterfallConfig
@@ -97,7 +97,7 @@ def test_03_gradient_suite():
         if name.endswith(".b") and "taps" not in name:
             weights[name] = rng.standard_normal(weights[name].shape) * 0.1
     img = rng.uniform(0, 1, size=(1, 3, 32, 32))
-    anns = [PersonAnnotation([Keypoint(3.1, 4.2, 2), Keypoint(5.6, 2.3, 2)],
+    anns = [PersonAnnotation([(3.1, 4.2, 2), (5.6, 2.3, 2)],
                              area=16.0)]
     worst = full_model_gradient_error(img, anns, weights, pyr, wf, coords=4, seed=7)
     elapsed = time.monotonic() - start
@@ -145,7 +145,7 @@ def test_05_render_decode_round_trip():
             ok &= best >= 0.99
             match = poses[int(np.argmax(sims))]
             for (px, py, _), kp in zip(match.keypoints, ann.keypoints):
-                err = max(abs(px - kp.x), abs(py - kp.y))
+                err = max(abs(px - kp[0]), abs(py - kp[1]))
                 worst_px = max(worst_px, err)
                 ok &= err <= 0.5
     report(5, "render->decode round trip on 100 synthetic scenes",
@@ -153,13 +153,13 @@ def test_05_render_decode_round_trip():
 
 
 def test_06_oks_closed_forms():
-    gt = PersonAnnotation([Keypoint(3.0, 4.0, 2), Keypoint(8.0, 1.0, 2)], area=49.0)
+    gt = PersonAnnotation([(3.0, 4.0, 2), (8.0, 1.0, 2)], area=49.0)
     pred = PoseInstance([(3.0, 4.0, 1.0), (8.0, 1.0, 1.0)], 1.0)
     identical = oks(pred, gt, OksParams.uniform(2))
     k = 0.25
     area = 36.0
     d = np.sqrt(area) * k
-    gt1 = PersonAnnotation([Keypoint(10.0, 10.0, 2)], area=area)
+    gt1 = PersonAnnotation([(10.0, 10.0, 2)], area=area)
     pred1 = PoseInstance([(10.0 + d, 10.0, 1.0)], 1.0)
     at_sk = oks(pred1, gt1, OksParams((k,)))
     ok = abs(identical - 1.0) <= 1e-12 and abs(at_sk - np.exp(-0.5)) <= 1e-9
@@ -184,7 +184,7 @@ def test_07_evaluator_equivalence():
                 if all(v == 0 for v in vis):
                     vis[0] = 2
                 gts[img].append(PersonAnnotation(
-                    [Keypoint(float(x), float(y), v)
+                    [(float(x), float(y), v)
                      for (x, y), v in zip(pts, vis)],
                     area=float(rng.uniform(4, 150))))
             total_gts += len(gts[img])
@@ -223,7 +223,7 @@ def test_09_augmentation_ranges_and_oracle():
     worst = 0.0
     img = np.zeros((1, 3, 64, 64), dtype=np.float32)
     for trial in range(50):
-        kps = [Keypoint(float(x), float(y), 2)
+        kps = [(float(x), float(y), 2)
                for x, y in rng.uniform(0, 63, size=(4, 2))]
         anns = [PersonAnnotation(kps, area=30.0)]
         seed = 1000 + trial
@@ -232,9 +232,9 @@ def test_09_augmentation_ranges_and_oracle():
         t = np.deg2rad(theta)
         c = 63 / 2.0
         for kp, kp2 in zip(kps, out[0].keypoints):
-            ex = np.cos(t) * scale * (kp.x - c) - np.sin(t) * scale * (kp.y - c) + c + tx
-            ey = np.sin(t) * scale * (kp.x - c) + np.cos(t) * scale * (kp.y - c) + c + ty
-            worst = max(worst, abs(kp2.x - ex), abs(kp2.y - ey))
+            ex = np.cos(t) * scale * (kp[0] - c) - np.sin(t) * scale * (kp[1] - c) + c + tx
+            ey = np.sin(t) * scale * (kp[0] - c) + np.cos(t) * scale * (kp[1] - c) + c + ty
+            worst = max(worst, abs(kp2[0] - ex), abs(kp2[1] - ey))
     ok &= worst <= 1e-6
     report(9, "10^5 augmentation draws in range; keypoint warp matches oracle",
            ok, f"worst keypoint deviation {worst:.2e}")
@@ -264,7 +264,7 @@ def _overfit_dataset(seed=123, n_images=8):
             w = j1[0] - j0[0] + 10.0
             h = j1[1] - j0[1] + 10.0
             anns.append(PersonAnnotation(
-                [Keypoint(j0[0], j0[1], 2), Keypoint(j1[0], j1[1], 2)],
+                [(j0[0], j0[1], 2), (j1[0], j1[1], 2)],
                 area=float(w * h), bbox=(j0[0] - 5, j0[1] - 5, w, h)))
         samples.append((img, anns))
     return samples
@@ -337,7 +337,7 @@ def test_12_format_round_trips():
     ds = dataio.Dataset(
         images=[dataio.ImageRecord(1, "x.ppm", 64, 64, crowd_index=0.2)],
         annotations={1: [PersonAnnotation(
-            [Keypoint(3, 4, 2), Keypoint(5, 6, 1)], area=30.0,
+            [(3, 4, 2), (5, 6, 1)], area=30.0,
             bbox=(1, 2, 10, 12), crowd_index=0.2)]},
         keypoint_names=["a", "b"], ann_ids={1: [7]})
     text = dataio.serialize_annotations(ds)

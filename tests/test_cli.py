@@ -8,7 +8,7 @@ from waterfallpose.cli import main
 from waterfallpose.config import parse_config
 from waterfallpose.decode import PoseInstance
 from waterfallpose.model import init_model_weights
-from waterfallpose.targets import Keypoint, PersonAnnotation
+from waterfallpose.targets import PersonAnnotation
 
 TOY_CONFIG = """
 pyramid.widths = 4,8,16,32
@@ -47,7 +47,7 @@ def workdir(tmp_path):
         _disk(img, 2, cx + 8, cy + 6, 5)
         _disk(img, 1, cx, cy, 3, 0.7)
         anns.append(PersonAnnotation(
-            [Keypoint(cx - 8.0, cy - 6.0, 2), Keypoint(cx + 8.0, cy + 6.0, 2)],
+            [(cx - 8.0, cy - 6.0, 2), (cx + 8.0, cy + 6.0, 2)],
             area=676.0, bbox=(cx - 13.0, cy - 11.0, 26.0, 22.0)))
     (tmp_path / "img0.ppm").write_bytes(dataio.write_image_ppm(img))
 

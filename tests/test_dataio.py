@@ -1,7 +1,9 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waterfallpose import dataio as D
 from waterfallpose.decode import PoseInstance
@@ -28,7 +30,7 @@ class TestAnnotations:
         assert ds.num_keypoints == 17
         assert len(ds.annotations[1]) == 1
         ann = ds.annotations[1][0]
-        assert all(kp.v == 2 for kp in ann.keypoints)
+        assert all(kp[2] == 2 for kp in ann.keypoints)
         assert ann.area == 120.0
 
     def test_wrong_arity_names_annotation(self):
@@ -97,6 +99,32 @@ class TestAnnotations:
         kps = [0.0, 0.0, 7] * 17
         with pytest.raises(D.FormatError, match="visibility"):
             D.parse_annotations(json.dumps(minimal_doc(keypoints=kps)))
+
+    def test_over_long_integer_rejected(self):
+        text = json.dumps(minimal_doc()).replace('"area": 120.0', '"area": ' + "1" * 5001)
+        with pytest.raises(D.FormatError, match="not valid JSON"):
+            D.parse_annotations(text)
+
+    @pytest.mark.parametrize("field,value", [("id", 0.5), ("height", 4.9)])
+    def test_non_integral_image_field_rejected(self, field, value):
+        doc = minimal_doc()
+        doc["images"][0][field] = value
+        with pytest.raises(D.FormatError, match=r"images\[.*expected an integer"):
+            D.parse_annotations(json.dumps(doc))
+
+    def test_integral_float_is_an_integer(self):
+        doc = minimal_doc()
+        doc["images"][0]["id"] = 1.0
+        doc["annotations"][0]["image_id"] = 1.0
+        ds = D.parse_annotations(json.dumps(doc))
+        assert ds.images[0].id == 1 and type(ds.images[0].id) is int
+        assert len(ds.annotations[1]) == 1
+
+    def test_serialize_needs_one_id_per_annotation(self):
+        ds = D.parse_annotations(json.dumps(minimal_doc()))
+        without_ids = D.Dataset(ds.images, ds.annotations, ds.keypoint_names)
+        with pytest.raises(ValueError, match="image 1: 1 annotations, 0 ids"):
+            D.serialize_annotations(without_ids)
 
 
 class TestTensorDump:
@@ -222,6 +250,13 @@ class TestCheckpoint:
                 except D.FormatError:
                     pass
 
+    def test_over_long_integer_in_shape_table_rejected(self):
+        meta = '{"weights/a.b": [' + "1" * 5001 + ']}'
+        blob = (D.CHECKPOINT_MAGIC + struct.pack("<II", D.CHECKPOINT_VERSION, 0)
+                + D._pack_str("fp") + D._pack_str(meta) + struct.pack("<I", 0))
+        with pytest.raises(D.FormatError, match="shape table"):
+            D.load_checkpoint(blob)
+
     def test_no_optimizer_state(self, rng):
         blob = D.save_checkpoint(self._weights(rng), None, 3, "fp")
         _, optim, epoch, _ = D.load_checkpoint(blob)
@@ -235,7 +270,7 @@ class TestResults:
         text = D.write_results(insts)
         back = D.parse_results(text, 2)
         assert back[1][0].score == 0.85
-        assert back[1][0].keypoints == [(1.0, 2.0, 0.9), (3.0, 4.0, 0.8)]
+        assert back[1][0].keypoints.tolist() == [[1.0, 2.0, 0.9], [3.0, 4.0, 0.8]]
         assert D.write_results(back) == text
 
     def test_empty_results_valid(self):
@@ -272,3 +307,93 @@ class TestResults:
         text = json.dumps([{"image_id": 1, "keypoints": [0, 0, 0], "score": 0.5}])
         with pytest.raises(D.FormatError, match="expected 6"):
             D.parse_results(text, 2)
+
+    def test_over_long_integer_rejected(self):
+        text = json.dumps([{"image_id": 1, "keypoints": [0, 0, 0], "score": 0.5}])
+        with pytest.raises(D.FormatError, match="not valid JSON"):
+            D.parse_results(text.replace("0.5", "1" * 5001), 1)
+
+    def test_non_integral_image_id_rejected(self):
+        text = json.dumps([{"image_id": 2.9, "keypoints": [0, 0, 0], "score": 0.5}])
+        with pytest.raises(D.FormatError, match=r"results\[0\].*expected an integer"):
+            D.parse_results(text, 1)
+
+    def test_integral_float_image_id_is_an_integer(self):
+        text = json.dumps([{"image_id": 1.0, "keypoints": [0, 0, 0], "score": 0.5}])
+        (image_id,) = D.parse_results(text, 1)
+        assert image_id == 1 and type(image_id) is int
+
+    def test_instances_own_their_keypoints(self):
+        text = json.dumps([{"image_id": 1, "keypoints": [0, 1, 0.5] * 2, "score": 0.5}] * 3)
+        insts = D.parse_results(text, 2)[1]
+        insts.append(PoseInstance(insts[0].keypoints, 0.1))
+        for i, a in enumerate(insts):
+            assert a.keypoints.shape == (2, 3) and a.keypoints.dtype == np.float64
+            for b in insts[i + 1:]:
+                assert not np.shares_memory(a.keypoints, b.keypoints)
+
+
+# ---------------------------------------------------------------------------
+# keypoint lists drawn from arbitrary JSON values
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+numbers = st.one_of(st.sampled_from([0, 1, 2]), st.floats(),    # NaN and infinities too
+                    st.integers(-2 ** 80, 2 ** 80))
+# one kind is drawn first so each is tried about as often as the others
+other_kinds = st.sampled_from([
+    st.integers(2 ** 1024, 2 ** 1100), st.integers(-2 ** 1100, -2 ** 1024),
+    st.booleans(), st.none(), st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=2), st.dictionaries(st.text(max_size=1), st.none())])
+
+
+@st.composite
+def keypoint_files(draw):
+    """K, then up to three keypoint lists: mostly numbers of the right length,
+    some with an entry of another JSON type or with the wrong length."""
+    k = draw(st.integers(1, 3))
+    lists = []
+    for _ in range(draw(st.integers(0, 3))):
+        size = draw(st.sampled_from([3 * k] * 4 + [3 * k - 1, 3 * k + 1]))
+        values = draw(st.lists(numbers, min_size=size, max_size=size))
+        if values and draw(st.booleans()):
+            values[draw(st.integers(0, size - 1))] = draw(draw(other_kinds))
+        lists.append(values)
+    return k, lists
+
+
+def _assert_read_as_floats(got, decoded, k):
+    """Every accepted entry is a JSON number and reads as float(v), bitwise."""
+    assert all(type(v) in (int, float) for values in decoded for v in values)
+    want = np.array([[float(v) for v in values] for values in decoded],
+                    dtype=np.float64).reshape(len(decoded), k, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestKeypointListProperty:
+    @PROPERTY
+    @given(keypoint_files())
+    def test_annotations_parse_exactly_or_raise_format_error(self, drawn):
+        k, lists = drawn
+        doc = minimal_doc(k_names=["kp%d" % j for j in range(k)], keypoints=[])
+        doc["annotations"] = [{"id": i, "image_id": 1, "area": 100.0, "keypoints": v}
+                              for i, v in enumerate(lists)]
+        text = json.dumps(doc)
+        try:
+            ds = D.parse_annotations(text)
+        except D.FormatError:
+            return
+        got = np.array([a.keypoints for a in ds.annotations[1]]).reshape(-1, k, 3)
+        _assert_read_as_floats(
+            got, [rec["keypoints"] for rec in json.loads(text)["annotations"]], k)
+
+    @PROPERTY
+    @given(keypoint_files())
+    def test_results_parse_exactly_or_raise_format_error(self, drawn):
+        k, lists = drawn
+        text = json.dumps([{"image_id": 1, "keypoints": v, "score": 0.5} for v in lists])
+        try:
+            back = D.parse_results(text, k)
+        except D.FormatError:
+            return
+        got = np.array([p.keypoints for p in back.get(1, [])]).reshape(-1, k, 3)
+        _assert_read_as_floats(got, [rec["keypoints"] for rec in json.loads(text)], k)

@@ -4,7 +4,7 @@ from waterfallpose import tensor as T
 from waterfallpose.decode import DecodeConfig, PoseInstance, nms_peaks, decode_poses, \
     instance_to_annotation
 from waterfallpose.metrics import OksParams, oks
-from waterfallpose.targets import Keypoint, PersonAnnotation, \
+from waterfallpose.targets import PersonAnnotation, \
     render_keypoint_heatmaps, render_offset_targets
 from waterfallpose.waterfall import PoseMaps
 
@@ -27,7 +27,7 @@ def synth_scene(rng, n_people, k=3, h=64, w=64, min_sep=8.0):
         deltas = rng.uniform(-5, 5, size=(k, 2))
         deltas -= deltas.mean(axis=0)  # keep the centroid at (cx, cy)
         for dx, dy in deltas:
-            kps.append(Keypoint(cx + float(dx), cy + float(dy), 2))
+            kps.append((cx + float(dx), cy + float(dy), 2))
         anns.append(PersonAnnotation(kps, area=120.0))
         centers.append((cx, cy))
     return anns
@@ -44,14 +44,14 @@ class TestNmsPeaks:
         assert nms_peaks(np.zeros((16, 16)), CFG) == []
 
     def test_single_gaussian_single_peak(self):
-        ann = PersonAnnotation([Keypoint(9, 5, 2)], area=10.0)
+        ann = PersonAnnotation([(9, 5, 2)], area=10.0)
         maps = render_keypoint_heatmaps([ann], 1, 16, 16)
         peaks = nms_peaks(maps[0, 0].astype(np.float64), CFG)
         assert peaks == [(9, 5, 1.0)]
 
     def test_two_gaussians_two_peaks(self):
-        anns = [PersonAnnotation([Keypoint(5, 8, 2)], area=10.0),
-                PersonAnnotation([Keypoint(15, 8, 2)], area=10.0)]
+        anns = [PersonAnnotation([(5, 8, 2)], area=10.0),
+                PersonAnnotation([(15, 8, 2)], area=10.0)]
         maps = render_keypoint_heatmaps(anns, 1, 24, 24)
         peaks = nms_peaks(maps[0, 0].astype(np.float64), CFG)
         assert sorted((x, y) for x, y, _ in peaks) == [(5, 8), (15, 8)]
@@ -106,7 +106,7 @@ class TestDecodePoses:
         poses = decode_poses(maps, CFG)
         assert len(poses) == 1
         for (px, py, ps), kp in zip(poses[0].keypoints, anns[0].keypoints):
-            assert abs(px - kp.x) <= 0.5 and abs(py - kp.y) <= 0.5
+            assert abs(px - kp[0]) <= 0.5 and abs(py - kp[1]) <= 0.5
             assert ps > 0.5
 
     def test_round_trip_two_far_apart(self, rng):
@@ -134,7 +134,8 @@ class TestDecodePoses:
         maps = render_scene(anns, 3)
         a = decode_poses(maps, CFG)
         b = decode_poses(maps, CFG)
-        assert [(p.keypoints, p.score) for p in a] == [(p.keypoints, p.score) for p in b]
+        assert [(p.keypoints.tolist(), p.score) for p in a] == \
+            [(p.keypoints.tolist(), p.score) for p in b]
 
     def test_duplicate_suppression(self):
         # two identical candidate centers one pixel apart decode to
@@ -192,7 +193,7 @@ class TestDecodePoses:
                                duplicate_oks=float(rng.uniform(0.2, 1.0)))
             got = decode_poses(PoseMaps(heat, offs), cfg)
             want = reference(PoseMaps(heat, offs), cfg)
-            assert [(p.keypoints, p.score) for p in got] == \
-                [(p.keypoints, p.score) for p in want]
+            assert [(p.keypoints.tolist(), p.score) for p in got] == \
+                [(p.keypoints.tolist(), p.score) for p in want]
             suppressed += len(nms_peaks(heat[0, k].astype(np.float64), cfg)) - len(got)
         assert suppressed > 0

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from waterfallpose.decode import PoseInstance
 from waterfallpose.metrics import OksParams, UndefinedOksError, RECALL_POINTS, oks, \
     oks_matrix, match_and_score, evaluate, interpolated_ap, pr_curve
-from waterfallpose.targets import Keypoint, PersonAnnotation
+from waterfallpose.targets import PersonAnnotation
 
 from waterfallpose.checks import bruteforce_eval
 
 
 def gt_person(points, area=100.0, crowd_index=None):
-    return PersonAnnotation([Keypoint(x, y, v) for x, y, v in points],
+    return PersonAnnotation([(x, y, v) for x, y, v in points],
                             area=area, crowd_index=crowd_index)
 
 
@@ -47,7 +47,7 @@ class TestOks:
         assert oks(pred, gt, OksParams.uniform(2)) == pytest.approx(1.0)
 
     def test_no_visible_raises(self):
-        gt = PersonAnnotation([Keypoint(0, 0, 0)], area=10.0)
+        gt = PersonAnnotation([(0, 0, 0)], area=10.0)
         with pytest.raises(UndefinedOksError):
             oks(pred_person([(0, 0)]), gt, OksParams.uniform(1))
 
@@ -59,7 +59,7 @@ class TestOks:
         params = OksParams.uniform(4)
         base = oks(pred, gt, params)
         dx, dy = 13.5, -7.25
-        gt2 = gt_person([(k.x + dx, k.y + dy, k.v) for k in gt.keypoints], area=77.0)
+        gt2 = gt_person([(k[0] + dx, k[1] + dy, k[2]) for k in gt.keypoints], area=77.0)
         pred2 = PoseInstance([(x + dx, y + dy, s) for x, y, s in pred.keypoints], 1.0)
         assert oks(pred2, gt2, params) == pytest.approx(base, rel=1e-12)
 
@@ -70,7 +70,7 @@ class TestOks:
         params = OksParams.uniform(3)
         base = oks(pred, gt, params)
         c = 3.0
-        gt2 = gt_person([(k.x * c, k.y * c, k.v) for k in gt.keypoints],
+        gt2 = gt_person([(k[0] * c, k[1] * c, k[2]) for k in gt.keypoints],
                         area=50.0 * c * c)
         pred2 = PoseInstance([(x * c, y * c, s) for x, y, s in pred.keypoints], 1.0)
         assert oks(pred2, gt2, params) == pytest.approx(base, rel=1e-12)
@@ -102,8 +102,8 @@ def person_lists(draw):
     gts = []
     for _ in range(draw(st.integers(0, 4))):
         vis = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any))
-        kps = [Keypoint(draw(coords), draw(coords), v) if v else
-               Keypoint(draw(unlabeled_coords), draw(unlabeled_coords), 0) for v in vis]
+        kps = [(draw(coords), draw(coords), v) if v else
+               (draw(unlabeled_coords), draw(unlabeled_coords), 0) for v in vis]
         gts.append(PersonAnnotation(kps, area=draw(st.floats(0.01, 1e5))))
     return preds, gts, params
 
@@ -112,8 +112,8 @@ def oks_by_loop(pred, gt, params):
     """The OKS formula term by term, in math.exp."""
     total, labeled = 0.0, 0
     for (px, py, _), kp, kf in zip(pred.keypoints, gt.keypoints, params.falloffs):
-        if kp.v:
-            d2 = (px - kp.x) ** 2 + (py - kp.y) ** 2
+        if kp[2]:
+            d2 = (px - kp[0]) ** 2 + (py - kp[1]) ** 2
             total += math.exp(-d2 / (2.0 * gt.area * kf * kf))
             labeled += 1
     return total / labeled
@@ -138,7 +138,7 @@ class TestOksMatrix:
     def test_gt_without_labeled_joint_raises(self, scene, data):
         preds, gts, params = scene
         k = len(params.falloffs)
-        blank = PersonAnnotation([Keypoint(1.0, 2.0, 0)] * k, area=10.0)
+        blank = PersonAnnotation([(1.0, 2.0, 0)] * k, area=10.0)
         gts.insert(data.draw(st.integers(0, len(gts))), blank)
         with pytest.raises(UndefinedOksError):
             oks_matrix(preds, gts, params)

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from waterfallpose.targets import Keypoint, PersonAnnotation, \
+from waterfallpose.targets import PersonAnnotation, \
     render_keypoint_heatmaps, render_offset_targets, scale_annotations
 
 
 def person(points, area=100.0):
-    return PersonAnnotation([Keypoint(x, y, v) for x, y, v in points], area=area)
+    return PersonAnnotation([(x, y, v) for x, y, v in points], area=area)
 
 
 class TestHeatmapRendering:
@@ -43,7 +45,7 @@ class TestHeatmapRendering:
         assert maps[0, 3, 4, 6] == 1.0
 
     def test_no_labels_all_zero(self):
-        ann = PersonAnnotation([Keypoint(0, 0, 0)], area=10.0)
+        ann = PersonAnnotation([(0, 0, 0)], area=10.0)
         maps = render_keypoint_heatmaps([ann], 1, 8, 8)
         assert not maps.any()
 
@@ -99,22 +101,54 @@ class TestOffsetTargets:
 class TestAnnotationTypes:
     def test_bad_visibility_rejected(self):
         with pytest.raises(ValueError, match="visibility"):
-            Keypoint(0, 0, 3)
+            PersonAnnotation([(0, 0, 3)], area=10.0)
 
     def test_labeled_needs_finite_coords(self):
         with pytest.raises(ValueError, match="finite"):
-            Keypoint(np.nan, 0, 2)
-        Keypoint(np.nan, np.nan, 0)  # unlabeled may carry garbage
+            PersonAnnotation([(np.nan, 0, 2)], area=10.0)
+        PersonAnnotation([(np.nan, np.nan, 0)], area=10.0)  # unlabeled may carry garbage
 
     def test_labeled_needs_positive_area(self):
         with pytest.raises(ValueError, match="area"):
-            PersonAnnotation([Keypoint(1, 1, 2)], area=0.0)
+            PersonAnnotation([(1, 1, 2)], area=0.0)
 
     def test_scale_annotations(self):
-        ann = PersonAnnotation([Keypoint(8, 4, 2)], area=64.0, bbox=(2, 2, 8, 8),
+        ann = PersonAnnotation([(8, 4, 2)], area=64.0, bbox=(2, 2, 8, 8),
                                crowd_index=0.3)
         (scaled,) = scale_annotations([ann], 0.25)
-        assert scaled.keypoints[0].x == 2.0 and scaled.keypoints[0].y == 1.0
+        assert scaled.keypoints[0][0] == 2.0 and scaled.keypoints[0][1] == 1.0
         assert scaled.area == 4.0
         assert scaled.bbox == (0.5, 0.5, 2.0, 2.0)
         assert scaled.crowd_index == 0.3
+
+
+def random_keypoints(rng, k):
+    """Mixed visibilities over several magnitudes, non-finite unlabeled
+    coordinates included, as (x, y, v) tuples."""
+    scale = 10.0 ** rng.integers(-3, 4, size=(k, 1))
+    pts = rng.uniform(-50, 50, size=(k, 2)) * scale
+    vis = rng.integers(0, 3, size=k)
+    vis[0] = 2
+    garbage = (math.nan, math.inf, -math.inf, 7.5)
+    return [(float(x), float(y), int(v)) if v or j % 2 else
+            (garbage[j % 4], garbage[(j + 1) % 4], 0)
+            for j, ((x, y), v) in enumerate(zip(pts, vis))]
+
+
+class TestPerJointReference:
+    """The array code against the per-joint scalar form it replaced."""
+
+    def test_scale_annotations_equals_per_joint_loop(self, rng):
+        for factor in (0.25, 1.0 / 3.0, 4.0):
+            kps = random_keypoints(rng, 17)
+            (scaled,) = scale_annotations([PersonAnnotation(kps, area=9.0)], factor)
+            want = np.array([(x * factor, y * factor, v) for x, y, v in kps])
+            assert scaled.keypoints.tobytes() == want.tobytes()
+
+    def test_labeled_centroid_sums_in_joint_order(self, rng):
+        for _ in range(200):
+            kps = random_keypoints(rng, 17)
+            xs = [x for x, _, v in kps if v > 0]
+            ys = [y for _, y, v in kps if v > 0]
+            assert PersonAnnotation(kps, area=9.0).labeled_centroid() == \
+                (sum(xs) / len(xs), sum(ys) / len(ys))

@@ -6,7 +6,7 @@ from waterfallpose import train as TR
 from waterfallpose.backbone import PyramidConfig
 from waterfallpose.dataio import save_checkpoint, load_checkpoint
 from waterfallpose.model import init_model_weights, model_forward, model_backward
-from waterfallpose.targets import Keypoint, PersonAnnotation
+from waterfallpose.targets import PersonAnnotation
 from waterfallpose.waterfall import WaterfallConfig
 
 
@@ -99,10 +99,10 @@ class TestAugmentation:
     def test_identity_transform(self, rng):
         cfg = TR.TrainConfig(**IDENTITY_AUG)
         img = rng.uniform(0, 1, size=(1, 3, 32, 32)).astype(np.float32)
-        anns = [PersonAnnotation([Keypoint(4, 5, 2)], area=20.0, bbox=(1, 1, 8, 8))]
+        anns = [PersonAnnotation([(4, 5, 2)], area=20.0, bbox=(1, 1, 8, 8))]
         img2, anns2 = TR.augment_sample(img, anns, np.random.default_rng(0), cfg)
         np.testing.assert_array_equal(img2, img)
-        assert anns2[0].keypoints[0].x == 4.0 and anns2[0].keypoints[0].y == 5.0
+        assert anns2[0].keypoints[0][0] == 4.0 and anns2[0].keypoints[0][1] == 5.0
         assert anns2[0].area == 20.0
 
     def test_center_is_fixed_point(self):
@@ -114,7 +114,7 @@ class TestAugmentation:
     def test_keypoints_match_matrix_oracle(self, rng):
         cfg = TR.TrainConfig()
         img = rng.uniform(0, 1, size=(1, 3, 64, 64)).astype(np.float32)
-        kps = [Keypoint(float(x), float(y), 2)
+        kps = [(float(x), float(y), 2)
                for x, y in rng.uniform(5, 58, size=(6, 2))]
         anns = [PersonAnnotation(kps, area=30.0)]
         seed_rng = np.random.default_rng(99)
@@ -125,11 +125,11 @@ class TestAugmentation:
         t = np.deg2rad(theta)
         c = 63 / 2.0
         for kp, kp2 in zip(kps, anns2[0].keypoints):
-            x0, y0 = kp.x - c, kp.y - c
+            x0, y0 = kp[0] - c, kp[1] - c
             ex = np.cos(t) * scale * x0 - np.sin(t) * scale * y0 + c + tx
             ey = np.sin(t) * scale * x0 + np.cos(t) * scale * y0 + c + ty
-            if kp2.v > 0:
-                assert abs(kp2.x - ex) <= 1e-6 and abs(kp2.y - ey) <= 1e-6
+            if kp2[2] > 0:
+                assert abs(kp2[0] - ex) <= 1e-6 and abs(kp2[1] - ey) <= 1e-6
             else:
                 assert not (0 <= ex <= 63 and 0 <= ey <= 63)
 
@@ -146,17 +146,47 @@ class TestAugmentation:
         cfg = TR.TrainConfig(rotation_deg=0.0, scale_range=(1.0, 1.0),
                              translate_px=40.0)
         img = np.zeros((1, 3, 32, 32), dtype=np.float32)
-        anns = [PersonAnnotation([Keypoint(2, 2, 2), Keypoint(16, 16, 2)], area=9.0)]
+        anns = [PersonAnnotation([(2, 2, 2), (16, 16, 2)], area=9.0)]
         moved = None
         rng = np.random.default_rng(1)
         for _ in range(50):
             _, out = TR.augment_sample(img, anns, rng, cfg)
-            if out[0].keypoints[0].v == 0:
+            if out[0].keypoints[0][2] == 0:
                 moved = out[0]
                 break
         assert moved is not None
-        x, y = moved.keypoints[0].x, moved.keypoints[0].y
+        x, y = moved.keypoints[0][0], moved.keypoints[0][1]
         assert not (0 <= x <= 31 and 0 <= y <= 31)
+
+    def test_keypoints_equal_per_joint_loop(self):
+        """The array keypoint map against the per-joint scalar form, bitwise,
+        with joints demoted to v = 0 outside the canvas."""
+        h, w = 32, 24
+        img = np.zeros((1, 3, h, w), dtype=np.float32)
+        rng = np.random.default_rng(5)
+        # joints on and just past the canvas edges, kept or demoted unmoved
+        # under the identity draw
+        edges = [(0.0, 0.0), (w - 1.0, h - 1.0), (-1e-9, 5.0), (5.0, h - 1.0 + 1e-9)]
+        demoted = 0
+        for seed in range(40):
+            cfg = TR.TrainConfig(**IDENTITY_AUG) if seed % 4 == 0 else TR.TrainConfig()
+            pts = np.concatenate([rng.uniform(-4, 36, size=(9, 2)), edges])
+            kps = [(float(x), float(y), int(v))
+                   for (x, y), v in zip(pts, rng.integers(0, 3, size=13))]
+            anns = [PersonAnnotation(kps, area=50.0, bbox=(1, 2, 10, 12))]
+            _, out = TR.augment_sample(img, anns, np.random.default_rng(seed), cfg)
+            theta, scale, tx, ty = TR.sample_affine_params(np.random.default_rng(seed), cfg)
+            m = TR.affine_matrix(theta, scale, tx, ty, (w - 1) / 2.0, (h - 1) / 2.0)
+            want = []
+            for x, y, v in kps:
+                nx = m[0, 0] * x + m[0, 1] * y + m[0, 2]
+                ny = m[1, 0] * x + m[1, 1] * y + m[1, 2]
+                if v > 0 and not (0.0 <= nx <= w - 1 and 0.0 <= ny <= h - 1):
+                    v = 0
+                    demoted += 1
+                want.append((float(nx), float(ny), v))
+            assert out[0].keypoints.tobytes() == np.array(want).tobytes()
+        assert demoted > 0
 
 
 class TestOptimizer:
@@ -208,7 +238,7 @@ class TestLoop:
         samples = []
         for _ in range(n):
             img = rng.uniform(0, 1, size=(1, 3, 32, 32)).astype(np.float32)
-            kps = [Keypoint(float(rng.uniform(8, 24)), float(rng.uniform(8, 24)), 2)
+            kps = [(float(rng.uniform(8, 24)), float(rng.uniform(8, 24)), 2)
                    for _ in range(k)]
             samples.append((img, [PersonAnnotation(kps, area=64.0)]))
         return samples
@@ -270,7 +300,7 @@ class TestFullModelGradient:
             if name.endswith(".b") and "taps" not in name:
                 weights[name] = rng.standard_normal(weights[name].shape) * 0.1
         img = rng.uniform(0, 1, size=(1, 3, 32, 32))
-        anns = [PersonAnnotation([Keypoint(3.2, 4.1, 2), Keypoint(5.5, 2.2, 2)],
+        anns = [PersonAnnotation([(3.2, 4.1, 2), (5.5, 2.2, 2)],
                                  area=16.0)]
         from waterfallpose.targets import render_keypoint_heatmaps, \
             render_offset_targets
