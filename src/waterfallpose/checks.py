@@ -239,6 +239,16 @@ def selftest_checks():
     err = T.relative_error(y, ref)
     record("adaptive_conv_degeneracy", err <= 1e-6, f"rel err {err:.2e}")
 
+    # a forward-only pass keeps no node and gives the recording pass's maps
+    pyr, wf, weights = _toy_model(seed=4)
+    img = rng.uniform(0, 1, size=(1, 3, 32, 32))
+    recorded, _ = model_forward(img, weights, pyr, wf)
+    maps, tape = model_forward(img, weights, pyr, wf, T.ForwardTape())
+    record("forward_only_equivalence",
+           not tape.nodes
+           and maps.heatmaps.tobytes() == recorded.heatmaps.tobytes()
+           and maps.offsets.tobytes() == recorded.offsets.tobytes())
+
     # render -> decode round trip
     k = 3
     ok_all = True

@@ -17,7 +17,7 @@ from .config import ConfigError, RunConfig, default_config, parse_config
 from .decode import PoseInstance, decode_poses
 from .metrics import evaluate
 from .model import init_model_weights, model_forward
-from .tensor import ShapeError
+from .tensor import ForwardTape, ShapeError
 from .train import TrainingError, train_loop
 
 EXIT_OK = 0
@@ -164,7 +164,7 @@ def cmd_infer(args) -> int:
         raise DataError(str(e)) from e
     image = dataio.read_image_ppm(_read_file(args.image))
     padded = _pad_to_divisor(image, cfg.pyramid.divisor())
-    maps, _ = model_forward(padded, weights, cfg.pyramid, cfg.waterfall)
+    maps, _ = model_forward(padded, weights, cfg.pyramid, cfg.waterfall, ForwardTape())
     poses = decode_poses(maps, cfg.decode)
     stride = float(cfg.pyramid.base_stride)
     poses_img = [PoseInstance(p.keypoints * (stride, stride, 1.0), p.score) for p in poses]

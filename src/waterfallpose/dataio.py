@@ -103,7 +103,9 @@ def _numbers(values, where) -> list:
 
 
 def _integer(value, where) -> int:
-    x = _number(value, where)
+    x = _number(value, where)             # an int past the float range is an error too
+    if type(value) is int:                # exact: no float round trip above 2**53
+        return value
     if not x.is_integer():                # also false for inf and nan
         raise FormatError(f"{where}: expected an integer, got {value!r}")
     return int(x)

@@ -34,9 +34,13 @@ def init_model_weights(pyr: PyramidConfig, wf: WaterfallConfig, seed: int,
 
 
 def model_forward(image: np.ndarray, weights: dict, pyr: PyramidConfig,
-                  wf: WaterfallConfig):
-    """Returns (PoseMaps, tape); the tape feeds model_backward."""
-    pyramid, tape = backbone_forward(image, weights, pyr)
+                  wf: WaterfallConfig, tape=None):
+    """Returns (PoseMaps, tape); the tape feeds model_backward.
+
+    tape defaults to a new recording tensor.Tape; pass a tensor.ForwardTape
+    for a pass that is never replayed, so no kernel cache outlives its kernel.
+    """
+    pyramid, tape = backbone_forward(image, weights, pyr, tape)
     maps, tape = waterfall_module_forward(pyramid, weights, wf, tape)
     tape.image, tape.maps = image, maps     # the ends model_backward replays between
     return maps, tape

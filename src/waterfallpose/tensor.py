@@ -7,7 +7,7 @@ normal runs, float64 for gradient checking. Kernels are pure functions; the
 backward of each op takes the original inputs plus the upstream gradient, so
 no hidden state survives between calls. A Tape records the kernels a forward
 pass runs and replays their backwards in reverse, so composite layers are
-written forward only.
+written forward only; a ForwardTape runs the same kernels and keeps nothing.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def bilinear_resize_backward(x_shape, gy: np.ndarray) -> np.ndarray:
     return np.matmul(np.matmul(rh.T, gy), rw)
 
 
-# corner (row, col) steps of a bilinear read, in the order of the cached values
+# corner (row, col) steps of a bilinear read, in the order they are summed
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -248,9 +248,11 @@ def _sample_planes(x: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     Out-of-bounds corner taps contribute zero. Returns the sampled values of
     shape (N, C, T, h, w) together with the pieces the backward pass needs.
 
-    The reads are one np.take over the (C, N*H*W + 1) stack of planes, with a
-    flat (sample, row, col) index shared by every channel; the extra last
-    column is zero and stands in for every out-of-bounds corner.
+    The reads gather whole C-wide rows of the channel-last (N*H*W + 1, C)
+    table of pixels, with a flat (sample, row, col) index shared by every
+    channel; the extra last row is zero and stands in for every out-of-bounds
+    corner. The corners are gathered and accumulated one at a time, so each
+    value is ((v0*w0 + v1*w1) + v2*w2) + v3*w3 in _CORNERS order.
     """
     n, c, h, w = x.shape
     r0 = np.floor(rows)
@@ -262,20 +264,36 @@ def _sample_planes(x: np.ndarray, rows: np.ndarray, cols: np.ndarray):
 
     outside = n * h * w
     first = np.arange(n).reshape((n,) + (1,) * (rows.ndim - 1)) * (h * w)
+    top_left = first + r0 * w + c0
+    # whether row r0 + dr (column c0 + dc) is on the map, for a step of 0 or 1
+    row_in = ((r0 >= 0) & (r0 < h), (r0 >= -1) & (r0 < h - 1))
+    col_in = ((c0 >= 0) & (c0 < w), (c0 >= -1) & (c0 < w - 1))
     index = np.empty((4,) + rows.shape, dtype=np.intp)
     for k, (dr, dc) in enumerate(_CORNERS):
-        ri = r0 + dr
-        cj = c0 + dc
-        valid = (ri >= 0) & (ri < h) & (cj >= 0) & (cj < w)
-        index[k] = np.where(valid, first + ri * w + cj, outside)
+        index[k] = np.where(row_in[dr] & col_in[dc], top_left + (dr * w + dc), outside)
     weight = np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc, fr * (1 - fc), fr * fc])
 
-    planes = np.zeros((c, outside + 1), dtype=x.dtype)
-    planes[:, :outside] = x.transpose(1, 0, 2, 3).reshape(c, outside)
-    vals = np.take(planes, index.reshape(4, -1), axis=1)      # (C, 4, M)
-    out = (vals * weight.reshape(4, -1)).sum(axis=1)          # (C, M)
-    out = out.reshape((c,) + rows.shape).swapaxes(0, 1)
-    return out, (index, weight, fr, fc, vals)
+    planes = np.empty((outside + 1, c), dtype=x.dtype)
+    planes[:outside] = x.transpose(0, 2, 3, 1).reshape(outside, c)
+    planes[outside] = 0
+    flat = index.reshape(4, -1)
+    wcol = weight.reshape(4, -1, 1)
+    out = np.empty((flat.shape[1], c), dtype=x.dtype)      # (M, C)
+    buf = np.empty_like(out)
+    # every index is in range, so mode="clip" only skips the bounds check
+    # (and the copy np.take makes of out= under the default mode="raise")
+    np.take(planes, flat[0], axis=0, out=out, mode="clip")
+    out *= wcol[0]
+    for k in range(1, 4):
+        np.take(planes, flat[k], axis=0, out=buf, mode="clip")
+        buf *= wcol[k]
+        out += buf
+    # one transposing pass to channel-first; adding 0.0 there turns a sum of
+    # four -0.0 terms into +0.0, so every value is bit for bit the sum
+    # 0 + v0*w0 + v1*w1 + v2*w2 + v3*w3 taken left to right
+    sampled = np.empty((n, c, out.shape[0] // n), dtype=x.dtype)
+    np.add(out.reshape(n, -1, c).transpose(0, 2, 1), 0.0, out=sampled)
+    return sampled.reshape((n, c) + rows.shape[1:]), (index, weight, fr, fc, planes)
 
 
 def _sample_planes_backward(x_shape, cache, gy: np.ndarray):
@@ -283,9 +301,11 @@ def _sample_planes_backward(x_shape, cache, gy: np.ndarray):
 
     The x gradient scatters each corner's weighted upstream value back to the
     pixel it read, with one np.bincount per channel over the shared flat index.
+    The (rows, cols) gradients need a_k = sum over channels of gy * v_k for
+    each corner value v_k, re-read from the plane table one corner at a time.
     """
     n, c, h, w = x_shape
-    index, weight, fr, fc, vals = cache
+    index, weight, fr, fc, planes = cache
     size = n * h * w + 1
     g = gy.swapaxes(0, 1).reshape(c, 1, -1)                   # (C, 1, M)
     contrib = (g * weight.reshape(4, -1)).reshape(c, -1)      # (C, 4M)
@@ -295,15 +315,20 @@ def _sample_planes_backward(x_shape, cache, gy: np.ndarray):
         gx[ch] = np.bincount(flat, weights=contrib[ch], minlength=size)
     gx = gx[:, :-1].reshape(c, n, h, w).transpose(1, 0, 2, 3)
 
-    v00, v01, v10, v11 = (vals[:, k] for k in range(4))
-    g = g[:, 0]
+    g = np.ascontiguousarray(np.moveaxis(gy, 1, -1).reshape(-1, c))   # (M, C)
+    buf = np.empty_like(g)
+    ones = np.ones(c, dtype=gy.dtype)
+    a = np.empty((4, g.shape[0]), dtype=gy.dtype)
+    for k, idx in enumerate(index.reshape(4, -1)):
+        np.take(planes, idx, axis=0, out=buf, mode="clip")
+        buf *= g
+        np.matmul(buf, ones, out=a[k])    # a channel sum as one matrix-vector product
     fr = fr.reshape(-1)
     fc = fc.reshape(-1)
-    # d(out)/d(row) = (1-fc)*(v10-v00) + fc*(v11-v01), summed over channels
-    dvr = (1 - fc) * (v10 - v00) + fc * (v11 - v01)
-    dvc = (1 - fr) * (v01 - v00) + fr * (v11 - v10)
-    grows = (g * dvr).sum(axis=0).reshape(index.shape[1:])
-    gcols = (g * dvc).sum(axis=0).reshape(index.shape[1:])
+    # d(out)/d(row) = (1-fc)*(v10-v00) + fc*(v11-v01), so summed over
+    # channels against gy it is (1-fc)*(a2-a0) + fc*(a3-a1)
+    grows = ((1 - fc) * (a[2] - a[0]) + fc * (a[3] - a[1])).reshape(index.shape[1:])
+    gcols = ((1 - fr) * (a[1] - a[0]) + fr * (a[3] - a[2])).reshape(index.shape[1:])
     return np.ascontiguousarray(gx), grows, gcols
 
 
@@ -476,6 +501,18 @@ class Tape:
         adjoint concatenates the slices' gradients, zeros for any without."""
         return self.record(tuple(concat_channels_backward(counts, x)), (x,),
                            lambda *gys: (concat_channels(gys),))
+
+
+class ForwardTape(Tape):
+    """A tape for passes that are never replayed, such as inference: record
+    returns the output and keeps no node, so each kernel's backward closure,
+    and the cache it holds, is freed as soon as the kernel returns."""
+
+    def record(self, out, inputs, backward):
+        return out
+
+    def backward(self, seeds, wrt=()):
+        raise RuntimeError("a ForwardTape keeps no nodes and cannot be replayed")
 
 
 def numeric_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

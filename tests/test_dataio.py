@@ -120,6 +120,15 @@ class TestAnnotations:
         assert ds.images[0].id == 1 and type(ds.images[0].id) is int
         assert len(ds.annotations[1]) == 1
 
+    def test_ids_above_float_precision_stay_distinct(self):
+        doc = minimal_doc()
+        first = doc["images"][0]
+        doc["images"] = [dict(first, id=2 ** 53), dict(first, id=2 ** 53 + 1)]
+        doc["annotations"][0]["image_id"] = 2 ** 53 + 1
+        ds = D.parse_annotations(json.dumps(doc))
+        assert [img.id for img in ds.images] == [2 ** 53, 2 ** 53 + 1]
+        assert len(ds.annotations[2 ** 53 + 1]) == 1 and not ds.annotations[2 ** 53]
+
     def test_serialize_needs_one_id_per_annotation(self):
         ds = D.parse_annotations(json.dumps(minimal_doc()))
         without_ids = D.Dataset(ds.images, ds.annotations, ds.keypoint_names)
@@ -322,6 +331,12 @@ class TestResults:
         text = json.dumps([{"image_id": 1.0, "keypoints": [0, 0, 0], "score": 0.5}])
         (image_id,) = D.parse_results(text, 1)
         assert image_id == 1 and type(image_id) is int
+
+    def test_image_ids_above_float_precision_stay_distinct(self):
+        text = json.dumps([{"image_id": i, "keypoints": [0, 0, 0], "score": 0.5}
+                           for i in (2 ** 53, 2 ** 53 + 1, 2 ** 53 + 1)])
+        preds = D.parse_results(text, 1)
+        assert {i: len(v) for i, v in preds.items()} == {2 ** 53: 1, 2 ** 53 + 1: 2}
 
     def test_instances_own_their_keypoints(self):
         text = json.dumps([{"image_id": 1, "keypoints": [0, 1, 0.5] * 2, "score": 0.5}] * 3)

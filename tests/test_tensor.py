@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waterfallpose import tensor as T
 from waterfallpose.checks import conv2d_naive
@@ -239,6 +242,120 @@ class TestBilinearSample:
         assert T.relative_error(gpts, num_gpts) <= 1e-6
 
 
+# ---------------------------------------------------------------------------
+# the plane sampler against per-corner loops
+
+SAMPLER_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                            database=None)
+CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _coordinate(size):
+    """A sample coordinate along an axis of the given size: on an integer
+    (the edge pixels and the first ones past them included), on a
+    half-integer, far outside the map, or strictly inside a cell."""
+    return st.one_of(
+        st.integers(-1, size).map(float),
+        st.integers(-1, size - 1).map(lambda i: i + 0.5),
+        st.sampled_from([-1e4, -40.5, size + 40.25, 1e4]),
+        st.tuples(st.integers(-1, size - 1), st.floats(0.1, 0.9)).map(sum))
+
+
+@st.composite
+def sample_cases(draw):
+    """x (N, C, H, W) and (rows, cols) of shape (N, T, 1, P)."""
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    shape = (n, draw(st.integers(1, 3)), 1, draw(st.integers(1, 4)))
+    size = int(np.prod(shape))
+    rows = draw(st.lists(_coordinate(h), min_size=size, max_size=size))
+    cols = draw(st.lists(_coordinate(w), min_size=size, max_size=size))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    x[rng.random(x.shape) < 0.3] = -0.0     # so some sums are of -0.0 terms only
+    gy = rng.standard_normal((n, c) + shape[1:]).astype(dtype)
+    return x, np.array(rows).reshape(shape), np.array(cols).reshape(shape), gy
+
+
+def _corner_terms(x, rows, cols):
+    """(sample index, {corner number: (row, col, weight)} over the in-bounds
+    corners, in corner order) for every sample point, weights in x's dtype."""
+    h, w = x.shape[2:]
+    one = x.dtype.type(1)
+    for i in np.ndindex(rows.shape):
+        r0, c0 = math.floor(rows[i]), math.floor(cols[i])
+        fr, fc = x.dtype.type(rows[i] - r0), x.dtype.type(cols[i] - c0)
+        weights = ((one - fr) * (one - fc), (one - fr) * fc, fr * (one - fc), fr * fc)
+        yield i, {k: (r0 + dr, c0 + dc, wk)
+                  for k, ((dr, dc), wk) in enumerate(zip(CORNERS, weights))
+                  if 0 <= r0 + dr < h and 0 <= c0 + dc < w}
+
+
+def _sample_reference(x, rows, cols):
+    """0 + v00*w00 + v01*w01 + v10*w10 + v11*w11, one sample point at a time."""
+    out = np.zeros(x.shape[:2] + rows.shape[1:], dtype=x.dtype)
+    for (b, *rest), corners in _corner_terms(x, rows, cols):
+        for r, c, wk in corners.values():
+            out[(b, slice(None), *rest)] += x[b, :, r, c] * wk
+    return out
+
+
+def _scatter_reference(x, rows, cols, gy):
+    """The x gradient as a per-channel np.bincount forms it: gy * weight in
+    gy's dtype, accumulated in float64 corner by corner, then sample by sample."""
+    acc = np.zeros(x.shape, dtype=np.float64)
+    terms = list(_corner_terms(x, rows, cols))
+    for k in range(4):
+        for (b, *rest), corners in terms:
+            if k in corners:
+                r, c, wk = corners[k]
+                acc[b, :, r, c] += (gy[(b, slice(None), *rest)] * wk).astype(np.float64)
+    return acc.astype(gy.dtype)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestSamplePlanes:
+    @SAMPLER_PROPERTY
+    @given(sample_cases())
+    def test_forward_equals_corner_loop_bitwise(self, case):
+        x, rows, cols, _ = case
+        out, _ = T._sample_planes(x, rows, cols)
+        ref = _sample_reference(x, rows, cols)
+        assert out.shape == ref.shape and out.dtype == x.dtype
+        assert _bits(out) == _bits(ref)
+
+    @SAMPLER_PROPERTY
+    @given(sample_cases())
+    def test_input_gradient_equals_bincount_scatter_bitwise(self, case):
+        x, rows, cols, gy = case
+        _, cache = T._sample_planes(x, rows, cols)
+        gx, grows, gcols = T._sample_planes_backward(x.shape, cache, gy)
+        assert gx.dtype == grows.dtype == gcols.dtype == x.dtype
+        assert grows.shape == gcols.shape == rows.shape
+        assert _bits(gx) == _bits(_scatter_reference(x, rows, cols, gy))
+
+    @SAMPLER_PROPERTY
+    @given(sample_cases())
+    def test_coordinate_gradients_match_numeric(self, case):
+        x, rows, cols, gy = case
+        x, gy = x.astype(np.float64), gy.astype(np.float64)
+        _, cache = T._sample_planes(x, rows, cols)
+        _, grows, gcols = T._sample_planes_backward(x.shape, cache, gy)
+        num_rows = T.numeric_gradient(
+            lambda v: float((T._sample_planes(x, v, cols)[0] * gy).sum()), rows)
+        num_cols = T.numeric_gradient(
+            lambda v: float((T._sample_planes(x, rows, v)[0] * gy).sum()), cols)
+        # on an integer coordinate next to the map the sample has a kink, where
+        # a central difference averages the two one-sided slopes
+        for got, num, coord in ((grows, num_rows, rows), (gcols, num_cols, cols)):
+            smooth = (coord != np.floor(coord)) | (np.abs(coord) > 100)
+            assert T.relative_error(got[smooth], num[smooth]) <= 1e-6
+
+
 class TestConcat:
     def test_single_input_identity(self, rng):
         x = rng.standard_normal((1, 3, 2, 2)).astype(np.float32)
@@ -309,6 +426,17 @@ class TestTape:
         assert len(tape.nodes) == 2
         tape.backward([(y, np.ones_like(y))])
         assert tape.nodes == []
+
+    def test_forward_tape_keeps_nothing(self, rng):
+        x = rng.standard_normal((1, 2, 4, 4))
+        weights = {"a.w": rng.standard_normal((3, 2, 1, 1)), "a.b": np.zeros(3)}
+        outs = []
+        for tape in (T.Tape(), T.ForwardTape()):
+            outs.append(tape.sigmoid(tape.conv(x, weights, "a", T.ConvSpec(1, 1))))
+        np.testing.assert_array_equal(outs[0], outs[1])
+        assert tape.nodes == []
+        with pytest.raises(RuntimeError, match="cannot be replayed"):
+            tape.backward([(outs[1], np.ones_like(outs[1]))])
 
 
 class TestNumericGradient:

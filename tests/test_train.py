@@ -331,6 +331,19 @@ class TestFullModelGradient:
                 <= 1e-6, name
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_tape_gives_the_recorded_maps(self, rng, dtype):
+        pyr, wf, _ = toy_setup()
+        weights = init_model_weights(pyr, wf, seed=2, dtype=dtype, offset_init="random")
+        img = rng.uniform(0, 1, size=(1, 3, 32, 32)).astype(dtype)
+        recorded, tape = model_forward(img, weights, pyr, wf)
+        assert tape.nodes
+        maps, bare = model_forward(img, weights, pyr, wf, T.ForwardTape())
+        assert bare.nodes == []
+        for got, want in ((maps.heatmaps, recorded.heatmaps),
+                          (maps.offsets, recorded.offsets)):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_zero_width_level_gets_zero_gradients(self, rng, dtype):
         widths = (2, 0, 2, 2)
         pyr = PyramidConfig(widths=widths, stem_width=2)
