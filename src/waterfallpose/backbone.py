@@ -84,11 +84,11 @@ def init_backbone_weights(cfg: PyramidConfig, rng: np.random.Generator,
     return weights
 
 
-def backbone_forward(image: np.ndarray, weights: dict, cfg: PyramidConfig, tape=None):
-    """Run the stem and the four level branches.
+def backbone_forward(image: np.ndarray, weights: dict, cfg: PyramidConfig, tape):
+    """Run the stem and the four level branches, recording on tape.
 
     image is (N, 3, H, W) with H and W divisible by 8 * base_stride. Returns
-    (FeaturePyramid, tape).
+    the FeaturePyramid.
     """
     n, c, h, w = image.shape
     if c != 3:
@@ -97,7 +97,6 @@ def backbone_forward(image: np.ndarray, weights: dict, cfg: PyramidConfig, tape=
     if h % div or w % div:
         raise T.ShapeError(
             f"image extents {h}x{w} must be divisible by {div}; pad the input first")
-    tape = T.Tape() if tape is None else tape
 
     def block(name, x, spec):
         return tape.relu(tape.conv(x, weights, name, spec))
@@ -115,4 +114,4 @@ def backbone_forward(image: np.ndarray, weights: dict, cfg: PyramidConfig, tape=
             spec = S3D2 if j < lv else S3
             y = block(f"backbone.level{lv}.{j}", y, spec)
         levels.append(y)
-    return FeaturePyramid(levels, low_level), tape
+    return FeaturePyramid(levels, low_level)

@@ -129,11 +129,12 @@ def gradient_checks():
     fm = rng.standard_normal((1, wf.head_width, 8, 8))
     gh = rng.standard_normal((1, wf.heatmap_channels, 8, 8))
     go = rng.standard_normal((1, wf.offset_channels, 8, 8))
-    maps, tape = W.heads_forward(fm, weights, wf)
+    tape = T.Tape()
+    maps = W.heads_forward(fm, weights, wf, tape)
     grads, (g_fm,) = tape.backward([(maps.heatmaps, gh), (maps.offsets, go)], wrt=[fm])
 
     def head_loss(v):
-        m, _ = W.heads_forward(v, weights, wf)
+        m = W.heads_forward(v, weights, wf, T.ForwardTape())
         return float((m.heatmaps * gh).sum() + (m.offsets * go).sum())
 
     record("heads/input", _grad_vs_numeric(g_fm, head_loss, fm))
@@ -141,7 +142,7 @@ def gradient_checks():
         def f(v, name=name):
             trial = dict(weights)
             trial[name] = v.reshape(weights[name].shape)
-            m, _ = W.heads_forward(fm, trial, wf)
+            m = W.heads_forward(fm, trial, wf, T.ForwardTape())
             return float((m.heatmaps * gh).sum() + (m.offsets * go).sum())
         record("heads/" + name, _grad_vs_numeric(grads[name], f, weights[name]))
 
@@ -185,12 +186,12 @@ def full_model_gradient_error(img, anns, weights, pyr, wf, coords, seed):
     tcfg = TrainConfig()
 
     def model_loss():
-        m, _ = model_forward(img, weights, pyr, wf)
+        m, _ = model_forward(img, weights, pyr, wf, T.ForwardTape())
         return total_loss(m, heat_t, off_t, off_m, off_s, tcfg)[0]
 
     maps, tape = model_forward(img, weights, pyr, wf)
     _, _, _, gh, go = total_loss(maps, heat_t, off_t, off_m, off_s, tcfg)
-    grads, _ = model_backward(tape, gh, go, weights, pyr, wf)
+    grads = model_backward(tape, maps, gh, go)
     coord_rng = np.random.default_rng(seed)
     h = 1e-6
     worst = 0.0

@@ -17,7 +17,7 @@ from .config import ConfigError, RunConfig, default_config, parse_config
 from .decode import PoseInstance, decode_poses
 from .metrics import evaluate
 from .model import init_model_weights, model_forward
-from .tensor import ForwardTape, ShapeError
+from .tensor import ForwardTape
 from .train import TrainingError, train_loop
 
 EXIT_OK = 0
@@ -157,11 +157,8 @@ def _check_keypoint_count(cfg: RunConfig, dataset):
 
 def cmd_infer(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        weights, _, _, _ = dataio.load_checkpoint(
-            _read_file(args.checkpoint), expected_fingerprint=cfg.fingerprint())
-    except dataio.FormatError as e:
-        raise DataError(str(e)) from e
+    weights, _, _, _ = dataio.load_checkpoint(
+        _read_file(args.checkpoint), expected_fingerprint=cfg.fingerprint())
     image = dataio.read_image_ppm(_read_file(args.image))
     padded = _pad_to_divisor(image, cfg.pyramid.divisor())
     maps, _ = model_forward(padded, weights, cfg.pyramid, cfg.waterfall, ForwardTape())
@@ -178,7 +175,7 @@ def cmd_infer(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    dataset = _parse_dataset(args.dataset)
+    dataset = dataio.parse_annotations(_read_file(args.dataset, binary=False))
     _check_keypoint_count(cfg, dataset)
     samples = _load_samples(cfg, dataset, args.images)
     os.makedirs(args.out, exist_ok=True)
@@ -205,26 +202,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _parse_dataset(path):
-    try:
-        return dataio.parse_annotations(_read_file(path, binary=False))
-    except dataio.FormatError as e:
-        raise DataError(str(e)) from e
-
-
 def _fmt_cell(v) -> str:
     return "-" if v is None else f"{100.0 * v:5.1f}%"
 
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
-    dataset = _parse_dataset(args.dataset)
+    dataset = dataio.parse_annotations(_read_file(args.dataset, binary=False))
     _check_keypoint_count(cfg, dataset)
-    try:
-        preds = dataio.parse_results(_read_file(args.results, binary=False),
-                                     dataset.num_keypoints)
-    except dataio.FormatError as e:
-        raise DataError(str(e)) from e
+    preds = dataio.parse_results(_read_file(args.results, binary=False),
+                                 dataset.num_keypoints)
     gts = {img.id: dataset.annotations[img.id] for img in dataset.images}
     res = evaluate(preds, gts, cfg.oks, style=cfg.eval_style,
                    area_edges=cfg.area_edges, crowd_edges=cfg.crowd_edges)
@@ -310,10 +297,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (dataio.FormatError, ConfigError, ShapeError, ValueError) as e:
+    except (DataError, ValueError) as e:   # FormatError, ConfigError, ShapeError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

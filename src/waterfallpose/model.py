@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .backbone import PyramidConfig, init_backbone_weights, backbone_forward
+from .tensor import Tape
 from .waterfall import WaterfallConfig, init_waterfall_weights, waterfall_module_forward
 
 
@@ -40,22 +41,13 @@ def model_forward(image: np.ndarray, weights: dict, pyr: PyramidConfig,
     tape defaults to a new recording tensor.Tape; pass a tensor.ForwardTape
     for a pass that is never replayed, so no kernel cache outlives its kernel.
     """
-    pyramid, tape = backbone_forward(image, weights, pyr, tape)
-    maps, tape = waterfall_module_forward(pyramid, weights, wf, tape)
-    tape.image, tape.maps = image, maps     # the ends model_backward replays between
-    return maps, tape
+    tape = Tape() if tape is None else tape
+    pyramid = backbone_forward(image, weights, pyr, tape)
+    return waterfall_module_forward(pyramid, weights, wf, tape), tape
 
 
-def model_backward(cache, g_heat, g_offsets, weights, pyr: PyramidConfig,
-                   wf: WaterfallConfig):
-    """Replay the tape model_forward returned (cache) from the heatmap and
-    offset gradients. Returns (grads dict covering every weight, gradient on
-    the image); a weight the replay does not reach gets zeros.
-    """
-    grads, (g_image,) = cache.backward(
-        [(cache.maps.heatmaps, g_heat), (cache.maps.offsets, g_offsets)],
-        wrt=[cache.image])
-    for name, w in weights.items():
-        if name not in grads:
-            grads[name] = np.zeros_like(w)
-    return grads, g_image
+def model_backward(tape, maps, g_heat, g_offsets):
+    """Replay the tape model_forward returned from the gradients on its maps.
+    Returns the gradient of every weight, by name."""
+    grads, _ = tape.backward([(maps.heatmaps, g_heat), (maps.offsets, g_offsets)])
+    return grads

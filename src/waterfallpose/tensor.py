@@ -255,6 +255,10 @@ def _sample_planes(x: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     value is ((v0*w0 + v1*w1) + v2*w2) + v3*w3 in _CORNERS order.
     """
     n, c, h, w = x.shape
+    # bound finite coordinates to just off the map, so the integer cast below
+    # stays in range; a bounded coordinate still has every corner off the map
+    rows = np.clip(rows, -2, h)
+    cols = np.clip(cols, -2, w)
     r0 = np.floor(rows)
     c0 = np.floor(cols)
     fr = (rows - r0).astype(x.dtype)

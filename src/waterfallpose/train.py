@@ -230,13 +230,13 @@ def train_loop(samples, weights: dict, pyr: PyramidConfig, wf: WaterfallConfig,
             heat_t = render_keypoint_heatmaps(heat_anns, k, hh, hw, cfg.sigma)
             off_t, off_m, off_s = render_offset_targets(
                 heat_anns, k, hh, hw, cfg.offset_radius)
-            maps, cache = model_forward(image_a, weights, pyr, wf)
+            maps, tape = model_forward(image_a, weights, pyr, wf)
             total, lh, lo, gh, go = total_loss(maps, heat_t, off_t, off_m,
                                                off_s, cfg)
             if not np.isfinite(total):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, sample {int(idx)}")
-            grads, _ = model_backward(cache, gh, go, weights, pyr, wf)
+            grads = model_backward(tape, maps, gh, go)
             # a finite loss can still carry a NaN or inf gradient into Adam
             bad = next((name for name in sorted(grads)
                         if not np.isfinite(grads[name]).all()), None)

@@ -163,32 +163,30 @@ def init_waterfall_weights(cfg: WaterfallConfig, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # stage 1: pyramid fusion
 
-def fuse_pyramid(p: FeaturePyramid, tape=None):
+def fuse_pyramid(p: FeaturePyramid, tape):
     """Resize levels 1..3 to level-0 extents and concatenate in level order.
 
-    Zero-width levels contribute no channels. Returns (g0, tape).
+    A zero-width level adds no channels but stays in the concat, so the
+    replay still reaches its (empty) weights. Returns g0.
     """
-    tape = T.Tape() if tape is None else tape
     h, w = p.base_extents()
-    parts = [f if lv == 0 else tape.resize(f, h, w)
-             for lv, f in enumerate(p.levels) if f.shape[1]]
-    return tape.concat(parts), tape
+    return tape.concat([f if lv == 0 else tape.resize(f, h, w)
+                        for lv, f in enumerate(p.levels)])
 
 
 # ---------------------------------------------------------------------------
 # stage 2: waterfall cascade
 
-def waterfall_forward(g0: np.ndarray, weights: dict, cfg: WaterfallConfig, tape=None):
+def waterfall_forward(g0: np.ndarray, weights: dict, cfg: WaterfallConfig, tape):
     """Cascade of dilated 3x3 convolutions plus a pooled branch.
 
     Each branch output feeds the next branch; the four branch outputs and the
     pooled branch are concatenated and a 1x1 brings the width to
-    cfg.waterfall_width. Returns (f_waterfall, tape).
+    cfg.waterfall_width. Returns f_waterfall.
     """
     if g0.shape[1] != cfg.fused_width:
         raise T.ShapeError(
             f"fused input has {g0.shape[1]} channels, config says {cfg.fused_width}")
-    tape = T.Tape() if tape is None else tape
     x = g0
     outs = []
     for i, d in enumerate(cfg.dilations):
@@ -197,24 +195,23 @@ def waterfall_forward(g0: np.ndarray, weights: dict, cfg: WaterfallConfig, tape=
         outs.append(x)
     pooled = tape.conv(tape.pool(g0), weights, "wf.pool", S1)
     outs.append(tape.resize(pooled, g0.shape[2], g0.shape[3]))
-    return tape.conv(tape.concat(outs), weights, "wf.out", S1), tape
+    return tape.conv(tape.concat(outs), weights, "wf.out", S1)
 
 
 # ---------------------------------------------------------------------------
 # stage 3: low-level fusion and reduction
 
 def fuse_low_level(low_level: np.ndarray, f_waterfall: np.ndarray,
-                   weights: dict, cfg: WaterfallConfig, tape=None):
+                   weights: dict, cfg: WaterfallConfig, tape):
     """Project the low-level map to the waterfall width, add, then two 1x1
-    stages, the last reducing to cfg.head_width. Returns (f_maps, tape)."""
+    stages, the last reducing to cfg.head_width. Returns f_maps."""
     if low_level.shape[2:] != f_waterfall.shape[2:]:
         raise T.ShapeError(
             f"low-level extents {low_level.shape[2:]} do not match waterfall "
             f"extents {f_waterfall.shape[2:]}")
-    tape = T.Tape() if tape is None else tape
     s = tape.add(tape.conv(low_level, weights, "llf.proj", S1), f_waterfall)
     mid = tape.conv(s, weights, "llf.mid", S1)
-    return tape.conv(mid, weights, "llf.out", S1), tape
+    return tape.conv(mid, weights, "llf.out", S1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +237,12 @@ def affine_to_offsets_backward(g_offsets: np.ndarray) -> np.ndarray:
     return g.reshape(n, 6, h, w)
 
 
-def predict_offsets(features: np.ndarray, weights: dict, name: str, tape=None):
+def predict_offsets(features: np.ndarray, weights: dict, name: str, tape):
     """1x1 predictor emitting 6 affine parameters per pixel, expanded to the
-    18-channel tap displacement field. Returns (offsets, tape)."""
-    tape = T.Tape() if tape is None else tape
+    18-channel tap displacement field. Returns the offsets."""
     params = tape.conv(features, weights, name, S1)
     return tape.record(affine_to_offsets(params), (params,),
-                       lambda g: (affine_to_offsets_backward(g),)), tape
+                       lambda g: (affine_to_offsets_backward(g),))
 
 
 def canonical_offsets(n: int, h: int, w: int, dtype=np.float32) -> np.ndarray:
@@ -304,41 +300,40 @@ def adaptive_conv_backward(cache, gy):
 def _adaptive_branch(tape, x: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
     """Tap predictor, adaptive conv over x, ReLU, 1x1 out: one head branch,
     with the adaptive conv recorded on the tape like any other kernel."""
-    offsets, _ = predict_offsets(x, weights, prefix + ".taps", tape)
+    offsets = predict_offsets(x, weights, prefix + ".taps", tape)
     name = prefix + ".adapt.w"
     y, cache = adaptive_conv(x, T.weight(weights, name), offsets)
     y = tape.record(y, (x, name, offsets), lambda gy: adaptive_conv_backward(cache, gy))
     return tape.conv(tape.relu(y), weights, prefix + ".out", S1)
 
 
-def heads_forward(f_maps: np.ndarray, weights: dict, cfg: WaterfallConfig, tape=None):
+def heads_forward(f_maps: np.ndarray, weights: dict, cfg: WaterfallConfig, tape):
     """Keypoint and offset heads over the fused feature map.
 
     Keypoint head: offset-predicted adaptive conv, ReLU, 1x1 to the score
     channels, sigmoid. Offset head: 1x1 expansion into per-keypoint groups,
     each with its own adaptive conv and 1x1 down to a (dx, dy) pair.
-    Returns (PoseMaps, tape).
+    Returns the PoseMaps.
     """
     if f_maps.shape[1] != cfg.head_width:
         raise T.ShapeError(
             f"head input has {f_maps.shape[1]} channels, config says {cfg.head_width}")
-    tape = T.Tape() if tape is None else tape
     heat = tape.sigmoid(_adaptive_branch(tape, f_maps, weights, "head.kp"))
     expanded = tape.conv(f_maps, weights, "head.off.expand", S1)
     groups = tape.split(expanded, [cfg.group_width] * cfg.keypoints)
     offsets = tape.concat(_adaptive_branch(tape, feat, weights, f"head.off.g{k}")
                           for k, feat in enumerate(groups))
-    return PoseMaps(heat, offsets), tape
+    return PoseMaps(heat, offsets)
 
 
 # ---------------------------------------------------------------------------
 # full module
 
 def waterfall_module_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig,
-                             tape=None):
+                             tape):
     """fuse_pyramid -> waterfall -> low-level fusion -> heads.
-    Returns (PoseMaps, tape)."""
-    g0, tape = fuse_pyramid(p, tape)
-    f_wf, _ = waterfall_forward(g0, weights, cfg, tape)
-    f_maps, _ = fuse_low_level(p.low_level, f_wf, weights, cfg, tape)
+    Returns the PoseMaps."""
+    g0 = fuse_pyramid(p, tape)
+    f_wf = waterfall_forward(g0, weights, cfg, tape)
+    f_maps = fuse_low_level(p.low_level, f_wf, weights, cfg, tape)
     return heads_forward(f_maps, weights, cfg, tape)

@@ -114,10 +114,11 @@ def test_04_channel_arithmetic_at_paper_widths():
     levels = [rng.standard_normal((1, c, 8 >> i, 8 >> i)).astype(np.float32)
               for i, c in enumerate((32, 64, 128, 256))]
     p = FeaturePyramid(levels, rng.standard_normal((1, 32, 8, 8)).astype(np.float32))
-    g0, _ = W.fuse_pyramid(p)
-    f_wf, _ = W.waterfall_forward(g0, wts, cfg)
-    f_maps, _ = W.fuse_low_level(p.low_level, f_wf, wts, cfg)
-    maps, _ = W.heads_forward(f_maps, wts, cfg)
+    tape = T.Tape()
+    g0 = W.fuse_pyramid(p, tape)
+    f_wf = W.waterfall_forward(g0, wts, cfg, tape)
+    f_maps = W.fuse_low_level(p.low_level, f_wf, wts, cfg, tape)
+    maps = W.heads_forward(f_maps, wts, cfg, tape)
     ok = (g0.shape[1] == 480 and f_maps.shape[1] == 120
           and maps.heatmaps.shape[1] == 18 and maps.offsets.shape[1] == 34)
     report(4, "channel arithmetic: 480 fused, 120 final, 18+34 head channels",

@@ -10,7 +10,7 @@ def test_paper_width_shapes(rng):
     cfg = PyramidConfig()
     w = init_backbone_weights(cfg, rng)
     img = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
-    p, _ = backbone_forward(img, w, cfg)
+    p = backbone_forward(img, w, cfg, T.Tape())
     assert [f.shape for f in p.levels] == [
         (1, 32, 16, 16), (1, 64, 8, 8), (1, 128, 4, 4), (1, 256, 2, 2)]
     assert p.low_level.shape == (1, 32, 16, 16)
@@ -20,7 +20,7 @@ def test_toy_width_shapes(rng):
     cfg = PyramidConfig(widths=(4, 8, 16, 32), stem_width=4)
     w = init_backbone_weights(cfg, rng)
     img = rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
-    p, _ = backbone_forward(img, w, cfg)
+    p = backbone_forward(img, w, cfg, T.Tape())
     assert [f.shape for f in p.levels] == [
         (1, 4, 8, 8), (1, 8, 4, 4), (1, 16, 2, 2), (1, 32, 1, 1)]
 
@@ -29,7 +29,7 @@ def test_zero_weights_zero_pyramid(rng):
     cfg = PyramidConfig(widths=(4, 8, 16, 32), stem_width=4)
     w = {k: np.zeros_like(v) for k, v in init_backbone_weights(cfg, rng).items()}
     img = rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
-    p, _ = backbone_forward(img, w, cfg)
+    p = backbone_forward(img, w, cfg, T.Tape())
     for f in p.levels + [p.low_level]:
         assert not f.any()
 
@@ -38,7 +38,7 @@ def test_indivisible_extents_rejected(rng):
     cfg = PyramidConfig(widths=(4, 8, 16, 32), stem_width=4)
     w = init_backbone_weights(cfg, rng)
     with pytest.raises(T.ShapeError, match="divisible"):
-        backbone_forward(np.zeros((1, 3, 40, 32), dtype=np.float32), w, cfg)
+        backbone_forward(np.zeros((1, 3, 40, 32), dtype=np.float32), w, cfg, T.Tape())
 
 
 def test_randomized_config_shapes(rng):
@@ -50,8 +50,8 @@ def test_randomized_config_shapes(rng):
         w = init_backbone_weights(cfg, rng)
         mult = int(rng.integers(1, 3))
         h, wd = 32 * mult, 32
-        p, _ = backbone_forward(
-            rng.standard_normal((1, 3, h, wd)).astype(np.float32), w, cfg)
+        p = backbone_forward(
+            rng.standard_normal((1, 3, h, wd)).astype(np.float32), w, cfg, T.Tape())
         bh, bw = h // 4, wd // 4
         for lv, f in enumerate(p.levels):
             assert f.shape == (1, widths[lv], bh >> lv, bw >> lv)
@@ -67,10 +67,11 @@ def test_stem_gradient_matches_numeric(rng):
     proj = [rng.standard_normal((1, 2, 8 >> lv, 8 >> lv)) for lv in range(4)]
 
     def loss_for(wset):
-        p, _ = backbone_forward(img, wset, cfg)
+        p = backbone_forward(img, wset, cfg, T.Tape())
         return sum(float((f * g).sum()) for f, g in zip(p.levels, proj))
 
-    p, tape = backbone_forward(img, weights, cfg)
+    tape = T.Tape()
+    p = backbone_forward(img, weights, cfg, tape)
     grads, _ = tape.backward(zip(p.levels, proj))
     for name in ("backbone.stem.0.w", "backbone.stem.1.w", "backbone.stem.0.b"):
         def f(v, name=name):
@@ -90,11 +91,12 @@ def test_image_gradient_matches_numeric(rng):
     gll = rng.standard_normal((1, 2, 8, 8))
 
     def f(v):
-        p, _ = backbone_forward(v, weights, cfg)
+        p = backbone_forward(v, weights, cfg, T.Tape())
         s = sum(float((f_ * g).sum()) for f_, g in zip(p.levels, proj))
         return s + float((p.low_level * gll).sum())
 
-    p, tape = backbone_forward(img, weights, cfg)
+    tape = T.Tape()
+    p = backbone_forward(img, weights, cfg, tape)
     _, (g_img,) = tape.backward([*zip(p.levels, proj), (p.low_level, gll)], wrt=[img])
     num = T.numeric_gradient(f, img)
     assert T.relative_error(g_img, num) <= 1e-6

@@ -196,6 +196,16 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "images[0]" in err
 
+    def test_eval_malformed_result_record(self, workdir, capsys):
+        tmp, cfg = workdir
+        (tmp / "r.json").write_text('[{"image_id": 1}]')
+        code = main(["eval", "--config", str(tmp / "toy.cfg"),
+                     "--dataset", str(tmp / "data.json"),
+                     "--results", str(tmp / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "results[0]" in err
+
 
 class TestChecks:
     def test_selftest_passes(self, capsys):

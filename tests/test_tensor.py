@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,18 @@ class TestBilinearSample:
         x = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
         v = T.bilinear_sample(x, np.array([[-5.0, -5.0], [10.0, 1.0]]))
         np.testing.assert_array_equal(v[0, 0], [0.0, 0.0])
+
+    def test_far_points_read_zero_without_warnings(self, rng):
+        # a coordinate past the intp range must not reach the integer cast
+        x = rng.standard_normal((2, 3, 4, 5))
+        pts = np.array([[1e300, 0.0], [-1e300, 2.5], [1.5, 1e300], [-1e300, -1e300]])
+        gy = rng.standard_normal((2, 3, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = T.bilinear_sample(x, pts)
+            gx, gpts = T.bilinear_sample_backward(x, pts, gy)
+        assert not v.any() and not gx.any() and not gpts.any()
+        assert v.shape == (2, 3, 4) and gx.shape == x.shape and gpts.shape == pts.shape
 
     def test_backward(self, rng):
         x = rng.standard_normal((2, 2, 4, 4))

@@ -261,9 +261,9 @@ class TestLoop:
         real_backward = TR.model_backward
 
         def poisoned(*args, **kwargs):
-            grads, g_image = real_backward(*args, **kwargs)
+            grads = real_backward(*args, **kwargs)
             grads["llf.mid.w"].flat[3] = np.nan
-            return grads, g_image
+            return grads
 
         monkeypatch.setattr(TR, "model_backward", poisoned)
         cfg = TR.TrainConfig(epochs=1, seed=5, **IDENTITY_AUG)
@@ -315,11 +315,11 @@ class TestFullModelGradient:
                 off_s.astype(np.float64), cfg)
             return total
 
-        maps, cache = model_forward(img, weights, pyr, wf)
+        maps, tape = model_forward(img, weights, pyr, wf)
         _, _, _, gh, go = TR.total_loss(maps, heat_t, off_t.astype(np.float64),
                                         off_m.astype(np.float64),
                                         off_s.astype(np.float64), cfg)
-        grads, _ = model_backward(cache, gh, go, weights, pyr, wf)
+        grads = model_backward(tape, maps, gh, go)
         for name in ("backbone.stem.0.w", "backbone.level1.0.w", "wf.branch2.w",
                      "llf.mid.w", "head.kp.out.b", "head.off.g0.adapt.w"):
             def f(v, name=name):
@@ -345,18 +345,18 @@ class TestFullModelGradient:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_zero_width_level_gets_zero_gradients(self, rng, dtype):
-        widths = (2, 0, 2, 2)
-        pyr = PyramidConfig(widths=widths, stem_width=2)
-        wf = WaterfallConfig(level_widths=widths, low_level_width=2, branch_width=2,
-                             out_width=3, final_width=2, keypoints=2, group_width=2)
-        weights = init_model_weights(pyr, wf, seed=1, dtype=dtype)
-        img = rng.uniform(0, 1, size=(1, 3, 32, 32)).astype(dtype)
-        maps, cache = model_forward(img, weights, pyr, wf)
-        grads, g_image = model_backward(cache, np.ones_like(maps.heatmaps),
-                                        np.ones_like(maps.offsets), weights, pyr, wf)
-        assert set(grads) == set(weights)
-        for name, w in weights.items():
-            assert grads[name].shape == w.shape and grads[name].dtype == w.dtype, name
-            if name.startswith("backbone.level1."):
-                assert not grads[name].any(), name
-        assert g_image.shape == img.shape and g_image.dtype == dtype
+        for widths in ((2, 0, 2, 2), (0, 2, 2, 2), (2, 2, 2, 0)):
+            pyr = PyramidConfig(widths=widths, stem_width=2)
+            wf = WaterfallConfig(level_widths=widths, low_level_width=2, branch_width=2,
+                                 out_width=3, final_width=2, keypoints=2, group_width=2)
+            weights = init_model_weights(pyr, wf, seed=1, dtype=dtype)
+            img = rng.uniform(0, 1, size=(1, 3, 32, 32)).astype(dtype)
+            maps, tape = model_forward(img, weights, pyr, wf)
+            grads = model_backward(tape, maps, np.ones_like(maps.heatmaps),
+                                   np.ones_like(maps.offsets))
+            assert set(grads) == set(weights)
+            empty = f"backbone.level{widths.index(0)}."
+            for name, w in weights.items():
+                assert grads[name].shape == w.shape and grads[name].dtype == w.dtype, name
+                if name.startswith(empty):
+                    assert not grads[name].any(), name

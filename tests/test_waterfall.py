@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,35 +24,36 @@ def toy_cfg(**over):
 class TestFusePyramid:
     def test_paper_widths_480(self, rng):
         p = make_pyramid(rng, widths=(32, 64, 128, 256), low=32, h=8, w=8)
-        g0, _ = W.fuse_pyramid(p)
+        g0 = W.fuse_pyramid(p, T.Tape())
         assert g0.shape == (1, 480, 8, 8)
 
     def test_toy_widths_60(self, rng):
-        g0, _ = W.fuse_pyramid(make_pyramid(rng))
+        g0 = W.fuse_pyramid(make_pyramid(rng), T.Tape())
         assert g0.shape[1] == 60
 
     def test_degenerate_single_level(self, rng):
         p = make_pyramid(rng, widths=(4, 0, 0, 0))
-        g0, _ = W.fuse_pyramid(p)
+        g0 = W.fuse_pyramid(p, T.Tape())
         np.testing.assert_array_equal(g0, p.levels[0])
 
     def test_matches_resize_concat(self, rng):
         p = make_pyramid(rng)
-        g0, _ = W.fuse_pyramid(p)
+        g0 = W.fuse_pyramid(p, T.Tape())
         ref = T.concat_channels([p.levels[0]] + [
             T.bilinear_resize(f, 8, 8) for f in p.levels[1:]])
         np.testing.assert_array_equal(g0, ref)
 
     def test_backward(self, rng):
         p = make_pyramid(rng, widths=(2, 2, 2, 2), low=2, dtype=np.float64)
-        g0, tape = W.fuse_pyramid(p)
+        tape = T.Tape()
+        g0 = W.fuse_pyramid(p, tape)
         gy = rng.standard_normal(g0.shape)
         _, grads = tape.backward([(g0, gy)], wrt=p.levels)
         for lv in range(4):
             def f(v, lv=lv):
                 q = FeaturePyramid(
                     [v if i == lv else p.levels[i] for i in range(4)], p.low_level)
-                return float((W.fuse_pyramid(q)[0] * gy).sum())
+                return float((W.fuse_pyramid(q, T.Tape()) * gy).sum())
             num = T.numeric_gradient(f, p.levels[lv])
             assert T.relative_error(grads[lv], num) <= 1e-6
 
@@ -78,21 +81,21 @@ class TestWaterfall:
             cfg = toy_cfg(branch_width=b, out_width=24)
             wts = W.init_waterfall_weights(cfg, rng)
             g0 = rng.standard_normal((1, 60, 8, 8)).astype(np.float32)
-            out, _ = W.waterfall_forward(g0, wts, cfg)
+            out = W.waterfall_forward(g0, wts, cfg, T.Tape())
             assert out.shape == (1, 24, 8, 8)
 
     def test_zero_weights_zero_output(self, rng):
         cfg = toy_cfg()
         wts = {k: np.zeros_like(v) for k, v in W.init_waterfall_weights(cfg, rng).items()}
         g0 = rng.standard_normal((1, 60, 8, 8)).astype(np.float32)
-        out, _ = W.waterfall_forward(g0, wts, cfg)
+        out = W.waterfall_forward(g0, wts, cfg, T.Tape())
         assert not out.any()
 
     def test_matches_straight_line_oracle(self, rng):
         cfg = toy_cfg()
         wts = W.init_waterfall_weights(cfg, rng, offset_init="random")
         g0 = rng.standard_normal((1, 60, 8, 8)).astype(np.float32)
-        out, _ = W.waterfall_forward(g0, wts, cfg)
+        out = W.waterfall_forward(g0, wts, cfg, T.Tape())
         assert T.relative_error(out, straight_line_waterfall(g0, wts, cfg)) <= 1e-6
 
     def test_dilation_order_matters(self, rng):
@@ -100,15 +103,16 @@ class TestWaterfall:
         cfg_a = toy_cfg(dilations=(1, 6, 12, 18))
         cfg_b = toy_cfg(dilations=(18, 12, 6, 1))
         wts = W.init_waterfall_weights(cfg_a, np.random.default_rng(7))
-        out_a, _ = W.waterfall_forward(g0, wts, cfg_a)
-        out_b, _ = W.waterfall_forward(g0, wts, cfg_b)
+        out_a = W.waterfall_forward(g0, wts, cfg_a, T.Tape())
+        out_b = W.waterfall_forward(g0, wts, cfg_b, T.Tape())
         assert T.relative_error(out_a, out_b) > 1e-3
 
     def test_width_mismatch_rejected(self, rng):
         cfg = toy_cfg()
         wts = W.init_waterfall_weights(cfg, rng)
         with pytest.raises(T.ShapeError, match="channels"):
-            W.waterfall_forward(np.zeros((1, 59, 8, 8), dtype=np.float32), wts, cfg)
+            W.waterfall_forward(np.zeros((1, 59, 8, 8), dtype=np.float32), wts, cfg,
+                                T.Tape())
 
 
 class TestFuseLowLevel:
@@ -117,7 +121,7 @@ class TestFuseLowLevel:
         wts = W.init_waterfall_weights(cfg, rng)
         low = rng.standard_normal((1, 32, 4, 4)).astype(np.float32)
         f_wf = rng.standard_normal((1, 480, 4, 4)).astype(np.float32)
-        out, _ = W.fuse_low_level(low, f_wf, wts, cfg)
+        out = W.fuse_low_level(low, f_wf, wts, cfg, T.Tape())
         assert out.shape == (1, 120, 4, 4)
 
     def test_zero_projection_isolates_waterfall_path(self, rng):
@@ -128,8 +132,8 @@ class TestFuseLowLevel:
         f_wf = rng.standard_normal((1, 16, 8, 8)).astype(np.float32)
         low_a = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
         low_b = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        out_a, _ = W.fuse_low_level(low_a, f_wf, wts, cfg)
-        out_b, _ = W.fuse_low_level(low_b, f_wf, wts, cfg)
+        out_a = W.fuse_low_level(low_a, f_wf, wts, cfg, T.Tape())
+        out_b = W.fuse_low_level(low_b, f_wf, wts, cfg, T.Tape())
         np.testing.assert_array_equal(out_a, out_b)
 
     def test_matches_straight_line_oracle(self, rng):
@@ -137,7 +141,7 @@ class TestFuseLowLevel:
         wts = W.init_waterfall_weights(cfg, rng)
         low = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
         f_wf = rng.standard_normal((1, 16, 8, 8)).astype(np.float32)
-        out, _ = W.fuse_low_level(low, f_wf, wts, cfg)
+        out = W.fuse_low_level(low, f_wf, wts, cfg, T.Tape())
         proj = T.conv2d(low, wts["llf.proj.w"], wts["llf.proj.b"], W.S1)
         mid = T.conv2d(proj + f_wf, wts["llf.mid.w"], wts["llf.mid.b"], W.S1)
         ref = T.conv2d(mid, wts["llf.out.w"], wts["llf.out.b"], W.S1)
@@ -148,7 +152,8 @@ class TestFuseLowLevel:
         wts = W.init_waterfall_weights(cfg, rng)
         with pytest.raises(T.ShapeError, match="extents"):
             W.fuse_low_level(np.zeros((1, 4, 8, 8), dtype=np.float32),
-                             np.zeros((1, 16, 4, 4), dtype=np.float32), wts, cfg)
+                             np.zeros((1, 16, 4, 4), dtype=np.float32), wts, cfg,
+                             T.Tape())
 
 
 class TestAdaptiveConv:
@@ -198,6 +203,19 @@ class TestAdaptiveConv:
         num = T.numeric_gradient(lambda v: float((W.adaptive_conv(x, w9, v)[0] * gy).sum()), off)
         assert T.relative_error(goff, num) <= 1e-6
 
+    def test_far_offsets_read_zero_without_warnings(self, rng):
+        x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
+        w9 = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+        off = np.full((1, 18, 4, 4), 1e30, dtype=np.float32)
+        off[:, 0::4] = -1e30
+        gy = rng.standard_normal((1, 3, 4, 4)).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, cache = W.adaptive_conv(x, w9, off)
+            grads = W.adaptive_conv_backward(cache, gy)
+        assert y.shape == (1, 3, 4, 4) and not y.any()
+        assert not any(g.any() for g in grads)
+
     def test_bad_offset_channels_rejected(self, rng):
         x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
         w9 = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
@@ -210,7 +228,7 @@ class TestPredictOffsets:
         cfg = toy_cfg()
         wts = W.init_waterfall_weights(cfg, rng, offset_init="canonical")
         feat = rng.standard_normal((1, cfg.head_width, 6, 6)).astype(np.float32)
-        off, _ = W.predict_offsets(feat, wts, "head.kp.taps")
+        off = W.predict_offsets(feat, wts, "head.kp.taps", T.Tape())
         np.testing.assert_allclose(off, W.canonical_offsets(1, 6, 6), atol=1e-7)
 
     def test_scale_two_spans_5x5(self):
@@ -252,16 +270,19 @@ class TestPredictOffsets:
                W.init_waterfall_weights(cfg, rng, offset_init="random").items()}
         feat = rng.standard_normal((1, cfg.head_width, 4, 4))
         gy = rng.standard_normal((1, 18, 4, 4))
-        off, tape = W.predict_offsets(feat, wts, "head.kp.taps")
+        tape = T.Tape()
+        off = W.predict_offsets(feat, wts, "head.kp.taps", tape)
         grads, (gx,) = tape.backward([(off, gy)], wrt=[feat])
         num = T.numeric_gradient(
-            lambda v: float((W.predict_offsets(v, wts, "head.kp.taps")[0] * gy).sum()), feat)
+            lambda v: float((W.predict_offsets(v, wts, "head.kp.taps", T.Tape())
+                             * gy).sum()), feat)
         assert T.relative_error(gx, num) <= 1e-6
         name = "head.kp.taps.w"
         def f(v):
             trial = dict(wts)
             trial[name] = v.reshape(wts[name].shape)
-            return float((W.predict_offsets(feat, trial, "head.kp.taps")[0] * gy).sum())
+            return float((W.predict_offsets(feat, trial, "head.kp.taps", T.Tape())
+                          * gy).sum())
         num = T.numeric_gradient(f, wts[name].reshape(1, 1, 6, -1))
         assert T.relative_error(grads[name], num.reshape(wts[name].shape)) <= 1e-6
 
@@ -273,7 +294,7 @@ class TestHeads:
                                 keypoints=17, group_width=2)
         wts = W.init_waterfall_weights(cfg, rng)
         f = rng.standard_normal((1, 20, 4, 4)).astype(np.float32)
-        maps, _ = W.heads_forward(f, wts, cfg)
+        maps = W.heads_forward(f, wts, cfg, T.Tape())
         assert maps.heatmaps.shape == (1, 18, 4, 4)
         assert maps.offsets.shape == (1, 34, 4, 4)
 
@@ -281,7 +302,7 @@ class TestHeads:
         cfg = toy_cfg(keypoints=1, group_width=1)
         wts = W.init_waterfall_weights(cfg, rng)
         f = rng.standard_normal((2, cfg.head_width, 4, 4)).astype(np.float32)
-        maps, _ = W.heads_forward(f, wts, cfg)
+        maps = W.heads_forward(f, wts, cfg, T.Tape())
         assert maps.heatmaps.shape == (2, 2, 4, 4)
         assert maps.offsets.shape == (2, 2, 4, 4)
 
@@ -289,7 +310,7 @@ class TestHeads:
         cfg = toy_cfg()
         wts = W.init_waterfall_weights(cfg, rng, offset_init="random")
         f = rng.standard_normal((1, cfg.head_width, 6, 6)).astype(np.float32)
-        maps, _ = W.heads_forward(f, wts, cfg)
+        maps = W.heads_forward(f, wts, cfg, T.Tape())
         assert np.all(maps.heatmaps > 0) and np.all(maps.heatmaps < 1)
         assert np.all(np.isfinite(maps.offsets))
 
@@ -307,8 +328,9 @@ class TestFullModule:
         bw = init_backbone_weights(pyr, rng)
         ww = W.init_waterfall_weights(cfg, rng)
         img = rng.standard_normal((1, 3, 256, 256)).astype(np.float32)
-        p, _ = backbone_forward(img, bw, pyr)
-        maps, _ = W.waterfall_module_forward(p, ww, cfg)
+        tape = T.Tape()
+        p = backbone_forward(img, bw, pyr, tape)
+        maps = W.waterfall_module_forward(p, ww, cfg, tape)
         assert maps.heatmaps.shape == (1, 18, 64, 64)
         assert maps.offsets.shape == (1, 34, 64, 64)
 
@@ -316,7 +338,7 @@ class TestFullModule:
         cfg = toy_cfg()
         wts = {k: np.zeros_like(v) for k, v in W.init_waterfall_weights(cfg, rng).items()}
         p = make_pyramid(rng)
-        maps, _ = W.waterfall_module_forward(p, wts, cfg)
+        maps = W.waterfall_module_forward(p, wts, cfg, T.Tape())
         np.testing.assert_allclose(maps.heatmaps, 0.5)
 
     def test_channel_bookkeeping_fuzzed(self, rng):
@@ -331,13 +353,14 @@ class TestFullModule:
                 keypoints=k, group_width=int(rng.integers(1, 4)))
             wts = W.init_waterfall_weights(cfg, rng)
             p = make_pyramid(rng, widths=widths, low=cfg.low_level_width)
-            g0, _ = W.fuse_pyramid(p)
+            tape = T.Tape()
+            g0 = W.fuse_pyramid(p, tape)
             assert g0.shape[1] == sum(widths) == cfg.fused_width
-            f_wf, _ = W.waterfall_forward(g0, wts, cfg)
+            f_wf = W.waterfall_forward(g0, wts, cfg, tape)
             assert f_wf.shape[1] == cfg.waterfall_width
-            f_maps, _ = W.fuse_low_level(p.low_level, f_wf, wts, cfg)
+            f_maps = W.fuse_low_level(p.low_level, f_wf, wts, cfg, tape)
             assert f_maps.shape[1] == cfg.head_width
-            maps, _ = W.heads_forward(f_maps, wts, cfg)
+            maps = W.heads_forward(f_maps, wts, cfg, tape)
             assert maps.heatmaps.shape[1] == k + 1
             assert maps.offsets.shape[1] == 2 * k
 
@@ -354,10 +377,11 @@ class TestFullModule:
         go = rng.standard_normal((1, 4, 8, 8))
 
         def loss(pyr, wset):
-            maps, _ = W.waterfall_module_forward(pyr, wset, cfg)
+            maps = W.waterfall_module_forward(pyr, wset, cfg, T.Tape())
             return float((maps.heatmaps * gh).sum() + (maps.offsets * go).sum())
 
-        maps, tape = W.waterfall_module_forward(p, wts, cfg)
+        tape = T.Tape()
+        maps = W.waterfall_module_forward(p, wts, cfg, tape)
         grads, (*g_levels, g_low) = tape.backward(
             [(maps.heatmaps, gh), (maps.offsets, go)], wrt=[*p.levels, p.low_level])
 
