@@ -3,7 +3,8 @@ and result files.
 
 Wire formats:
   tensor dump   magic "BAT1", four little-endian uint32 extents (N, C, H, W),
-                then N*C*H*W little-endian float32, row-major, width fastest.
+                then N*C*H*W finite little-endian float32, row-major, width
+                fastest.
   checkpoint    magic "BAC1", uint32 format version, uint32 epoch, a
                 length-prefixed config fingerprint string, then a uint32
                 entry count followed by (length-prefixed name, tensor dump)
@@ -248,7 +249,15 @@ def read_tensor(data: bytes, offset: int = 0):
     if len(data) < end:
         raise FormatError(
             f"tensor dump truncated: expected {4 * count} payload bytes")
+    # an empty tensor's other extents must still describe an array numpy can index
+    if 4 * math.prod(e or 1 for e in shape) > np.iinfo(np.intp).max:
+        raise FormatError(f"tensor dump extents {list(shape)} are too large")
     arr = np.frombuffer(data[offset + 20: end], dtype="<f4").reshape(shape)
+    # min and max carry any NaN or infinity without a tensor-sized temporary;
+    # freeing one raises glibc's mmap threshold and slowed the next forward
+    # pass by about 10 %
+    if count and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise FormatError("tensor dump holds a non-finite value")
     return np.ascontiguousarray(arr), end - offset
 
 
@@ -377,7 +386,10 @@ def load_checkpoint(data: bytes, expected_fingerprint: str | None = None):
     entries = {}
     for _ in range(count):
         name, pos = _unpack_str(data, pos)
-        t, used = read_tensor(data, pos)
+        try:
+            t, used = read_tensor(data, pos)
+        except FormatError as e:
+            raise FormatError(f"checkpoint entry {name!r}: {e}") from None
         pos += used
         if name in shapes:
             try:
@@ -391,8 +403,8 @@ def load_checkpoint(data: bytes, expected_fingerprint: str | None = None):
     optim = None
     if "optim/step" in entries:
         step = entries["optim/step"].reshape(-1)
-        if step.size != 1 or not np.isfinite(step[0]):
-            raise FormatError("checkpoint optimizer step is not one finite number")
+        if step.size != 1:
+            raise FormatError("checkpoint optimizer step is not one number")
         optim = {"step": int(step[0]), "m": {}, "v": {}}
         for k, v in entries.items():
             if k.startswith("optim/m/"):

@@ -1,7 +1,8 @@
 """Full network: image -> feature pyramid -> waterfall head -> pose maps.
 
-Weights live in one flat dict keyed by layer name, which keeps the optimizer,
-the checkpoint writer, and gradient bookkeeping trivial. The layers are
+Weights live in one dict keyed by layer name, which the checkpoint writer
+and the gradients share; training rebinds its entries to views of the
+optimizer's flat arena (train.init_optim_state). The layers are
 written forward only: each kernel they run is recorded on a tensor.Tape with
 its analytic backward, and the backward pass is one replay of that tape.
 """

@@ -3,7 +3,10 @@ adaptive-moment optimizer, and the deterministic training loop."""
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,8 +39,14 @@ class TrainConfig:
     checkpoint_every: int = 50
 
     def __post_init__(self):
-        if self.epochs < 0 or self.base_lr <= 0:
-            raise ValueError("epochs must be non-negative and base_lr positive")
+        if self.epochs < 0:
+            raise ValueError("epochs must be non-negative")
+        for name in ("base_lr", "lr_factor", "sigma"):
+            if not 0.0 < getattr(self, name) < math.inf:   # also false for nan
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("heatmap_weight", "offset_weight"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if list(self.lr_steps) != sorted(self.lr_steps):
             raise ValueError("lr steps must be increasing")
         if self.scale_range[0] > self.scale_range[1] or self.scale_range[0] <= 0:
@@ -175,28 +184,97 @@ def augment_sample(image: np.ndarray, anns, rng: np.random.Generator,
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per optimizer block: the block's slices of the weight, moment,
+# gradient and two scratch buffers (6 x 128 KB at float32) stay in L2.
+BLOCK = 32768
 
 
 def init_optim_state(weights: dict) -> dict:
-    return {"step": 0,
-            "m": {k: np.zeros_like(v) for k, v in weights.items()},
-            "v": {k: np.zeros_like(v) for k, v in weights.items()}}
+    """Adam state over one flat arena per quantity.
+
+    The weights are copied into one flat arena in sorted-name order and each
+    weights[name] is rebound to its view of it; state["m"] and state["v"]
+    are dicts of views of the same layout into two zeroed arenas. Every
+    weight must share one dtype.
+    """
+    names = sorted(weights)
+    dtypes = {weights[k].dtype for k in names}
+    if len(dtypes) > 1:
+        raise TypeError(f"weights mix dtypes {sorted(map(str, dtypes))}; "
+                        "the optimizer arena holds one")
+    sizes = [weights[k].size for k in names]
+    ends = list(accumulate(sizes))
+    starts = [e - n for e, n in zip(ends, sizes)]
+    flat = np.concatenate([weights[k].reshape(-1) for k in names])
+    arenas = {"w": flat, "m": np.zeros(flat.size, flat.dtype),
+              "v": np.zeros(flat.size, flat.dtype)}
+    views = {group: {k: arena[s:e].reshape(weights[k].shape)
+                     for k, s, e in zip(names, starts, ends)}
+             for group, arena in arenas.items()}
+    weights.update(views["w"])
+    # each block as (start, stop, [(name, lo, hi) of every tensor it covers])
+    blocks = []
+    for b0 in range(0, flat.size, BLOCK):
+        b1 = min(b0 + BLOCK, flat.size)
+        blocks.append((b0, b1, [
+            (names[i], max(starts[i], b0) - starts[i], min(ends[i], b1) - starts[i])
+            for i in range(bisect_right(ends, b0), bisect_left(starts, b1)) if sizes[i]]))
+    return {"step": 0, "m": views["m"], "v": views["v"],
+            "weights": views["w"], "arenas": arenas, "blocks": blocks,
+            "scratch": np.empty((2, min(BLOCK, flat.size)), dtype=flat.dtype)}
 
 
 def optim_step(weights: dict, grads: dict, state: dict, lr: float):
-    """One adaptive-moment update, in place; returns (weights, state)."""
+    """One adaptive-moment update, in place, over the arena block by block;
+    returns (weights, state).
+
+    Each element sees the same float operations in the same order as a
+    per-tensor update, so the result does not depend on the block size.
+    """
+    views = state["weights"]
+    flat_grads = {}
+    for name, view in views.items():
+        if weights.get(name) is not view:
+            raise TrainingError(f"weight {name!r} is no longer its optimizer "
+                                "arena view; it was rebound after init_optim_state")
+        g = grads[name]
+        if g.shape != view.shape or g.dtype != view.dtype:
+            raise TrainingError(f"gradient {name!r} is {g.dtype}{list(g.shape)}, "
+                                f"weight is {view.dtype}{list(view.shape)}")
+        flat_grads[name] = g.reshape(-1)
+    if len(weights) != len(views):
+        extra = sorted(set(weights) - set(views))[0]
+        raise TrainingError(f"weight {extra!r} is not in the optimizer arena")
+
     state["step"] += 1
     t = state["step"]
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name in sorted(weights):
-        g = grads[name]
-        m = state["m"][name]
-        v = state["v"][name]
-        m += (1.0 - ADAM_BETA1) * (g - m)
-        v += (1.0 - ADAM_BETA2) * (g * g - v)
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        weights[name] -= np.asarray(lr * update, dtype=weights[name].dtype)
+    arenas = state["arenas"]
+    scratch = state["scratch"]
+    for b0, b1, pieces in state["blocks"]:
+        n = b1 - b0
+        w, m, v = arenas["w"][b0:b1], arenas["m"][b0:b1], arenas["v"][b0:b1]
+        a, gg = scratch[0, :n], scratch[1, :n]
+        if len(pieces) == 1:
+            name, lo, hi = pieces[0]
+            g = flat_grads[name][lo:hi]
+        else:
+            g = np.concatenate([flat_grads[k][lo:hi] for k, lo, hi in pieces], out=gg)
+        np.subtract(g, m, out=a)                 # m += (1 - beta1) * (g - m)
+        a *= 1.0 - ADAM_BETA1
+        m += a
+        np.multiply(g, g, out=gg)                # v += (1 - beta2) * (g * g - v)
+        gg -= v
+        gg *= 1.0 - ADAM_BETA2
+        v += gg
+        np.divide(m, bc1, out=a)                 # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=gg)
+        np.sqrt(gg, out=gg)
+        gg += ADAM_EPS
+        a /= gg
+        a *= lr
+        w -= a
     return weights, state
 
 
@@ -210,7 +288,10 @@ def train_loop(samples, weights: dict, pyr: PyramidConfig, wf: WaterfallConfig,
     samples is a list of (image tensor, [PersonAnnotation in image coords]).
     Per epoch: shuffle, and for each image augment, render targets at heatmap
     resolution, run forward/backward, and apply one optimizer step at the
-    scheduled rate. Returns (weights, optim state, log lines); log lines are
+    scheduled rate. The optimizer state packs the weights into one flat
+    arena and rebinds each entry of the weights dict to its view of it, so
+    the dict the caller passed in holds the trained weights. Returns
+    (weights, optim state, log lines); log lines are
     "epoch<TAB>lr<TAB>heat<TAB>off<TAB>total" with per-epoch means.
     """
     rng = np.random.default_rng(cfg.seed)

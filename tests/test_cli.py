@@ -136,6 +136,23 @@ class TestInfer:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "head.kp.out.b" in err[0]
 
+    def test_non_finite_weight_is_data_error(self, workdir, capsys):
+        tmp, cfg = workdir
+        weights = init_model_weights(cfg.pyramid, cfg.waterfall, seed=0)
+        weights["head.kp.taps.b"].flat[0] = np.nan
+        ckpt = tmp / "nan.bin"
+        ckpt.write_bytes(dataio.save_checkpoint(weights, None, 0, cfg.fingerprint()))
+        code = main(["infer", "--config", str(tmp / "toy.cfg"),
+                     "--checkpoint", str(ckpt),
+                     "--image", str(tmp / "img0.ppm"),
+                     "--out-poses", str(tmp / "out.json")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "weights/head.kp.taps.b" in err[0] \
+            and "non-finite" in err[0]
+        assert not (tmp / "out.json").exists()
+
+
 class TestTrainEval:
     def test_train_then_infer_yields_instances(self, workdir, capsys):
         tmp, cfg = workdir

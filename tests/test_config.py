@@ -67,6 +67,21 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("waterfall.keypoints = 500")
 
+    @pytest.mark.parametrize("line", [
+        "train.base_lr = nan", "train.base_lr = inf", "train.base_lr = 0",
+        "train.lr_factor = -1", "train.lr_factor = nan",
+        "train.sigma = 0", "train.sigma = -1",
+        "train.offset_weight = nan", "train.heatmap_weight = -1",
+        "train.heatmap_weight = inf",
+    ])
+    def test_bad_training_float_rejected(self, line):
+        key = line.split(" = ")[0].split(".")[1]
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config(line)
+
+    def test_zero_loss_weight_accepted(self):
+        assert parse_config("train.offset_weight = 0").train.offset_weight == 0.0
+
     def test_fingerprint_tracks_values(self):
         a = default_config()
         b = parse_config("waterfall.keypoints = 5")

@@ -165,6 +165,28 @@ class TestTensorDump:
         with pytest.raises(D.FormatError, match="truncated"):
             D.read_tensor(data)
 
+    @pytest.mark.parametrize("shape", [(2 ** 24 + 1, 2 ** 24, 2 ** 24, 0),
+                                       (2 ** 31, 2 ** 30, 1, 0),
+                                       (2 ** 32 - 1, 2 ** 32 - 1, 0, 2 ** 32 - 1)])
+    def test_empty_tensor_with_huge_extents_rejected(self, shape):
+        data = b"BAT1" + np.array(shape, dtype="<u4").tobytes()
+        with pytest.raises(D.FormatError, match="too large"):
+            D.read_tensor(data)
+
+    def test_largest_empty_tensor_reads(self):
+        # 4 bytes per value times the extents, zeros counted as one, is the
+        # largest size an array index can reach
+        shape = (2 ** 31, 2 ** 30 - 1, 1, 0)
+        back, used = D.read_tensor(b"BAT1" + np.array(shape, dtype="<u4").tobytes())
+        assert back.shape == shape and used == 20
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, value):
+        t = np.zeros((1, 1, 2, 2), dtype=np.float32)
+        t[0, 0, 1, 0] = value
+        with pytest.raises(D.FormatError, match="non-finite"):
+            D.read_tensor(D.write_tensor(t))
+
 
 class TestPpm:
     def test_white_pixel(self):
@@ -258,6 +280,18 @@ class TestCheckpoint:
                     D.load_checkpoint(bytes(mutated))
                 except D.FormatError:
                     pass
+
+    @pytest.mark.parametrize("entry", ["weights/a.b", "optim/m/a.w", "optim/v/a.b"])
+    def test_non_finite_entry_rejected(self, rng, entry):
+        w = self._weights(rng)
+        optim = {"step": 3, "m": {k: v.copy() for k, v in w.items()},
+                 "v": {k: v * v for k, v in w.items()}}
+        group, name = entry.rsplit("/", 1)
+        {"weights": w, "optim/m": optim["m"], "optim/v": optim["v"]}[group][name].flat[1] \
+            = np.inf
+        blob = D.save_checkpoint(w, optim, 2, "fp")
+        with pytest.raises(D.FormatError, match=f"entry '{entry}'.*non-finite"):
+            D.load_checkpoint(blob)
 
     def test_over_long_integer_in_shape_table_rejected(self):
         meta = '{"weights/a.b": [' + "1" * 5001 + ']}'
@@ -412,3 +446,65 @@ class TestKeypointListProperty:
             return
         got = np.array([p.keypoints for p in back.get(1, [])]).reshape(-1, k, 3)
         _assert_read_as_floats(got, [rec["keypoints"] for rec in json.loads(text)], k)
+
+
+# ---------------------------------------------------------------------------
+# byte mutations of tensor dumps and checkpoints
+
+@st.composite
+def mutated(draw, blob):
+    """blob after one to three byte edits: flip a byte to another value (the
+    all-ones exponent bytes 0x7F and 0xFF are drawn often, so payload values
+    turn into NaN and infinities), insert a few bytes, or delete a short span.
+    Positions count from either end, as small ones are drawn most often."""
+    data = bytearray(blob)
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(data)))
+        if draw(st.booleans()):
+            pos = len(data) - pos
+        kind = draw(st.sampled_from(["flip", "insert", "delete"]))
+        if kind == "flip" and pos < len(data):
+            data[pos] = draw(st.one_of(st.sampled_from([0x00, 0x7F, 0x80, 0xFF]),
+                                       st.integers(0, 255)))
+        elif kind == "insert":
+            data[pos:pos] = draw(st.binary(min_size=1, max_size=4))
+        else:
+            del data[pos: pos + draw(st.integers(1, 4))]
+    return bytes(data)
+
+
+def _values(shape):
+    """Values of magnitude in [1, 2): the exponent's low bit is set, so a
+    high byte flipped to 0x7F or 0xFF makes the value NaN or infinite."""
+    return (_RNG.uniform(1, 2, shape) * _RNG.choice([-1, 1], shape)).astype(np.float32)
+
+
+_RNG = np.random.default_rng(2024)
+_TENSOR = _values((1, 2, 2, 3))
+_WEIGHTS = {"a.w": _values((4, 2, 3, 3)), "a.b": _values(4)}
+_CHECKPOINT = D.save_checkpoint(
+    _WEIGHTS, {"step": 4, "m": {k: 0.1 * v for k, v in _WEIGHTS.items()},
+               "v": {k: v * v for k, v in _WEIGHTS.items()}}, 3, "fp")
+
+
+class TestByteMutationProperty:
+    @PROPERTY
+    @given(mutated(D.write_tensor(_TENSOR)))
+    def test_tensor_dump_parses_finite_or_raises_format_error(self, data):
+        try:
+            t, used = D.read_tensor(data)
+        except D.FormatError:
+            return
+        assert np.isfinite(t).all() and used == 20 + 4 * t.size <= len(data)
+
+    @PROPERTY
+    @given(mutated(_CHECKPOINT))
+    def test_checkpoint_loads_finite_or_raises_format_error(self, data):
+        try:
+            weights, optim, _, _ = D.load_checkpoint(data)
+        except D.FormatError:
+            return
+        tensors = list(weights.values())
+        if optim is not None:
+            tensors += list(optim["m"].values()) + list(optim["v"].values())
+        assert all(np.isfinite(t).all() for t in tensors)

@@ -189,7 +189,92 @@ class TestAugmentation:
         assert demoted > 0
 
 
+def reference_optim_step(weights, grads, state, lr):
+    """The per-tensor Adam update: the oracle for the arena update."""
+    state["step"] += 1
+    t = state["step"]
+    bc1 = 1.0 - TR.ADAM_BETA1 ** t
+    bc2 = 1.0 - TR.ADAM_BETA2 ** t
+    for name in sorted(weights):
+        g = grads[name]
+        m = state["m"][name]
+        v = state["v"][name]
+        m += (1.0 - TR.ADAM_BETA1) * (g - m)
+        v += (1.0 - TR.ADAM_BETA2) * (g * g - v)
+        update = (m / bc1) / (np.sqrt(v / bc2) + TR.ADAM_EPS)
+        weights[name] -= np.asarray(lr * update, dtype=weights[name].dtype)
+    return weights, state
+
+
 class TestOptimizer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_arena_matches_per_tensor_oracle(self, rng, dtype):
+        # one tensor at each size around a block, a run of small tensors
+        # sharing one block, and an empty one
+        shapes = {"big.a": (1,), "big.b": (TR.BLOCK - 1,), "big.c": (TR.BLOCK,),
+                  "big.d": (TR.BLOCK + 1,), "empty": (0, 2, 3, 3)}
+        shapes.update({f"small.{i}": (1 + i, 2, 1, 3) for i in range(6)})
+        weights = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+        ref_w = {k: v.copy() for k, v in weights.items()}
+        state = TR.init_optim_state(weights)
+        assert {len(pieces) for _, _, pieces in state["blocks"]} >= {1, 2}
+        for group in ("m", "v"):   # a state part way through training
+            for k, view in state[group].items():
+                view[...] = rng.uniform(0.0 if group == "v" else -1.0, 1.0, view.shape)
+        ref = {"step": 3, "m": {k: v.copy() for k, v in state["m"].items()},
+               "v": {k: v.copy() for k, v in state["v"].items()}}
+        state["step"] = 3
+        for lr in (1e-3, 0.05, 1e-5):
+            grads = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+            TR.optim_step(weights, grads, state, lr)
+            reference_optim_step(ref_w, grads, ref, lr)
+        assert state["step"] == ref["step"] == 6
+        for k in shapes:
+            assert weights[k].dtype == dtype and weights[k].shape == shapes[k], k
+            for got, want in ((weights[k], ref_w[k]), (state["m"][k], ref["m"][k]),
+                              (state["v"][k], ref["v"][k])):
+                assert got.tobytes() == want.tobytes(), k
+
+    def test_weights_are_rebound_to_arena_views(self, rng):
+        weights = {"b": rng.standard_normal((2, 3)).astype(np.float32),
+                   "a": rng.standard_normal(4).astype(np.float32)}
+        before = {k: v.copy() for k, v in weights.items()}
+        state = TR.init_optim_state(weights)
+        arena = np.concatenate([before["a"], before["b"].ravel()])
+        for k in weights:
+            assert np.shares_memory(weights[k], state["arenas"]["w"])
+            assert weights[k].tobytes() == before[k].tobytes()
+            assert not state["m"][k].any() and not state["v"][k].any()
+        assert state["arenas"]["w"].tobytes() == arena.tobytes()
+
+    def test_mixed_dtypes_rejected(self):
+        weights = {"a": np.zeros(2, dtype=np.float32), "b": np.zeros(2, dtype=np.float64)}
+        with pytest.raises(TypeError, match="mix dtypes"):
+            TR.init_optim_state(weights)
+
+    def test_rebound_weight_rejected(self):
+        weights = {"a": np.ones(3, dtype=np.float32), "b": np.ones(2, dtype=np.float32)}
+        state = TR.init_optim_state(weights)
+        grads = {k: np.ones_like(v) for k, v in weights.items()}
+        weights["b"] = weights["b"].copy()
+        with pytest.raises(TR.TrainingError, match="'b' is no longer"):
+            TR.optim_step(weights, grads, state, 0.1)
+        assert state["step"] == 0 and (state["arenas"]["w"] == 1.0).all()
+
+    def test_weight_outside_arena_rejected(self):
+        weights = {"a": np.ones(3, dtype=np.float32)}
+        state = TR.init_optim_state(weights)
+        weights["z"] = np.ones(2, dtype=np.float32)
+        grads = {k: np.ones_like(v) for k, v in weights.items()}
+        with pytest.raises(TR.TrainingError, match="'z' is not in the optimizer arena"):
+            TR.optim_step(weights, grads, state, 0.1)
+
+    def test_gradient_of_another_shape_rejected(self):
+        weights = {"a": np.ones((2, 3), dtype=np.float32)}
+        state = TR.init_optim_state(weights)
+        with pytest.raises(TR.TrainingError, match="gradient 'a'"):
+            TR.optim_step(weights, {"a": np.ones(6, dtype=np.float32)}, state, 0.1)
+
     def test_zero_grads_no_change(self):
         w = {"p": np.array([1.0, -2.0], dtype=np.float32)}
         state = TR.init_optim_state(w)
@@ -252,6 +337,18 @@ class TestLoop:
             weights = init_model_weights(pyr, wf, seed=7)
             w2, state, log = TR.train_loop(samples, weights, pyr, wf, cfg)
             runs.append(save_checkpoint(w2, state, cfg.epochs, "fp"))
+        assert runs[0] == runs[1]
+
+    def test_matches_per_tensor_oracle_run(self, rng, monkeypatch):
+        samples = self._tiny_samples(rng)
+        cfg = TR.TrainConfig(epochs=3, seed=4)
+        pyr, wf, _ = toy_setup()
+        runs = []
+        for step in (TR.optim_step, reference_optim_step):
+            monkeypatch.setattr(TR, "optim_step", step)
+            weights = init_model_weights(pyr, wf, seed=6)
+            w2, state, log = TR.train_loop(samples, weights, pyr, wf, cfg)
+            runs.append((log, save_checkpoint(w2, state, cfg.epochs, "fp")))
         assert runs[0] == runs[1]
 
     def test_non_finite_gradient_raises(self, rng, monkeypatch):
