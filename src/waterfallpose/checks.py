@@ -98,15 +98,19 @@ def gradient_checks():
         T.bilinear_resize_backward(x.shape, gr),
         lambda v: float((T.bilinear_resize(v, 5, 9) * gr).sum()), x))
 
-    # point sampling
+    # point sampling at four (row, col) points
     pts = rng.uniform(0.3, 5.7, size=(4, 2))
     gs = rng.standard_normal((1, 2, 4))
-    gx, gpts = T.bilinear_sample_backward(x, pts, gs)
+
+    def sample(v, p):
+        return T.bilinear_sample(v, p[None, :, 0], p[None, :, 1])
+
+    gx, grows, gcols = T.bilinear_sample_backward(sample(x, pts)[1], gs)
     record("bilinear_sample/input", _grad_vs_numeric(
-        gx, lambda v: float((T.bilinear_sample(v, pts) * gs).sum()), x))
+        gx, lambda v: float((sample(v, pts)[0] * gs).sum()), x))
     record("bilinear_sample/points", _grad_vs_numeric(
-        gpts, lambda v: float((T.bilinear_sample(x, v.reshape(4, 2)) * gs).sum()),
-        pts))
+        np.stack([grows[0], gcols[0]], axis=1),
+        lambda v: float((sample(x, v.reshape(4, 2))[0] * gs).sum()), pts))
 
     # adaptive conv
     xa = rng.standard_normal((1, 2, 5, 5))

@@ -95,27 +95,42 @@ def _draw_dot(img: np.ndarray, x: int, y: int, color, radius=1):
                 for c in range(3):
                     img[0, c, py, px] = color[c] / 255.0
 
+
 def _draw_line(img: np.ndarray, x0, y0, x1, y1, color):
-    # Bresenham over the pixel grid
-    x0, y0, x1, y1 = int(round(x0)), int(round(y0)), int(round(x1)), int(round(y1))
-    dx, dy = abs(x1 - x0), -abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
-    err = dx + dy
+    """Bresenham's line between the rounded ends, drawn where it is on the canvas.
+
+    The walk steps one pixel at a time along its major axis, the one with the
+    longer extent. After n steps the minor coordinate has moved
+    (2*d_minor*n + d_major) // (2*d_major) pixels, so the walk can start, in
+    exact integers, at its first step whose major coordinate is on the canvas
+    and stop after its last: a joint far off the canvas costs no more than
+    one on it, and the pixels drawn are those of the whole walk.
+    """
     h, w = img.shape[2], img.shape[3]
-    while True:
-        if 0 <= x0 < w and 0 <= y0 < h:
-            for c in range(3):
-                img[0, c, y0, x0] = color[c] / 255.0
-        if x0 == x1 and y0 == y1:
-            return
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x0 += sx
-        if e2 <= dx:
-            err += dx
-            y0 += sy
+    rgb = np.array(color) / 255.0
+    x0, y0, x1, y1 = int(round(x0)), int(round(y0)), int(round(x1)), int(round(y1))
+    by_rows = abs(y1 - y0) > abs(x1 - x0)
+    canvas = img[0].swapaxes(1, 2) if by_rows else img[0]    # (3, minor, major)
+    if by_rows:
+        x0, y0, x1, y1, w, h = y0, x0, y1, x1, h, w
+    d_major, d_minor = abs(x1 - x0), abs(y1 - y0)
+    s_major = 1 if x0 < x1 else -1
+    s_minor = 1 if y0 < y1 else -1
+    # steps n in [0, d_major] whose major coordinate x0 + s_major * n is in [0, w)
+    lo, hi = (-x0, w - 1 - x0) if s_major > 0 else (x0 - w + 1, x0)
+    first, last = max(lo, 0), min(hi, d_major)
+    moved = (2 * d_minor * first + d_major) // (2 * max(d_major, 1))
+    x, y = x0 + s_major * first, y0 + s_minor * moved
+    # the minor coordinate moves on the next step when err >= 0
+    err = 2 * d_minor * (first + 1) - d_major * (2 * moved + 1)
+    for _ in range(last - first + 1):
+        if 0 <= y < h:
+            canvas[:, y, x] = rgb
+        if err >= 0:
+            y += s_minor
+            err -= 2 * d_major
+        err += 2 * d_minor
+        x += s_major
 
 
 def _draw_overlay(image: np.ndarray, poses) -> np.ndarray:

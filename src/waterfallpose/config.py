@@ -168,15 +168,6 @@ class RunConfig:
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
-    def with_overrides(self, **dotted) -> "RunConfig":
-        vals = dict(self.values)
-        for key, value in dotted.items():
-            key = key.replace("__", ".")
-            if key not in SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}")
-            vals[key] = value
-        return RunConfig(vals).validate()
-
 
 def default_config() -> RunConfig:
     return RunConfig({k: default for k, (_, default) in SCHEMA.items()})

@@ -103,6 +103,12 @@ def _numbers(values, where) -> list:
         raise FormatError(f"{where}: number out of range") from None
 
 
+def _string(value, where) -> str:
+    if type(value) is not str:
+        raise FormatError(f"{where}: expected a JSON string, got {value!r}")
+    return value
+
+
 def _integer(value, where) -> int:
     x = _number(value, where)             # an int past the float range is an error too
     if type(value) is int:                # exact: no float round trip above 2**53
@@ -143,7 +149,8 @@ def parse_annotations(text: str) -> Dataset:
     if not cats or not isinstance(cats[0], dict) \
             or not isinstance(cats[0].get("keypoints"), list):
         raise FormatError("categories[0] must list the keypoint names")
-    names = list(cats[0]["keypoints"])
+    names = [_string(v, f"categories[0] keypoints[{j}]")
+             for j, v in enumerate(cats[0]["keypoints"])]
     k = len(names)
     source = doc.get("source", "coco")
     if source not in ("coco", "crowdpose"):
@@ -155,7 +162,7 @@ def parse_annotations(text: str) -> Dataset:
         where = _where("images", i, rec)
         img = ImageRecord(
             id=_integer(_require(rec, "id", where), where),
-            file_name=str(_require(rec, "file_name", where)),
+            file_name=_string(_require(rec, "file_name", where), where),
             height=_integer(_require(rec, "height", where), where),
             width=_integer(_require(rec, "width", where), where),
             crowd_index=(_number(rec["crowd_index"], where) if "crowd_index" in rec

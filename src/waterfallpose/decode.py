@@ -102,12 +102,13 @@ def decode_poses(maps: PoseMaps, cfg: DecodeConfig):
     at_center = offs[0][:, cy, cx].astype(np.float64)          # (2K, P)
     xs = (cx + at_center[0::2]).T                               # (P, K)
     ys = (cy + at_center[1::2]).T
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("joint coordinates must be finite")
     # one read of all K heatmap channels at every joint point; joint j of
     # peak p is point p*K + j, read from channel j
-    points = np.stack([ys.ravel(), xs.ravel()], axis=1)
-    sampled = T.bilinear_sample(heat[:, :k], points)[0]         # (K, P*K)
+    sampled, _ = T.bilinear_sample(heat[:, :k], ys.reshape(1, -1), xs.reshape(1, -1))
     joint = np.tile(np.arange(k), len(peaks))
-    scores = sampled[joint, np.arange(len(joint))].reshape(len(peaks), k).astype(np.float64)
+    scores = sampled[0, joint, np.arange(len(joint))].reshape(len(peaks), k).astype(np.float64)
 
     # the mean joint score sums the joints in order
     candidates = [PoseInstance(kps, cs * (sum(ps) / k)) for (_, _, cs), kps, ps in

@@ -3,11 +3,14 @@ tape that pairs them.
 
 Every value in the pipeline is a numpy array of shape (N, C, H, W), row-major
 with width fastest. Compute stays in the dtype of the inputs: float32 for
-normal runs, float64 for gradient checking. Kernels are pure functions; the
-backward of each op takes the original inputs plus the upstream gradient, so
-no hidden state survives between calls. A Tape records the kernels a forward
-pass runs and replays their backwards in reverse, so composite layers are
-written forward only; a ForwardTape runs the same kernels and keeps nothing.
+normal runs, float64 for gradient checking. Kernels are pure functions, with
+one of two conventions. Most backwards take the original inputs (or their
+shape) plus the upstream gradient. The cached kernels, bilinear_sample here
+and the adaptive conv built on it, return (value, cache), and their backward
+takes (cache, gy): the cache holds what the forward worked out and is the
+only state that outlives a call. A Tape records the kernels a forward pass
+runs and replays their backwards in reverse, so composite layers are written
+forward only; a ForwardTape runs the same kernels and keeps nothing.
 """
 
 from __future__ import annotations
@@ -191,7 +194,7 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
 
 def global_avg_pool_backward(x_shape, gy: np.ndarray) -> np.ndarray:
     n, c, h, w = x_shape
-    return np.broadcast_to(gy / (h * w), x_shape).astype(gy.dtype).copy()
+    return np.broadcast_to(gy / (h * w), x_shape).astype(gy.dtype)
 
 
 def _resize_matrix(in_size: int, out_size: int, dtype) -> np.ndarray:
@@ -242,11 +245,13 @@ def bilinear_resize_backward(x_shape, gy: np.ndarray) -> np.ndarray:
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _sample_planes(x: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """Bilinear read of x (N,C,H,W) at fractional (rows, cols), shape (N,T,h,w).
+def bilinear_sample(x: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Bilinear read of x (N,C,H,W) at fractional (rows, cols), two arrays of
+    one shape (N, ...) whose first axis picks the sample each point reads.
 
-    Out-of-bounds corner taps contribute zero. Returns the sampled values of
-    shape (N, C, T, h, w) together with the pieces the backward pass needs.
+    Out-of-bounds corner taps contribute zero, so a point fully outside reads
+    0. Returns (values, cache): the values have shape (N, C, ...), and the
+    cache holds what bilinear_sample_backward needs.
 
     The reads gather whole C-wide rows of the channel-last (N*H*W + 1, C)
     table of pixels, with a flat (sample, row, col) index shared by every
@@ -297,19 +302,19 @@ def _sample_planes(x: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     # 0 + v0*w0 + v1*w1 + v2*w2 + v3*w3 taken left to right
     sampled = np.empty((n, c, out.shape[0] // n), dtype=x.dtype)
     np.add(out.reshape(n, -1, c).transpose(0, 2, 1), 0.0, out=sampled)
-    return sampled.reshape((n, c) + rows.shape[1:]), (index, weight, fr, fc, planes)
+    return sampled.reshape((n, c) + rows.shape[1:]), (x.shape, index, weight, fr, fc, planes)
 
 
-def _sample_planes_backward(x_shape, cache, gy: np.ndarray):
-    """Backward of _sample_planes: gradients w.r.t. x and the (rows, cols).
+def bilinear_sample_backward(cache, gy: np.ndarray):
+    """Backward of bilinear_sample: gradients (gx, grows, gcols) w.r.t. x and
+    the (rows, cols).
 
     The x gradient scatters each corner's weighted upstream value back to the
     pixel it read, with one np.bincount per channel over the shared flat index.
     The (rows, cols) gradients need a_k = sum over channels of gy * v_k for
     each corner value v_k, re-read from the plane table one corner at a time.
     """
-    n, c, h, w = x_shape
-    index, weight, fr, fc, planes = cache
+    (n, c, h, w), index, weight, fr, fc, planes = cache
     size = n * h * w + 1
     g = gy.swapaxes(0, 1).reshape(c, 1, -1)                   # (C, 1, M)
     contrib = (g * weight.reshape(4, -1)).reshape(c, -1)      # (C, 4M)
@@ -334,38 +339,6 @@ def _sample_planes_backward(x_shape, cache, gy: np.ndarray):
     grows = ((1 - fc) * (a[2] - a[0]) + fc * (a[3] - a[1])).reshape(index.shape[1:])
     gcols = ((1 - fr) * (a[1] - a[0]) + fr * (a[3] - a[2])).reshape(index.shape[1:])
     return np.ascontiguousarray(gx), grows, gcols
-
-
-def bilinear_sample(x: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Sample every (n, c) plane of x at fractional (row, col) points.
-
-    points is (P, 2). Neighbours outside the plane contribute zero, so a point
-    fully outside reads 0. Returns values of shape (N, C, P).
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ShapeError(f"points must be (P, 2), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("sample points must be finite")
-    n = x.shape[0]
-    p = pts.shape[0]
-    rows = np.broadcast_to(pts[:, 0].reshape(1, p, 1, 1), (n, p, 1, 1))
-    cols = np.broadcast_to(pts[:, 1].reshape(1, p, 1, 1), (n, p, 1, 1))
-    out, _ = _sample_planes(x, rows, cols)
-    return out.reshape(n, x.shape[1], p)
-
-
-def bilinear_sample_backward(x: np.ndarray, points: np.ndarray, gy: np.ndarray):
-    """Gradients of bilinear_sample w.r.t. x and the points array."""
-    pts = np.asarray(points, dtype=np.float64)
-    n, c = x.shape[0], x.shape[1]
-    p = pts.shape[0]
-    rows = np.broadcast_to(pts[:, 0].reshape(1, p, 1, 1), (n, p, 1, 1))
-    cols = np.broadcast_to(pts[:, 1].reshape(1, p, 1, 1), (n, p, 1, 1))
-    _, cache = _sample_planes(x, rows, cols)
-    gx, grows, gcols = _sample_planes_backward(x.shape, cache, gy.reshape(n, c, p, 1, 1))
-    gpts = np.stack([grows.sum(axis=0).reshape(p), gcols.sum(axis=0).reshape(p)], axis=1)
-    return gx, gpts
 
 
 def concat_channels(parts) -> np.ndarray:

@@ -140,7 +140,7 @@ def warp_image(image: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     src_y = inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]
     rows = np.broadcast_to(src_y[None, None], (n, 1, h, w))
     cols = np.broadcast_to(src_x[None, None], (n, 1, h, w))
-    out, _ = T._sample_planes(image, rows, cols)
+    out, _ = T.bilinear_sample(image, rows, cols)
     return np.ascontiguousarray(out[:, :, 0])
 
 

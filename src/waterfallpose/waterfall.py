@@ -269,25 +269,21 @@ def adaptive_conv(x: np.ndarray, w9: np.ndarray, offsets: np.ndarray):
     base_c = np.arange(w, dtype=np.float64).reshape(1, 1, 1, w)
     rows = base_r + offsets[:, 0::2].astype(np.float64)   # (N, 9, h, w)
     cols = base_c + offsets[:, 1::2].astype(np.float64)
-    sampled, scache = T._sample_planes(x, rows, cols)
+    sampled, scache = T.bilinear_sample(x, rows, cols)
     # one GEMM over the (N, Cin*9, h*w) column matrix of sampled taps
     sampled = sampled.reshape(n, cin * 9, h * w)
     y = np.matmul(w9.reshape(w9.shape[0], cin * 9), sampled)
-    cache = {"x": x, "sampled": sampled, "scache": scache, "w9": w9}
-    return y.reshape(n, w9.shape[0], h, w), cache
+    return y.reshape(n, w9.shape[0], h, w), (x.shape, w9, sampled, scache)
 
 
 def adaptive_conv_backward(cache, gy):
     """Gradients w.r.t. the input, the tap weights, and the offset field."""
-    x = cache["x"]
-    sampled = cache["sampled"]
-    w9 = cache["w9"]
-    n, cin, h, w = x.shape
+    (n, cin, h, w), w9, sampled, scache = cache
     gy3 = gy.reshape(n, w9.shape[0], h * w)
     gw9 = np.tensordot(gy3, sampled, axes=([0, 2], [0, 2])).reshape(w9.shape)
     g_sampled = np.matmul(w9.reshape(w9.shape[0], cin * 9).T, gy3)
-    gx, grows, gcols = T._sample_planes_backward(
-        x.shape, cache["scache"], g_sampled.reshape(n, cin, 9, h, w))
+    gx, grows, gcols = T.bilinear_sample_backward(
+        scache, g_sampled.reshape(n, cin, 9, h, w))
     g_off = np.empty((n, 18, h, w), dtype=gy.dtype)
     g_off[:, 0::2] = grows.astype(gy.dtype)
     g_off[:, 1::2] = gcols.astype(gy.dtype)

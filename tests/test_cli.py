@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from waterfallpose import dataio
-from waterfallpose.cli import main
+from waterfallpose.cli import _draw_line, main
 from waterfallpose.config import parse_config
 from waterfallpose.decode import PoseInstance
 from waterfallpose.model import init_model_weights
@@ -234,3 +234,57 @@ class TestChecks:
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "adaptive_conv/offsets" in out and "FAIL" not in out
+
+
+def _bresenham_pixels(x0, y0, x1, y1, w, h):
+    """The on-canvas pixels of the whole Bresenham walk between the rounded
+    ends, one pixel at a time: what the overlay drew before only the steps on
+    the canvas were visited."""
+    x0, y0, x1, y1 = (int(round(v)) for v in (x0, y0, x1, y1))
+    dx, dy = abs(x1 - x0), -abs(y1 - y0)
+    sx, sy = (1 if x0 < x1 else -1), (1 if y0 < y1 else -1)
+    err, pixels = dx + dy, np.zeros((h, w), dtype=bool)
+    while True:
+        if 0 <= x0 < w and 0 <= y0 < h:
+            pixels[y0, x0] = True
+        if (x0, y0) == (x1, y1):
+            return pixels
+        e2 = 2 * err
+        if e2 >= dy:
+            err, x0 = err + dy, x0 + sx
+        if e2 <= dx:
+            err, y0 = err + dx, y0 + sy
+
+
+def _drawn(segment, w=64, h=64):
+    img = np.zeros((1, 3, h, w))
+    _draw_line(img, *segment, (255, 255, 255))
+    assert (img == img[:, :1]).all()
+    return img[0, 0] == 1.0
+
+
+class TestDrawLine:
+    def test_far_end_costs_only_the_steps_on_the_canvas(self):
+        want = np.zeros((64, 64), dtype=bool)
+        want[10, 10:] = True
+        np.testing.assert_array_equal(_drawn((10, 10, 1e30, 10)), want)
+
+    def test_both_ends_far_across_the_canvas(self):
+        want = np.zeros((64, 64), dtype=bool)
+        want[5] = True
+        np.testing.assert_array_equal(_drawn((-1e30, 5, 1e30, 5)), want)
+        np.testing.assert_array_equal(_drawn((5, 3e38, 5, -3e38)), want.T)
+
+    def test_segment_missing_the_canvas_draws_nothing(self):
+        for segment in ((-1e30, -3, 1e30, -3), (70, -5, 200, 30), (-1, -1e30, -40, 1e30)):
+            assert not _drawn(segment).any()
+
+    @pytest.mark.parametrize("margin", [0.0, 40.0])
+    def test_draws_the_pixels_of_the_whole_walk(self, rng, margin):
+        # ends on the canvas, and ends up to 40 pixels off it
+        w, h = 16, 12
+        for _ in range(500):
+            x0, x1 = rng.uniform(-0.5 - margin, w - 0.5 + margin, size=2)
+            y0, y1 = rng.uniform(-0.5 - margin, h - 0.5 + margin, size=2)
+            np.testing.assert_array_equal(_drawn((x0, y0, x1, y1), w, h),
+                                          _bresenham_pixels(x0, y0, x1, y1, w, h))

@@ -129,6 +129,19 @@ class TestAnnotations:
         assert [img.id for img in ds.images] == [2 ** 53, 2 ** 53 + 1]
         assert len(ds.annotations[2 ** 53 + 1]) == 1 and not ds.annotations[2 ** 53]
 
+    @pytest.mark.parametrize("value", [None, ["x"], 3])
+    def test_non_string_file_name_rejected(self, value):
+        doc = minimal_doc()
+        doc["images"][0]["file_name"] = value
+        with pytest.raises(D.FormatError, match=r"images\[id=1\].*string"):
+            D.parse_annotations(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [None, 3, ["x"]])
+    def test_non_string_keypoint_name_rejected(self, value):
+        names = K17[:1] + [value] + K17[2:]
+        with pytest.raises(D.FormatError, match=r"categories\[0\] keypoints\[1\].*string"):
+            D.parse_annotations(json.dumps(minimal_doc(k_names=names)))
+
     def test_serialize_needs_one_id_per_annotation(self):
         ds = D.parse_annotations(json.dumps(minimal_doc()))
         without_ids = D.Dataset(ds.images, ds.annotations, ds.keypoint_names)
@@ -508,3 +521,88 @@ class TestByteMutationProperty:
         if optim is not None:
             tensors += list(optim["m"].values()) + list(optim["v"].values())
         assert all(np.isfinite(t).all() for t in tensors)
+
+
+# ---------------------------------------------------------------------------
+# byte mutations of PPM images and structural edits of JSON documents
+
+_PPM = D.write_image_ppm((_RNG.integers(0, 256, size=(1, 3, 3, 4)) / 255.0).astype(np.float32))
+
+
+class TestPpmMutationProperty:
+    @PROPERTY
+    @given(mutated(_PPM))
+    def test_ppm_parses_to_unit_floats_or_raises_format_error(self, data):
+        try:
+            img = D.read_image_ppm(data)
+        except D.FormatError:
+            return
+        assert img.ndim == 4 and img.shape[:2] == (1, 3) and img.dtype == np.float32
+        assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+def _paths(node, path=()):
+    """The path (keys and indices from the root) of every node of a JSON
+    document, the root's included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+_DELETE = object()
+_REPLACEMENTS = [None, True, False, "x", [], {}, 2 ** 70, 10 ** 400, 1.5, float("nan"),
+                 _DELETE]
+
+
+@st.composite
+def edited(draw, doc):
+    """The JSON text of doc with one node replaced by another JSON value or
+    deleted (the root can only be replaced)."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    new = draw(st.sampled_from(_REPLACEMENTS))
+    if not path:
+        return json.dumps(None if new is _DELETE else new)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return json.dumps(doc)
+
+
+def _annotation_doc():
+    doc = minimal_doc(k_names=["nose", "eye"], keypoints=[1.0, 2.0, 2, 3, 4.5, 1])
+    doc["images"].append({"id": 2, "file_name": "b.ppm", "height": 32, "width": 48,
+                          "crowd_index": 0.5})
+    doc["annotations"].append({"id": 11, "image_id": 2, "area": 60,
+                               "keypoints": [0, 0, 0, 5.0, 6.0, 2]})
+    return doc
+
+
+_RESULTS_DOC = [{"image_id": 1, "keypoints": [1.0, 2.0, 0.5, 3, 4, 0.25], "score": 0.5},
+                {"image_id": 2, "keypoints": [0, 0, 0, 5.5, 6.5, 1], "score": 1}]
+
+
+class TestJsonStructureProperty:
+    @PROPERTY
+    @given(edited(_annotation_doc()))
+    def test_annotations_parse_or_raise_format_error(self, text):
+        try:
+            ds = D.parse_annotations(text)
+        except D.FormatError:
+            return
+        assert all(type(img.file_name) is str for img in ds.images)
+        assert all(type(name) is str for name in ds.keypoint_names)
+
+    @PROPERTY
+    @given(edited(_RESULTS_DOC))
+    def test_results_parse_or_raise_format_error(self, text):
+        try:
+            D.parse_results(text, 2)
+        except D.FormatError:
+            return

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from waterfallpose import tensor as T
 from waterfallpose.decode import DecodeConfig, PoseInstance, nms_peaks, decode_poses, \
@@ -100,6 +101,14 @@ class TestDecodePoses:
                         np.zeros((1, 6, 16, 16), dtype=np.float32))
         assert decode_poses(maps, CFG) == []
 
+    def test_non_finite_joint_is_an_error(self):
+        heat = np.zeros((1, 2, 16, 16), dtype=np.float32)
+        heat[0, 1, 8, 8] = 1.0
+        offs = np.zeros((1, 2, 16, 16), dtype=np.float32)
+        offs[0, 1, 8, 8] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            decode_poses(PoseMaps(heat, offs), CFG)
+
     def test_round_trip_single_person(self, rng):
         anns = synth_scene(rng, 1)
         maps = render_scene(anns, 3)
@@ -163,7 +172,8 @@ class TestDecodePoses:
                 for j in range(k):
                     x = cx + float(offs[0, 2 * j, cy, cx])
                     y = cy + float(offs[0, 2 * j + 1, cy, cx])
-                    sc = float(T.bilinear_sample(heat[:, j: j + 1], np.array([[y, x]]))[0, 0, 0])
+                    v, _ = T.bilinear_sample(heat[:, j: j + 1], np.array([[y]]), np.array([[x]]))
+                    sc = float(v[0, 0, 0])
                     joints.append((x, y, sc))
                 cands.append(PoseInstance(joints, cs * (sum(s for _, _, s in joints) / k)))
             cands.sort(key=lambda inst: -inst.score)

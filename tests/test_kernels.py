@@ -28,10 +28,11 @@ def _kernel_outputs(rng, dtype):
     out["bilinear_resize"] = T.bilinear_resize(x, 9, 4)
     out["bilinear_resize_backward"] = T.bilinear_resize_backward(x.shape, arr(1, 3, 9, 4))
     pts = rng.uniform(-1.0, 6.0, size=(4, 2))
-    out["bilinear_sample"] = T.bilinear_sample(x, pts)
-    gx, gpts = T.bilinear_sample_backward(x, pts, arr(1, 3, 4))
+    out["bilinear_sample"], cache = T.bilinear_sample(x, pts[None, :, 0], pts[None, :, 1])
+    gx, grows, gcols = T.bilinear_sample_backward(cache, arr(1, 3, 4))
     out["bilinear_sample_backward.x"] = gx
-    out["bilinear_sample_backward.points"] = gpts
+    out["bilinear_sample_backward.rows"] = grows
+    out["bilinear_sample_backward.cols"] = gcols
     out["concat_channels"] = T.concat_channels([x, x[:, :1]])
     for i, g in enumerate(T.concat_channels_backward([3, 1], arr(1, 4, 6, 5))):
         out[f"concat_channels_backward.{i}"] = g

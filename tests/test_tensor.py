@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,11 +212,25 @@ class TestBilinearResize:
         assert T.relative_error(gx, num) <= 1e-6
 
 
+def _sample_points(x, pts):
+    """bilinear_sample of every sample of x at the same (P, 2) (row, col)
+    points: (values (N, C, P), cache)."""
+    n, p = x.shape[0], len(pts)
+    return T.bilinear_sample(x, np.broadcast_to(pts[:, 0], (n, p)),
+                             np.broadcast_to(pts[:, 1], (n, p)))
+
+
+def _points_gradient(cache, gy):
+    """(gx, gradient w.r.t. the shared (P, 2) points) from _sample_points' cache."""
+    gx, grows, gcols = T.bilinear_sample_backward(cache, gy)
+    return gx, np.stack([grows.sum(axis=0), gcols.sum(axis=0)], axis=1)
+
+
 class TestBilinearSample:
     def test_lattice_points_exact(self, rng):
         x = rng.standard_normal((1, 2, 4, 5)).astype(np.float32)
         pts = np.array([[0, 0], [3, 4], [2, 1]], dtype=np.float64)
-        v = T.bilinear_sample(x, pts)
+        v, _ = _sample_points(x, pts)
         for p, (r, c) in enumerate(pts.astype(int)):
             np.testing.assert_array_equal(v[0, :, p], x[0, :, r, c])
 
@@ -223,12 +238,12 @@ class TestBilinearSample:
         x = np.zeros((1, 1, 1, 2), dtype=np.float32)
         x[0, 0, 0, 0] = 2.0
         x[0, 0, 0, 1] = 6.0
-        v = T.bilinear_sample(x, np.array([[0.0, 0.5]]))
+        v, _ = _sample_points(x, np.array([[0.0, 0.5]]))
         assert v[0, 0, 0] == 4.0
 
     def test_outside_reads_zero(self, rng):
         x = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
-        v = T.bilinear_sample(x, np.array([[-5.0, -5.0], [10.0, 1.0]]))
+        v, _ = _sample_points(x, np.array([[-5.0, -5.0], [10.0, 1.0]]))
         np.testing.assert_array_equal(v[0, 0], [0.0, 0.0])
 
     def test_far_points_read_zero_without_warnings(self, rng):
@@ -238,8 +253,8 @@ class TestBilinearSample:
         gy = rng.standard_normal((2, 3, 4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v = T.bilinear_sample(x, pts)
-            gx, gpts = T.bilinear_sample_backward(x, pts, gy)
+            v, cache = _sample_points(x, pts)
+            gx, gpts = _points_gradient(cache, gy)
         assert not v.any() and not gx.any() and not gpts.any()
         assert v.shape == (2, 3, 4) and gx.shape == x.shape and gpts.shape == pts.shape
 
@@ -247,10 +262,10 @@ class TestBilinearSample:
         x = rng.standard_normal((2, 2, 4, 4))
         pts = rng.uniform(0.2, 2.8, size=(5, 2))
         gy = rng.standard_normal((2, 2, 5))
-        gx, gpts = T.bilinear_sample_backward(x, pts, gy)
-        num_gx = T.numeric_gradient(lambda v: float((T.bilinear_sample(v, pts) * gy).sum()), x)
+        gx, gpts = _points_gradient(_sample_points(x, pts)[1], gy)
+        num_gx = T.numeric_gradient(lambda v: float((_sample_points(v, pts)[0] * gy).sum()), x)
         assert T.relative_error(gx, num_gx) <= 1e-6
-        fpts = lambda v: float((T.bilinear_sample(x, v.reshape(5, 2)) * gy).sum())
+        fpts = lambda v: float((_sample_points(x, v.reshape(5, 2))[0] * gy).sum())
         num_gpts = T.numeric_gradient(fpts, pts.reshape(1, 1, 5, 2)).reshape(5, 2)
         assert T.relative_error(gpts, num_gpts) <= 1e-6
 
@@ -336,7 +351,7 @@ class TestSamplePlanes:
     @given(sample_cases())
     def test_forward_equals_corner_loop_bitwise(self, case):
         x, rows, cols, _ = case
-        out, _ = T._sample_planes(x, rows, cols)
+        out, _ = T.bilinear_sample(x, rows, cols)
         ref = _sample_reference(x, rows, cols)
         assert out.shape == ref.shape and out.dtype == x.dtype
         assert _bits(out) == _bits(ref)
@@ -345,8 +360,8 @@ class TestSamplePlanes:
     @given(sample_cases())
     def test_input_gradient_equals_bincount_scatter_bitwise(self, case):
         x, rows, cols, gy = case
-        _, cache = T._sample_planes(x, rows, cols)
-        gx, grows, gcols = T._sample_planes_backward(x.shape, cache, gy)
+        _, cache = T.bilinear_sample(x, rows, cols)
+        gx, grows, gcols = T.bilinear_sample_backward(cache, gy)
         assert gx.dtype == grows.dtype == gcols.dtype == x.dtype
         assert grows.shape == gcols.shape == rows.shape
         assert _bits(gx) == _bits(_scatter_reference(x, rows, cols, gy))
@@ -356,12 +371,12 @@ class TestSamplePlanes:
     def test_coordinate_gradients_match_numeric(self, case):
         x, rows, cols, gy = case
         x, gy = x.astype(np.float64), gy.astype(np.float64)
-        _, cache = T._sample_planes(x, rows, cols)
-        _, grows, gcols = T._sample_planes_backward(x.shape, cache, gy)
+        _, cache = T.bilinear_sample(x, rows, cols)
+        _, grows, gcols = T.bilinear_sample_backward(cache, gy)
         num_rows = T.numeric_gradient(
-            lambda v: float((T._sample_planes(x, v, cols)[0] * gy).sum()), rows)
+            lambda v: float((T.bilinear_sample(x, v, cols)[0] * gy).sum()), rows)
         num_cols = T.numeric_gradient(
-            lambda v: float((T._sample_planes(x, rows, v)[0] * gy).sum()), cols)
+            lambda v: float((T.bilinear_sample(x, rows, v)[0] * gy).sum()), cols)
         # on an integer coordinate next to the map the sample has a kink, where
         # a central difference averages the two one-sided slopes
         for got, num, coord in ((grows, num_rows, rows), (gcols, num_cols, cols)):
@@ -487,3 +502,9 @@ class TestNumericGradient:
         w = rng.standard_normal((2, 3, 3, 3))
         b = rng.standard_normal(2)
         assert T.relative_error(T.conv2d(x, w, b, spec), conv2d_naive(x, w, b, spec)) <= 1e-12
+
+
+def test_no_module_reaches_into_tensor_private_helpers():
+    for path in sorted(Path(T.__file__).parent.glob("*.py")):
+        if path.name != "tensor.py":
+            assert "T._" not in path.read_text(), f"{path.name} calls a private tensor helper"
