@@ -301,7 +301,89 @@ def selftest_checks():
         w1, state, _ = train_loop(samples, w0, pyr, wf, tcfg)
         blobs.append(save_checkpoint(w1, state, 2, "selftest"))
     record("training_determinism", blobs[0] == blobs[1])
+
+    # the one-pass infer overlay against the pixel-at-a-time painter
+    from .cli import _draw_overlay   # cli imports this module
+    scenes = [random_overlay_scene(rng) for _ in range(40)]
+    record("overlay_reference_equivalence",
+           all(_draw_overlay(img, poses).tobytes() == overlay_reference(img, poses).tobytes()
+               for img, poses in scenes))
     return results
+
+
+def overlay_reference(image: np.ndarray, poses) -> np.ndarray:
+    """The infer overlay painted one pixel at a time, the oracle for
+    cli._draw_overlay: pose by pose, each chain edge's Bresenham walk between
+    the rounded ends, then a 3x3 marker on each rounded joint in joint order.
+
+    A walk starts, in exact integers, at its first step whose major coordinate
+    is on the canvas: after n steps the minor coordinate has moved
+    (2*d_minor*n + d_major) // (2*d_major) pixels.
+    """
+    from .cli import LINE_COLOR, MARKER_COLORS   # cli imports this module
+    canvas = image.copy()
+    h, w = canvas.shape[2], canvas.shape[3]
+
+    def line(x0, y0, x1, y1):
+        rgb = np.array(LINE_COLOR) / 255.0
+        x0, y0, x1, y1 = int(round(x0)), int(round(y0)), int(round(x1)), int(round(y1))
+        by_rows = abs(y1 - y0) > abs(x1 - x0)
+        plane = canvas[0].swapaxes(1, 2) if by_rows else canvas[0]    # (3, minor, major)
+        size_major, size_minor = (h, w) if by_rows else (w, h)
+        if by_rows:
+            x0, y0, x1, y1 = y0, x0, y1, x1
+        d_major, d_minor = abs(x1 - x0), abs(y1 - y0)
+        s_major = 1 if x0 < x1 else -1
+        s_minor = 1 if y0 < y1 else -1
+        lo, hi = (-x0, size_major - 1 - x0) if s_major > 0 else (x0 - size_major + 1, x0)
+        first, last = max(lo, 0), min(hi, d_major)
+        moved = (2 * d_minor * first + d_major) // (2 * max(d_major, 1))
+        x, y = x0 + s_major * first, y0 + s_minor * moved
+        # the minor coordinate moves on the next step when err >= 0
+        err = 2 * d_minor * (first + 1) - d_major * (2 * moved + 1)
+        for _ in range(last - first + 1):
+            if 0 <= y < size_minor:
+                plane[:, y, x] = rgb
+            if err >= 0:
+                y += s_minor
+                err -= 2 * d_major
+            err += 2 * d_minor
+            x += s_major
+
+    def dot(x, y, color):
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                px, py = x + dx, y + dy
+                if 0 <= px < w and 0 <= py < h:
+                    for c in range(3):
+                        canvas[0, c, py, px] = color[c] / 255.0
+
+    for inst in poses:
+        pts = inst.keypoints.tolist()
+        for (x0, y0, _), (x1, y1, _) in zip(pts, pts[1:]):
+            line(x0, y0, x1, y1)
+        for j, (x, y, _) in enumerate(pts):
+            dot(int(round(x)), int(round(y)), MARKER_COLORS[j % len(MARKER_COLORS)])
+    return canvas
+
+
+def random_overlay_scene(rng, h=24, w=32):
+    """A random image and poses for the overlay oracle: 0 to 6 overlapping
+    poses of 1 to 5 joints, on the canvas or up to 4 pixels off it, some
+    joints on its edges and about one coordinate in twenty at +-1e7, +-1e30
+    or +-3e38."""
+    image = rng.uniform(0, 1, size=(1, 3, h, w)).astype(np.float32)
+    k = int(rng.integers(1, 6))
+    poses = []
+    for _ in range(int(rng.integers(0, 7))):
+        xy = rng.uniform(-4, (w + 4, h + 4), size=(k, 2))
+        edge = rng.uniform(size=(k, 2)) < 0.15
+        xy[edge] = rng.choice([-1.0, 0.0, w - 1.0, w, h - 1.0, h], size=edge.sum())
+        far = rng.uniform(size=(k, 2)) < 0.05
+        xy[far] = rng.choice([1e7, -1e7, 1e30, -1e30, 3e38, -3e38], size=far.sum())
+        poses.append(PoseInstance(np.hstack([xy, rng.uniform(size=(k, 1))]),
+                                  float(rng.uniform())))
+    return image, poses
 
 
 def _random_scene(rng, k):

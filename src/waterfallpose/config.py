@@ -8,6 +8,7 @@ accept 0 to mean "derived default" (fused width, and a quarter of it).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .backbone import PyramidConfig
@@ -159,6 +160,10 @@ class RunConfig:
         if self.eval_style not in ("coco", "crowdpose"):
             raise ConfigError(f"eval.style must be coco or crowdpose, "
                               f"got {self.eval_style!r}")
+        for key in ("eval.area_medium", "eval.area_large", "eval.crowd_easy",
+                    "eval.crowd_hard"):
+            if not math.isfinite(self.values[key]):
+                raise ConfigError(f"{key} must be finite, got {self.values[key]!r}")
         return self
 
     def canonical_text(self) -> str:

@@ -18,6 +18,7 @@ Undefined buckets (no ground truths) are reported as None, never as 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,12 @@ class OksParams:
     def __post_init__(self):
         if not self.falloffs or any(not (f > 0) for f in self.falloffs):
             raise ValueError("every falloff constant must be positive")
+        for f in self.falloffs:
+            # the OKS divides by the variance term (2f)^2; Python float
+            # products overflow to inf and underflow to 0 without a warning
+            if not 0.0 < (2.0 * f) * (2.0 * f) < math.inf:
+                raise ValueError(f"falloff constant {f!r} must be finite, with "
+                                 f"(2f)^2 non-zero and finite in float64")
 
     @classmethod
     def uniform(cls, k: int, value: float = 0.1):

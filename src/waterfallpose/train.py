@@ -41,16 +41,23 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        for name in ("base_lr", "lr_factor", "sigma"):
+        for name in ("base_lr", "lr_factor", "sigma", "offset_radius"):
             if not 0.0 < getattr(self, name) < math.inf:   # also false for nan
                 raise ValueError(f"{name} must be finite and positive")
         for name in ("heatmap_weight", "offset_weight"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
+        # augmentation draws uniform(-v, v), whose width 2v must be finite too
+        for name in ("rotation_deg", "translate_px"):
+            if not 0.0 <= 2.0 * getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"with 2 * {name} finite")
         if list(self.lr_steps) != sorted(self.lr_steps):
             raise ValueError("lr steps must be increasing")
-        if self.scale_range[0] > self.scale_range[1] or self.scale_range[0] <= 0:
-            raise ValueError(f"bad scale range {self.scale_range}")
+        lo, hi = self.scale_range
+        if not 0.0 < lo <= hi < math.inf:
+            raise ValueError(f"scale range must be finite and positive with "
+                             f"min <= max, got {self.scale_range}")
 
 
 def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:

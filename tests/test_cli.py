@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from waterfallpose import dataio
-from waterfallpose.cli import _draw_line, main
-from waterfallpose.config import parse_config
+from waterfallpose.checks import overlay_reference, random_overlay_scene
+from waterfallpose.cli import _draw_line, _draw_overlay, main
+from waterfallpose.config import default_config, parse_config
 from waterfallpose.decode import PoseInstance
 from waterfallpose.model import init_model_weights
 from waterfallpose.targets import PersonAnnotation
@@ -153,6 +154,26 @@ class TestInfer:
         assert not (tmp / "out.json").exists()
 
 
+    def test_overlay_is_the_reference_painting_of_the_written_poses(self, tmp_path, rng):
+        # published widths with random offsets: up to 30 poses, joints on and off the canvas
+        cfg = default_config()
+        weights = init_model_weights(cfg.pyramid, cfg.waterfall, seed=3, offset_init="random")
+        (tmp_path / "ckpt.bin").write_bytes(
+            dataio.save_checkpoint(weights, None, 0, cfg.fingerprint()))
+        image = rng.uniform(0, 1, size=(1, 3, 128, 128)).astype(np.float32)
+        (tmp_path / "img.ppm").write_bytes(dataio.write_image_ppm(image))
+        code = main(["infer", "--checkpoint", str(tmp_path / "ckpt.bin"),
+                     "--image", str(tmp_path / "img.ppm"),
+                     "--out-poses", str(tmp_path / "poses.json"),
+                     "--out-overlay", str(tmp_path / "overlay.ppm")])
+        assert code == 0
+        poses = dataio.parse_results((tmp_path / "poses.json").read_text(), 17).get(0, [])
+        assert poses
+        unpadded = dataio.read_image_ppm((tmp_path / "img.ppm").read_bytes())
+        assert (tmp_path / "overlay.ppm").read_bytes() == \
+            dataio.write_image_ppm(overlay_reference(unpadded, poses))
+
+
 class TestTrainEval:
     def test_train_then_infer_yields_instances(self, workdir, capsys):
         tmp, cfg = workdir
@@ -199,6 +220,35 @@ class TestTrainEval:
                      "--results", str(tmp / "r.json")])  # default config: K=17
         assert code == 2
         assert "keypoints" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "train.scale_max = inf", "train.rotation_deg = nan", "train.translate_px = inf",
+    ])
+    def test_train_bad_augmentation_is_data_error(self, workdir, capsys, line):
+        tmp, cfg = workdir
+        (tmp / "bad.cfg").write_text(TOY_CONFIG + line + "\n")
+        code = main(["train", "--config", str(tmp / "bad.cfg"),
+                     "--dataset", str(tmp / "data.json"),
+                     "--images", str(tmp), "--out", str(tmp / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "must be finite" in err
+
+    @pytest.mark.parametrize("line", [
+        "oks.falloffs = inf", "oks.falloffs = 1e-320", "eval.area_large = inf",
+        "eval.crowd_hard = nan",
+    ])
+    def test_eval_bad_oks_setting_is_data_error(self, workdir, capsys, line):
+        tmp, cfg = workdir
+        insts = {1: [PoseInstance([(8.0, 10.0, 1.0), (24.0, 22.0, 1.0)], 1.0)]}
+        (tmp / "r.json").write_text(dataio.write_results(insts))
+        (tmp / "bad.cfg").write_text(TOY_CONFIG + line + "\n")
+        code = main(["eval", "--config", str(tmp / "bad.cfg"),
+                     "--dataset", str(tmp / "data.json"),
+                     "--results", str(tmp / "r.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and not captured.out
 
     def test_eval_malformed_image_record(self, workdir, capsys):
         tmp, cfg = workdir
@@ -288,3 +338,30 @@ class TestDrawLine:
             y0, y1 = rng.uniform(-0.5 - margin, h - 0.5 + margin, size=2)
             np.testing.assert_array_equal(_drawn((x0, y0, x1, y1), w, h),
                                           _bresenham_pixels(x0, y0, x1, y1, w, h))
+
+
+def _pose(*xy):
+    return PoseInstance([(x, y, 0.5) for x, y in xy], 0.5)
+
+
+class TestOverlay:
+    W, H = 32, 24
+
+    @pytest.mark.parametrize("poses", [
+        [],
+        [_pose((5.0, 6.0))],
+        [_pose((3, 3), (20, 15), (8, 20)), _pose((4, 3), (19, 15), (21, 2))],
+        [_pose((0, 0), (31, 0), (31, 23), (0, 23), (-1, 12), (32, 12))],
+        [_pose((10, 10), (1e30, 10), (3e38, -3e38), (12, 12))],
+        [_pose((-1e30, 5), (1e30, 5)), _pose((5, 3e38), (5, -3e38), (6, 6))],
+    ], ids=["no-pose", "one-joint", "overlapping", "edges", "far", "far-crossing"])
+    def test_equals_reference(self, rng, poses):
+        image = rng.uniform(0, 1, size=(1, 3, self.H, self.W)).astype(np.float32)
+        assert _draw_overlay(image, poses).tobytes() == overlay_reference(image, poses).tobytes()
+
+    def test_equals_reference_on_random_scenes(self, rng):
+        for _ in range(300):
+            image, poses = random_overlay_scene(rng, int(rng.integers(1, 40)),
+                                                int(rng.integers(1, 40)))
+            assert _draw_overlay(image, poses).tobytes() == \
+                overlay_reference(image, poses).tobytes()

@@ -73,9 +73,33 @@ class TestParsing:
         "train.sigma = 0", "train.sigma = -1",
         "train.offset_weight = nan", "train.heatmap_weight = -1",
         "train.heatmap_weight = inf",
+        "train.rotation_deg = nan", "train.rotation_deg = 1e308",
+        "train.rotation_deg = -1", "train.translate_px = inf",
+        "train.offset_radius = nan", "train.offset_radius = 0",
     ])
     def test_bad_training_float_rejected(self, line):
         key = line.split(" = ")[0].split(".")[1]
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config(line)
+
+    @pytest.mark.parametrize("line", [
+        "train.scale_max = inf", "train.scale_min = nan", "train.scale_min = 2",
+    ])
+    def test_bad_scale_range_rejected(self, line):
+        with pytest.raises(ConfigError, match="scale range must be finite"):
+            parse_config(line)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e308", "1e154", "1e-320"])
+    def test_bad_falloff_rejected(self, value):
+        with pytest.raises(ConfigError, match="falloff constant"):
+            parse_config(f"oks.falloffs = {value}")
+
+    @pytest.mark.parametrize("line", [
+        "eval.area_medium = nan", "eval.area_large = inf",
+        "eval.crowd_easy = nan", "eval.crowd_hard = -inf",
+    ])
+    def test_non_finite_eval_edge_rejected(self, line):
+        key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             parse_config(line)
 
