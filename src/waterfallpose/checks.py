@@ -272,7 +272,7 @@ def selftest_checks():
     # evaluator vs brute force
     ok_eval = True
     for _ in range(40):
-        preds, gts, params2 = _random_eval_scene(rng)
+        preds, gts, params2 = random_eval_scene(rng)
         ok_eval &= (evaluate(preds, gts, params2).as_row()
                     == bruteforce_eval(preds, gts, params2).as_row())
     record("evaluator_bruteforce_equivalence", ok_eval)
@@ -285,7 +285,6 @@ def selftest_checks():
            and abs(lr_at_epoch(125, cfg) - 1e-5) < 1e-12)
 
     # determinism of a tiny training run
-    from .model import init_model_weights as imw
     from .train import train_loop
     from .dataio import save_checkpoint
     pyr = PyramidConfig(widths=(2, 2, 2, 2), stem_width=2)
@@ -297,7 +296,7 @@ def selftest_checks():
     tcfg = TrainConfig(epochs=2, seed=5)
     blobs = []
     for _ in range(2):
-        w0 = imw(pyr, wf, seed=3)
+        w0 = init_model_weights(pyr, wf, seed=3)
         w1, state, _ = train_loop(samples, w0, pyr, wf, tcfg)
         blobs.append(save_checkpoint(w1, state, 2, "selftest"))
     record("training_determinism", blobs[0] == blobs[1])
@@ -403,20 +402,56 @@ def _random_scene(rng, k):
     return anns
 
 
-def _random_eval_scene(rng):
-    params = OksParams.uniform(2)
+def random_eval_scene(rng, area_edges=(32.0 ** 2, 96.0 ** 2), crowd_edges=(0.1, 0.8)):
+    """A random scene for the evaluator oracle, with ties: 1 to 3 images, each
+    with 0 to 5 ground truths and 0 to 8 predictions of K = 2 joints.
+
+    Ground truths have mixed visibilities with at least one labeled joint,
+    areas below, on and above each area edge, and a crowd index of None, 0,
+    1, an edge or a value between. About one in four repeats the keypoints of
+    an earlier one in its image, with its area or a new one. Most predictions
+    sit near a ground truth, at up to 1.5 OKS scales and at times exactly on
+    it; about one in four repeats an earlier prediction of its image. So equal
+    OKS values occur, also between ground truths in different buckets. Half
+    of the scores come from {0.25, 0.5, 0.75}, so equal scores occur within
+    an image and across images. Returns (preds_by_image, gts_by_image,
+    params).
+    """
+    k = 2
+    params = OksParams.uniform(k)
     preds, gts = {}, {}
-    for img in range(2):
+    for img in range(int(rng.integers(1, 4))):
         gts[img] = []
-        for _ in range(int(rng.integers(0, 5))):
-            pts = rng.uniform(0, 40, size=(2, 2))
-            gts[img].append(PersonAnnotation(np.hstack([pts, np.full((2, 1), 2.0)]),
-                                             area=float(rng.uniform(4, 120))))
+        for _ in range(int(rng.integers(0, 6))):
+            crowd = [None, 0.0, 1.0, *crowd_edges, float(rng.uniform())][int(rng.integers(6))]
+            area = float(rng.choice(area_edges)) * \
+                float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.5, 2.0)]))
+            if gts[img] and rng.uniform() < 0.25:
+                twin = gts[img][int(rng.integers(len(gts[img])))]
+                kps = twin.keypoints
+                area = twin.area if rng.uniform() < 0.5 else area
+            else:
+                vis = rng.integers(0, 3, size=(k, 1))
+                if not vis.any():
+                    vis[0] = 2
+                kps = np.hstack([rng.uniform(0, 40, size=(k, 2)), vis])
+            gts[img].append(PersonAnnotation(kps, area=area, crowd_index=crowd))
         preds[img] = []
-        for _ in range(int(rng.integers(0, 7))):
-            pts = rng.uniform(0, 40, size=(2, 2)) + rng.standard_normal((2, 2)) * 3
-            preds[img].append(PoseInstance(np.hstack([pts, np.ones((2, 1))]),
-                                           float(rng.uniform(0, 1))))
+        for _ in range(int(rng.integers(0, 9))):
+            score = float(rng.choice([0.25, 0.5, 0.75])) if rng.uniform() < 0.5 \
+                else float(rng.uniform())
+            if preds[img] and rng.uniform() < 0.25:
+                twin = preds[img][int(rng.integers(len(preds[img])))]
+                xy = twin.keypoints[:, :2]
+                score = twin.score if rng.uniform() < 0.5 else score
+            elif gts[img] and rng.uniform() < 0.7:
+                gt = gts[img][int(rng.integers(len(gts[img])))]
+                scale = np.sqrt(gt.area) * params.falloffs[0] * \
+                    float(rng.choice([0.0, rng.uniform(0, 1.5)]))
+                xy = gt.keypoints[:, :2] + scale * rng.standard_normal((k, 2))
+            else:
+                xy = rng.uniform(0, 40, size=(k, 2))
+            preds[img].append(PoseInstance(np.hstack([xy, np.ones((k, 1))]), score))
     return preds, gts, params
 
 

@@ -152,14 +152,6 @@ def _line_pixels(edges, w: int, h: int):
     return flat[on], edge[on]
 
 
-def _draw_line(img: np.ndarray, x0, y0, x1, y1, color):
-    """Bresenham's line between the rounded ends, drawn where it is on the
-    canvas (see _line_pixels)."""
-    h, w = img.shape[2], img.shape[3]
-    ys, xs = np.divmod(_line_pixels([(x0, y0, x1, y1)], w, h)[0], w)
-    img[0][:, ys, xs] = (np.array(color) / 255.0)[:, None]
-
-
 def _draw_overlay(image: np.ndarray, poses) -> np.ndarray:
     """Chain edges between consecutive keypoints plus a 3x3 marker on each
     keypoint, painted pose by pose: pose p's edges, then its markers in joint

@@ -164,6 +164,14 @@ class RunConfig:
                     "eval.crowd_hard"):
             if not math.isfinite(self.values[key]):
                 raise ConfigError(f"{key} must be finite, got {self.values[key]!r}")
+        medium, large = self.area_edges
+        if not 0.0 <= medium <= large:
+            raise ConfigError(f"eval area edges need 0 <= eval.area_medium <= "
+                              f"eval.area_large, got {medium!r} and {large!r}")
+        easy, hard = self.crowd_edges
+        if not 0.0 <= easy <= hard <= 1.0:
+            raise ConfigError(f"eval crowd edges need 0 <= eval.crowd_easy <= "
+                              f"eval.crowd_hard <= 1, got {easy!r} and {hard!r}")
         return self
 
     def canonical_text(self) -> str:

@@ -11,7 +11,9 @@ its 1x1 case. Average precision follows the standard keypoint protocol: the
 image's similarity matrix is built once, greedy highest-similarity matching
 runs over it at each threshold, then a 101-point interpolated
 precision-recall integral over score-ranked detections; AP averages the
-thresholds 0.50:0.05:0.95 and AR averages the final recalls.
+thresholds 0.50:0.05:0.95 and AR averages the final recalls. At each
+threshold a ranked detection is one number, the index of the ground truth it
+claims or -1, and every figure, bucketed ones included, is read off that array.
 
 Undefined buckets (no ground truths) are reported as None, never as 0.
 """
@@ -104,7 +106,16 @@ def oks_matrix(preds, gts, params: OksParams) -> np.ndarray:
     area = np.array([g.area for g in gts], dtype=np.float64).reshape(n_gt, 1)
     falloff = np.asarray(params.falloffs, dtype=np.float64)
     d2 = (pred_kps[..., 0] - gt_xy[..., 0]) ** 2 + (pred_kps[..., 1] - gt_xy[..., 1]) ** 2
-    terms = np.where(labeled, np.exp(-d2 / (2.0 * area * falloff * falloff)), 0.0)
+    var = 2.0 * area * falloff * falloff
+    zero = var == 0.0
+    near = np.exp(-d2 / np.where(zero, 1.0, var))
+    # area is data, so the variance term can underflow to 0; such a joint
+    # scores the limit, 1 at distance 0 and 0 elsewhere. Guarded so that the
+    # common case allocates nothing more: one more temporary per decode made
+    # infer processes land more often in glibc's re-fault heap mode
+    if zero.any():
+        np.copyto(near, d2 == 0.0, where=zero)
+    terms = np.where(labeled, near, 0.0)
     # add.accumulate runs strictly left to right; sum() would pair the terms
     total = np.add.accumulate(terms, axis=2)[..., -1]
     return total / count
@@ -117,40 +128,37 @@ def oks(pred, gt: PersonAnnotation, params: OksParams) -> float:
 
 
 def match_and_score(sims, threshold: float):
-    """Greedy matching over a (P, G) OKS matrix whose rows are the
-    predictions in descending score order.
+    """Greedy matching over a (P, G) OKS matrix, or its rows as lists, whose
+    rows are the predictions in descending score order.
 
     Each prediction, in row order, picks the unclaimed ground truth with the
     highest OKS (equal similarities go to the earlier ground truth) and
-    claims it if that OKS reaches the threshold. Returns one
-    (is_tp, matched_gt_index_or_None) pair per prediction.
+    claims it if that OKS reaches the threshold. Returns, per prediction, the
+    index of the ground truth it claims, or -1.
     """
-    taken = [False] * sims.shape[1]
-    labels = []
-    for row in sims.tolist():
-        best, best_gt = -1.0, None
+    taken = set()
+    claims = []
+    for row in sims:
+        best, best_gt = -1.0, -1
         for gi, sim in enumerate(row):
-            if sim > best and not taken[gi]:
+            if sim > best and gi not in taken:
                 best, best_gt = sim, gi
-        if best_gt is not None and best >= threshold:
-            taken[best_gt] = True
-            labels.append((True, best_gt))
+        if best_gt >= 0 and best >= threshold:
+            taken.add(best_gt)
         else:
-            labels.append((False, None))
-    return labels
+            best_gt = -1
+        claims.append(best_gt)
+    return claims
 
 
-def interpolated_ap(curve):
-    """101-point interpolated AP over (recall, precision) pairs in rank order
-    (so recall never decreases along the curve).
+def interpolated_ap(recall, precision):
+    """101-point interpolated AP over a precision-recall curve in rank order
+    (so recall never decreases along it).
 
     At each recall level r in {0.00, 0.01, ..., 1.00} the interpolated
     precision is the best precision at recall >= r (0 when no point reaches
     r); AP is their mean, summed in recall order.
     """
-    if not len(curve):
-        return 0.0
-    recall, precision = np.asarray(curve, dtype=np.float64).reshape(-1, 2).T
     # best precision from each point to the end; the appended 0 answers the
     # levels that no point reaches
     suffix_best = np.maximum.accumulate(np.append(precision, 0.0)[::-1])[::-1]
@@ -159,10 +167,10 @@ def interpolated_ap(curve):
 
 
 def pr_curve(flags, n_gt):
-    """(recall, precision) after each detection of a score-ranked TP/FP list."""
-    tp = np.cumsum(np.asarray(flags, dtype=np.int64))
-    rank = np.arange(1, len(tp) + 1)
-    return list(zip((tp / n_gt).tolist(), (tp / rank).tolist()))
+    """Recall and precision arrays after each detection of a score-ranked
+    TP/FP list."""
+    tp = np.cumsum(flags, dtype=np.int64)
+    return tp / n_gt, tp / np.arange(1, len(tp) + 1)
 
 
 def _bucket_predicates(style, area_edges, crowd_edges):
@@ -196,70 +204,59 @@ def evaluate(preds_by_image: dict, gts_by_image: dict, params: OksParams,
     and the detections matched to them; unmatched detections count as false
     positives everywhere.
     """
-    image_ids = sorted(gts_by_image.keys() | preds_by_image.keys())
-    valid_gts = {
-        img: [g for g in gts_by_image.get(img, []) if g.num_labeled() > 0]
-        for img in image_ids
-    }
-    ordered_preds = {}
-    for img in image_ids:
-        preds = list(preds_by_image.get(img, []))
-        order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
-        ordered_preds[img] = [preds[i] for i in order]
-
+    gts, scores, rows, first_gt = [], [], [], []
+    for img in sorted(gts_by_image.keys() | preds_by_image.keys()):
+        valid = [g for g in gts_by_image.get(img, []) if g.num_labeled() > 0]
+        ranked = sorted(preds_by_image.get(img, []), key=lambda p: -p.score)
+        rows.append(oks_matrix(ranked, valid, params).tolist())
+        # per prediction, the flat index of its image's first ground truth
+        first_gt += [len(gts)] * len(ranked)
+        gts += valid
+        scores += [-p.score for p in ranked]
     # global rank: score descending, ties by (image id, within-image rank)
-    pool = [(-p.score, img, i) for img in image_ids
-            for i, p in enumerate(ordered_preds[img])]
-    pool.sort()
+    order = np.argsort(scores, kind="stable")
+    first_gt = np.array(first_gt, dtype=np.int64)[order]
 
-    def membership(predicates):
-        """Per bucket: (count, per image one in-bucket flag per ground truth)."""
-        out = {}
-        for name, predicate in predicates.items():
-            inside = {img: [predicate(g) for g in valid_gts[img]] for img in image_ids}
-            out[name] = (sum(sum(v) for v in inside.values()), inside)
-        return out
+    def buckets(kind):
+        """Per bucket, an in-bucket flag per ground truth and a trailing False
+        that index -1 (no claim) reads; bucket "all" holds every ground truth."""
+        predicates = {"all": lambda g: True,
+                      **_bucket_predicates(kind, area_edges, crowd_edges)}
+        return {name: np.array([inside(g) for g in gts] + [False])
+                for name, inside in predicates.items()}
 
-    ap_buckets = membership(_bucket_predicates(style, area_edges, crowd_edges))
-    ar_buckets = membership(_bucket_predicates("coco", area_edges, crowd_edges))
-    n_gt = sum(len(v) for v in valid_gts.values())
-
-    ap_per_t = []
-    ar_per_t = []
-    bucket_ap = {name: [] for name in ap_buckets}
-    bucket_ar = {name: [] for name in ar_buckets}
-    sims = {img: oks_matrix(ordered_preds[img], valid_gts[img], params)
-            for img in image_ids}
+    ap_masks, ar_masks = buckets(style), buckets("coco")
+    ap = {name: [] for name in ap_masks}
+    ar = {name: [] for name in ar_masks}
     for t in thresholds:
-        matches = {img: match_and_score(sims[img], t) for img in image_ids}
-        ranked = [matches[img][i] + (img,) for _, img, i in pool]
-        if n_gt > 0:
-            flags = [is_tp for is_tp, _, _ in ranked]
-            ap_per_t.append(interpolated_ap(pr_curve(flags, n_gt)))
-            ar_per_t.append(sum(flags) / n_gt)
-        for name, (count, inside) in ap_buckets.items():
-            if count == 0:
-                continue
-            # keep the bucket's gts and their matches; everything unmatched
-            # stays a false positive
-            flags = [is_tp for is_tp, gi, img in ranked if not is_tp or inside[img][gi]]
-            bucket_ap[name].append(interpolated_ap(pr_curve(flags, count)))
-        for name, (count, inside) in ar_buckets.items():
-            if count == 0:
-                continue
-            hits = sum(1 for is_tp, gi, img in ranked if is_tp and inside[img][gi])
-            bucket_ar[name].append(hits / count)
+        claims = []
+        for sims in rows:
+            claims += match_and_score(sims, t)
+        claims = np.array(claims, dtype=np.int64)[order]
+        # per ranked detection, the flat index of the ground truth it claims, or -1
+        gt = np.where(claims >= 0, claims + first_gt, -1)
+        tp = gt >= 0
+        for name, inside in ap_masks.items():
+            if inside.any():
+                # keep the bucket's gts and their matches; everything
+                # unmatched stays a false positive
+                ap[name].append(interpolated_ap(*pr_curve(tp[~tp | inside[gt]],
+                                                          int(inside.sum()))))
+        for name, inside in ar_masks.items():
+            if inside.any():
+                ar[name].append(int(inside[gt].sum()) / int(inside.sum()))
 
     def mean(vals):
         return sum(vals) / len(vals) if vals else None
 
+    ap_per_t = ap.pop("all")
     t_list = list(thresholds)
     return EvalResult(
         ap=mean(ap_per_t) or 0.0,
         ap50=ap_per_t[t_list.index(0.5)] if ap_per_t and 0.5 in t_list else 0.0,
         ap75=ap_per_t[t_list.index(0.75)] if ap_per_t and 0.75 in t_list else 0.0,
-        ap_buckets={name: mean(vals) for name, vals in bucket_ap.items()},
-        ar=mean(ar_per_t) or 0.0,
-        ar_medium=mean(bucket_ar["medium"]),
-        ar_large=mean(bucket_ar["large"]),
+        ap_buckets={name: mean(vals) for name, vals in ap.items()},
+        ar=mean(ar["all"]) or 0.0,
+        ar_medium=mean(ar["medium"]),
+        ar_large=mean(ar["large"]),
     )

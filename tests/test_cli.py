@@ -5,7 +5,7 @@ import pytest
 
 from waterfallpose import dataio
 from waterfallpose.checks import overlay_reference, random_overlay_scene
-from waterfallpose.cli import _draw_line, _draw_overlay, main
+from waterfallpose.cli import _draw_overlay, _line_pixels, main
 from waterfallpose.config import default_config, parse_config
 from waterfallpose.decode import PoseInstance
 from waterfallpose.model import init_model_weights
@@ -236,7 +236,8 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("line", [
         "oks.falloffs = inf", "oks.falloffs = 1e-320", "eval.area_large = inf",
-        "eval.crowd_hard = nan",
+        "eval.crowd_hard = nan", "eval.area_large = -5", "eval.area_medium = -1",
+        "eval.crowd_easy = 0.9", "eval.crowd_hard = 7",
     ])
     def test_eval_bad_oks_setting_is_data_error(self, workdir, capsys, line):
         tmp, cfg = workdir
@@ -307,10 +308,11 @@ def _bresenham_pixels(x0, y0, x1, y1, w, h):
 
 
 def _drawn(segment, w=64, h=64):
-    img = np.zeros((1, 3, h, w))
-    _draw_line(img, *segment, (255, 255, 255))
-    assert (img == img[:, :1]).all()
-    return img[0, 0] == 1.0
+    flat, edge = _line_pixels([segment], w, h)
+    assert (edge == 0).all()
+    pixels = np.zeros(h * w, dtype=bool)
+    pixels[flat] = True
+    return pixels.reshape(h, w)
 
 
 class TestDrawLine:

@@ -103,6 +103,20 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             parse_config(line)
 
+    @pytest.mark.parametrize("line", [
+        "eval.area_large = -5", "eval.area_medium = -1",
+        "eval.crowd_easy = 0.9", "eval.crowd_hard = 7",
+    ])
+    def test_unordered_eval_edge_rejected(self, line):
+        kind = line.split(".")[1].split("_")[0]     # area or crowd
+        with pytest.raises(ConfigError, match=f"eval {kind} edges need 0 <= "):
+            parse_config(line)
+
+    def test_equal_and_extreme_eval_edges_accepted(self):
+        cfg = parse_config("eval.area_medium = 0\neval.area_large = 0\n"
+                           "eval.crowd_easy = 1\neval.crowd_hard = 1")
+        assert cfg.area_edges == (0.0, 0.0) and cfg.crowd_edges == (1.0, 1.0)
+
     def test_zero_loss_weight_accepted(self):
         assert parse_config("train.offset_weight = 0").train.offset_weight == 0.0
 

@@ -398,7 +398,6 @@ class TestResults:
 # ---------------------------------------------------------------------------
 # keypoint lists drawn from arbitrary JSON values
 
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 numbers = st.one_of(st.sampled_from([0, 1, 2]), st.floats(),    # NaN and infinities too
                     st.integers(-2 ** 80, 2 ** 80))
 # one kind is drawn first so each is tried about as often as the others
@@ -432,7 +431,7 @@ def _assert_read_as_floats(got, decoded, k):
 
 
 class TestKeypointListProperty:
-    @PROPERTY
+    @settings(max_examples=300)
     @given(keypoint_files())
     def test_annotations_parse_exactly_or_raise_format_error(self, drawn):
         k, lists = drawn
@@ -448,7 +447,7 @@ class TestKeypointListProperty:
         _assert_read_as_floats(
             got, [rec["keypoints"] for rec in json.loads(text)["annotations"]], k)
 
-    @PROPERTY
+    @settings(max_examples=300)
     @given(keypoint_files())
     def test_results_parse_exactly_or_raise_format_error(self, drawn):
         k, lists = drawn
@@ -501,7 +500,7 @@ _CHECKPOINT = D.save_checkpoint(
 
 
 class TestByteMutationProperty:
-    @PROPERTY
+    @settings(max_examples=300)
     @given(mutated(D.write_tensor(_TENSOR)))
     def test_tensor_dump_parses_finite_or_raises_format_error(self, data):
         try:
@@ -510,7 +509,7 @@ class TestByteMutationProperty:
             return
         assert np.isfinite(t).all() and used == 20 + 4 * t.size <= len(data)
 
-    @PROPERTY
+    @settings(max_examples=300)
     @given(mutated(_CHECKPOINT))
     def test_checkpoint_loads_finite_or_raises_format_error(self, data):
         try:
@@ -530,7 +529,7 @@ _PPM = D.write_image_ppm((_RNG.integers(0, 256, size=(1, 3, 3, 4)) / 255.0).asty
 
 
 class TestPpmMutationProperty:
-    @PROPERTY
+    @settings(max_examples=300)
     @given(mutated(_PPM))
     def test_ppm_parses_to_unit_floats_or_raises_format_error(self, data):
         try:
@@ -589,7 +588,7 @@ _RESULTS_DOC = [{"image_id": 1, "keypoints": [1.0, 2.0, 0.5, 3, 4, 0.25], "score
 
 
 class TestJsonStructureProperty:
-    @PROPERTY
+    @settings(max_examples=300)
     @given(edited(_annotation_doc()))
     def test_annotations_parse_or_raise_format_error(self, text):
         try:
@@ -599,7 +598,7 @@ class TestJsonStructureProperty:
         assert all(type(img.file_name) is str for img in ds.images)
         assert all(type(name) is str for name in ds.keypoint_names)
 
-    @PROPERTY
+    @settings(max_examples=300)
     @given(edited(_RESULTS_DOC))
     def test_results_parse_or_raise_format_error(self, text):
         try:

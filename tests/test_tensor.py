@@ -273,8 +273,6 @@ class TestBilinearSample:
 # ---------------------------------------------------------------------------
 # the plane sampler against per-corner loops
 
-SAMPLER_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
-                            database=None)
 CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -347,7 +345,7 @@ def _bits(a):
 
 
 class TestSamplePlanes:
-    @SAMPLER_PROPERTY
+    @settings(max_examples=150)
     @given(sample_cases())
     def test_forward_equals_corner_loop_bitwise(self, case):
         x, rows, cols, _ = case
@@ -356,7 +354,7 @@ class TestSamplePlanes:
         assert out.shape == ref.shape and out.dtype == x.dtype
         assert _bits(out) == _bits(ref)
 
-    @SAMPLER_PROPERTY
+    @settings(max_examples=150)
     @given(sample_cases())
     def test_input_gradient_equals_bincount_scatter_bitwise(self, case):
         x, rows, cols, gy = case
@@ -366,7 +364,7 @@ class TestSamplePlanes:
         assert grows.shape == gcols.shape == rows.shape
         assert _bits(gx) == _bits(_scatter_reference(x, rows, cols, gy))
 
-    @SAMPLER_PROPERTY
+    @settings(max_examples=150)
     @given(sample_cases())
     def test_coordinate_gradients_match_numeric(self, case):
         x, rows, cols, gy = case
