@@ -28,9 +28,10 @@ class PyramidConfig:
             raise ValueError(f"need 4 non-negative level widths, got {self.widths}")
         if self.stem_width < 1:
             raise ValueError("stem width must be positive")
+        # at most six stem convs, so an input is padded to a multiple of at most 512
         s = self.base_stride
-        if s < 1 or (s & (s - 1)) != 0:
-            raise ValueError(f"base stride must be a power of two, got {s}")
+        if not 1 <= s <= 64 or (s & (s - 1)) != 0:
+            raise ValueError(f"base stride must be a power of two from 1 to 64, got {s}")
         if self.num_blocks < 1:
             raise ValueError("need at least one conv block per level")
 

@@ -12,12 +12,14 @@ import numpy as np
 from . import tensor as T
 from . import waterfall as W
 from .backbone import PyramidConfig
+from .dataio import save_checkpoint
 from .decode import DecodeConfig, PoseInstance, decode_poses
-from .metrics import OksParams, EvalResult, oks, evaluate, DEFAULT_THRESHOLDS
+from .metrics import OksParams, EvalResult, oks, evaluate, DEFAULT_THRESHOLDS, RECALL_POINTS
 from .model import init_model_weights, model_forward, model_backward
+from .overlay import LINE_COLOR, MARKER_COLORS, draw_overlay
 from .targets import PersonAnnotation, render_keypoint_heatmaps, \
     render_offset_targets
-from .train import TrainConfig, lr_at_epoch, heatmap_loss, offset_loss, total_loss
+from .train import TrainConfig, lr_at_epoch, heatmap_loss, offset_loss, total_loss, train_loop
 from .waterfall import WaterfallConfig, PoseMaps
 
 GRAD_TOL = 1e-6
@@ -260,10 +262,8 @@ def selftest_checks():
     params = OksParams.uniform(k)
     dcfg = DecodeConfig(falloffs=params.falloffs)
     for _ in range(10):
-        anns = _random_scene(rng, k)
-        heat = render_keypoint_heatmaps(anns, k, 64, 64)
-        offs, _, _ = render_offset_targets(anns, k, 64, 64)
-        poses = decode_poses(PoseMaps(heat, offs), dcfg)
+        anns = random_pose_scene(rng, int(rng.integers(1, 4)), k)
+        poses = decode_poses(scene_maps(anns, k), dcfg)
         ok_all &= len(poses) == len(anns)
         for ann in anns:
             ok_all &= max(oks(p, ann, params) for p in poses) >= 0.99
@@ -285,8 +285,6 @@ def selftest_checks():
            and abs(lr_at_epoch(125, cfg) - 1e-5) < 1e-12)
 
     # determinism of a tiny training run
-    from .train import train_loop
-    from .dataio import save_checkpoint
     pyr = PyramidConfig(widths=(2, 2, 2, 2), stem_width=2)
     wf = WaterfallConfig(level_widths=(2, 2, 2, 2), low_level_width=2,
                          branch_width=2, out_width=2, final_width=2,
@@ -302,24 +300,22 @@ def selftest_checks():
     record("training_determinism", blobs[0] == blobs[1])
 
     # the one-pass infer overlay against the pixel-at-a-time painter
-    from .cli import _draw_overlay   # cli imports this module
     scenes = [random_overlay_scene(rng) for _ in range(40)]
     record("overlay_reference_equivalence",
-           all(_draw_overlay(img, poses).tobytes() == overlay_reference(img, poses).tobytes()
+           all(draw_overlay(img, poses).tobytes() == overlay_reference(img, poses).tobytes()
                for img, poses in scenes))
     return results
 
 
 def overlay_reference(image: np.ndarray, poses) -> np.ndarray:
     """The infer overlay painted one pixel at a time, the oracle for
-    cli._draw_overlay: pose by pose, each chain edge's Bresenham walk between
+    overlay.draw_overlay: pose by pose, each chain edge's Bresenham walk between
     the rounded ends, then a 3x3 marker on each rounded joint in joint order.
 
     A walk starts, in exact integers, at its first step whose major coordinate
     is on the canvas: after n steps the minor coordinate has moved
     (2*d_minor*n + d_major) // (2*d_major) pixels.
     """
-    from .cli import LINE_COLOR, MARKER_COLORS   # cli imports this module
     canvas = image.copy()
     h, w = canvas.shape[2], canvas.shape[3]
 
@@ -385,21 +381,32 @@ def random_overlay_scene(rng, h=24, w=32):
     return image, poses
 
 
-def _random_scene(rng, k):
+def random_pose_scene(rng, n_people, k=3, h=64, w=64, min_sep=8.0):
+    """Up to n_people random annotations for the render -> decode oracle: k
+    visible joints around a centre at least 10 pixels inside an h x w map,
+    centres at least min_sep apart, area 120; gives up after 1000 draws."""
     anns = []
     centers = []
-    n = int(rng.integers(1, 4))
-    while len(anns) < n:
-        cx = float(rng.uniform(10, 54))
-        cy = float(rng.uniform(10, 54))
-        if any((cx - a) ** 2 + (cy - b) ** 2 < 64 for a, b in centers):
+    tries = 0
+    while len(anns) < n_people and tries < 1000:
+        tries += 1
+        cx = float(rng.uniform(10, w - 10))
+        cy = float(rng.uniform(10, h - 10))
+        if any((cx - a) ** 2 + (cy - b) ** 2 < min_sep ** 2 for a, b in centers):
             continue
         deltas = rng.uniform(-5, 5, size=(k, 2))
-        deltas -= deltas.mean(axis=0)
+        deltas -= deltas.mean(axis=0)  # keep the centroid at (cx, cy)
         kps = np.hstack([deltas + (cx, cy), np.full((k, 1), 2.0)])
         anns.append(PersonAnnotation(kps, area=120.0))
         centers.append((cx, cy))
     return anns
+
+
+def scene_maps(anns, k, h=64, w=64):
+    """The heatmaps and offsets that training would target for anns."""
+    heat = render_keypoint_heatmaps(anns, k, h, w)
+    offs, _, _ = render_offset_targets(anns, k, h, w)
+    return PoseMaps(heat, offs)
 
 
 def random_eval_scene(rng, area_edges=(32.0 ** 2, 96.0 ** 2), crowd_edges=(0.1, 0.8)):
@@ -455,6 +462,28 @@ def random_eval_scene(rng, area_edges=(32.0 ** 2, 96.0 ** 2), crowd_edges=(0.1, 
     return preds, gts, params
 
 
+def pr_by_loop(flags, n_gt):
+    """(recall, precision) after each detection of a score-ranked TP/FP list."""
+    tp, curve = 0, []
+    for rank, hit in enumerate(flags, start=1):
+        tp += 1 if hit else 0
+        curve.append((tp / n_gt, tp / rank))
+    return curve
+
+
+def ap_by_loop(curve):
+    """The 101-point definition: at each recall level, the best precision at
+    recall >= the level (0 if none), averaged."""
+    total = 0.0
+    for r in RECALL_POINTS:
+        best = 0.0
+        for rec, prec in curve:
+            if rec >= r and prec > best:
+                best = prec
+        total += best
+    return total / len(RECALL_POINTS)
+
+
 def bruteforce_eval(preds_by_image, gts_by_image, params, style="coco",
                     area_edges=(32.0 ** 2, 96.0 ** 2), crowd_edges=(0.1, 0.8)):
     """Plain-loop reference: greedy matching and direct PR integration.
@@ -486,18 +515,6 @@ def bruteforce_eval(preds_by_image, gts_by_image, params, style="coco",
               for i in image_ids}
     everyone = [g for i in image_ids for g in gts_of[i]]
 
-    def ap_of(hits, n):
-        tp = 0
-        curve = []
-        for rank, hit in enumerate(hits, start=1):
-            tp += 1 if hit else 0
-            curve.append((tp / n, tp / rank))
-        total = 0.0
-        for j in range(101):
-            r = j / 100.0
-            total += max((p for rec, p in curve if rec >= r), default=0.0)
-        return total / 101
-
     preds_of = {i: sorted(preds_by_image.get(i, []), key=lambda p: -p.score)
                 for i in image_ids}
     sim = {i: [[oks(p, g, params) for g in gts_of[i]] for p in preds_of[i]]
@@ -522,13 +539,13 @@ def bruteforce_eval(preds_by_image, gts_by_image, params, style="coco",
         tagged.sort(key=lambda e: e[:3])
         ranked = [matched for _, _, _, matched in tagged]
         if everyone:
-            aps.append(ap_of([m is not None for m in ranked], len(everyone)))
+            aps.append(ap_by_loop(pr_by_loop([m is not None for m in ranked], len(everyone))))
             ars.append(sum(1 for m in ranked if m is not None) / len(everyone))
         for name, inside in ap_buckets.items():
             n = sum(1 for g in everyone if inside(g))
             if n:
                 kept = [m is not None for m in ranked if m is None or inside(m)]
-                bucket_aps[name].append(ap_of(kept, n))
+                bucket_aps[name].append(ap_by_loop(pr_by_loop(kept, n)))
         for name, inside in area_buckets.items():
             n = sum(1 for g in everyone if inside(g))
             if n:

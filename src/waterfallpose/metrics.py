@@ -105,10 +105,13 @@ def oks_matrix(preds, gts, params: OksParams) -> np.ndarray:
     gt_xy = np.where(labeled[..., None], gt_kps[..., :2], 0.0)
     area = np.array([g.area for g in gts], dtype=np.float64).reshape(n_gt, 1)
     falloff = np.asarray(params.falloffs, dtype=np.float64)
-    d2 = (pred_kps[..., 0] - gt_xy[..., 0]) ** 2 + (pred_kps[..., 1] - gt_xy[..., 1]) ** 2
     var = 2.0 * area * falloff * falloff
     zero = var == 0.0
-    near = np.exp(-d2 / np.where(zero, 1.0, var))
+    # a joint far from its ground truth overflows d2, or d2 / var, to inf; its
+    # term is then exp(-inf) = 0, the score it should get
+    with np.errstate(over="ignore"):
+        d2 = (pred_kps[..., 0] - gt_xy[..., 0]) ** 2 + (pred_kps[..., 1] - gt_xy[..., 1]) ** 2
+        near = np.exp(-d2 / np.where(zero, 1.0, var))
     # area is data, so the variance term can underflow to 0; such a joint
     # scores the limit, 1 at distance 0 and 0 elsewhere. Guarded so that the
     # common case allocates nothing more: one more temporary per decode made
@@ -193,8 +196,7 @@ def _bucket_predicates(style, area_edges, crowd_edges):
     raise ValueError(f"unknown evaluation style {style!r}")
 
 
-def evaluate(preds_by_image: dict, gts_by_image: dict, params: OksParams,
-             style: str = "coco", thresholds=DEFAULT_THRESHOLDS,
+def evaluate(preds_by_image: dict, gts_by_image: dict, params: OksParams, style: str = "coco",
              area_edges=(32.0 ** 2, 96.0 ** 2), crowd_edges=(0.1, 0.8)) -> EvalResult:
     """Dataset-level AP/AR.
 
@@ -228,7 +230,7 @@ def evaluate(preds_by_image: dict, gts_by_image: dict, params: OksParams,
     ap_masks, ar_masks = buckets(style), buckets("coco")
     ap = {name: [] for name in ap_masks}
     ar = {name: [] for name in ar_masks}
-    for t in thresholds:
+    for t in DEFAULT_THRESHOLDS:
         claims = []
         for sims in rows:
             claims += match_and_score(sims, t)
@@ -250,11 +252,10 @@ def evaluate(preds_by_image: dict, gts_by_image: dict, params: OksParams,
         return sum(vals) / len(vals) if vals else None
 
     ap_per_t = ap.pop("all")
-    t_list = list(thresholds)
     return EvalResult(
         ap=mean(ap_per_t) or 0.0,
-        ap50=ap_per_t[t_list.index(0.5)] if ap_per_t and 0.5 in t_list else 0.0,
-        ap75=ap_per_t[t_list.index(0.75)] if ap_per_t and 0.75 in t_list else 0.0,
+        ap50=ap_per_t[DEFAULT_THRESHOLDS.index(0.5)] if ap_per_t else 0.0,
+        ap75=ap_per_t[DEFAULT_THRESHOLDS.index(0.75)] if ap_per_t else 0.0,
         ap_buckets={name: mean(vals) for name, vals in ap.items()},
         ar=mean(ar["all"]) or 0.0,
         ar_medium=mean(ar["medium"]),

@@ -39,8 +39,9 @@ class TrainConfig:
     checkpoint_every: int = 50
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+        for name in ("epochs", "checkpoint_every"):   # checkpoint_every 0: none
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         for name in ("base_lr", "lr_factor", "sigma", "offset_radius"):
             if not 0.0 < getattr(self, name) < math.inf:   # also false for nan
                 raise ValueError(f"{name} must be finite and positive")
@@ -52,8 +53,10 @@ class TrainConfig:
             if not 0.0 <= 2.0 * getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, "
                                  f"with 2 * {name} finite")
-        if list(self.lr_steps) != sorted(self.lr_steps):
-            raise ValueError("lr steps must be increasing")
+        steps = list(self.lr_steps)
+        if steps != sorted(steps) or min(steps, default=0) < 0:
+            raise ValueError(f"lr steps must be non-negative and increasing, "
+                             f"got {self.lr_steps}")
         lo, hi = self.scale_range
         if not 0.0 < lo <= hi < math.inf:
             raise ValueError(f"scale range must be finite and positive with "

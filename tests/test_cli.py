@@ -5,10 +5,11 @@ import pytest
 
 from waterfallpose import dataio
 from waterfallpose.checks import overlay_reference, random_overlay_scene
-from waterfallpose.cli import _draw_overlay, _line_pixels, main
+from waterfallpose.cli import main
 from waterfallpose.config import default_config, parse_config
 from waterfallpose.decode import PoseInstance
 from waterfallpose.model import init_model_weights
+from waterfallpose.overlay import draw_overlay, line_pixels
 from waterfallpose.targets import PersonAnnotation
 
 TOY_CONFIG = """
@@ -153,6 +154,15 @@ class TestInfer:
             and "non-finite" in err[0]
         assert not (tmp / "out.json").exists()
 
+    def test_too_large_base_stride_is_data_error(self, workdir, capsys):
+        tmp, cfg = workdir
+        (tmp / "bad.cfg").write_text(TOY_CONFIG + "pyramid.base_stride = 262144\n")
+        code = main(["infer", "--config", str(tmp / "bad.cfg"),
+                     "--checkpoint", str(zero_checkpoint(tmp, cfg)),
+                     "--image", str(tmp / "img0.ppm"), "--out-poses", str(tmp / "p.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "base stride" in err
 
     def test_overlay_is_the_reference_painting_of_the_written_poses(self, tmp_path, rng):
         # published widths with random offsets: up to 30 poses, joints on and off the canvas
@@ -212,6 +222,17 @@ class TestTrainEval:
         out = capsys.readouterr().out
         assert "AP" in out
         assert "100.0%" in out
+
+    def test_eval_far_joints_score_without_warning(self, workdir, capsys):
+        tmp, cfg = workdir
+        insts = {1: [PoseInstance([(1e200, 10.0, 1.0), (24.0, -1e308, 1.0)], 1.0),
+                     PoseInstance([(40.0, 42.0, 1.0), (56.0, 54.0, 1.0)], 0.9)]}
+        (tmp / "far.json").write_text(dataio.write_results(insts))
+        code = main(["eval", "--config", str(tmp / "toy.cfg"),
+                     "--dataset", str(tmp / "data.json"),
+                     "--results", str(tmp / "far.json")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_eval_keypoint_count_mismatch(self, workdir, capsys):
         tmp, cfg = workdir
@@ -308,7 +329,7 @@ def _bresenham_pixels(x0, y0, x1, y1, w, h):
 
 
 def _drawn(segment, w=64, h=64):
-    flat, edge = _line_pixels([segment], w, h)
+    flat, edge = line_pixels([segment], w, h)
     assert (edge == 0).all()
     pixels = np.zeros(h * w, dtype=bool)
     pixels[flat] = True
@@ -359,11 +380,11 @@ class TestOverlay:
     ], ids=["no-pose", "one-joint", "overlapping", "edges", "far", "far-crossing"])
     def test_equals_reference(self, rng, poses):
         image = rng.uniform(0, 1, size=(1, 3, self.H, self.W)).astype(np.float32)
-        assert _draw_overlay(image, poses).tobytes() == overlay_reference(image, poses).tobytes()
+        assert draw_overlay(image, poses).tobytes() == overlay_reference(image, poses).tobytes()
 
     def test_equals_reference_on_random_scenes(self, rng):
         for _ in range(300):
             image, poses = random_overlay_scene(rng, int(rng.integers(1, 40)),
                                                 int(rng.integers(1, 40)))
-            assert _draw_overlay(image, poses).tobytes() == \
+            assert draw_overlay(image, poses).tobytes() == \
                 overlay_reference(image, poses).tobytes()

@@ -117,6 +117,22 @@ class TestParsing:
                            "eval.crowd_easy = 1\neval.crowd_hard = 1")
         assert cfg.area_edges == (0.0, 0.0) and cfg.crowd_edges == (1.0, 1.0)
 
+    @pytest.mark.parametrize("line, message", [
+        ("pyramid.base_stride = 128", "base stride must be a power of two from 1 to 64"),
+        ("pyramid.base_stride = 262144", "base stride must be a power of two from 1 to 64"),
+        ("train.checkpoint_every = -1", "checkpoint_every must be non-negative"),
+        ("train.lr_steps = -5,2000000000000", "lr steps must be non-negative"),
+    ], ids=["stride-128", "stride-262144", "checkpoint-every", "lr-steps"])
+    def test_out_of_range_integer_rejected(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(line)
+
+    def test_integer_edges_accepted(self):
+        cfg = parse_config("pyramid.base_stride = 64\ntrain.checkpoint_every = 0\n"
+                           "train.lr_steps = 0,2000000000000")
+        assert cfg.pyramid.divisor() == 512 and cfg.train.checkpoint_every == 0
+        assert cfg.train.lr_steps == (0, 2000000000000)
+
     def test_zero_loss_weight_accepted(self):
         assert parse_config("train.offset_weight = 0").train.offset_weight == 0.0
 

@@ -2,42 +2,15 @@ import numpy as np
 import pytest
 
 from waterfallpose import tensor as T
+from waterfallpose.checks import random_pose_scene, scene_maps
 from waterfallpose.decode import DecodeConfig, PoseInstance, nms_peaks, decode_poses, \
     instance_to_annotation
 from waterfallpose.metrics import OksParams, oks
-from waterfallpose.targets import PersonAnnotation, \
-    render_keypoint_heatmaps, render_offset_targets
+from waterfallpose.targets import PersonAnnotation, render_keypoint_heatmaps
 from waterfallpose.waterfall import PoseMaps
 
 
 CFG = DecodeConfig()
-
-
-def synth_scene(rng, n_people, k=3, h=64, w=64, min_sep=8.0):
-    """Random annotations whose centers are at least min_sep apart."""
-    anns = []
-    centers = []
-    tries = 0
-    while len(anns) < n_people and tries < 1000:
-        tries += 1
-        cx = float(rng.uniform(10, w - 10))
-        cy = float(rng.uniform(10, h - 10))
-        if any((cx - a) ** 2 + (cy - b) ** 2 < min_sep ** 2 for a, b in centers):
-            continue
-        kps = []
-        deltas = rng.uniform(-5, 5, size=(k, 2))
-        deltas -= deltas.mean(axis=0)  # keep the centroid at (cx, cy)
-        for dx, dy in deltas:
-            kps.append((cx + float(dx), cy + float(dy), 2))
-        anns.append(PersonAnnotation(kps, area=120.0))
-        centers.append((cx, cy))
-    return anns
-
-
-def render_scene(anns, k, h=64, w=64):
-    heat = render_keypoint_heatmaps(anns, k, h, w)
-    offs, _, _ = render_offset_targets(anns, k, h, w)
-    return PoseMaps(heat, offs)
 
 
 class TestNmsPeaks:
@@ -110,8 +83,8 @@ class TestDecodePoses:
             decode_poses(PoseMaps(heat, offs), CFG)
 
     def test_round_trip_single_person(self, rng):
-        anns = synth_scene(rng, 1)
-        maps = render_scene(anns, 3)
+        anns = random_pose_scene(rng, 1)
+        maps = scene_maps(anns, 3)
         poses = decode_poses(maps, CFG)
         assert len(poses) == 1
         for (px, py, ps), kp in zip(poses[0].keypoints, anns[0].keypoints):
@@ -119,8 +92,8 @@ class TestDecodePoses:
             assert ps > 0.5
 
     def test_round_trip_two_far_apart(self, rng):
-        anns = synth_scene(rng, 2, min_sep=20.0)
-        maps = render_scene(anns, 3)
+        anns = random_pose_scene(rng, 2, min_sep=20.0)
+        maps = scene_maps(anns, 3)
         poses = decode_poses(maps, CFG)
         assert len(poses) == 2
         params = OksParams.uniform(3)
@@ -131,16 +104,16 @@ class TestDecodePoses:
     def test_round_trip_many_scenes(self, rng):
         params = OksParams.uniform(3)
         for _ in range(25):
-            anns = synth_scene(rng, int(rng.integers(1, 5)))
-            maps = render_scene(anns, 3)
+            anns = random_pose_scene(rng, int(rng.integers(1, 5)))
+            maps = scene_maps(anns, 3)
             poses = decode_poses(maps, CFG)
             assert len(poses) == len(anns)
             for ann in anns:
                 assert max(oks(p, ann, params) for p in poses) >= 0.99
 
     def test_deterministic(self, rng):
-        anns = synth_scene(rng, 3)
-        maps = render_scene(anns, 3)
+        anns = random_pose_scene(rng, 3)
+        maps = scene_maps(anns, 3)
         a = decode_poses(maps, CFG)
         b = decode_poses(maps, CFG)
         assert [(p.keypoints.tolist(), p.score) for p in a] == \

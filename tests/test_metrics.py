@@ -9,7 +9,8 @@ from waterfallpose.metrics import OksParams, UndefinedOksError, RECALL_POINTS, o
     oks_matrix, match_and_score, evaluate, interpolated_ap, pr_curve
 from waterfallpose.targets import PersonAnnotation
 
-from waterfallpose.checks import bruteforce_eval, random_eval_scene
+from waterfallpose.checks import ap_by_loop, bruteforce_eval, pr_by_loop, \
+    random_eval_scene
 
 
 def gt_person(points, area=100.0, crowd_index=None):
@@ -168,26 +169,13 @@ class TestOksMatrix:
         assert oks_matrix(preds, [gt], OksParams((1e-160, 0.1))).tolist() == \
             [[1.0], [0.5], [0.5]]
 
-
-def ap_by_loop(curve):
-    """The 101-point definition: at each recall level, the best precision at
-    recall >= the level (0 if none), averaged."""
-    total = 0.0
-    for r in RECALL_POINTS:
-        best = 0.0
-        for rec, prec in curve:
-            if rec >= r and prec > best:
-                best = prec
-        total += best
-    return total / len(RECALL_POINTS)
-
-
-def pr_by_loop(flags, n_gt):
-    tp, curve = 0, []
-    for rank, hit in enumerate(flags, start=1):
-        tp += 1 if hit else 0
-        curve.append((tp / n_gt, tp / rank))
-    return curve
+    def test_far_joints_score_zero_without_overflow_warning(self):
+        # (1e200)^2 and (1e308)^2 overflow float64; each such term is 0
+        gt = gt_person([(5, 5, 2), (8, 8, 2), (3, 4, 2)], area=49.0)
+        preds = [pred_person([(1e200, 5), (8, sign * 1e308), (4, 4)]) for sign in (1, -1)]
+        want = math.exp(-1.0 / (2 * 49.0 * 0.1 * 0.1)) / 3
+        for got in oks_matrix(preds, [gt], OksParams.uniform(3))[:, 0]:
+            assert got == pytest.approx(want, rel=1e-15)
 
 
 def pairs(recall, precision):

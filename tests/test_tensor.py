@@ -1,3 +1,4 @@
+import ast
 import math
 import warnings
 from pathlib import Path
@@ -502,7 +503,24 @@ class TestNumericGradient:
         assert T.relative_error(T.conv2d(x, w, b, spec), conv2d_naive(x, w, b, spec)) <= 1e-12
 
 
-def test_no_module_reaches_into_tensor_private_helpers():
+def test_modules_import_at_top_and_use_only_public_names():
+    # no import inside a function, and no other module's _private name,
+    # imported or read off a module
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
     for path in sorted(Path(T.__file__).parent.glob("*.py")):
-        if path.name != "tensor.py":
-            assert "T._" not in path.read_text(), f"{path.name} calls a private tensor helper"
+        tree = ast.parse(path.read_text())
+        imported = {(a.asname or a.name).split(".")[0] for node in tree.body
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.FunctionDef):
+                assert not any(isinstance(n, (ast.Import, ast.ImportFrom))
+                               for n in ast.walk(node)), f"{where} {node.name} imports inside"
+            elif isinstance(node, ast.ImportFrom):
+                assert not any(private(a.name) for a in node.names), \
+                    f"{where} imports a private name"
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert not (node.value.id in imported and private(node.attr)), \
+                    f"{where} reads {node.value.id}.{node.attr}"
