@@ -7,11 +7,13 @@ The similarity between a predicted and a ground-truth pose is
 with d_i the Euclidean distance between matching keypoints, s = sqrt(area)
 of the target, and k_i a per-keypoint falloff constant. oks_matrix computes
 it for every (prediction, ground truth) pair of an image at once; oks() is
-its 1x1 case. Average precision follows the standard keypoint protocol: the
-image's similarity matrix is built once, greedy highest-similarity matching
-runs over it at each threshold, then a 101-point interpolated
-precision-recall integral over score-ranked detections; AP averages the
-thresholds 0.50:0.05:0.95 and AR averages the final recalls. At each
+its 1x1 case. Average precision follows the standard keypoint protocol:
+greedy highest-similarity matching at each threshold, then a 101-point
+interpolated precision-recall integral over score-ranked detections; AP
+averages the thresholds 0.50:0.05:0.95 and AR averages the final recalls.
+The evaluator works on whole-set arrays: one OKS pass over every same-image
+(prediction, ground truth) pair, then greedy_match steps through the
+within-image ranks once for all images and thresholds together. At each
 threshold a ranked detection is one number, the index of the ground truth it
 claims or -1, and every figure, bucketed ones included, is read off that array.
 
@@ -30,6 +32,11 @@ from .targets import PersonAnnotation
 DEFAULT_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
 RECALL_POINTS = tuple(i / 100.0 for i in range(101))
 _RECALL_LEVELS = np.array(RECALL_POINTS)
+# pairs per block of evaluate's OKS pass, whatever the size of the set: at
+# K = 17 each float temporary is about 70 KB, under glibc's default 128 KB
+# mmap threshold, so it is reused from the heap; 1024-pair blocks doubled an
+# eval request's page faults
+PAIR_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -77,22 +84,64 @@ class UndefinedOksError(ValueError):
     """OKS is undefined for a ground truth with no labeled keypoints."""
 
 
-def oks_matrix(preds, gts, params: OksParams) -> np.ndarray:
-    """OKS of every prediction (anything with (K, 3) (x, y, score) keypoints)
-    against every ground-truth person, as a (P, G) float64 array.
-
-    One numpy pass over the keypoints: unlabeled ground-truth joints add
-    nothing to a pair's sum or to its count. The per-joint terms are summed
-    in joint order, as a scalar loop would. Raises UndefinedOksError when a
-    ground truth has no labeled joint.
-    """
-    k = len(params.falloffs)
+def _check_keypoint_counts(preds, gts, k):
     for kind, people in (("prediction", preds), ("ground truth", gts)):
         for person in people:
             if len(person.keypoints) != k:
                 raise ValueError(
                     f"keypoint count mismatch: {kind} has {len(person.keypoints)} "
                     f"keypoints, {k} falloffs given")
+
+
+def _variance(area, falloff):
+    """The variance term 2·area·f² of every (ground truth, joint), from an
+    area column and the falloff row."""
+    with np.errstate(over="ignore"):
+        var = 2.0 * area * falloff * falloff
+        # 2·area alone overflows for an area above about 9e307 while the
+        # product may be finite; those entries are formed area·f·f·2 instead
+        # (a finite product there needs f < 1, so no step exceeds the area).
+        # The guard keeps the common case free of any further allocation
+        if var.max(initial=0.0) == math.inf:
+            over = np.isinf(var)
+            var[over] = (area * falloff * falloff * 2.0)[over]
+    return var
+
+
+def _oks(pred_x, pred_y, gt_x, gt_y, var, labeled, count):
+    """The OKS formula over broadcastable arrays whose last axis is the
+    joint: prediction and ground-truth coordinates (unlabeled ground-truth
+    joints read as 0), the variance term, the labeled flags and each ground
+    truth's labeled count (one axis fewer). The per-joint terms are summed in
+    joint order, as a scalar loop would."""
+    zero = var == 0.0
+    # a joint far from its ground truth overflows d2, or d2 / var, to inf; its
+    # term is then exp(-inf) = 0, the score it should get
+    with np.errstate(over="ignore"):
+        d2 = (pred_x - gt_x) ** 2 + (pred_y - gt_y) ** 2
+        near = np.exp(-d2 / np.where(zero, 1.0, var))
+    # area is data, so the variance term can underflow to 0; such a joint
+    # scores the limit, 1 at distance 0 and 0 elsewhere. Guarded so that the
+    # common case allocates nothing more: one more temporary per decode made
+    # infer processes land more often in glibc's re-fault heap mode
+    if zero.any():
+        np.copyto(near, d2 == 0.0, where=zero)
+    terms = np.where(labeled, near, 0.0)
+    # add.accumulate runs strictly left to right; sum() would pair the terms
+    total = np.add.accumulate(terms, axis=-1)[..., -1]
+    return total / count
+
+
+def oks_matrix(preds, gts, params: OksParams) -> np.ndarray:
+    """OKS of every prediction (anything with (K, 3) (x, y, score) keypoints)
+    against every ground-truth person, as a (P, G) float64 array.
+
+    One numpy pass over the keypoints: unlabeled ground-truth joints add
+    nothing to a pair's sum or to its count. Raises UndefinedOksError when a
+    ground truth has no labeled joint.
+    """
+    k = len(params.falloffs)
+    _check_keypoint_counts(preds, gts, k)
     n_pred, n_gt = len(preds), len(gts)
     pred_kps = np.array([p.keypoints for p in preds]).reshape(n_pred, 1, k, 3)
     gt_kps = np.array([g.keypoints for g in gts]).reshape(1, n_gt, k, 3)
@@ -104,24 +153,9 @@ def oks_matrix(preds, gts, params: OksParams) -> np.ndarray:
     # nan enters the masked-out terms
     gt_xy = np.where(labeled[..., None], gt_kps[..., :2], 0.0)
     area = np.array([g.area for g in gts], dtype=np.float64).reshape(n_gt, 1)
-    falloff = np.asarray(params.falloffs, dtype=np.float64)
-    var = 2.0 * area * falloff * falloff
-    zero = var == 0.0
-    # a joint far from its ground truth overflows d2, or d2 / var, to inf; its
-    # term is then exp(-inf) = 0, the score it should get
-    with np.errstate(over="ignore"):
-        d2 = (pred_kps[..., 0] - gt_xy[..., 0]) ** 2 + (pred_kps[..., 1] - gt_xy[..., 1]) ** 2
-        near = np.exp(-d2 / np.where(zero, 1.0, var))
-    # area is data, so the variance term can underflow to 0; such a joint
-    # scores the limit, 1 at distance 0 and 0 elsewhere. Guarded so that the
-    # common case allocates nothing more: one more temporary per decode made
-    # infer processes land more often in glibc's re-fault heap mode
-    if zero.any():
-        np.copyto(near, d2 == 0.0, where=zero)
-    terms = np.where(labeled, near, 0.0)
-    # add.accumulate runs strictly left to right; sum() would pair the terms
-    total = np.add.accumulate(terms, axis=2)[..., -1]
-    return total / count
+    var = _variance(area, np.asarray(params.falloffs, dtype=np.float64))
+    return _oks(pred_kps[..., 0], pred_kps[..., 1], gt_xy[..., 0], gt_xy[..., 1],
+                var, labeled, count)
 
 
 def oks(pred, gt: PersonAnnotation, params: OksParams) -> float:
@@ -130,27 +164,56 @@ def oks(pred, gt: PersonAnnotation, params: OksParams) -> float:
     return float(oks_matrix([pred], [gt], params)[0, 0])
 
 
-def match_and_score(sims, threshold: float):
-    """Greedy matching over a (P, G) OKS matrix, or its rows as lists, whose
-    rows are the predictions in descending score order.
+def greedy_match(sims, pred_counts, gt_counts, thresholds):
+    """Greedy matching in every image at every threshold at once.
 
-    Each prediction, in row order, picks the unclaimed ground truth with the
-    highest OKS (equal similarities go to the earlier ground truth) and
-    claims it if that OKS reaches the threshold. Returns, per prediction, the
-    index of the ground truth it claims, or -1.
+    sims is flat: image by image, each image's predictions in descending
+    score order, each prediction's OKS against the image's ground truths in
+    order. pred_counts and gt_counts give each image's numbers of
+    predictions and ground truths. Within one image at one threshold, each
+    prediction in rank order picks the unclaimed ground truth with the
+    highest OKS (equal similarities go to the earlier ground truth; a NaN is
+    never picked) and claims it if that OKS reaches the threshold.
+
+    Returns a (thresholds, predictions) int64 array for finite thresholds:
+    per threshold and prediction, the index of the ground truth it claims
+    within its image, or -1. One step per within-image rank covers every
+    image and threshold, over arrays (images, thresholds, most ground truths
+    in an image) wide.
     """
-    taken = set()
-    claims = []
-    for row in sims:
-        best, best_gt = -1.0, -1
-        for gi, sim in enumerate(row):
-            if sim > best and gi not in taken:
-                best, best_gt = sim, gi
-        if best_gt >= 0 and best >= threshold:
-            taken.add(best_gt)
-        else:
-            best_gt = -1
-        claims.append(best_gt)
+    pred_counts = np.asarray(pred_counts, dtype=np.int64)
+    gt_counts = np.asarray(gt_counts, dtype=np.int64)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    row_counts = pred_counts * gt_counts
+    claims = np.full((len(thresholds), int(pred_counts.sum())), -1, dtype=np.int64)
+    # only images with both sides can claim; most predictions first, so the
+    # images that still have a prediction at rank r are a prefix
+    live = np.flatnonzero(row_counts)
+    live = live[np.argsort(-pred_counts[live], kind="stable")]
+    if not live.size:
+        return claims
+    n_gt = gt_counts[live, None]
+    cols = np.arange(n_gt.max())
+    pad = cols >= n_gt
+    # each live image's current row of sims and current prediction, moved on
+    # in place after every step; columns past an image's ground truths read a
+    # trailing -inf, as does a NaN, so argmax never picks either
+    table = np.append(sims, -np.inf)
+    table[np.isnan(table)] = -np.inf
+    at_row = np.where(pad, len(sims), (np.cumsum(row_counts) - row_counts)[live, None] + cols)
+    row_step = np.where(pad, 0, n_gt)
+    at_pred = (np.cumsum(pred_counts) - pred_counts)[live]
+    taken = np.zeros((len(live), len(thresholds), len(cols)), dtype=bool)
+    steps = pred_counts[live]
+    for n in np.searchsorted(-steps, -np.arange(steps[0]), side="left").tolist():
+        sims_left = np.where(taken[:n], -np.inf, table[at_row[:n, None, :]])
+        best = sims_left.argmax(axis=2)
+        hit = sims_left.max(axis=2) >= thresholds
+        img, t = np.nonzero(hit)
+        taken[img, t, best[img, t]] = True
+        claims[:, at_pred[:n]] = np.where(hit, best, -1).T
+        at_row += row_step
+        at_pred += 1
     return claims
 
 
@@ -176,24 +239,21 @@ def pr_curve(flags, n_gt):
     return tp / n_gt, tp / np.arange(1, len(tp) + 1)
 
 
-def _bucket_predicates(style, area_edges, crowd_edges):
+def _bucket_masks(style, area, crowd, area_edges, crowd_edges):
+    """Per bucket, an in-bucket flag per ground truth (from their area and
+    crowd-index arrays, NaN for no crowd index) and a trailing False that
+    index -1 (no claim) reads; bucket "all" holds every ground truth."""
     if style == "coco":
         lo, hi = area_edges
-        return {
-            "medium": lambda ann: lo <= ann.area < hi,
-            "large": lambda ann: ann.area >= hi,
-        }
-    if style == "crowdpose":
+        masks = {"medium": (lo <= area) & (area < hi), "large": area >= hi}
+    elif style == "crowdpose":
         lo, hi = crowd_edges
-        def by_crowd(a, b):
-            return lambda ann: (ann.crowd_index is not None
-                                and a <= ann.crowd_index < b)
-        return {
-            "easy": by_crowd(0.0, lo),
-            "medium": by_crowd(lo, hi),
-            "hard": by_crowd(hi, 1.0 + 1e-9),
-        }
-    raise ValueError(f"unknown evaluation style {style!r}")
+        masks = {name: (a <= crowd) & (crowd < b) for name, (a, b) in
+                 (("easy", (0.0, lo)), ("medium", (lo, hi)), ("hard", (hi, 1.0 + 1e-9)))}
+    else:
+        raise ValueError(f"unknown evaluation style {style!r}")
+    masks = {"all": np.ones(len(area), dtype=bool), **masks}
+    return {name: np.append(inside, False) for name, inside in masks.items()}
 
 
 def evaluate(preds_by_image: dict, gts_by_image: dict, params: OksParams, style: str = "coco",
@@ -206,37 +266,57 @@ def evaluate(preds_by_image: dict, gts_by_image: dict, params: OksParams, style:
     and the detections matched to them; unmatched detections count as false
     positives everywhere.
     """
-    gts, scores, rows, first_gt = [], [], [], []
-    for img in sorted(gts_by_image.keys() | preds_by_image.keys()):
-        valid = [g for g in gts_by_image.get(img, []) if g.num_labeled() > 0]
-        ranked = sorted(preds_by_image.get(img, []), key=lambda p: -p.score)
-        rows.append(oks_matrix(ranked, valid, params).tolist())
-        # per prediction, the flat index of its image's first ground truth
-        first_gt += [len(gts)] * len(ranked)
-        gts += valid
-        scores += [-p.score for p in ranked]
+    images = sorted(gts_by_image.keys() | preds_by_image.keys())
+    preds = [p for img in images for p in preds_by_image.get(img, [])]
+    gts = [g for img in images for g in gts_by_image.get(img, [])]
+    k = len(params.falloffs)
+    _check_keypoint_counts(preds, gts, k)
+    gt_kps = np.array([g.keypoints for g in gts]).reshape(len(gts), k, 3)
+    labeled = gt_kps[:, :, 2] > 0
+    valid = labeled.any(axis=1)
+    gt_kps, labeled = gt_kps[valid], labeled[valid]
+    area = np.array([g.area for g in gts], dtype=np.float64)[valid]
+    crowd = np.array([math.nan if g.crowd_index is None else g.crowd_index for g in gts],
+                     dtype=np.float64)[valid]
+    ap_masks = _bucket_masks(style, area, crowd, area_edges, crowd_edges)
+    ar_masks = _bucket_masks("coco", area, crowd, area_edges, crowd_edges)
+
+    image_of = np.arange(len(images))
+    pred_image = np.repeat(image_of, [len(preds_by_image.get(img, [])) for img in images])
+    gt_image = np.repeat(image_of, [len(gts_by_image.get(img, [])) for img in images])[valid]
+    pred_counts = np.bincount(pred_image, minlength=len(images))
+    gt_counts = np.bincount(gt_image, minlength=len(images))
+    score = np.array([p.score for p in preds], dtype=np.float64)
+    # image by image, score descending, ties in input order
+    ranked = np.lexsort((-score, pred_image))
+    ranked_image = pred_image[ranked]
+    gt_start = np.cumsum(gt_counts) - gt_counts
+    # every same-image (prediction, ground truth) pair, in greedy_match's layout
+    row_len = gt_counts[ranked_image]
+    pair_pred = np.repeat(ranked, row_len)
+    pair_gt = np.arange(int(row_len.sum())) - np.repeat(
+        np.cumsum(row_len) - row_len - gt_start[ranked_image], row_len)
+    pred_kps = np.array([p.keypoints for p in preds]).reshape(len(preds), k, 3)
+    # unlabeled joints may hold any coordinate; read them as 0
+    gt_x = np.where(labeled, gt_kps[..., 0], 0.0)
+    gt_y = np.where(labeled, gt_kps[..., 1], 0.0)
+    var = _variance(area[:, None], np.asarray(params.falloffs, dtype=np.float64))
+    count = labeled.sum(axis=1)
+    sims = np.empty(len(pair_pred))
+    for at in range(0, len(sims), PAIR_BLOCK):
+        p, g = pair_pred[at:at + PAIR_BLOCK], pair_gt[at:at + PAIR_BLOCK]
+        sims[at:at + PAIR_BLOCK] = _oks(pred_kps[p, :, 0], pred_kps[p, :, 1], gt_x[g], gt_y[g],
+                                        var[g], labeled[g], count[g])
+    claims = greedy_match(sims, pred_counts, gt_counts, DEFAULT_THRESHOLDS)
     # global rank: score descending, ties by (image id, within-image rank)
-    order = np.argsort(scores, kind="stable")
-    first_gt = np.array(first_gt, dtype=np.int64)[order]
+    order = np.argsort(-score[ranked], kind="stable")
+    first_gt = gt_start[ranked_image[order]]
 
-    def buckets(kind):
-        """Per bucket, an in-bucket flag per ground truth and a trailing False
-        that index -1 (no claim) reads; bucket "all" holds every ground truth."""
-        predicates = {"all": lambda g: True,
-                      **_bucket_predicates(kind, area_edges, crowd_edges)}
-        return {name: np.array([inside(g) for g in gts] + [False])
-                for name, inside in predicates.items()}
-
-    ap_masks, ar_masks = buckets(style), buckets("coco")
     ap = {name: [] for name in ap_masks}
     ar = {name: [] for name in ar_masks}
-    for t in DEFAULT_THRESHOLDS:
-        claims = []
-        for sims in rows:
-            claims += match_and_score(sims, t)
-        claims = np.array(claims, dtype=np.int64)[order]
+    for claimed in claims[:, order]:
         # per ranked detection, the flat index of the ground truth it claims, or -1
-        gt = np.where(claims >= 0, claims + first_gt, -1)
+        gt = np.where(claimed >= 0, claimed + first_gt, -1)
         tp = gt >= 0
         for name, inside in ap_masks.items():
             if inside.any():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from waterfallpose.decode import PoseInstance
-from waterfallpose.metrics import OksParams, UndefinedOksError, RECALL_POINTS, oks, \
-    oks_matrix, match_and_score, evaluate, interpolated_ap, pr_curve
+from waterfallpose.metrics import DEFAULT_THRESHOLDS, OksParams, UndefinedOksError, \
+    RECALL_POINTS, oks, oks_matrix, greedy_match, evaluate, interpolated_ap, pr_curve
 from waterfallpose.targets import PersonAnnotation
 
 from waterfallpose.checks import ap_by_loop, bruteforce_eval, pr_by_loop, \
@@ -177,6 +177,19 @@ class TestOksMatrix:
         for got in oks_matrix(preds, [gt], OksParams.uniform(3))[:, 0]:
             assert got == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_area_keeps_a_finite_variance(self):
+        # 2 * 1e308 overflows though 2 * area * f^2 = 8e306 is finite: a
+        # joint sqrt(8e306) px off scores exp(-1), not the 1 of an infinite
+        # variance, and the ordinary ground truth's column is unchanged
+        huge = gt_person([(5, 5, 2)], area=1e308)
+        small = gt_person([(6, 5, 2)], area=49.0)
+        preds = [pred_person([(5, 5)]), pred_person([(5 + math.sqrt(8e306), 5)])]
+        sims = oks_matrix(preds, [huge, small], OksParams((0.2,)))
+        assert sims[0, 0] == 1.0
+        assert sims[1, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert sims[:, 1].tolist() == [oks(p, small, OksParams((0.2,))) for p in preds]
+
 
 def pairs(recall, precision):
     return list(zip(recall.tolist(), precision.tolist()))
@@ -207,29 +220,73 @@ class TestApProperties:
         assert interpolated_ap(*pr_curve(np.zeros(0, dtype=bool), 3)) == 0.0
 
 
+def greedy_by_loop(rows, threshold):
+    """Greedy matching of one image at one threshold, prediction by
+    prediction over its OKS rows in rank order."""
+    taken, claims = set(), []
+    for row in rows:
+        best, best_gt = -1.0, -1
+        for gi, sim in enumerate(row):
+            if sim > best and gi not in taken:
+                best, best_gt = sim, gi
+        if best_gt >= 0 and best >= threshold:
+            taken.add(best_gt)
+        else:
+            best_gt = -1
+        claims.append(best_gt)
+    return claims
+
+
+def claims_of(preds, gts, threshold):
+    sims = oks_matrix(preds, gts, OksParams.uniform(1))
+    return greedy_match(sims.ravel(), [len(preds)], [len(gts)], (threshold,))[0].tolist()
+
+
+# equal values, values on the thresholds and NaN all occur
+similarities = st.sampled_from([0.0, 1.0, math.nan, *DEFAULT_THRESHOLDS]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def matching_sets(draw):
+    """Up to 6 images of 0-6 ranked predictions by 0-4 ground truths, and
+    1-10 thresholds."""
+    gt_counts = draw(st.lists(st.integers(0, 4), max_size=6))
+    images = [draw(st.lists(st.lists(similarities, min_size=n_gt, max_size=n_gt), max_size=6))
+              for n_gt in gt_counts]
+    thresholds = draw(st.sampled_from([DEFAULT_THRESHOLDS]) |
+                      st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
+    return images, gt_counts, thresholds
+
+
 class TestMatching:
     def test_perfect_match(self):
         gts = [gt_person([(5, 5, 2)])]
         preds = [pred_person([(5, 5)], score=0.9)]
-        claims = match_and_score(oks_matrix(preds, gts, OksParams.uniform(1)), 0.75)
-        assert claims == [0]
+        assert claims_of(preds, gts, 0.75) == [0]
 
     def test_second_claimant_is_fp(self):
         gts = [gt_person([(5, 5, 2)])]
         preds = [pred_person([(5, 5)], score=0.9), pred_person([(5.1, 5)], score=0.5)]
-        claims = match_and_score(oks_matrix(preds, gts, OksParams.uniform(1)), 0.5)
-        assert claims == [0, -1]
+        assert claims_of(preds, gts, 0.5) == [0, -1]
 
     def test_no_gts_all_fp(self):
         preds = [pred_person([(1, 1)], score=0.4)] * 3
-        claims = match_and_score(oks_matrix(preds, [], OksParams.uniform(1)), 0.5)
-        assert claims == [-1] * 3
+        assert claims_of(preds, [], 0.5) == [-1] * 3
 
     def test_prefers_highest_oks(self):
         gts = [gt_person([(0, 0, 2)]), gt_person([(3, 0, 2)])]
         preds = [pred_person([(2.5, 0)], score=0.8)]
-        claims = match_and_score(oks_matrix(preds, gts, OksParams.uniform(1)), 0.0)
-        assert claims == [1]
+        assert claims_of(preds, gts, 0.0) == [1]
+
+    @settings(max_examples=300)
+    @given(matching_sets())
+    def test_every_image_and_threshold_is_the_loop(self, case):
+        images, gt_counts, thresholds = case
+        sims = np.array([v for rows in images for row in rows for v in row], dtype=np.float64)
+        claims = greedy_match(sims, [len(rows) for rows in images], gt_counts, thresholds)
+        assert claims.shape == (len(thresholds), sum(len(rows) for rows in images))
+        for t, got in zip(thresholds, claims.tolist()):
+            assert got == [gi for rows in images for gi in greedy_by_loop(rows, t)]
 
 
 class TestPrIntegration:
@@ -259,6 +316,35 @@ def perfect_scene():
                  pred_person([(20, 20), (25, 25)], 0.8)],
              1: [pred_person([(4, 14), (6, 16)], 0.95)]}
     return preds, gts
+
+
+def merged_eval_set(rng, **edges):
+    """10-20 random_eval_scene draws in one set under shuffled image ids, plus
+    an image with 30-40 predictions on its ground truths (with tied scores),
+    one with ground truths and no predictions and one with predictions and
+    no ground truths."""
+    preds, gts, params = {}, {}, None
+    ids = iter(rng.permutation(10_000).tolist())
+    for _ in range(int(rng.integers(10, 21))):
+        p, g, params = random_eval_scene(rng, **edges)
+        for img in sorted(g):
+            key = next(ids)
+            preds[key], gts[key] = p[img], g[img]
+    crowd = []
+    while len(crowd) < 2:
+        crowd = max(random_eval_scene(rng, **edges)[1].values(), key=len)
+    crowded = []
+    for _ in range(int(rng.integers(30, 41))):
+        gt = crowd[int(rng.integers(len(crowd)))]
+        spread = np.sqrt(gt.area) * params.falloffs[0] * rng.uniform(0, 1.5)
+        xy = gt.keypoints[:, :2] + spread * rng.standard_normal((2, 2))
+        crowded.append(PoseInstance(np.hstack([xy, np.ones((2, 1))]),
+                                    float(rng.choice([0.25, 0.5, 0.75]))))
+    key = next(ids)
+    preds[key], gts[key] = crowded, crowd
+    gts[next(ids)] = crowd
+    preds[next(ids)] = crowded[:5]
+    return preds, gts, params
 
 
 class TestEvaluator:
@@ -322,6 +408,16 @@ class TestEvaluator:
             preds, gts, params = random_eval_scene(rng)
             assert evaluate(preds, gts, params).as_row() == \
                 bruteforce_eval(preds, gts, params).as_row()
+
+    @pytest.mark.parametrize("style", ["coco", "crowdpose"])
+    def test_merged_sets_match_oracle(self, rng, style):
+        # many images at once: the batched OKS pass and matcher must keep
+        # every image's pairs, ranks and ground-truth offsets apart
+        edges = {"area_edges": (30.0, 80.0), "crowd_edges": (0.3, 0.7)}
+        for _ in range(6):
+            preds, gts, params = merged_eval_set(rng, **edges)
+            assert evaluate(preds, gts, params, style=style, **edges).as_row() == \
+                bruteforce_eval(preds, gts, params, style=style, **edges).as_row()
 
     @pytest.mark.parametrize("style", ["coco", "crowdpose"])
     def test_bucketed_rows_match_oracle(self, rng, style):
