@@ -95,7 +95,9 @@ def _check_keypoint_counts(preds, gts, k):
 
 def _variance(area, falloff):
     """The variance term 2·area·f² of every (ground truth, joint), from an
-    area column and the falloff row."""
+    area column and the falloff row. Returns (var, far): far is None unless
+    some term exceeds float64 even so, and is then (sqrt(area), 2f²), from
+    which _oks scores those joints."""
     with np.errstate(over="ignore"):
         var = 2.0 * area * falloff * falloff
         # 2·area alone overflows for an area above about 9e307 while the
@@ -105,21 +107,31 @@ def _variance(area, falloff):
         if var.max(initial=0.0) == math.inf:
             over = np.isinf(var)
             var[over] = (area * falloff * falloff * 2.0)[over]
-    return var
+            if var.max() == math.inf:
+                return var, (np.sqrt(area), 2.0 * falloff * falloff)
+    return var, None
 
 
-def _oks(pred_x, pred_y, gt_x, gt_y, var, labeled, count):
+def _oks(pred_x, pred_y, gt_x, gt_y, var, labeled, count, far=None):
     """The OKS formula over broadcastable arrays whose last axis is the
     joint: prediction and ground-truth coordinates (unlabeled ground-truth
     joints read as 0), the variance term, the labeled flags and each ground
-    truth's labeled count (one axis fewer). The per-joint terms are summed in
-    joint order, as a scalar loop would."""
+    truth's labeled count (one axis fewer); far is _variance's, gathered
+    like var. The per-joint terms are summed in joint order, as a scalar
+    loop would."""
     zero = var == 0.0
     # a joint far from its ground truth overflows d2, or d2 / var, to inf; its
-    # term is then exp(-inf) = 0, the score it should get
-    with np.errstate(over="ignore"):
+    # term is then exp(-inf) = 0, the score it should get. An infinite var
+    # makes inf / inf there, a NaN that the far branch below replaces
+    with np.errstate(over="ignore", invalid=None if far is None else "ignore"):
         d2 = (pred_x - gt_x) ** 2 + (pred_y - gt_y) ** 2
         near = np.exp(-d2 / np.where(zero, 1.0, var))
+        if far is not None:
+            # 2·area·f² is beyond float64: the same ratio from distances
+            # scaled by s = sqrt(area), ((dx/s)² + (dy/s)²) / 2f²
+            root, unit = far
+            scaled = ((pred_x - gt_x) / root) ** 2 + ((pred_y - gt_y) / root) ** 2
+            np.copyto(near, np.exp(-scaled / unit), where=np.isinf(var))
     # area is data, so the variance term can underflow to 0; such a joint
     # scores the limit, 1 at distance 0 and 0 elsewhere. Guarded so that the
     # common case allocates nothing more: one more temporary per decode made
@@ -153,9 +165,9 @@ def oks_matrix(preds, gts, params: OksParams) -> np.ndarray:
     # nan enters the masked-out terms
     gt_xy = np.where(labeled[..., None], gt_kps[..., :2], 0.0)
     area = np.array([g.area for g in gts], dtype=np.float64).reshape(n_gt, 1)
-    var = _variance(area, np.asarray(params.falloffs, dtype=np.float64))
+    var, far = _variance(area, np.asarray(params.falloffs, dtype=np.float64))
     return _oks(pred_kps[..., 0], pred_kps[..., 1], gt_xy[..., 0], gt_xy[..., 1],
-                var, labeled, count)
+                var, labeled, count, far)
 
 
 def oks(pred, gt: PersonAnnotation, params: OksParams) -> float:
@@ -300,13 +312,14 @@ def evaluate(preds_by_image: dict, gts_by_image: dict, params: OksParams, style:
     # unlabeled joints may hold any coordinate; read them as 0
     gt_x = np.where(labeled, gt_kps[..., 0], 0.0)
     gt_y = np.where(labeled, gt_kps[..., 1], 0.0)
-    var = _variance(area[:, None], np.asarray(params.falloffs, dtype=np.float64))
+    var, far = _variance(area[:, None], np.asarray(params.falloffs, dtype=np.float64))
     count = labeled.sum(axis=1)
     sims = np.empty(len(pair_pred))
     for at in range(0, len(sims), PAIR_BLOCK):
         p, g = pair_pred[at:at + PAIR_BLOCK], pair_gt[at:at + PAIR_BLOCK]
         sims[at:at + PAIR_BLOCK] = _oks(pred_kps[p, :, 0], pred_kps[p, :, 1], gt_x[g], gt_y[g],
-                                        var[g], labeled[g], count[g])
+                                        var[g], labeled[g], count[g],
+                                        None if far is None else (far[0][g], far[1]))
     claims = greedy_match(sims, pred_counts, gt_counts, DEFAULT_THRESHOLDS)
     # global rank: score descending, ties by (image id, within-image rank)
     order = np.argsort(-score[ranked], kind="stable")

@@ -7,15 +7,20 @@ normal runs, float64 for gradient checking. Kernels are pure functions, with
 one of two conventions. Most backwards take the original inputs (or their
 shape) plus the upstream gradient. The cached kernels, bilinear_sample here
 and the adaptive conv built on it, return (value, cache), and their backward
-takes (cache, gy): the cache holds what the forward worked out and is the
-only state that outlives a call. A Tape records the kernels a forward pass
-runs and replays their backwards in reverse, so composite layers are written
-forward only; a ForwardTape runs the same kernels and keeps nothing.
+takes (cache, gy): the cache holds what the forward worked out. Two
+bounded caches outlive every call and depend on geometry alone: the conv
+plan of each (ConvSpec, h, w), its output extents and live taps, and the
+read-only bilinear resize matrix of each (in, out, dtype). A Tape records the
+kernels a forward pass runs and replays their backwards in reverse, so
+composite layers are written forward only; a ForwardTape runs the same
+kernels and keeps nothing.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,12 +82,28 @@ def _tap_window(offset: int, size: int, out: int, stride: int):
     return slice(lo, hi), slice(first, first + (hi - lo - 1) * stride + 1, stride)
 
 
-def _live_taps(spec: ConvSpec, h: int, w: int, oh: int, ow: int):
-    """(tap index, output window, input window) for every kernel tap that reads
-    at least one input pixel. Taps that fall wholly in the zero padding, such
-    as the outer taps of a dilation larger than the map, contribute nothing and
-    are left out of the GEMM."""
-    taps = []
+class _ConvPlan(NamedTuple):
+    """What a conv over an (h, w) map does, worked out once per geometry."""
+
+    oh: int
+    ow: int
+    windows: tuple    # (output window, input window) of every live tap
+    live: np.ndarray | None    # weight tap index of each live tap; None if all are
+    as_is: bool    # the one live tap reads x as it is, so there is no im2col copy
+
+
+@functools.lru_cache(maxsize=256)
+def _conv_plan(spec: ConvSpec, h: int, w: int) -> _ConvPlan:
+    """The plan of spec over an (h, w) input. Only kernel taps that read at
+    least one input pixel are live: taps that fall wholly in the zero padding,
+    such as the outer taps of a dilation larger than the map, contribute
+    nothing and are left out of the GEMM. Cached, since a model runs the same
+    few geometries on every call: a published-width forward uses 14 to 33
+    plans per input size, so the bound holds those of several sizes."""
+    oh, ow = spec.out_extent(h, 0), spec.out_extent(w, 1)
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"conv2d output would be {oh}x{ow} for input {h}x{w} with {spec}")
+    taps, windows = [], []
     for i in range(spec.kh):
         rows = _tap_window(i * spec.dilation - spec.pad_h, h, oh, spec.stride)
         if rows is None:
@@ -90,52 +111,60 @@ def _live_taps(spec: ConvSpec, h: int, w: int, oh: int, ow: int):
         for j in range(spec.kw):
             cols = _tap_window(j * spec.dilation - spec.pad_w, w, ow, spec.stride)
             if cols is not None:
-                taps.append((i * spec.kw + j, (rows[0], cols[0]), (rows[1], cols[1])))
-    return taps
+                taps.append(i * spec.kw + j)
+                windows.append(((rows[0], cols[0]), (rows[1], cols[1])))
+    live = None
+    if len(taps) < spec.kh * spec.kw:
+        live = np.array(taps, dtype=np.intp)
+        live.flags.writeable = False
+    as_is = (len(windows) == 1 and (oh, ow) == (h, w)
+             and windows[0][1] == (slice(0, h, 1), slice(0, w, 1)))
+    return _ConvPlan(oh, ow, tuple(windows), live, as_is)
 
 
-def _reads_input_as_is(taps, x_shape, oh: int, ow: int) -> bool:
-    h, w = x_shape[2], x_shape[3]
-    if len(taps) != 1 or (oh, ow) != (h, w):
-        return False
-    _, _, (rows, cols) = taps[0]
-    return rows == slice(0, h, 1) and cols == slice(0, w, 1)
-
-
-def _im2col(x: np.ndarray, taps, oh: int, ow: int) -> np.ndarray:
-    """Column matrix (N, C * len(taps), oh * ow), row c * len(taps) + t holding
-    tap t of channel c: a new contiguous array filled with one strided slice
-    copy per tap, or x itself, reshaped, when its one tap reads x as it is
-    (1x1 stride-1 unpadded convs, and dilations so large that only the
-    centre tap reaches the map)."""
+def _im2col(x: np.ndarray, plan: _ConvPlan) -> np.ndarray:
+    """Column matrix (N, C * taps, oh * ow), row c * taps + t holding live tap
+    t of channel c: a new contiguous array filled with one strided slice copy
+    per tap, or x itself, reshaped, when its one tap reads x as it is (1x1
+    stride-1 unpadded convs, and dilations so large that only the centre tap
+    reaches the map)."""
     n, c = x.shape[:2]
-    if _reads_input_as_is(taps, x.shape, oh, ow):
-        return x.reshape(n, c, oh * ow)
-    cols = np.zeros((n, c, len(taps), oh, ow), dtype=x.dtype)
-    for t, (_, (orow, ocol), (irow, icol)) in enumerate(taps):
+    if plan.as_is:
+        return x.reshape(n, c, plan.oh * plan.ow)
+    cols = np.zeros((n, c, len(plan.windows), plan.oh, plan.ow), dtype=x.dtype)
+    for t, ((orow, ocol), (irow, icol)) in enumerate(plan.windows):
         cols[:, :, t, orow, ocol] = x[:, :, irow, icol]
-    return cols.reshape(n, c * len(taps), oh * ow)
+    return cols.reshape(n, c * len(plan.windows), plan.oh * plan.ow)
 
 
-def _col2im(gcols: np.ndarray, taps, x_shape, oh: int, ow: int) -> np.ndarray:
+def _col2im(gcols: np.ndarray, plan: _ConvPlan, x_shape) -> np.ndarray:
     """Adjoint of _im2col: add each tap's column gradient back onto the input."""
     n, c = x_shape[:2]
-    if _reads_input_as_is(taps, x_shape, oh, ow):
+    if plan.as_is:
         return gcols.reshape(x_shape)
-    gcols = gcols.reshape(n, c, len(taps), oh, ow)
+    gcols = gcols.reshape(n, c, len(plan.windows), plan.oh, plan.ow)
     gx = np.zeros(x_shape, dtype=gcols.dtype)
-    for t, (_, (orow, ocol), (irow, icol)) in enumerate(taps):
+    for t, ((orow, ocol), (irow, icol)) in enumerate(plan.windows):
         gx[:, :, irow, icol] += gcols[:, :, t, orow, ocol]
     return gx
 
 
-def _tap_matrix(w: np.ndarray, taps) -> np.ndarray:
-    """Weights as a (Cout, Cin * len(taps)) matrix matching _im2col's rows."""
+def _tap_matrix(w: np.ndarray, plan: _ConvPlan) -> np.ndarray:
+    """Weights as a (Cout, Cin * taps) matrix matching _im2col's rows."""
     cout, cin, kh, kw = w.shape
-    if len(taps) == kh * kw:
+    if plan.live is None:
         return w.reshape(cout, cin * kh * kw)
-    w3 = w.reshape(cout, cin, kh * kw)[:, :, [t for t, _, _ in taps]]
-    return w3.reshape(cout, cin * len(taps))
+    return w.reshape(cout, cin, kh * kw)[:, :, plan.live].reshape(cout, cin * len(plan.live))
+
+
+def column_gradient(gy3: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Gradient of the weights of y = W @ cols summed over the batch, from
+    gy3 (N, Cout, M) and cols (N, K, M): one (Cout, N·M) @ (N·M, K) GEMM,
+    the product np.tensordot forms, with its sums in the same order. At N = 1
+    both operands are views, the right one cols[0].T."""
+    n, cout, m = gy3.shape
+    return np.matmul(gy3.transpose(1, 0, 2).reshape(cout, n * m),
+                     cols.transpose(0, 2, 1).reshape(n * m, cols.shape[1]))
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -155,12 +184,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> np.nd
         raise ShapeError(f"weight is {kh}x{kw} but spec says {spec.kh}x{spec.kw}")
     if b.shape != (cout,):
         raise ShapeError(f"bias must be ({cout},), got {b.shape}")
-    oh, ow = spec.out_extent(h, 0), spec.out_extent(wd, 1)
-    if oh < 1 or ow < 1:
-        raise ShapeError(
-            f"conv2d output would be {oh}x{ow} for input {h}x{wd} with {spec}")
-    taps = _live_taps(spec, h, wd, oh, ow)
-    y = np.matmul(_tap_matrix(w, taps), _im2col(x, taps, oh, ow)).reshape(n, cout, oh, ow)
+    plan = _conv_plan(spec, h, wd)
+    y = np.matmul(_tap_matrix(w, plan), _im2col(x, plan)).reshape(n, cout, plan.oh, plan.ow)
     y += b[None, :, None, None]
     return y
 
@@ -168,21 +193,19 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> np.nd
 def conv2d_backward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, gy: np.ndarray):
     """Gradients of conv2d w.r.t. (x, w, b) given upstream gy (N,Cout,oh,ow)."""
     n, cin, h, wd = x.shape
-    cout, _, kh, kw = w.shape
-    oh, ow = gy.shape[2], gy.shape[3]
+    cout = w.shape[0]
+    plan = _conv_plan(spec, h, wd)
     gb = gy.sum(axis=(0, 2, 3))
-    taps = _live_taps(spec, h, wd, oh, ow)
-    gy3 = gy.reshape(n, cout, oh * ow)
-    cols = _im2col(x, taps, oh, ow)
-    gw_live = np.tensordot(gy3, cols, axes=([0, 2], [0, 2]))
-    if len(taps) == kh * kw:
+    gy3 = gy.reshape(n, cout, plan.oh * plan.ow)
+    gw_live = column_gradient(gy3, _im2col(x, plan))
+    if plan.live is None:
         gw = gw_live.reshape(w.shape)
     else:
-        gw = np.zeros((cout, cin, kh * kw), dtype=gw_live.dtype)
-        gw[:, :, [t for t, _, _ in taps]] = gw_live.reshape(cout, cin, len(taps))
+        gw = np.zeros((cout, cin, spec.kh * spec.kw), dtype=gw_live.dtype)
+        gw[:, :, plan.live] = gw_live.reshape(cout, cin, len(plan.live))
         gw = gw.reshape(w.shape)
-    gcols = np.matmul(_tap_matrix(w, taps).T, gy3)
-    return _col2im(gcols, taps, x.shape, oh, ow), gw, gb
+    gcols = np.matmul(_tap_matrix(w, plan).T, gy3)
+    return _col2im(gcols, plan, x.shape), gw, gb
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
@@ -197,10 +220,12 @@ def global_avg_pool_backward(x_shape, gy: np.ndarray) -> np.ndarray:
     return np.broadcast_to(gy / (h * w), x_shape).astype(gy.dtype)
 
 
+@functools.lru_cache(maxsize=64)
 def _resize_matrix(in_size: int, out_size: int, dtype) -> np.ndarray:
     """(out_size, in_size) interpolation matrix of one axis: row o weights the
     two input taps around o's source coordinate, taken align-corners-false
-    and clamped to the edge."""
+    and clamped to the edge. Cached and read-only, since every caller shares
+    it; a model forward uses about 4 per input size."""
     scale = in_size / out_size
     src = (np.arange(out_size, dtype=np.float64) + 0.5) * scale - 0.5
     src = np.clip(src, 0.0, in_size - 1)
@@ -211,6 +236,7 @@ def _resize_matrix(in_size: int, out_size: int, dtype) -> np.ndarray:
     rows = np.arange(out_size)
     m[rows, lo] += 1 - frac
     m[rows, hi] += frac
+    m.flags.writeable = False
     return m
 
 

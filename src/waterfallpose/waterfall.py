@@ -280,7 +280,7 @@ def adaptive_conv_backward(cache, gy):
     """Gradients w.r.t. the input, the tap weights, and the offset field."""
     (n, cin, h, w), w9, sampled, scache = cache
     gy3 = gy.reshape(n, w9.shape[0], h * w)
-    gw9 = np.tensordot(gy3, sampled, axes=([0, 2], [0, 2])).reshape(w9.shape)
+    gw9 = T.column_gradient(gy3, sampled).reshape(w9.shape)
     g_sampled = np.matmul(w9.reshape(w9.shape[0], cin * 9).T, gy3)
     gx, grows, gcols = T.bilinear_sample_backward(
         scache, g_sampled.reshape(n, cin, 9, h, w))

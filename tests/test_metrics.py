@@ -189,6 +189,32 @@ class TestOksMatrix:
         assert sims[0, 0] == 1.0
         assert sims[1, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
         assert sims[:, 1].tolist() == [oks(p, small, OksParams((0.2,))) for p in preds]
+        # bitwise the finite-variance formula; the scaled distances kept for
+        # an infinite term give a different last bit at this distance
+        got = oks(pred_person([(5 + 4e153, 5)]), huge, OksParams((0.2,)))
+        assert got == np.exp(-np.array([4e153 ** 2]) / (1e308 * 0.2 * 0.2 * 2.0))[0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_variance_scores_scaled_distances(self):
+        # 2 * 1e307 * 10^2 is beyond float64 however it is formed: a joint at
+        # 0 px scores 1, one sqrt(2e309) px off exp(-1) and one at 1e200
+        # scores 0, and the ordinary ground truth's column is unchanged
+        huge = gt_person([(5, 5, 2)], area=1e307)
+        small = gt_person([(6, 5, 2)], area=49.0)
+        preds = [pred_person([(5, 5)]), pred_person([(5 + 10 * math.sqrt(2e307), 5)]),
+                 pred_person([(1e200, 5)])]
+        params = OksParams((10.0,))
+        sims = oks_matrix(preds, [huge, small], params)
+        assert sims[0, 0] == 1.0
+        assert sims[1, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert sims[2, 0] == 0.0
+        assert sims[:, 1].tolist() == [oks(p, small, params) for p in preds]
+        # the evaluator's gathered pass scores the same pairs
+        preds = {1: [pred_person(p.keypoints[:, :2].tolist(), score=s)
+                     for p, s in zip(preds, (0.9, 0.5, 0.7))]}
+        gts = {1: [huge, small]}
+        assert evaluate(preds, gts, params).as_row() == \
+            bruteforce_eval(preds, gts, params).as_row()
 
 
 def pairs(recall, precision):

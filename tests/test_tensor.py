@@ -383,6 +383,45 @@ class TestSamplePlanes:
             assert T.relative_error(got[smooth], num[smooth]) <= 1e-6
 
 
+class TestGeometryCaches:
+    """The conv plan and resize matrix caches are keyed on the whole
+    geometry: calls that interleave geometries each get their own."""
+
+    @staticmethod
+    def check_conv(rng, spec, shape, cout=2):
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((cout, shape[1], spec.kh, spec.kw))
+        b = rng.standard_normal(cout)
+        y = T.conv2d(x, w, b, spec)
+        assert T.relative_error(y, conv2d_naive(x, w, b, spec)) <= 1e-12
+        gy = rng.standard_normal(y.shape)
+        gx, gw, _ = T.conv2d_backward(x, w, spec, gy)
+        num_gx = T.numeric_gradient(lambda v: float((T.conv2d(v, w, b, spec) * gy).sum()), x)
+        num_gw = T.numeric_gradient(lambda v: float((T.conv2d(x, v, b, spec) * gy).sum()), w)
+        assert T.relative_error(gx, num_gx) <= 1e-6
+        assert T.relative_error(gw, num_gw) <= 1e-6
+
+    def test_one_spec_over_interleaved_extents(self, rng):
+        # the extents share a height or a width, so a plan keyed on one
+        # extent alone would be read back for the other
+        spec = T.ConvSpec(3, 3, stride=2, pad_h=1, pad_w=2, dilation=2)
+        for hw in ((6, 6), (6, 9), (9, 6)) * 2:
+            self.check_conv(rng, spec, (1, 2) + hw)
+
+    def test_interleaved_specs_over_one_extent(self, rng):
+        # the specs differ from the first in stride alone or dilation alone
+        specs = (T.ConvSpec(3, 3, pad_h=2, pad_w=2), T.ConvSpec(3, 3, stride=2, pad_h=2, pad_w=2),
+                 T.ConvSpec(3, 3, pad_h=2, pad_w=2, dilation=3))
+        for spec in specs * 2:
+            self.check_conv(rng, spec, (2, 2, 5, 5))
+
+    def test_cached_resize_matrix_is_read_only(self):
+        m = T._resize_matrix(4, 7, np.dtype(np.float32))
+        assert T._resize_matrix(4, 7, np.dtype(np.float32)) is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+
 class TestConcat:
     def test_single_input_identity(self, rng):
         x = rng.standard_normal((1, 3, 2, 2)).astype(np.float32)
@@ -524,3 +563,41 @@ def test_modules_import_at_top_and_use_only_public_names():
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 assert not (node.value.id in imported and private(node.attr)), \
                     f"{where} reads {node.value.id}.{node.attr}"
+
+
+def test_caches_are_bounded_and_nothing_calls_tensordot():
+    # a functools cache outlives every call, so each is an lru_cache whose
+    # maxsize is a positive integer in its source; and no module calls
+    # np.tensordot, whose Python dispatch column_gradient does without
+    def cache_name(node, from_functools):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "functools":
+            name = node.attr
+        else:
+            name = node.id if isinstance(node, ast.Name) and node.id in from_functools else None
+        return name if name in ("cache", "lru_cache") else None
+
+    def bounded(call):
+        sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+        return len(sizes) == 1 and isinstance(sizes[0], ast.Constant) \
+            and type(sizes[0].value) is int and sizes[0].value > 0
+
+    for path in sorted(Path(T.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        from_functools = {a.asname or a.name for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                          for a in node.names}
+        called = set()
+        # ast.walk visits a call before its func
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call) and cache_name(node.func, from_functools):
+                called.add(id(node.func))
+                assert cache_name(node.func, from_functools) == "lru_cache" and bounded(node), \
+                    f"{where} makes a cache without a positive integer maxsize"
+            elif cache_name(node, from_functools):
+                assert id(node) in called, f"{where} makes a cache without a maxsize"
+            assert not (isinstance(node, ast.Attribute) and node.attr == "tensordot"), \
+                f"{where} calls tensordot"
+            assert not (isinstance(node, ast.alias) and node.name == "tensordot"), \
+                f"{where} imports tensordot"
