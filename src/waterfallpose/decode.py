@@ -8,7 +8,6 @@ import numpy as np
 
 from . import tensor as T
 from .metrics import OksParams, oks_matrix
-from .targets import PersonAnnotation
 from .waterfall import PoseMaps
 
 
@@ -21,10 +20,6 @@ class PoseInstance:
 
     def __post_init__(self):
         self.keypoints = np.array(self.keypoints, dtype=np.float64).reshape(-1, 3)
-
-    def bbox_area(self) -> float:
-        lo, hi = self.keypoints[:, :2].min(axis=0), self.keypoints[:, :2].max(axis=0)
-        return max(float(hi[0] - lo[0]), 1.0) * max(float(hi[1] - lo[1]), 1.0)
 
 
 @dataclass(frozen=True)
@@ -111,25 +106,21 @@ def decode_poses(maps: PoseMaps, cfg: DecodeConfig):
     scores = sampled[0, joint, np.arange(len(joint))].reshape(len(peaks), k).astype(np.float64)
 
     # the mean joint score sums the joints in order
-    candidates = [PoseInstance(kps, cs * (sum(ps) / k)) for (_, _, cs), kps, ps in
-                  zip(peaks, np.stack([xs, ys, scores], axis=2), scores.tolist())]
-    candidates.sort(key=lambda inst: -inst.score)
+    inst_scores = [cs * (sum(ps) / k) for (_, _, cs), ps in zip(peaks, scores.tolist())]
+    order = sorted(range(len(peaks)), key=lambda i: -inst_scores[i])
+    kps = np.stack([xs, ys, scores], axis=2)[order]
 
     params = OksParams(cfg.falloffs if cfg.falloffs is not None else (0.1,) * k)
     if len(params.falloffs) != k:
         raise ValueError(f"need {k} falloffs, got {len(params.falloffs)}")
-    # similarity of every candidate to every candidate taken as the reference
-    sims = oks_matrix(candidates, [instance_to_annotation(c) for c in candidates],
-                      params).tolist()
+    # every candidate taken as a reference pose: all joints labeled visible,
+    # area from the keypoint bounding box, each side at least 1 px
+    refs = kps.copy()
+    refs[:, :, 2] = 2.0
+    span = np.maximum(kps[:, :, :2].max(axis=1) - kps[:, :, :2].min(axis=1), 1.0)
+    sims = oks_matrix(kps, refs, span[:, 0] * span[:, 1], params).tolist()
     kept = []
-    for i, cand in enumerate(candidates):
+    for i in range(len(kps)):
         if all(sims[i][j] <= cfg.duplicate_oks for j in kept):
             kept.append(i)
-    return [candidates[i] for i in kept]
-
-
-def instance_to_annotation(inst: PoseInstance) -> PersonAnnotation:
-    """View a decoded instance as an annotation (all keypoints labeled
-    visible, area from the keypoint bounding box)."""
-    kps = np.hstack([inst.keypoints[:, :2], np.full((len(inst.keypoints), 1), 2.0)])
-    return PersonAnnotation(kps, inst.bbox_area())
+    return [PoseInstance(kps[i], inst_scores[order[i]]) for i in kept]

@@ -5,12 +5,16 @@ The similarity between a predicted and a ground-truth pose is
     OKS = sum_i exp(-d_i^2 / (2 s^2 k_i^2)) [v_i > 0]  /  sum_i [v_i > 0]
 
 with d_i the Euclidean distance between matching keypoints, s = sqrt(area)
-of the target, and k_i a per-keypoint falloff constant. oks_matrix computes
-it for every (prediction, ground truth) pair of an image at once; oks() is
-its 1x1 case. Average precision follows the standard keypoint protocol:
-greedy highest-similarity matching at each threshold, then a 101-point
-interpolated precision-recall integral over score-ranked detections; AP
-averages the thresholds 0.50:0.05:0.95 and AR averages the final recalls.
+of the target, and k_i a per-keypoint falloff constant. Falloffs are held to
+FALLOFF_RANGE and ground-truth areas to AREA_RANGE, so every variance term
+2 s^2 k_i^2 is a normal float64; a value outside is a ValueError. oks_matrix
+computes the formula on keypoint arrays for every (prediction, ground truth)
+pair of an image at once; oks() is its 1x1 case.
+
+Average precision follows the standard keypoint protocol: greedy
+highest-similarity matching at each threshold, then a 101-point interpolated
+precision-recall integral over score-ranked detections; AP averages the
+thresholds 0.50:0.05:0.95 and AR averages the final recalls.
 The evaluator works on whole-set arrays: one OKS pass over every same-image
 (prediction, ground truth) pair, then greedy_match steps through the
 within-image ranks once for all images and thresholds together. At each
@@ -37,23 +41,27 @@ _RECALL_LEVELS = np.array(RECALL_POINTS)
 # mmap threshold, so it is reused from the heap; 1024-pair blocks doubled an
 # eval request's page faults
 PAIR_BLOCK = 512
+# every variance term 2·area·f² formed from these lies in [2e-12, 2e102]; a
+# pose dataset's falloffs are about 0.025-0.107, and decode's reference areas
+# are at least 1 and, from float32 offsets, below about 5e77
+FALLOFF_RANGE = (1e-3, 10.0)
+AREA_RANGE = (1e-6, 1e100)
 
 
 @dataclass(frozen=True)
 class OksParams:
-    """Per-keypoint falloff constants; supply the table for your dataset."""
+    """Per-keypoint falloff constants, each in FALLOFF_RANGE; supply the table
+    for your dataset."""
 
     falloffs: tuple
 
     def __post_init__(self):
-        if not self.falloffs or any(not (f > 0) for f in self.falloffs):
-            raise ValueError("every falloff constant must be positive")
+        if not self.falloffs:
+            raise ValueError("no falloff constant given")
+        lo, hi = FALLOFF_RANGE
         for f in self.falloffs:
-            # the OKS divides by the variance term (2f)^2; Python float
-            # products overflow to inf and underflow to 0 without a warning
-            if not 0.0 < (2.0 * f) * (2.0 * f) < math.inf:
-                raise ValueError(f"falloff constant {f!r} must be finite, with "
-                                 f"(2f)^2 non-zero and finite in float64")
+            if not lo <= f <= hi:
+                raise ValueError(f"falloff constant {f!r} must lie in [{lo:g}, {hi:g}]")
 
     @classmethod
     def uniform(cls, k: int, value: float = 0.1):
@@ -84,96 +92,71 @@ class UndefinedOksError(ValueError):
     """OKS is undefined for a ground truth with no labeled keypoints."""
 
 
-def _check_keypoint_counts(preds, gts, k):
-    for kind, people in (("prediction", preds), ("ground truth", gts)):
-        for person in people:
-            if len(person.keypoints) != k:
+def _check_keypoint_counts(k, pred_counts, gt_counts):
+    for kind, counts in (("prediction", pred_counts), ("ground truth", gt_counts)):
+        for n in counts:
+            if n != k:
                 raise ValueError(
-                    f"keypoint count mismatch: {kind} has {len(person.keypoints)} "
-                    f"keypoints, {k} falloffs given")
+                    f"keypoint count mismatch: {kind} has {n} keypoints, {k} falloffs given")
 
 
-def _variance(area, falloff):
+def _variance(area, falloffs):
     """The variance term 2·area·f² of every (ground truth, joint), from an
-    area column and the falloff row. Returns (var, far): far is None unless
-    some term exceeds float64 even so, and is then (sqrt(area), 2f²), from
-    which _oks scores those joints."""
-    with np.errstate(over="ignore"):
-        var = 2.0 * area * falloff * falloff
-        # 2·area alone overflows for an area above about 9e307 while the
-        # product may be finite; those entries are formed area·f·f·2 instead
-        # (a finite product there needs f < 1, so no step exceeds the area).
-        # The guard keeps the common case free of any further allocation
-        if var.max(initial=0.0) == math.inf:
-            over = np.isinf(var)
-            var[over] = (area * falloff * falloff * 2.0)[over]
-            if var.max() == math.inf:
-                return var, (np.sqrt(area), 2.0 * falloff * falloff)
-    return var, None
+    area column and the falloffs; raises ValueError for an area outside
+    AREA_RANGE."""
+    lo, hi = AREA_RANGE
+    if not (lo <= area.min(initial=hi) and area.max(initial=lo) <= hi):
+        raise ValueError(f"ground-truth area must lie in [{lo:g}, {hi:g}]")
+    falloff = np.asarray(falloffs, dtype=np.float64)
+    return 2.0 * area * falloff * falloff
 
 
-def _oks(pred_x, pred_y, gt_x, gt_y, var, labeled, count, far=None):
+def _oks(pred_x, pred_y, gt_x, gt_y, var, labeled, count):
     """The OKS formula over broadcastable arrays whose last axis is the
     joint: prediction and ground-truth coordinates (unlabeled ground-truth
     joints read as 0), the variance term, the labeled flags and each ground
-    truth's labeled count (one axis fewer); far is _variance's, gathered
-    like var. The per-joint terms are summed in joint order, as a scalar
-    loop would."""
-    zero = var == 0.0
-    # a joint far from its ground truth overflows d2, or d2 / var, to inf; its
-    # term is then exp(-inf) = 0, the score it should get. An infinite var
-    # makes inf / inf there, a NaN that the far branch below replaces
-    with np.errstate(over="ignore", invalid=None if far is None else "ignore"):
+    truth's labeled count (one axis fewer). The per-joint terms are summed
+    in joint order, as a scalar loop would."""
+    # a joint far from its ground truth overflows d2, or d2 / var, to inf;
+    # its term is then exp(-inf) = 0, the score it should get
+    with np.errstate(over="ignore"):
         d2 = (pred_x - gt_x) ** 2 + (pred_y - gt_y) ** 2
-        near = np.exp(-d2 / np.where(zero, 1.0, var))
-        if far is not None:
-            # 2·area·f² is beyond float64: the same ratio from distances
-            # scaled by s = sqrt(area), ((dx/s)² + (dy/s)²) / 2f²
-            root, unit = far
-            scaled = ((pred_x - gt_x) / root) ** 2 + ((pred_y - gt_y) / root) ** 2
-            np.copyto(near, np.exp(-scaled / unit), where=np.isinf(var))
-    # area is data, so the variance term can underflow to 0; such a joint
-    # scores the limit, 1 at distance 0 and 0 elsewhere. Guarded so that the
-    # common case allocates nothing more: one more temporary per decode made
-    # infer processes land more often in glibc's re-fault heap mode
-    if zero.any():
-        np.copyto(near, d2 == 0.0, where=zero)
+        near = np.exp(-d2 / var)
     terms = np.where(labeled, near, 0.0)
     # add.accumulate runs strictly left to right; sum() would pair the terms
     total = np.add.accumulate(terms, axis=-1)[..., -1]
     return total / count
 
 
-def oks_matrix(preds, gts, params: OksParams) -> np.ndarray:
-    """OKS of every prediction (anything with (K, 3) (x, y, score) keypoints)
-    against every ground-truth person, as a (P, G) float64 array.
+def oks_matrix(pred_kps, gt_kps, gt_area, params: OksParams) -> np.ndarray:
+    """OKS of every prediction against every ground truth, as a (P, G)
+    float64 array, from (P, K, 3) predicted (x, y, score) rows, (G, K, 3)
+    ground-truth (x, y, v) rows and the (G,) ground-truth areas.
 
     One numpy pass over the keypoints: unlabeled ground-truth joints add
     nothing to a pair's sum or to its count. Raises UndefinedOksError when a
     ground truth has no labeled joint.
     """
-    k = len(params.falloffs)
-    _check_keypoint_counts(preds, gts, k)
-    n_pred, n_gt = len(preds), len(gts)
-    pred_kps = np.array([p.keypoints for p in preds]).reshape(n_pred, 1, k, 3)
-    gt_kps = np.array([g.keypoints for g in gts]).reshape(1, n_gt, k, 3)
-    labeled = gt_kps[0, :, :, 2] > 0
+    pred_kps = np.asarray(pred_kps, dtype=np.float64)
+    gt_kps = np.asarray(gt_kps, dtype=np.float64)
+    _check_keypoint_counts(len(params.falloffs), pred_kps.shape[1:2], gt_kps.shape[1:2])
+    labeled = gt_kps[:, :, 2] > 0
     count = labeled.sum(axis=1)
     if not count.all():
         raise UndefinedOksError("ground truth has no labeled keypoints")
     # unlabeled joints may hold any coordinate; read them as 0 so no inf or
     # nan enters the masked-out terms
     gt_xy = np.where(labeled[..., None], gt_kps[..., :2], 0.0)
-    area = np.array([g.area for g in gts], dtype=np.float64).reshape(n_gt, 1)
-    var, far = _variance(area, np.asarray(params.falloffs, dtype=np.float64))
-    return _oks(pred_kps[..., 0], pred_kps[..., 1], gt_xy[..., 0], gt_xy[..., 1],
-                var, labeled, count, far)
+    var = _variance(np.asarray(gt_area, dtype=np.float64)[:, None], params.falloffs)
+    return _oks(pred_kps[:, None, :, 0], pred_kps[:, None, :, 1], gt_xy[..., 0], gt_xy[..., 1],
+                var, labeled, count)
 
 
 def oks(pred, gt: PersonAnnotation, params: OksParams) -> float:
-    """Similarity of one prediction to one ground-truth person, in [0, 1]:
-    the 1x1 case of oks_matrix."""
-    return float(oks_matrix([pred], [gt], params)[0, 0])
+    """Similarity of one prediction (anything with (K, 3) (x, y, score)
+    keypoints) to one ground-truth person, in [0, 1]: the 1x1 case of
+    oks_matrix."""
+    return float(oks_matrix([pred.keypoints], [gt.keypoints], [gt.area], params)[0, 0])
 
 
 def greedy_match(sims, pred_counts, gt_counts, thresholds):
@@ -282,7 +265,7 @@ def evaluate(preds_by_image: dict, gts_by_image: dict, params: OksParams, style:
     preds = [p for img in images for p in preds_by_image.get(img, [])]
     gts = [g for img in images for g in gts_by_image.get(img, [])]
     k = len(params.falloffs)
-    _check_keypoint_counts(preds, gts, k)
+    _check_keypoint_counts(k, (len(p.keypoints) for p in preds), (len(g.keypoints) for g in gts))
     gt_kps = np.array([g.keypoints for g in gts]).reshape(len(gts), k, 3)
     labeled = gt_kps[:, :, 2] > 0
     valid = labeled.any(axis=1)
@@ -312,14 +295,13 @@ def evaluate(preds_by_image: dict, gts_by_image: dict, params: OksParams, style:
     # unlabeled joints may hold any coordinate; read them as 0
     gt_x = np.where(labeled, gt_kps[..., 0], 0.0)
     gt_y = np.where(labeled, gt_kps[..., 1], 0.0)
-    var, far = _variance(area[:, None], np.asarray(params.falloffs, dtype=np.float64))
+    var = _variance(area[:, None], params.falloffs)
     count = labeled.sum(axis=1)
     sims = np.empty(len(pair_pred))
     for at in range(0, len(sims), PAIR_BLOCK):
         p, g = pair_pred[at:at + PAIR_BLOCK], pair_gt[at:at + PAIR_BLOCK]
         sims[at:at + PAIR_BLOCK] = _oks(pred_kps[p, :, 0], pred_kps[p, :, 1], gt_x[g], gt_y[g],
-                                        var[g], labeled[g], count[g],
-                                        None if far is None else (far[0][g], far[1]))
+                                        var[g], labeled[g], count[g])
     claims = greedy_match(sims, pred_counts, gt_counts, DEFAULT_THRESHOLDS)
     # global rank: score descending, ties by (image id, within-image rank)
     order = np.argsort(-score[ranked], kind="stable")

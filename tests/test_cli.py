@@ -256,7 +256,8 @@ class TestTrainEval:
         assert len(err.splitlines()) == 1 and "must be finite" in err
 
     @pytest.mark.parametrize("line", [
-        "oks.falloffs = inf", "oks.falloffs = 1e-320", "eval.area_large = inf",
+        "oks.falloffs = inf", "oks.falloffs = 1e-320", "oks.falloffs = 1e-4",
+        "oks.falloffs = 11", "eval.area_large = inf",
         "eval.crowd_hard = nan", "eval.area_large = -5", "eval.area_medium = -1",
         "eval.crowd_easy = 0.9", "eval.crowd_hard = 7",
     ])
@@ -271,6 +272,22 @@ class TestTrainEval:
         assert code == 2
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and not captured.out
+
+    def test_eval_area_beyond_oks_range_is_data_error(self, workdir, capsys):
+        # 2 * 1e308 overflows float64: the labeled area is refused, not scored
+        tmp, cfg = workdir
+        doc = json.loads((tmp / "data.json").read_text())
+        doc["annotations"][0]["area"] = 1e308
+        (tmp / "huge.json").write_text(json.dumps(doc))
+        insts = {1: [PoseInstance([(8.0, 10.0, 1.0), (24.0, 22.0, 1.0)], 1.0)]}
+        (tmp / "r.json").write_text(dataio.write_results(insts))
+        code = main(["eval", "--config", str(tmp / "toy.cfg"),
+                     "--dataset", str(tmp / "huge.json"),
+                     "--results", str(tmp / "r.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and not captured.out
+        assert "area must lie in" in captured.err
 
     def test_eval_malformed_image_record(self, workdir, capsys):
         tmp, cfg = workdir

@@ -89,7 +89,7 @@ class TestParsing:
         with pytest.raises(ConfigError, match="scale range must be finite"):
             parse_config(line)
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "1e308", "1e154", "1e-320"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e308", "1e154", "1e-320", "1e-4", "11"])
     def test_bad_falloff_rejected(self, value):
         with pytest.raises(ConfigError, match="falloff constant"):
             parse_config(f"oks.falloffs = {value}")

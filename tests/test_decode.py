@@ -3,8 +3,7 @@ import pytest
 
 from waterfallpose import tensor as T
 from waterfallpose.checks import random_pose_scene, scene_maps
-from waterfallpose.decode import DecodeConfig, PoseInstance, nms_peaks, decode_poses, \
-    instance_to_annotation
+from waterfallpose.decode import DecodeConfig, PoseInstance, nms_peaks, decode_poses
 from waterfallpose.metrics import OksParams, oks
 from waterfallpose.targets import PersonAnnotation, render_keypoint_heatmaps
 from waterfallpose.waterfall import PoseMaps
@@ -140,10 +139,19 @@ class TestDecodePoses:
                     joints.append((x, y, sc))
                 cands.append(PoseInstance(joints, cs * (sum(s for _, _, s in joints) / k)))
             cands.sort(key=lambda inst: -inst.score)
+
+            def as_annotation(inst):
+                # all joints labeled visible, area from the keypoint
+                # bounding box with each side at least 1 px
+                kps = inst.keypoints
+                lo, hi = kps[:, :2].min(axis=0), kps[:, :2].max(axis=0)
+                area = max(float(hi[0] - lo[0]), 1.0) * max(float(hi[1] - lo[1]), 1.0)
+                return PersonAnnotation(np.hstack([kps[:, :2], np.full((k, 1), 2.0)]), area)
+
             params = OksParams.uniform(k)
             kept = []
             for cand in cands:
-                if all(oks(cand, instance_to_annotation(other), params) <= cfg.duplicate_oks
+                if all(oks(cand, as_annotation(other), params) <= cfg.duplicate_oks
                        for other in kept):
                     kept.append(cand)
             return kept

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from waterfallpose.decode import PoseInstance
-from waterfallpose.metrics import DEFAULT_THRESHOLDS, OksParams, UndefinedOksError, \
-    RECALL_POINTS, oks, oks_matrix, greedy_match, evaluate, interpolated_ap, pr_curve
+from waterfallpose.metrics import AREA_RANGE, DEFAULT_THRESHOLDS, FALLOFF_RANGE, OksParams, \
+    UndefinedOksError, RECALL_POINTS, oks, oks_matrix, greedy_match, evaluate, interpolated_ap, \
+    pr_curve
 from waterfallpose.targets import PersonAnnotation
 
 from waterfallpose.checks import ap_by_loop, bruteforce_eval, pr_by_loop, \
@@ -20,6 +21,14 @@ def gt_person(points, area=100.0, crowd_index=None):
 
 def pred_person(points, score=1.0):
     return PoseInstance([(x, y, 1.0) for x, y in points], score)
+
+
+def oks_matrix_of(preds, gts, params):
+    """oks_matrix over lists of people, stacked into keypoint arrays."""
+    k = len(params.falloffs)
+    return oks_matrix(np.array([p.keypoints for p in preds]).reshape(len(preds), k, 3),
+                      np.array([g.keypoints for g in gts]).reshape(len(gts), k, 3),
+                      [g.area for g in gts], params)
 
 
 class TestOks:
@@ -91,12 +100,19 @@ coords = st.floats(-500.0, 500.0)
 unlabeled_coords = st.sampled_from([0.0, 7.5, -3.0, math.nan, math.inf, -math.inf])
 
 
+def log_uniform(lo, hi):
+    """Floats spread evenly in log scale over [lo, hi], both edges included."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0 ** e, lo), hi))
+
+
 @st.composite
 def person_lists(draw):
     """K in 1..17, up to 4 predictions and 4 ground truths (each with at
-    least one labeled joint among mixed visibilities), random falloffs."""
+    least one labeled joint among mixed visibilities), falloffs and areas
+    over their whole accepted ranges."""
     k = draw(st.integers(1, 17))
-    params = OksParams(tuple(draw(st.lists(st.floats(0.01, 2.0), min_size=k, max_size=k))))
+    params = OksParams(tuple(draw(st.lists(log_uniform(*FALLOFF_RANGE), min_size=k,
+                                           max_size=k))))
     preds = [PoseInstance([(draw(coords), draw(coords), 1.0) for _ in range(k)], 1.0)
              for _ in range(draw(st.integers(0, 4)))]
     gts = []
@@ -104,7 +120,7 @@ def person_lists(draw):
         vis = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any))
         kps = [(draw(coords), draw(coords), v) if v else
                (draw(unlabeled_coords), draw(unlabeled_coords), 0) for v in vis]
-        gts.append(PersonAnnotation(kps, area=draw(st.floats(0.01, 1e5))))
+        gts.append(PersonAnnotation(kps, area=draw(log_uniform(*AREA_RANGE))))
     return preds, gts, params
 
 
@@ -124,7 +140,7 @@ class TestOksMatrix:
     @given(person_lists())
     def test_every_entry_is_the_scalar_oks(self, scene):
         preds, gts, params = scene
-        sims = oks_matrix(preds, gts, params)
+        sims = oks_matrix_of(preds, gts, params)
         assert sims.shape == (len(preds), len(gts)) and sims.dtype == np.float64
         for i, pred in enumerate(preds):
             for j, gt in enumerate(gts):
@@ -141,80 +157,74 @@ class TestOksMatrix:
         blank = PersonAnnotation([(1.0, 2.0, 0)] * k, area=10.0)
         gts.insert(data.draw(st.integers(0, len(gts))), blank)
         with pytest.raises(UndefinedOksError):
-            oks_matrix(preds, gts, params)
+            oks_matrix_of(preds, gts, params)
 
     def test_empty_sides(self):
         params = OksParams.uniform(3)
         gts = [gt_person([(1, 2, 2), (3, 4, 0), (5, 6, 1)])]
         preds = [pred_person([(1, 2), (3, 4), (5, 6)])] * 2
-        assert oks_matrix([], gts, params).shape == (0, 1)
-        assert oks_matrix(preds, [], params).shape == (2, 0)
-        assert oks_matrix([], [], params).shape == (0, 0)
+        assert oks_matrix_of([], gts, params).shape == (0, 1)
+        assert oks_matrix_of(preds, [], params).shape == (2, 0)
+        assert oks_matrix_of([], [], params).shape == (0, 0)
 
     def test_keypoint_count_mismatch(self):
+        params = OksParams.uniform(2)
+        with pytest.raises(ValueError, match="keypoint count mismatch: prediction has 1"):
+            oks_matrix(np.zeros((1, 1, 3)), np.full((1, 2, 3), 2.0), [1.0], params)
+        with pytest.raises(ValueError, match="keypoint count mismatch: ground truth has 3"):
+            oks_matrix(np.zeros((1, 2, 3)), np.full((1, 3, 3), 2.0), [1.0], params)
         with pytest.raises(ValueError, match="keypoint count"):
-            oks_matrix([pred_person([(1, 2)])], [gt_person([(1, 2, 2), (3, 4, 2)])],
-                       OksParams.uniform(2))
+            oks(pred_person([(1, 2)]), gt_person([(1, 2, 2), (3, 4, 2)]), params)
 
-    @pytest.mark.filterwarnings("error")
-    def test_underflowing_variance_scores_its_limit(self):
-        # 2 * area * f^2 is 0 in float64 though the falloff alone is accepted:
-        # 1 at 0 px, 0 at 1 px, and the other joint's term as before
-        gt = gt_person([(5, 5, 2)], area=1e-5)
-        assert oks(pred_person([(5, 5)]), gt, OksParams((1e-160,))) == 1.0
-        assert oks(pred_person([(6, 5)]), gt, OksParams((1e-160,))) == 0.0
-        gt = gt_person([(5, 5, 2), (8, 8, 2)], area=1e-5)
-        preds = [pred_person([(5, 5), (8, 8)]), pred_person([(1e100, 5), (8, 8)]),
-                 pred_person([(5, 5), (9, 8)])]
-        assert oks_matrix(preds, [gt], OksParams((1e-160, 0.1))).tolist() == \
-            [[1.0], [0.5], [0.5]]
+    def test_underflowing_falloff_is_rejected(self):
+        # 2 * area * f^2 would underflow to 0 at area 1e-5: refused up front,
+        # as is anything just outside the range; its edges are accepted
+        lo, hi = FALLOFF_RANGE
+        for falloffs in ((1e-160,), (1e-160, 0.1), (np.nextafter(lo, 0.0),),
+                         (0.1, np.nextafter(hi, math.inf))):
+            with pytest.raises(ValueError, match="falloff constant"):
+                OksParams(falloffs)
+        assert OksParams(FALLOFF_RANGE).falloffs == FALLOFF_RANGE
 
     def test_far_joints_score_zero_without_overflow_warning(self):
         # (1e200)^2 and (1e308)^2 overflow float64; each such term is 0
         gt = gt_person([(5, 5, 2), (8, 8, 2), (3, 4, 2)], area=49.0)
         preds = [pred_person([(1e200, 5), (8, sign * 1e308), (4, 4)]) for sign in (1, -1)]
         want = math.exp(-1.0 / (2 * 49.0 * 0.1 * 0.1)) / 3
-        for got in oks_matrix(preds, [gt], OksParams.uniform(3))[:, 0]:
+        for got in oks_matrix_of(preds, [gt], OksParams.uniform(3))[:, 0]:
             assert got == pytest.approx(want, rel=1e-15)
 
-    @pytest.mark.filterwarnings("error")
-    def test_huge_area_keeps_a_finite_variance(self):
-        # 2 * 1e308 overflows though 2 * area * f^2 = 8e306 is finite: a
-        # joint sqrt(8e306) px off scores exp(-1), not the 1 of an infinite
-        # variance, and the ordinary ground truth's column is unchanged
-        huge = gt_person([(5, 5, 2)], area=1e308)
+    @staticmethod
+    def assert_area_rejected(area, params):
+        """A labeled ground truth of this area is refused by oks, oks_matrix
+        and evaluate, next to an ordinary one and before any warning."""
+        huge = gt_person([(5, 5, 2)], area=area)
         small = gt_person([(6, 5, 2)], area=49.0)
-        preds = [pred_person([(5, 5)]), pred_person([(5 + math.sqrt(8e306), 5)])]
-        sims = oks_matrix(preds, [huge, small], OksParams((0.2,)))
-        assert sims[0, 0] == 1.0
-        assert sims[1, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert sims[:, 1].tolist() == [oks(p, small, OksParams((0.2,))) for p in preds]
-        # bitwise the finite-variance formula; the scaled distances kept for
-        # an infinite term give a different last bit at this distance
-        got = oks(pred_person([(5 + 4e153, 5)]), huge, OksParams((0.2,)))
-        assert got == np.exp(-np.array([4e153 ** 2]) / (1e308 * 0.2 * 0.2 * 2.0))[0]
+        pred = pred_person([(5, 5)], score=0.9)
+        with pytest.raises(ValueError, match="area must lie in"):
+            oks(pred, huge, params)
+        with pytest.raises(ValueError, match="area must lie in"):
+            oks_matrix_of([pred], [small, huge], params)
+        with pytest.raises(ValueError, match="area must lie in"):
+            evaluate({1: [pred]}, {1: [small], 2: [huge]}, params)
 
     @pytest.mark.filterwarnings("error")
-    def test_infinite_variance_scores_scaled_distances(self):
-        # 2 * 1e307 * 10^2 is beyond float64 however it is formed: a joint at
-        # 0 px scores 1, one sqrt(2e309) px off exp(-1) and one at 1e200
-        # scores 0, and the ordinary ground truth's column is unchanged
-        huge = gt_person([(5, 5, 2)], area=1e307)
-        small = gt_person([(6, 5, 2)], area=49.0)
-        preds = [pred_person([(5, 5)]), pred_person([(5 + 10 * math.sqrt(2e307), 5)]),
-                 pred_person([(1e200, 5)])]
-        params = OksParams((10.0,))
-        sims = oks_matrix(preds, [huge, small], params)
-        assert sims[0, 0] == 1.0
-        assert sims[1, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert sims[2, 0] == 0.0
-        assert sims[:, 1].tolist() == [oks(p, small, params) for p in preds]
-        # the evaluator's gathered pass scores the same pairs
-        preds = {1: [pred_person(p.keypoints[:, :2].tolist(), score=s)
-                     for p, s in zip(preds, (0.9, 0.5, 0.7))]}
-        gts = {1: [huge, small]}
-        assert evaluate(preds, gts, params).as_row() == \
-            bruteforce_eval(preds, gts, params).as_row()
+    def test_overflowing_area_is_rejected(self):
+        # 2 * 1e308 overflows float64, and so does anything just past the
+        # range or just below it; the edges themselves score as the formula
+        lo, hi = AREA_RANGE
+        for area in (1e308, np.nextafter(hi, math.inf), np.nextafter(lo, 0.0)):
+            self.assert_area_rejected(area, OksParams((0.2,)))
+        pred = pred_person([(5, 5)])
+        for area in AREA_RANGE:
+            gt = gt_person([(6, 5, 2)], area=area)
+            assert oks(pred, gt, OksParams((0.2,))) == \
+                np.exp(-np.array([1.0]) / (2.0 * area * 0.2 * 0.2))[0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_variance_area_is_rejected(self):
+        # 2 * 1e307 * 10^2 is beyond float64 however it is formed
+        self.assert_area_rejected(1e307, OksParams((10.0,)))
 
 
 def pairs(recall, precision):
@@ -264,7 +274,7 @@ def greedy_by_loop(rows, threshold):
 
 
 def claims_of(preds, gts, threshold):
-    sims = oks_matrix(preds, gts, OksParams.uniform(1))
+    sims = oks_matrix_of(preds, gts, OksParams.uniform(1))
     return greedy_match(sims.ravel(), [len(preds)], [len(gts)], (threshold,))[0].tolist()
 
 
@@ -424,7 +434,7 @@ class TestEvaluator:
             within += any(len(s) < len(ps) for s, ps in zip(scores, preds.values()))
             across += any(a & b for i, a in enumerate(scores) for b in scores[i + 1:])
             for img, ps in preds.items():
-                for row in oks_matrix(ps, gts[img], params).tolist():
+                for row in oks_matrix_of(ps, gts[img], params).tolist():
                     high = [v for v in row if v >= 0.5]
                     equal_oks += len(set(high)) < len(high)
         assert min(within, across, equal_oks) >= 20
