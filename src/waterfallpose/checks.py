@@ -63,6 +63,15 @@ def conv2d_naive(x, w, b, spec):
     return y
 
 
+def layered_head_projection(cat, low_level, weights):
+    """Stage 3 layer by layer, the oracle for waterfall.head_projection:
+    wf.out over the waterfall concat plus llf.proj over the low-level map,
+    then llf.mid and llf.out, each one conv2d."""
+    def conv(x, layer):
+        return T.conv2d(x, weights[layer + ".w"], weights[layer + ".b"], W.S1)
+    return conv(conv(conv(cat, "wf.out") + conv(low_level, "llf.proj"), "llf.mid"), "llf.out")
+
+
 def _grad_vs_numeric(analytic, f, x, h=1e-6):
     num = T.numeric_gradient(f, x.reshape(1, 1, 1, -1) if x.ndim != 4 else x, h=h)
     return T.relative_error(analytic, num.reshape(analytic.shape))
@@ -175,6 +184,20 @@ def gradient_checks():
     worst = full_model_gradient_error(img, anns, weights, pyr, wf, coords=6, seed=7)
     results.append(("full_model/sampled_params", worst <= GRAD_TOL,
                     f"worst rel err {worst:.2e}"))
+
+    # stage 3's folded affine map, through each of its ten operands
+    cat = rng.standard_normal((2, 5 * wf.branch_width, 3, 4))
+    low = rng.standard_normal((2, wf.low_level_width, 3, 4))
+    operands = [cat, low] + [weights[name] for name in W.HEAD_PROJECTION_WEIGHTS]
+    gp = rng.standard_normal((2, wf.head_width, 3, 4))
+    _, cache = W.head_projection(cat, low, operands[2:])
+    grads_hp = W.head_projection_backward(cache, gp)
+    for i, name in enumerate(("cat", "low_level") + W.HEAD_PROJECTION_WEIGHTS):
+        def f(v, i=i):
+            trial = list(operands)
+            trial[i] = v.reshape(operands[i].shape)
+            return float((W.head_projection(trial[0], trial[1], trial[2:])[0] * gp).sum())
+        record("head_projection/" + name, _grad_vs_numeric(grads_hp[i], f, operands[i]))
     return results
 
 
@@ -304,6 +327,17 @@ def selftest_checks():
     record("overlay_reference_equivalence",
            all(draw_overlay(img, poses).tobytes() == overlay_reference(img, poses).tobytes()
                for img, poses in scenes))
+
+    # the folded stage 3 against its layered oracle, float32 at published widths
+    wf = WaterfallConfig()
+    weights = W.init_waterfall_weights(wf, rng)
+    for name in W.HEAD_PROJECTION_WEIGHTS[1::2]:    # biases start at zero; give c a part
+        weights[name] = rng.standard_normal(weights[name].shape).astype(np.float32)
+    cat = rng.standard_normal((1, 5 * wf.branch_width, 6, 6)).astype(np.float32)
+    low = rng.standard_normal((1, wf.low_level_width, 6, 6)).astype(np.float32)
+    folded, _ = W.head_projection(cat, low, [weights[n] for n in W.HEAD_PROJECTION_WEIGHTS])
+    err = T.relative_error(folded, layered_head_projection(cat, low, weights))
+    record("head_projection_oracle", err <= 1e-5, f"rel err {err:.2e}")
     return results
 
 

@@ -5,15 +5,15 @@ Every value in the pipeline is a numpy array of shape (N, C, H, W), row-major
 with width fastest. Compute stays in the dtype of the inputs: float32 for
 normal runs, float64 for gradient checking. Kernels are pure functions, with
 one of two conventions. Most backwards take the original inputs (or their
-shape) plus the upstream gradient. The cached kernels, bilinear_sample here
-and the adaptive conv built on it, return (value, cache), and their backward
-takes (cache, gy): the cache holds what the forward worked out. Two
-bounded caches outlive every call and depend on geometry alone: the conv
-plan of each (ConvSpec, h, w), its output extents and live taps, and the
-read-only bilinear resize matrix of each (in, out, dtype). A Tape records the
-kernels a forward pass runs and replays their backwards in reverse, so
-composite layers are written forward only; a ForwardTape runs the same
-kernels and keeps nothing.
+shape) plus the upstream gradient. The cached kernels, bilinear_sample here,
+the adaptive conv built on it and the head's folded 1x1 chain, return
+(value, cache), and their backward takes (cache, gy): the cache holds what
+the forward worked out. Two bounded caches outlive every call and depend on
+geometry alone: the conv plan of each (ConvSpec, h, w), its output extents
+and live taps, and the read-only bilinear resize matrix of each (in, out,
+dtype). A Tape records the kernels a forward pass runs and replays their
+backwards in reverse, so composite layers are written forward only; a
+ForwardTape runs the same kernels and keeps nothing.
 """
 
 from __future__ import annotations
@@ -487,9 +487,6 @@ class Tape:
     def sigmoid(self, x):
         y = sigmoid(x)
         return self.record(y, (x,), lambda gy: (sigmoid_backward(y, gy),))
-
-    def add(self, a, b):
-        return self.record(a + b, (a, b), lambda gy: (gy, gy))
 
     def pool(self, x):
         return self.record(global_avg_pool(x), (x,),

@@ -6,10 +6,13 @@ The module runs at base resolution throughout. Stages:
   1. fuse_pyramid      - upsample levels 1..3 to level-0 extents, concatenate.
   2. waterfall_forward - four sequential 3x3 convolutions at increasing
                          dilation, each feeding the next; their outputs plus a
-                         pooled branch are concatenated and reduced by 1x1.
-  3. fuse_low_level    - project the low-level map, add, two more 1x1 stages,
-                         the last cutting the width to a quarter of the fused
-                         input width.
+                         pooled branch are concatenated.
+  3. fuse_low_level    - the waterfall 1x1 (wf.out) over that concat, plus the
+                         projected low-level map, then two more 1x1 stages, the
+                         last cutting the width to a quarter of the fused input
+                         width. No nonlinearity sits between these four 1x1
+                         layers, so the stage runs as the one affine map they
+                         compose to (head_projection), exact in real arithmetic.
   4. heads_forward     - a keypoint head (adaptive conv, sigmoid scores for
                          each joint plus a person-center channel) and a
                          disentangled offset head (one adaptive-conv group per
@@ -180,9 +183,9 @@ def fuse_pyramid(p: FeaturePyramid, tape):
 def waterfall_forward(g0: np.ndarray, weights: dict, cfg: WaterfallConfig, tape):
     """Cascade of dilated 3x3 convolutions plus a pooled branch.
 
-    Each branch output feeds the next branch; the four branch outputs and the
-    pooled branch are concatenated and a 1x1 brings the width to
-    cfg.waterfall_width. Returns f_waterfall.
+    Each branch output feeds the next branch. Returns the concat of the four
+    branch outputs and the pooled branch, 5 * cfg.branch_width channels; the
+    1x1 that brings it to cfg.waterfall_width runs in fuse_low_level.
     """
     if g0.shape[1] != cfg.fused_width:
         raise T.ShapeError(
@@ -195,23 +198,95 @@ def waterfall_forward(g0: np.ndarray, weights: dict, cfg: WaterfallConfig, tape)
         outs.append(x)
     pooled = tape.conv(tape.pool(g0), weights, "wf.pool", S1)
     outs.append(tape.resize(pooled, g0.shape[2], g0.shape[3]))
-    return tape.conv(tape.concat(outs), weights, "wf.out", S1)
+    return tape.concat(outs)
 
 
 # ---------------------------------------------------------------------------
 # stage 3: low-level fusion and reduction
 
-def fuse_low_level(low_level: np.ndarray, f_waterfall: np.ndarray,
+# the weights and biases of stage 3's 1x1 layers, in the order head_projection
+# takes them: llf.out(llf.mid(wf.out(cat) + llf.proj(low_level)))
+HEAD_PROJECTION_WEIGHTS = ("wf.out.w", "wf.out.b", "llf.proj.w", "llf.proj.b",
+                           "llf.mid.w", "llf.mid.b", "llf.out.w", "llf.out.b")
+
+
+def _layer_matrix(layer: str, w: np.ndarray, b: np.ndarray, cin: int) -> np.ndarray:
+    """The (Cout, Cin) matrix of a 1x1 conv that reads cin channels."""
+    if w.shape[1:] != (cin, 1, 1) or b.shape != w.shape[:1]:
+        raise T.ShapeError(
+            f"{layer} must be a 1x1 conv over {cin} channels with one bias per "
+            f"output, got weight {w.shape} and bias {b.shape}")
+    return w.reshape(w.shape[0], cin)
+
+
+def head_projection(cat: np.ndarray, low_level: np.ndarray, params):
+    """Stage 3 as one affine map: y = A @ cat + B @ low_level + c per pixel.
+
+    params are the eight arrays named by HEAD_PROJECTION_WEIGHTS. With M(.)
+    the (Cout, Cin) matrix of a 1x1 weight, O = M(llf.out) M(llf.mid),
+    A = O M(wf.out), B = O M(llf.proj) and
+    c = O (b_wf + b_proj) + M(llf.out) b_mid + b_out, which equals the layered
+    chain in real arithmetic; in floating point the sums are re-associated.
+    Returns (y, cache).
+    """
+    w_wf, b_wf, w_proj, b_proj, w_mid, b_mid, w_out, b_out = params
+    n, _, h, w = cat.shape
+    m_wf = _layer_matrix("wf.out", w_wf, b_wf, cat.shape[1])
+    m_proj = _layer_matrix("llf.proj", w_proj, b_proj, low_level.shape[1])
+    if m_proj.shape[0] != m_wf.shape[0]:
+        raise T.ShapeError(
+            f"llf.proj gives {m_proj.shape[0]} channels, wf.out gives {m_wf.shape[0]}")
+    m_mid = _layer_matrix("llf.mid", w_mid, b_mid, m_wf.shape[0])
+    m_out = _layer_matrix("llf.out", w_out, b_out, m_mid.shape[0])
+    o = np.matmul(m_out, m_mid)
+    a = np.matmul(o, m_wf)
+    b = np.matmul(o, m_proj)
+    s = b_wf + b_proj
+    c = np.matmul(o, s) + np.matmul(m_out, b_mid) + b_out
+    cat3 = cat.reshape(n, cat.shape[1], h * w)
+    low3 = low_level.reshape(n, low_level.shape[1], h * w)
+    y = np.matmul(a, cat3)
+    y += np.matmul(b, low3)
+    y += c[:, None]
+    return y.reshape(n, -1, h, w), (params, (m_wf, m_proj, m_mid, m_out), o, a, b, s,
+                                    cat3, low3)
+
+
+def head_projection_backward(cache, gy):
+    """Gradients w.r.t. cat, low_level and the eight weights, in
+    head_projection's order: G_A and G_B are the gradients of A and B, and
+    the chain rule runs back through A, B and c to O and the four layers."""
+    params, (m_wf, m_proj, m_mid, m_out), o, a, b, s, cat3, low3 = cache
+    b_mid = params[5]
+    n, f, h, w = gy.shape
+    g = gy.reshape(n, f, h * w)
+    g_c = g.sum(axis=(0, 2))
+    g_a = T.column_gradient(g, cat3)
+    g_b = T.column_gradient(g, low3)
+    g_cat = np.matmul(a.T, g).reshape(n, -1, h, w)
+    g_low = np.matmul(b.T, g).reshape(n, -1, h, w)
+    g_o = np.matmul(g_a, m_wf.T) + np.matmul(g_b, m_proj.T) + np.outer(g_c, s)
+    g_s = np.matmul(o.T, g_c)
+    grads = (np.matmul(o.T, g_a), g_s, np.matmul(o.T, g_b), g_s.copy(),
+             np.matmul(m_out.T, g_o), np.matmul(m_out.T, g_c),
+             np.matmul(g_o, m_mid.T) + np.outer(g_c, b_mid), g_c)
+    return (g_cat, g_low) + tuple(gp.reshape(p.shape) for gp, p in zip(grads, params))
+
+
+def fuse_low_level(low_level: np.ndarray, cat: np.ndarray,
                    weights: dict, cfg: WaterfallConfig, tape):
-    """Project the low-level map to the waterfall width, add, then two 1x1
-    stages, the last reducing to cfg.head_width. Returns f_maps."""
-    if low_level.shape[2:] != f_waterfall.shape[2:]:
+    """The waterfall 1x1 over stage 2's concat, plus the low-level map
+    projected to the same width, then two 1x1 stages, the last reducing to
+    cfg.head_width: head_projection, recorded on the tape as one kernel.
+    Returns f_maps."""
+    if low_level.shape[2:] != cat.shape[2:]:
         raise T.ShapeError(
             f"low-level extents {low_level.shape[2:]} do not match waterfall "
-            f"extents {f_waterfall.shape[2:]}")
-    s = tape.add(tape.conv(low_level, weights, "llf.proj", S1), f_waterfall)
-    mid = tape.conv(s, weights, "llf.mid", S1)
-    return tape.conv(mid, weights, "llf.out", S1)
+            f"extents {cat.shape[2:]}")
+    params = tuple(T.weight(weights, name) for name in HEAD_PROJECTION_WEIGHTS)
+    y, cache = head_projection(cat, low_level, params)
+    return tape.record(y, (cat, low_level, *HEAD_PROJECTION_WEIGHTS),
+                       lambda gy: head_projection_backward(cache, gy))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +405,6 @@ def waterfall_module_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallCon
     """fuse_pyramid -> waterfall -> low-level fusion -> heads.
     Returns the PoseMaps."""
     g0 = fuse_pyramid(p, tape)
-    f_wf = waterfall_forward(g0, weights, cfg, tape)
-    f_maps = fuse_low_level(p.low_level, f_wf, weights, cfg, tape)
+    cat = waterfall_forward(g0, weights, cfg, tape)
+    f_maps = fuse_low_level(p.low_level, cat, weights, cfg, tape)
     return heads_forward(f_maps, weights, cfg, tape)

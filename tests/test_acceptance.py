@@ -116,8 +116,8 @@ def test_04_channel_arithmetic_at_paper_widths():
     p = FeaturePyramid(levels, rng.standard_normal((1, 32, 8, 8)).astype(np.float32))
     tape = T.Tape()
     g0 = W.fuse_pyramid(p, tape)
-    f_wf = W.waterfall_forward(g0, wts, cfg, tape)
-    f_maps = W.fuse_low_level(p.low_level, f_wf, wts, cfg, tape)
+    cat = W.waterfall_forward(g0, wts, cfg, tape)
+    f_maps = W.fuse_low_level(p.low_level, cat, wts, cfg, tape)
     maps = W.heads_forward(f_maps, wts, cfg, tape)
     ok = (g0.shape[1] == 480 and f_maps.shape[1] == 120
           and maps.heatmaps.shape[1] == 18 and maps.offsets.shape[1] == 34)

@@ -1,16 +1,21 @@
+import ctypes
 import json
+import platform
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from waterfallpose import dataio
 from waterfallpose.checks import overlay_reference, random_overlay_scene
-from waterfallpose.cli import main
+from waterfallpose.cli import M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, main, pin_heap_policy
 from waterfallpose.config import default_config, parse_config
 from waterfallpose.decode import PoseInstance
 from waterfallpose.model import init_model_weights
 from waterfallpose.overlay import draw_overlay, line_pixels
 from waterfallpose.targets import PersonAnnotation
+from waterfallpose.waterfall import HEAD_PROJECTION_WEIGHTS
 
 TOY_CONFIG = """
 pyramid.widths = 4,8,16,32
@@ -152,6 +157,25 @@ class TestInfer:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "weights/head.kp.taps.b" in err[0] \
             and "non-finite" in err[0]
+        assert not (tmp / "out.json").exists()
+
+    def test_non_finite_output_is_data_error(self, workdir, capsys):
+        # every weight is finite, so the checkpoint loads, but the forward
+        # overflows float32
+        tmp, cfg = workdir
+        weights = init_model_weights(cfg.pyramid, cfg.waterfall, seed=0)
+        weights["backbone.level0.0.b"][:] = 1e38
+        ckpt = tmp / "huge.bin"
+        ckpt.write_bytes(dataio.save_checkpoint(weights, None, 0, cfg.fingerprint()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["infer", "--config", str(tmp / "toy.cfg"),
+                         "--checkpoint", str(ckpt),
+                         "--image", str(tmp / "img0.ppm"),
+                         "--out-poses", str(tmp / "out.json")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "not finite" in err[0]
         assert not (tmp / "out.json").exists()
 
     def test_too_large_base_stride_is_data_error(self, workdir, capsys):
@@ -313,16 +337,66 @@ class TestTrainEval:
         assert len(err.splitlines()) == 1 and "results[0]" in err
 
 
+class _Mallopt:
+    """Stands in for the C library's mallopt and records each call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class TestHeapPolicy:
+    def _infer(self, tmp, ckpt, out):
+        return main(["infer", "--config", str(tmp / "toy.cfg"), "--checkpoint", str(ckpt),
+                     "--image", str(tmp / "img0.ppm"), "--out-poses", str(out)])
+
+    def test_main_pins_both_settings_once_per_process(self, workdir, monkeypatch, capsys):
+        tmp, cfg = workdir
+        ckpt = zero_checkpoint(tmp, cfg)
+        mallopt = _Mallopt()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        pin_heap_policy.cache_clear()
+        try:
+            assert self._infer(tmp, ckpt, tmp / "a.json") == 0
+            assert self._infer(tmp, ckpt, tmp / "b.json") == 0
+        finally:
+            pin_heap_policy.cache_clear()
+        assert mallopt.calls == [(M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 1 << 30)]
+        assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
+
+    def test_no_mallopt_is_no_error(self, workdir, monkeypatch, capsys):
+        tmp, cfg = workdir
+        ckpt = zero_checkpoint(tmp, cfg)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        pin_heap_policy.cache_clear()
+        try:
+            assert self._infer(tmp, ckpt, tmp / "a.json") == 0
+            assert pin_heap_policy() is False
+        finally:
+            pin_heap_policy.cache_clear()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_glibc_takes_both_settings(self):
+        pin_heap_policy.cache_clear()
+        assert pin_heap_policy() is True
+
+
 class TestChecks:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert "conv_oracle" in out and "FAIL" not in out
+        assert "conv_oracle" in out and "head_projection_oracle" in out
+        assert "FAIL" not in out
 
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "adaptive_conv/offsets" in out and "FAIL" not in out
+        for name in ("cat", "low_level") + HEAD_PROJECTION_WEIGHTS:
+            assert f"[PASS] head_projection/{name} " in out
 
 
 def _bresenham_pixels(x0, y0, x1, y1, w, h):

@@ -2,10 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from waterfallpose import tensor as T
 from waterfallpose import waterfall as W
 from waterfallpose.backbone import FeaturePyramid
+from waterfallpose.checks import layered_head_projection
 
 
 def make_pyramid(rng, widths=(4, 8, 16, 32), low=4, h=8, w=8, dtype=np.float32):
@@ -58,8 +60,16 @@ class TestFusePyramid:
             assert T.relative_error(grads[lv], num) <= 1e-6
 
 
+def random_biases(wts, rng):
+    # init zeroes every bias; stage 3's constant term needs them nonzero
+    for name in W.HEAD_PROJECTION_WEIGHTS[1::2]:
+        wts[name] = rng.standard_normal(wts[name].shape).astype(wts[name].dtype)
+    return wts
+
+
 def straight_line_waterfall(g0, wts, cfg):
-    # independently coded composition of the published dataflow
+    # independently coded composition of the published dataflow, up to the
+    # concat that stage 3's wf.out reads
     d1, d2, d3, d4 = cfg.dilations
     g1 = T.relu(T.conv2d(g0, wts["wf.branch0.w"], wts["wf.branch0.b"],
                          T.ConvSpec(3, 3, pad_h=d1, pad_w=d1, dilation=d1)))
@@ -71,18 +81,26 @@ def straight_line_waterfall(g0, wts, cfg):
                          T.ConvSpec(3, 3, pad_h=d4, pad_w=d4, dilation=d4)))
     pool = T.conv2d(T.global_avg_pool(g0), wts["wf.pool.w"], wts["wf.pool.b"], W.S1)
     pool = T.bilinear_resize(pool, g0.shape[2], g0.shape[3])
-    cat = T.concat_channels([g1, g2, g3, g4, pool])
-    return T.conv2d(cat, wts["wf.out.w"], wts["wf.out.b"], W.S1)
+    return T.concat_channels([g1, g2, g3, g4, pool])
 
 
 class TestWaterfall:
     def test_output_width_is_wf(self, rng):
+        # stage 2 hands its five-branch concat to stage 3, whose first layer,
+        # wf.out, reads it and gives the waterfall width
         for b in (4, 8):
             cfg = toy_cfg(branch_width=b, out_width=24)
             wts = W.init_waterfall_weights(cfg, rng)
             g0 = rng.standard_normal((1, 60, 8, 8)).astype(np.float32)
-            out = W.waterfall_forward(g0, wts, cfg, T.Tape())
-            assert out.shape == (1, 24, 8, 8)
+            cat = W.waterfall_forward(g0, wts, cfg, T.Tape())
+            assert cat.shape == (1, 5 * b, 8, 8)
+            assert wts["wf.out.w"].shape == (24, 5 * b, 1, 1)
+            assert wts["llf.proj.w"].shape == (24, 4, 1, 1)
+            assert wts["llf.mid.w"].shape == (24, 24, 1, 1)
+            low = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
+            assert layered_head_projection(cat, low, wts).shape == (1, 15, 8, 8)
+            out = W.fuse_low_level(low, cat, wts, cfg, T.Tape())
+            assert out.shape == (1, 15, 8, 8)
 
     def test_zero_weights_zero_output(self, rng):
         cfg = toy_cfg()
@@ -93,10 +111,14 @@ class TestWaterfall:
 
     def test_matches_straight_line_oracle(self, rng):
         cfg = toy_cfg()
-        wts = W.init_waterfall_weights(cfg, rng, offset_init="random")
+        wts = random_biases(W.init_waterfall_weights(cfg, rng, offset_init="random"), rng)
         g0 = rng.standard_normal((1, 60, 8, 8)).astype(np.float32)
-        out = W.waterfall_forward(g0, wts, cfg, T.Tape())
-        assert T.relative_error(out, straight_line_waterfall(g0, wts, cfg)) <= 1e-6
+        low = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
+        cat = W.waterfall_forward(g0, wts, cfg, T.Tape())
+        ref = straight_line_waterfall(g0, wts, cfg)
+        assert T.relative_error(cat, ref) <= 1e-6
+        out = W.fuse_low_level(low, cat, wts, cfg, T.Tape())
+        assert T.relative_error(out, layered_head_projection(ref, low, wts)) <= 1e-6
 
     def test_dilation_order_matters(self, rng):
         g0 = rng.standard_normal((1, 60, 8, 8)).astype(np.float32)
@@ -119,40 +141,73 @@ class TestFuseLowLevel:
     def test_paper_reduction_480_to_120(self, rng):
         cfg = W.WaterfallConfig()
         wts = W.init_waterfall_weights(cfg, rng)
+        assert wts["wf.out.w"].shape == (480, 640, 1, 1)
+        assert wts["llf.mid.w"].shape == (480, 480, 1, 1)
+        assert wts["llf.out.w"].shape == (120, 480, 1, 1)
         low = rng.standard_normal((1, 32, 4, 4)).astype(np.float32)
-        f_wf = rng.standard_normal((1, 480, 4, 4)).astype(np.float32)
-        out = W.fuse_low_level(low, f_wf, wts, cfg, T.Tape())
+        cat = rng.standard_normal((1, 640, 4, 4)).astype(np.float32)
+        out = W.fuse_low_level(low, cat, wts, cfg, T.Tape())
         assert out.shape == (1, 120, 4, 4)
 
     def test_zero_projection_isolates_waterfall_path(self, rng):
         cfg = toy_cfg()
-        wts = W.init_waterfall_weights(cfg, rng)
+        wts = random_biases(W.init_waterfall_weights(cfg, rng), rng)
         wts["llf.proj.w"] = np.zeros_like(wts["llf.proj.w"])
         wts["llf.proj.b"] = np.zeros_like(wts["llf.proj.b"])
-        f_wf = rng.standard_normal((1, 16, 8, 8)).astype(np.float32)
+        cat = rng.standard_normal((1, 40, 8, 8)).astype(np.float32)
         low_a = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
         low_b = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        out_a = W.fuse_low_level(low_a, f_wf, wts, cfg, T.Tape())
-        out_b = W.fuse_low_level(low_b, f_wf, wts, cfg, T.Tape())
+        out_a = W.fuse_low_level(low_a, cat, wts, cfg, T.Tape())
+        out_b = W.fuse_low_level(low_b, cat, wts, cfg, T.Tape())
         np.testing.assert_array_equal(out_a, out_b)
 
     def test_matches_straight_line_oracle(self, rng):
         cfg = toy_cfg()
-        wts = W.init_waterfall_weights(cfg, rng)
+        wts = random_biases(W.init_waterfall_weights(cfg, rng), rng)
         low = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        f_wf = rng.standard_normal((1, 16, 8, 8)).astype(np.float32)
-        out = W.fuse_low_level(low, f_wf, wts, cfg, T.Tape())
-        proj = T.conv2d(low, wts["llf.proj.w"], wts["llf.proj.b"], W.S1)
-        mid = T.conv2d(proj + f_wf, wts["llf.mid.w"], wts["llf.mid.b"], W.S1)
-        ref = T.conv2d(mid, wts["llf.out.w"], wts["llf.out.b"], W.S1)
-        assert T.relative_error(out, ref) <= 1e-6
+        cat = rng.standard_normal((1, 40, 8, 8)).astype(np.float32)
+        out = W.fuse_low_level(low, cat, wts, cfg, T.Tape())
+        assert T.relative_error(out, layered_head_projection(cat, low, wts)) <= 1e-6
+
+    @settings(max_examples=150)
+    @given(branch=st.integers(1, 6), low=st.integers(1, 5), out_width=st.integers(1, 9),
+           final_width=st.integers(1, 9), n=st.integers(1, 2), h=st.integers(1, 4),
+           w=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    @example(branch=2, low=1, out_width=2, final_width=7, n=1, h=3, w=2, seed=0)
+    def test_folded_equals_layered_in_float64(self, branch, low, out_width, final_width,
+                                              n, h, w, seed):
+        # widths on both sides of the head width, down to one low-level channel
+        rng = np.random.default_rng(seed)
+        cfg = W.WaterfallConfig(level_widths=(1, 1, 1, 1), low_level_width=low,
+                                branch_width=branch, out_width=out_width,
+                                final_width=final_width, keypoints=1, group_width=1)
+        wts = random_biases(W.init_waterfall_weights(cfg, rng, dtype=np.float64), rng)
+        cat = rng.standard_normal((n, 5 * branch, h, w))
+        low_level = rng.standard_normal((n, low, h, w))
+        out = W.fuse_low_level(low_level, cat, wts, cfg, T.Tape())
+        assert T.relative_error(out, layered_head_projection(cat, low_level, wts)) <= 1e-12
+
+    def test_mismatched_layer_shapes_rejected(self, rng):
+        cfg = toy_cfg()
+        cat = np.zeros((1, 40, 8, 8), dtype=np.float32)
+        low = np.zeros((1, 4, 8, 8), dtype=np.float32)
+        for name, shape, message in (("wf.out.w", (16, 40, 3, 3), "wf.out must be a 1x1"),
+                                     ("llf.mid.b", (15,), "llf.mid must be a 1x1"),
+                                     ("llf.out.w", (15, 17, 1, 1), "over 16 channels"),
+                                     ("llf.proj.w", (12, 4, 1, 1), "llf.proj gives 12")):
+            wts = W.init_waterfall_weights(cfg, rng)
+            wts[name] = np.zeros(shape, dtype=np.float32)
+            if name == "llf.proj.w":
+                wts["llf.proj.b"] = np.zeros(12, dtype=np.float32)
+            with pytest.raises(T.ShapeError, match=message):
+                W.fuse_low_level(low, cat, wts, cfg, T.Tape())
 
     def test_extent_mismatch_rejected(self, rng):
         cfg = toy_cfg()
         wts = W.init_waterfall_weights(cfg, rng)
         with pytest.raises(T.ShapeError, match="extents"):
             W.fuse_low_level(np.zeros((1, 4, 8, 8), dtype=np.float32),
-                             np.zeros((1, 16, 4, 4), dtype=np.float32), wts, cfg,
+                             np.zeros((1, 40, 4, 4), dtype=np.float32), wts, cfg,
                              T.Tape())
 
 
@@ -356,10 +411,13 @@ class TestFullModule:
             tape = T.Tape()
             g0 = W.fuse_pyramid(p, tape)
             assert g0.shape[1] == sum(widths) == cfg.fused_width
-            f_wf = W.waterfall_forward(g0, wts, cfg, tape)
-            assert f_wf.shape[1] == cfg.waterfall_width
-            f_maps = W.fuse_low_level(p.low_level, f_wf, wts, cfg, tape)
+            cat = W.waterfall_forward(g0, wts, cfg, tape)
+            assert cat.shape[1] == 5 * cfg.branch_width
+            assert wts["wf.out.w"].shape[:2] == (cfg.waterfall_width, cat.shape[1])
+            f_maps = W.fuse_low_level(p.low_level, cat, wts, cfg, tape)
             assert f_maps.shape[1] == cfg.head_width
+            assert T.relative_error(
+                f_maps, layered_head_projection(cat, p.low_level, wts)) <= 1e-6
             maps = W.heads_forward(f_maps, wts, cfg, tape)
             assert maps.heatmaps.shape[1] == k + 1
             assert maps.offsets.shape[1] == 2 * k
