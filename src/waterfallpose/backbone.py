@@ -55,9 +55,6 @@ class FeaturePyramid:
     levels: list
     low_level: np.ndarray
 
-    def base_extents(self):
-        return self.levels[0].shape[2], self.levels[0].shape[3]
-
 
 S3 = T.ConvSpec(3, 3, stride=1, pad_h=1, pad_w=1)
 S3D2 = T.ConvSpec(3, 3, stride=2, pad_h=1, pad_w=1)

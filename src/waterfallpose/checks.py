@@ -72,6 +72,19 @@ def layered_head_projection(cat, low_level, weights):
     return conv(conv(conv(cat, "wf.out") + conv(low_level, "llf.proj"), "llf.mid"), "llf.out")
 
 
+def layered_pyramid_branch(levels, weights, dilation):
+    """The fused pyramid built layer by layer, the oracle for
+    waterfall.pyramid_branch and the pooled branch's per-level pool: levels
+    1..3 resized to level-0 extents and concatenated after level 0 into g0,
+    then wf.branch0's conv2d over g0 (before its ReLU), and the pool of g0.
+    Returns (conv output, pooled g0)."""
+    h, w = levels[0].shape[2:]
+    g0 = T.concat_channels([levels[0]] + [T.bilinear_resize(f, h, w) for f in levels[1:]])
+    spec = T.ConvSpec(3, 3, pad_h=dilation, pad_w=dilation, dilation=dilation)
+    y = T.conv2d(g0, weights["wf.branch0.w"], weights["wf.branch0.b"], spec)
+    return y, T.global_avg_pool(g0)
+
+
 def _grad_vs_numeric(analytic, f, x, h=1e-6):
     num = T.numeric_gradient(f, x.reshape(1, 1, 1, -1) if x.ndim != 4 else x, h=h)
     return T.relative_error(analytic, num.reshape(analytic.shape))
@@ -198,6 +211,20 @@ def gradient_checks():
             trial[i] = v.reshape(operands[i].shape)
             return float((W.head_projection(trial[0], trial[1], trial[2:])[0] * gp).sum())
         record("head_projection/" + name, _grad_vs_numeric(grads_hp[i], f, operands[i]))
+
+    # the first waterfall branch over the pyramid, through each level and wf.branch0
+    levels = [rng.standard_normal((2, c, 8 >> lv, 16 >> lv))
+              for lv, c in enumerate(wf.level_widths)]
+    operands = levels + [weights["wf.branch0.w"], weights["wf.branch0.b"]]
+    out, cache = W.pyramid_branch(levels, *operands[4:], 2)
+    gp = rng.standard_normal(out.shape)
+    grads_pb = W.pyramid_branch_backward(cache, gp)
+    for i, name in enumerate(("level0", "level1", "level2", "level3", "w", "b")):
+        def f(v, i=i):
+            trial = list(operands)
+            trial[i] = v.reshape(operands[i].shape)
+            return float((W.pyramid_branch(trial[:4], *trial[4:], 2)[0] * gp).sum())
+        record("pyramid_branch/" + name, _grad_vs_numeric(grads_pb[i], f, operands[i]))
     return results
 
 
@@ -338,6 +365,18 @@ def selftest_checks():
     folded, _ = W.head_projection(cat, low, [weights[n] for n in W.HEAD_PROJECTION_WEIGHTS])
     err = T.relative_error(folded, layered_head_projection(cat, low, weights))
     record("head_projection_oracle", err <= 1e-5, f"rel err {err:.2e}")
+
+    # the first waterfall branch and the per-level pool against the fused
+    # pyramid they stand for, float32 at published widths
+    weights["wf.branch0.b"] = rng.standard_normal(wf.branch_width).astype(np.float32)
+    levels = [rng.standard_normal((1, c, 16 >> lv, 16 >> lv)).astype(np.float32)
+              for lv, c in enumerate(wf.level_widths)]
+    ref, ref_pooled = layered_pyramid_branch(levels, weights, wf.dilations[0])
+    y, _ = W.pyramid_branch(levels, weights["wf.branch0.w"], weights["wf.branch0.b"],
+                            wf.dilations[0])
+    pooled = T.concat_channels([T.global_avg_pool(f) for f in levels])
+    err = max(T.relative_error(y, ref), T.relative_error(pooled, ref_pooled))
+    record("pyramid_branch_oracle", err <= 1e-5, f"rel err {err:.2e}")
     return results
 
 

@@ -6,14 +6,15 @@ with width fastest. Compute stays in the dtype of the inputs: float32 for
 normal runs, float64 for gradient checking. Kernels are pure functions, with
 one of two conventions. Most backwards take the original inputs (or their
 shape) plus the upstream gradient. The cached kernels, bilinear_sample here,
-the adaptive conv built on it and the head's folded 1x1 chain, return
-(value, cache), and their backward takes (cache, gy): the cache holds what
-the forward worked out. Two bounded caches outlive every call and depend on
-geometry alone: the conv plan of each (ConvSpec, h, w), its output extents
-and live taps, and the read-only bilinear resize matrix of each (in, out,
-dtype). A Tape records the kernels a forward pass runs and replays their
-backwards in reverse, so composite layers are written forward only; a
-ForwardTape runs the same kernels and keeps nothing.
+the adaptive conv built on it, the head's first waterfall branch and its
+folded 1x1 chain, return (value, cache), and their backward takes
+(cache, gy): the cache holds what the forward worked out. Two bounded caches
+outlive every call and depend on geometry alone: the conv plan of each
+(ConvSpec, h, w), its output extents and live taps, and the read-only
+bilinear resize matrix of each (in, out, row shift, dtype). A Tape records
+the kernels a forward pass runs and replays their backwards in reverse, so
+composite layers are written forward only; a ForwardTape runs the same
+kernels and keeps nothing.
 """
 
 from __future__ import annotations
@@ -220,22 +221,31 @@ def global_avg_pool_backward(x_shape, gy: np.ndarray) -> np.ndarray:
     return np.broadcast_to(gy / (h * w), x_shape).astype(gy.dtype)
 
 
-@functools.lru_cache(maxsize=64)
-def _resize_matrix(in_size: int, out_size: int, dtype) -> np.ndarray:
-    """(out_size, in_size) interpolation matrix of one axis: row o weights the
-    two input taps around o's source coordinate, taken align-corners-false
-    and clamped to the edge. Cached and read-only, since every caller shares
-    it; a model forward uses about 4 per input size."""
-    scale = in_size / out_size
-    src = (np.arange(out_size, dtype=np.float64) + 0.5) * scale - 0.5
-    src = np.clip(src, 0.0, in_size - 1)
-    lo = np.floor(src).astype(np.intp)
-    hi = np.minimum(lo + 1, in_size - 1)
-    frac = (src - lo).astype(dtype)
+@functools.lru_cache(maxsize=256)
+def resize_matrix(in_size: int, out_size: int, shift: int, dtype) -> np.ndarray:
+    """(out_size, in_size) bilinear interpolation matrix of one axis, its
+    rows moved by shift: row o is row o + shift of the unshifted matrix, or
+    zero where o + shift is off the output. So it resizes a map and reads
+    the result at offset shift with zero fill, as a conv tap at that offset
+    does. Unshifted, row o weights the two input taps around o's source
+    coordinate, taken align-corners-false and clamped to the edge. Costs
+    O(out_size * in_size) for any shift. Cached and read-only, since every
+    caller shares it; a model forward uses up to about 20 per input size."""
     m = np.zeros((out_size, in_size), dtype=dtype)
-    rows = np.arange(out_size)
-    m[rows, lo] += 1 - frac
-    m[rows, hi] += frac
+    if shift:
+        start, stop = max(0, -shift), min(out_size, out_size - shift)
+        if start < stop:
+            m[start:stop] = resize_matrix(in_size, out_size, 0, dtype)[start + shift:stop + shift]
+    else:
+        scale = in_size / out_size
+        src = (np.arange(out_size, dtype=np.float64) + 0.5) * scale - 0.5
+        src = np.clip(src, 0.0, in_size - 1)
+        lo = np.floor(src).astype(np.intp)
+        hi = np.minimum(lo + 1, in_size - 1)
+        frac = (src - lo).astype(dtype)
+        rows = np.arange(out_size)
+        m[rows, lo] += 1 - frac
+        m[rows, hi] += frac
     m.flags.writeable = False
     return m
 
@@ -251,8 +261,8 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     n, c, h, w = x.shape
     if (out_h, out_w) == (h, w):
         return x.copy()
-    rh = _resize_matrix(h, out_h, x.dtype)
-    rw = _resize_matrix(w, out_w, x.dtype)
+    rh = resize_matrix(h, out_h, 0, x.dtype)
+    rw = resize_matrix(w, out_w, 0, x.dtype)
     return np.matmul(np.matmul(rh, x), rw.T)
 
 
@@ -262,8 +272,8 @@ def bilinear_resize_backward(x_shape, gy: np.ndarray) -> np.ndarray:
     out_h, out_w = gy.shape[2], gy.shape[3]
     if (out_h, out_w) == (h, w):
         return gy.copy()
-    rh = _resize_matrix(h, out_h, gy.dtype)
-    rw = _resize_matrix(w, out_w, gy.dtype)
+    rh = resize_matrix(h, out_h, 0, gy.dtype)
+    rw = resize_matrix(w, out_w, 0, gy.dtype)
     return np.matmul(np.matmul(rh.T, gy), rw)
 
 

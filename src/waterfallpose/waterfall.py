@@ -1,9 +1,15 @@
 """Waterfall pose head: pyramid fusion, cascaded dilated convolutions,
 low-level fusion, and adaptive-convolution keypoint/offset heads.
 
-The module runs at base resolution throughout. Stages:
+Every stage's output is at base resolution. Stages:
 
-  1. fuse_pyramid      - upsample levels 1..3 to level-0 extents, concatenate.
+  1. pyramid fusion    - level 0 and levels 1..3 upsampled to its extents,
+                         concatenated: the fused map that stage 2's first and
+                         pooled branches read. It is never formed: the first
+                         branch mixes each level's channels at the level's own
+                         extents and upsamples only its branch-wide result
+                         (pyramid_branch), and the pooled branch pools each
+                         level; both are exact in real arithmetic.
   2. waterfall_forward - four sequential 3x3 convolutions at increasing
                          dilation, each feeding the next; their outputs plus a
                          pooled branch are concatenated.
@@ -164,40 +170,113 @@ def init_waterfall_weights(cfg: WaterfallConfig, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# stage 1: pyramid fusion
+# stages 1 and 2: the pyramid's first waterfall branch, and the cascade
 
-def fuse_pyramid(p: FeaturePyramid, tape):
-    """Resize levels 1..3 to level-0 extents and concatenate in level order.
+def pyramid_branch(levels, w: np.ndarray, b: np.ndarray, dilation: int):
+    """The first waterfall branch before its ReLU: the dilated 3x3 conv
+    (w, b) over the fused pyramid, the concat of level 0 and levels 1..3
+    resized to level-0 extents, worked out without forming that concat.
 
-    A zero-width level adds no channels but stays in the concat, so the
-    replay still reaches its (empty) weights. Returns g0.
+    Level 0 is a conv2d with the weight's first channels. Level l mixes its
+    channels at its own extents, Z = W_l X_l with W_l the level's
+    (Cout * taps, C_l) tap-major weight matrix, and only the Cout-wide Z is
+    upsampled: the tap at offsets (di, dj) reads the resized map R_h X R_w^T
+    shifted with zero fill, which is (S_di R_h) X (S_dj R_w)^T for R with
+    its rows shifted (tensor.resize_matrix). So level l adds
+    sum_t (S_di R_h) Z_t (S_dj R_w)^T, taken as two matmuls with the taps
+    stacked along one axis of each. A tap whose shift puts it wholly in the
+    padding is left out, as conv2d leaves it out. This equals the conv over
+    the concat in real arithmetic; in floating point the sums are
+    re-associated. Returns (y, cache).
     """
-    h, w = p.base_extents()
-    return tape.concat([f if lv == 0 else tape.resize(f, h, w)
-                        for lv, f in enumerate(p.levels)])
+    x0 = levels[0]
+    n, c0, h, wd = x0.shape
+    cout = w.shape[0]
+    cin = sum(x.shape[1] for x in levels)
+    if w.ndim != 4 or w.shape[1] != cin:
+        raise T.ShapeError(f"weight {w.shape} does not read the pyramid's {cin} channels")
+    spec = T.ConvSpec(3, 3, pad_h=dilation, pad_w=dilation, dilation=dilation)
+    y = T.conv2d(x0, w[:, :c0], b, spec)
+    # the live taps of each axis: all three, or the centre alone once the
+    # outer two fall wholly in the padding
+    rows, cols = (slice(0, 3) if dilation < size else slice(1, 2) for size in (h, wd))
+    ki, kj = rows.stop - rows.start, cols.stop - cols.start
+    # (Cout, ki, kj, Cin): each level's GEMM matrix is a view of its channels
+    wt = np.ascontiguousarray(w.transpose(0, 2, 3, 1)[:, rows, cols])
+    levels_cache = []
+    lo = c0
+    for x in levels[1:]:
+        c, hl, wl = x.shape[1:]
+        m = wt[..., lo:lo + c].reshape(cout * ki * kj, c)
+        z = np.matmul(m, x.reshape(n, c, hl * wl)).reshape(n, cout, ki, kj, hl, wl)
+        z = z.transpose(0, 1, 2, 4, 3, 5).reshape(-1, kj * wl)
+        rh = np.concatenate([T.resize_matrix(hl, h, (i - 1) * dilation, x.dtype)
+                             for i in range(rows.start, rows.stop)], axis=1)
+        rw = np.concatenate([T.resize_matrix(wl, wd, (j - 1) * dilation, x.dtype).T
+                             for j in range(cols.start, cols.stop)], axis=0)
+        y += np.matmul(rh, np.matmul(z, rw).reshape(n, cout, ki * hl, wd))
+        levels_cache.append((x, m, rh, rw))
+        lo += c
+    return y, (x0, w, spec, rows, cols, levels_cache)
 
 
-# ---------------------------------------------------------------------------
-# stage 2: waterfall cascade
+def pyramid_branch_backward(cache, gy):
+    """Gradients w.r.t. each level, at its own extents, then the weight and
+    the bias: the adjoints of pyramid_branch's matmuls, level by level."""
+    x0, w, spec, rows, cols, levels_cache = cache
+    n, cout, h, wd = gy.shape
+    c0 = x0.shape[1]
+    ki, kj = rows.stop - rows.start, cols.stop - cols.start
+    gx0, gw0, gb = T.conv2d_backward(x0, w[:, :c0], spec, gy)
+    gw = np.zeros_like(w)
+    gw[:, :c0] = gw0
+    grads = [gx0]
+    lo = c0
+    for x, m, rh, rw in levels_cache:
+        c, hl, wl = x.shape[1:]
+        gp = np.matmul(rh.T, gy).reshape(-1, wd)
+        gz = np.matmul(gp, rw.T).reshape(n, cout, ki, hl, kj, wl)
+        gz = gz.transpose(0, 1, 2, 4, 3, 5).reshape(n, -1, hl * wl)
+        grads.append(np.matmul(m.T, gz).reshape(x.shape))
+        gm = T.column_gradient(gz, x.reshape(n, c, hl * wl)).reshape(cout, ki, kj, c)
+        gw[:, lo:lo + c, rows, cols] = gm.transpose(0, 3, 1, 2)
+        lo += c
+    return (*grads, gw, gb)
 
-def waterfall_forward(g0: np.ndarray, weights: dict, cfg: WaterfallConfig, tape):
-    """Cascade of dilated 3x3 convolutions plus a pooled branch.
 
-    Each branch output feeds the next branch. Returns the concat of the four
-    branch outputs and the pooled branch, 5 * cfg.branch_width channels; the
-    1x1 that brings it to cfg.waterfall_width runs in fuse_low_level.
+def waterfall_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig, tape):
+    """Cascade of dilated 3x3 convolutions plus a pooled branch over the
+    fused pyramid.
+
+    The first branch reads the pyramid through pyramid_branch, recorded on
+    the tape as one kernel; each branch output feeds the next branch. The
+    pooled branch pools each level: an integer-factor bilinear upsample
+    spreads every input pixel over the same total weight, so a resized
+    level's mean is the level's own. Returns the concat of the four branch
+    outputs and the pooled branch, 5 * cfg.branch_width channels; the 1x1
+    that brings it to cfg.waterfall_width runs in fuse_low_level.
     """
-    if g0.shape[1] != cfg.fused_width:
-        raise T.ShapeError(
-            f"fused input has {g0.shape[1]} channels, config says {cfg.fused_width}")
-    x = g0
-    outs = []
-    for i, d in enumerate(cfg.dilations):
+    n, _, h, w = p.levels[0].shape
+    fused = sum(f.shape[1] for f in p.levels)
+    if fused != cfg.fused_width:
+        raise T.ShapeError(f"pyramid has {fused} channels, config says {cfg.fused_width}")
+    for lv, f in enumerate(p.levels):
+        if (f.shape[0], f.shape[2] << lv, f.shape[3] << lv) != (n, h, w):
+            raise T.ShapeError(
+                f"pyramid level {lv} has shape {f.shape}; it must hold {n} maps whose "
+                f"extents times {1 << lv} are level 0's {h}x{w}")
+    names = ("wf.branch0.w", "wf.branch0.b")
+    y, cache = pyramid_branch(p.levels, *(T.weight(weights, name) for name in names),
+                              cfg.dilations[0])
+    x = tape.relu(tape.record(y, (*p.levels, *names),
+                              lambda gy: pyramid_branch_backward(cache, gy)))
+    outs = [x]
+    for i, d in enumerate(cfg.dilations[1:], start=1):
         spec = T.ConvSpec(3, 3, pad_h=d, pad_w=d, dilation=d)
         x = tape.relu(tape.conv(x, weights, f"wf.branch{i}", spec))
         outs.append(x)
-    pooled = tape.conv(tape.pool(g0), weights, "wf.pool", S1)
-    outs.append(tape.resize(pooled, g0.shape[2], g0.shape[3]))
+    pooled = tape.concat([tape.pool(f) for f in p.levels])
+    outs.append(tape.resize(tape.conv(pooled, weights, "wf.pool", S1), h, w))
     return tape.concat(outs)
 
 
@@ -402,9 +481,8 @@ def heads_forward(f_maps: np.ndarray, weights: dict, cfg: WaterfallConfig, tape)
 
 def waterfall_module_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig,
                              tape):
-    """fuse_pyramid -> waterfall -> low-level fusion -> heads.
+    """waterfall over the pyramid -> low-level fusion -> heads.
     Returns the PoseMaps."""
-    g0 = fuse_pyramid(p, tape)
-    cat = waterfall_forward(g0, weights, cfg, tape)
+    cat = waterfall_forward(p, weights, cfg, tape)
     f_maps = fuse_low_level(p.low_level, cat, weights, cfg, tape)
     return heads_forward(f_maps, weights, cfg, tape)

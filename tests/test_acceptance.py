@@ -115,14 +115,15 @@ def test_04_channel_arithmetic_at_paper_widths():
               for i, c in enumerate((32, 64, 128, 256))]
     p = FeaturePyramid(levels, rng.standard_normal((1, 32, 8, 8)).astype(np.float32))
     tape = T.Tape()
-    g0 = W.fuse_pyramid(p, tape)
-    cat = W.waterfall_forward(g0, wts, cfg, tape)
+    cat = W.waterfall_forward(p, wts, cfg, tape)
     f_maps = W.fuse_low_level(p.low_level, cat, wts, cfg, tape)
     maps = W.heads_forward(f_maps, wts, cfg, tape)
-    ok = (g0.shape[1] == 480 and f_maps.shape[1] == 120
+    # the fused map is never formed; wf.branch0 reads its channels
+    fused = wts["wf.branch0.w"].shape[1]
+    ok = (cfg.fused_width == fused == 480 and f_maps.shape[1] == 120
           and maps.heatmaps.shape[1] == 18 and maps.offsets.shape[1] == 34)
     report(4, "channel arithmetic: 480 fused, 120 final, 18+34 head channels",
-           ok, f"got {g0.shape[1]}/{f_maps.shape[1]}/"
+           ok, f"got {fused}/{f_maps.shape[1]}/"
                f"{maps.heatmaps.shape[1]}+{maps.offsets.shape[1]}")
 
 

@@ -389,6 +389,7 @@ class TestChecks:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "conv_oracle" in out and "head_projection_oracle" in out
+        assert "pyramid_branch_oracle" in out
         assert "FAIL" not in out
 
     def test_gradcheck_passes(self, capsys):
@@ -397,6 +398,8 @@ class TestChecks:
         assert "adaptive_conv/offsets" in out and "FAIL" not in out
         for name in ("cat", "low_level") + HEAD_PROJECTION_WEIGHTS:
             assert f"[PASS] head_projection/{name} " in out
+        for name in ("level0", "level1", "level2", "level3", "w", "b"):
+            assert f"[PASS] pyramid_branch/{name} " in out
 
 
 def _bresenham_pixels(x0, y0, x1, y1, w, h):

@@ -416,10 +416,23 @@ class TestGeometryCaches:
             self.check_conv(rng, spec, (2, 2, 5, 5))
 
     def test_cached_resize_matrix_is_read_only(self):
-        m = T._resize_matrix(4, 7, np.dtype(np.float32))
-        assert T._resize_matrix(4, 7, np.dtype(np.float32)) is m
-        with pytest.raises(ValueError):
-            m[0, 0] = 1.0
+        for shift in (0, -2):
+            m = T.resize_matrix(4, 7, shift, np.dtype(np.float32))
+            assert T.resize_matrix(4, 7, shift, np.dtype(np.float32)) is m
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+
+    def test_shifted_resize_matrix_is_the_zero_padded_shift(self, rng):
+        # row o of the matrix shifted by s resizes the map's row o + s, or
+        # reads the zero padding; a shift past the map costs no more than a
+        # shift of one row
+        x = rng.standard_normal((5, 3))
+        resized = np.pad(T.resize_matrix(5, 11, 0, x.dtype) @ x, ((30, 30), (0, 0)))
+        for s in (-30, -11, -10, -3, -1, 1, 4, 10, 11, 30):
+            np.testing.assert_array_equal(T.resize_matrix(5, 11, s, x.dtype) @ x,
+                                          resized[30 + s:41 + s])
+        far = T.resize_matrix(5, 11, 10 ** 12, x.dtype)
+        assert far.shape == (11, 5) and not far.any()
 
 
 class TestConcat:

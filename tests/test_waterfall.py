@@ -7,13 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 from waterfallpose import tensor as T
 from waterfallpose import waterfall as W
 from waterfallpose.backbone import FeaturePyramid
-from waterfallpose.checks import layered_head_projection
+from waterfallpose.checks import layered_head_projection, layered_pyramid_branch
 
 
-def make_pyramid(rng, widths=(4, 8, 16, 32), low=4, h=8, w=8, dtype=np.float32):
-    levels = [rng.standard_normal((1, c, h >> lv, w >> lv)).astype(dtype)
+def make_pyramid(rng, widths=(4, 8, 16, 32), low=4, h=8, w=8, dtype=np.float32, n=1):
+    levels = [rng.standard_normal((n, c, h >> lv, w >> lv)).astype(dtype)
               for lv, c in enumerate(widths)]
-    return FeaturePyramid(levels, rng.standard_normal((1, low, h, w)).astype(dtype))
+    return FeaturePyramid(levels, rng.standard_normal((n, low, h, w)).astype(dtype))
 
 
 def toy_cfg(**over):
@@ -23,41 +23,90 @@ def toy_cfg(**over):
     return W.WaterfallConfig(**base)
 
 
+def branch_weights(cin, rng, cout=3, dtype=np.float32):
+    # wf.branch0's weight and a nonzero bias
+    return {"wf.branch0.w": rng.standard_normal((cout, cin, 3, 3)).astype(dtype),
+            "wf.branch0.b": rng.standard_normal(cout).astype(dtype)}
+
+
+def pyramid_branch(p, wts, dilation):
+    return W.pyramid_branch(p.levels, wts["wf.branch0.w"], wts["wf.branch0.b"], dilation)[0]
+
+
 class TestFusePyramid:
+    # the fused pyramid g0 is never formed: wf.branch0 reads the levels through
+    # pyramid_branch and the pooled branch pools each level, and
+    # checks.layered_pyramid_branch forms g0 as their oracle
+
     def test_paper_widths_480(self, rng):
+        cfg = W.WaterfallConfig()
+        wts = W.init_waterfall_weights(cfg, rng)
+        assert cfg.fused_width == 480 and wts["wf.branch0.w"].shape == (128, 480, 3, 3)
         p = make_pyramid(rng, widths=(32, 64, 128, 256), low=32, h=8, w=8)
-        g0 = W.fuse_pyramid(p, T.Tape())
-        assert g0.shape == (1, 480, 8, 8)
+        ref, pooled = layered_pyramid_branch(p.levels, wts, 1)
+        assert pooled.shape == (1, 480, 1, 1)
+        assert T.relative_error(pyramid_branch(p, wts, 1), ref) <= 1e-5
 
     def test_toy_widths_60(self, rng):
-        g0 = W.fuse_pyramid(make_pyramid(rng), T.Tape())
-        assert g0.shape[1] == 60
+        cfg = toy_cfg()
+        wts = W.init_waterfall_weights(cfg, rng)
+        assert cfg.fused_width == 60 and wts["wf.branch0.w"].shape[1] == 60
+        assert W.waterfall_forward(make_pyramid(rng), wts, cfg, T.Tape()).shape == (1, 40, 8, 8)
 
     def test_degenerate_single_level(self, rng):
+        # with levels 1..3 empty the branch is level 0's conv, bit for bit
         p = make_pyramid(rng, widths=(4, 0, 0, 0))
-        g0 = W.fuse_pyramid(p, T.Tape())
-        np.testing.assert_array_equal(g0, p.levels[0])
+        wts = branch_weights(4, rng)
+        spec = T.ConvSpec(3, 3, pad_h=2, pad_w=2, dilation=2)
+        np.testing.assert_array_equal(
+            pyramid_branch(p, wts, 2),
+            T.conv2d(p.levels[0], wts["wf.branch0.w"], wts["wf.branch0.b"], spec))
 
     def test_matches_resize_concat(self, rng):
-        p = make_pyramid(rng)
-        g0 = W.fuse_pyramid(p, T.Tape())
-        ref = T.concat_channels([p.levels[0]] + [
-            T.bilinear_resize(f, 8, 8) for f in p.levels[1:]])
-        np.testing.assert_array_equal(g0, ref)
+        p = make_pyramid(rng, h=8, w=16)
+        wts = branch_weights(60, rng)
+        pooled = T.concat_channels([T.global_avg_pool(f) for f in p.levels])
+        for d in (1, 2, 6, 12, 16):
+            ref, ref_pooled = layered_pyramid_branch(p.levels, wts, d)
+            assert T.relative_error(pyramid_branch(p, wts, d), ref) <= 1e-6, d
+            assert T.relative_error(pooled, ref_pooled) <= 1e-6
 
     def test_backward(self, rng):
+        # against central differences of the layered oracle
         p = make_pyramid(rng, widths=(2, 2, 2, 2), low=2, dtype=np.float64)
-        tape = T.Tape()
-        g0 = W.fuse_pyramid(p, tape)
-        gy = rng.standard_normal(g0.shape)
-        _, grads = tape.backward([(g0, gy)], wrt=p.levels)
-        for lv in range(4):
-            def f(v, lv=lv):
-                q = FeaturePyramid(
-                    [v if i == lv else p.levels[i] for i in range(4)], p.low_level)
-                return float((W.fuse_pyramid(q, T.Tape()) * gy).sum())
-            num = T.numeric_gradient(f, p.levels[lv])
-            assert T.relative_error(grads[lv], num) <= 1e-6
+        wts = branch_weights(8, rng, dtype=np.float64)
+        for d in (1, 6):
+            out, cache = W.pyramid_branch(p.levels, wts["wf.branch0.w"], wts["wf.branch0.b"], d)
+            gy = rng.standard_normal(out.shape)
+            grads = W.pyramid_branch_backward(cache, gy)
+            operands = [*p.levels, wts["wf.branch0.w"], wts["wf.branch0.b"]]
+            for i, operand in enumerate(operands):
+                def f(v, i=i):
+                    trial = list(operands)
+                    trial[i] = v.reshape(operand.shape)
+                    ref, _ = layered_pyramid_branch(
+                        trial[:4], {"wf.branch0.w": trial[4], "wf.branch0.b": trial[5]}, d)
+                    return float((ref * gy).sum())
+                num = T.numeric_gradient(f, operand.reshape(1, 1, 1, -1))
+                assert T.relative_error(grads[i], num.reshape(operand.shape)) <= 1e-6, (d, i)
+
+    @settings(max_examples=150)
+    @given(widths=st.tuples(*[st.integers(0, 3)] * 4), n=st.integers(1, 2),
+           h=st.integers(1, 4), w=st.integers(1, 4), dilation=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(widths=(0, 2, 0, 1), n=2, h=1, w=4, dilation=8, seed=0)
+    @example(widths=(1, 1, 1, 1), n=1, h=2, w=1, dilation=16, seed=1)
+    def test_kernel_and_pool_equal_layered_in_float64(self, widths, n, h, w, dilation,
+                                                      seed):
+        # base extents 8 to 32, a multiple of 8 as the backbone gives them;
+        # dilations from one pixel to past the map
+        rng = np.random.default_rng(seed)
+        p = make_pyramid(rng, widths=widths, h=8 * h, w=8 * w, dtype=np.float64, n=n)
+        wts = branch_weights(sum(widths), rng, dtype=np.float64)
+        ref, ref_pooled = layered_pyramid_branch(p.levels, wts, dilation)
+        assert T.relative_error(pyramid_branch(p, wts, dilation), ref) <= 1e-12
+        pooled = T.concat_channels([T.global_avg_pool(f) for f in p.levels])
+        assert T.relative_error(pooled, ref_pooled) <= 1e-12
 
 
 def random_biases(wts, rng):
@@ -67,9 +116,12 @@ def random_biases(wts, rng):
     return wts
 
 
-def straight_line_waterfall(g0, wts, cfg):
-    # independently coded composition of the published dataflow, up to the
-    # concat that stage 3's wf.out reads
+def straight_line_waterfall(p, wts, cfg):
+    # independently coded composition of the published dataflow, from the
+    # pyramid up to the concat that stage 3's wf.out reads
+    h, w = p.levels[0].shape[2:]
+    g0 = np.concatenate([p.levels[0]] + [T.bilinear_resize(f, h, w) for f in p.levels[1:]],
+                        axis=1)
     d1, d2, d3, d4 = cfg.dilations
     g1 = T.relu(T.conv2d(g0, wts["wf.branch0.w"], wts["wf.branch0.b"],
                          T.ConvSpec(3, 3, pad_h=d1, pad_w=d1, dilation=d1)))
@@ -80,7 +132,7 @@ def straight_line_waterfall(g0, wts, cfg):
     g4 = T.relu(T.conv2d(g3, wts["wf.branch3.w"], wts["wf.branch3.b"],
                          T.ConvSpec(3, 3, pad_h=d4, pad_w=d4, dilation=d4)))
     pool = T.conv2d(T.global_avg_pool(g0), wts["wf.pool.w"], wts["wf.pool.b"], W.S1)
-    pool = T.bilinear_resize(pool, g0.shape[2], g0.shape[3])
+    pool = T.bilinear_resize(pool, h, w)
     return T.concat_channels([g1, g2, g3, g4, pool])
 
 
@@ -91,8 +143,7 @@ class TestWaterfall:
         for b in (4, 8):
             cfg = toy_cfg(branch_width=b, out_width=24)
             wts = W.init_waterfall_weights(cfg, rng)
-            g0 = rng.standard_normal((1, 60, 8, 8)).astype(np.float32)
-            cat = W.waterfall_forward(g0, wts, cfg, T.Tape())
+            cat = W.waterfall_forward(make_pyramid(rng), wts, cfg, T.Tape())
             assert cat.shape == (1, 5 * b, 8, 8)
             assert wts["wf.out.w"].shape == (24, 5 * b, 1, 1)
             assert wts["llf.proj.w"].shape == (24, 4, 1, 1)
@@ -105,36 +156,45 @@ class TestWaterfall:
     def test_zero_weights_zero_output(self, rng):
         cfg = toy_cfg()
         wts = {k: np.zeros_like(v) for k, v in W.init_waterfall_weights(cfg, rng).items()}
-        g0 = rng.standard_normal((1, 60, 8, 8)).astype(np.float32)
-        out = W.waterfall_forward(g0, wts, cfg, T.Tape())
+        out = W.waterfall_forward(make_pyramid(rng), wts, cfg, T.Tape())
         assert not out.any()
 
     def test_matches_straight_line_oracle(self, rng):
-        cfg = toy_cfg()
-        wts = random_biases(W.init_waterfall_weights(cfg, rng, offset_init="random"), rng)
-        g0 = rng.standard_normal((1, 60, 8, 8)).astype(np.float32)
-        low = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        cat = W.waterfall_forward(g0, wts, cfg, T.Tape())
-        ref = straight_line_waterfall(g0, wts, cfg)
-        assert T.relative_error(cat, ref) <= 1e-6
-        out = W.fuse_low_level(low, cat, wts, cfg, T.Tape())
-        assert T.relative_error(out, layered_head_projection(ref, low, wts)) <= 1e-6
+        for dilations in ((1, 6, 12, 18), (10 ** 9, 6, 12, 18)):
+            cfg = toy_cfg(dilations=dilations)
+            wts = random_biases(W.init_waterfall_weights(cfg, rng, offset_init="random"), rng)
+            p = make_pyramid(rng)
+            cat = W.waterfall_forward(p, wts, cfg, T.Tape())
+            ref = straight_line_waterfall(p, wts, cfg)
+            assert T.relative_error(cat, ref) <= 1e-6
+            out = W.fuse_low_level(p.low_level, cat, wts, cfg, T.Tape())
+            assert T.relative_error(out, layered_head_projection(ref, p.low_level, wts)) <= 1e-6
 
     def test_dilation_order_matters(self, rng):
-        g0 = rng.standard_normal((1, 60, 8, 8)).astype(np.float32)
+        p = make_pyramid(rng)
         cfg_a = toy_cfg(dilations=(1, 6, 12, 18))
         cfg_b = toy_cfg(dilations=(18, 12, 6, 1))
         wts = W.init_waterfall_weights(cfg_a, np.random.default_rng(7))
-        out_a = W.waterfall_forward(g0, wts, cfg_a, T.Tape())
-        out_b = W.waterfall_forward(g0, wts, cfg_b, T.Tape())
+        out_a = W.waterfall_forward(p, wts, cfg_a, T.Tape())
+        out_b = W.waterfall_forward(p, wts, cfg_b, T.Tape())
         assert T.relative_error(out_a, out_b) > 1e-3
 
     def test_width_mismatch_rejected(self, rng):
         cfg = toy_cfg()
         wts = W.init_waterfall_weights(cfg, rng)
         with pytest.raises(T.ShapeError, match="channels"):
-            W.waterfall_forward(np.zeros((1, 59, 8, 8), dtype=np.float32), wts, cfg,
-                                T.Tape())
+            W.waterfall_forward(make_pyramid(rng, widths=(3, 8, 16, 32)), wts, cfg, T.Tape())
+
+    def test_level_extents_rejected(self, rng):
+        # the pooled branch pools each level, which equals pooling the fused
+        # map only for levels at 1/2, 1/4 and 1/8 of level 0's extents
+        cfg = toy_cfg()
+        wts = W.init_waterfall_weights(cfg, rng)
+        for lv, shape in ((1, (1, 8, 4, 3)), (3, (1, 32, 2, 1)), (2, (2, 16, 2, 2))):
+            p = make_pyramid(rng)
+            p.levels[lv] = np.zeros(shape, dtype=np.float32)
+            with pytest.raises(T.ShapeError, match=f"level {lv}"):
+                W.waterfall_forward(p, wts, cfg, T.Tape())
 
 
 class TestFuseLowLevel:
@@ -409,9 +469,8 @@ class TestFullModule:
             wts = W.init_waterfall_weights(cfg, rng)
             p = make_pyramid(rng, widths=widths, low=cfg.low_level_width)
             tape = T.Tape()
-            g0 = W.fuse_pyramid(p, tape)
-            assert g0.shape[1] == sum(widths) == cfg.fused_width
-            cat = W.waterfall_forward(g0, wts, cfg, tape)
+            assert sum(f.shape[1] for f in p.levels) == sum(widths) == cfg.fused_width
+            cat = W.waterfall_forward(p, wts, cfg, tape)
             assert cat.shape[1] == 5 * cfg.branch_width
             assert wts["wf.out.w"].shape[:2] == (cfg.waterfall_width, cat.shape[1])
             f_maps = W.fuse_low_level(p.low_level, cat, wts, cfg, tape)
@@ -443,15 +502,17 @@ class TestFullModule:
         grads, (*g_levels, g_low) = tape.backward(
             [(maps.heatmaps, gh), (maps.offsets, go)], wrt=[*p.levels, p.low_level])
 
-        num = T.numeric_gradient(
-            lambda v: loss(FeaturePyramid([v] + p.levels[1:], p.low_level), wts),
-            p.levels[0])
-        assert T.relative_error(g_levels[0], num) <= 1e-6
+        for lv in range(4):
+            num = T.numeric_gradient(
+                lambda v, lv=lv: loss(FeaturePyramid(
+                    p.levels[:lv] + [v] + p.levels[lv + 1:], p.low_level), wts),
+                p.levels[lv])
+            assert T.relative_error(g_levels[lv], num) <= 1e-6, lv
         num = T.numeric_gradient(
             lambda v: loss(FeaturePyramid(p.levels, v), wts), p.low_level)
         assert T.relative_error(g_low, num) <= 1e-6
 
-        for name in ("wf.branch1.w", "wf.pool.w", "wf.out.b", "llf.proj.w",
+        for name in ("wf.branch0.b", "wf.branch1.w", "wf.pool.w", "wf.out.b", "llf.proj.w",
                      "head.kp.adapt.w", "head.kp.taps.b", "head.off.g1.adapt.w",
                      "head.off.expand.w", "head.off.g0.out.b"):
             def f(v, name=name):
