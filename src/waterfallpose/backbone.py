@@ -26,6 +26,8 @@ class PyramidConfig:
     def __post_init__(self):
         if len(self.widths) != 4 or any(c < 0 for c in self.widths):
             raise ValueError(f"need 4 non-negative level widths, got {self.widths}")
+        if not any(self.widths):
+            raise ValueError("at least one pyramid level must have channels")
         if self.stem_width < 1:
             raise ValueError("stem width must be positive")
         # at most six stem convs, so an input is padded to a multiple of at most 512
@@ -60,28 +62,6 @@ S3 = T.ConvSpec(3, 3, stride=1, pad_h=1, pad_w=1)
 S3D2 = T.ConvSpec(3, 3, stride=2, pad_h=1, pad_w=1)
 
 
-def init_backbone_weights(cfg: PyramidConfig, rng: np.random.Generator,
-                          dtype=np.float32) -> dict:
-    """He-scaled random kernels, zero biases, keyed by layer name."""
-    weights = {}
-
-    def add(name, cout, cin):
-        std = np.sqrt(2.0 / (cin * 9)) if cin else 0.0   # a zero-width level has no fan-in
-        weights[name + ".w"] = (rng.standard_normal((cout, cin, 3, 3)) * std).astype(dtype)
-        weights[name + ".b"] = np.zeros(cout, dtype=dtype)
-
-    prev = 3
-    for i in range(cfg.stem_convs):
-        add(f"backbone.stem.{i}", cfg.stem_width, prev)
-        prev = cfg.stem_width
-    for lv, width in enumerate(cfg.widths):
-        prev = cfg.low_level_width
-        for j in range(lv + cfg.num_blocks if lv else cfg.num_blocks):
-            add(f"backbone.level{lv}.{j}", width, prev)
-            prev = width
-    return weights
-
-
 def backbone_forward(image: np.ndarray, weights: dict, cfg: PyramidConfig, tape):
     """Run the stem and the four level branches, recording on tape.
 
@@ -107,8 +87,7 @@ def backbone_forward(image: np.ndarray, weights: dict, cfg: PyramidConfig, tape)
     levels = []
     for lv in range(4):
         y = low_level
-        n_convs = lv + cfg.num_blocks if lv else cfg.num_blocks
-        for j in range(n_convs):
+        for j in range(lv + cfg.num_blocks):
             spec = S3D2 if j < lv else S3
             y = block(f"backbone.level{lv}.{j}", y, spec)
         levels.append(y)

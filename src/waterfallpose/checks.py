@@ -15,7 +15,8 @@ from .backbone import PyramidConfig
 from .dataio import save_checkpoint
 from .decode import DecodeConfig, PoseInstance, decode_poses
 from .metrics import OksParams, EvalResult, oks, evaluate, DEFAULT_THRESHOLDS, RECALL_POINTS
-from .model import init_model_weights, model_forward, model_backward
+from .model import draw_weights, init_model_weights, model_backward, model_forward, \
+    weight_shapes
 from .overlay import LINE_COLOR, MARKER_COLORS, draw_overlay
 from .targets import PersonAnnotation, render_keypoint_heatmaps, \
     render_offset_targets
@@ -27,8 +28,7 @@ GRAD_TOL = 1e-6
 
 def _toy_model(seed=0, dtype=np.float64):
     pyr = PyramidConfig(widths=(2, 3, 2, 2), stem_width=2)
-    wf = WaterfallConfig(level_widths=(2, 3, 2, 2), low_level_width=2,
-                         branch_width=2, out_width=3, final_width=2,
+    wf = WaterfallConfig(branch_width=2, out_width=3, final_width=2,
                          keypoints=2, group_width=2)
     weights = init_model_weights(pyr, wf, seed=seed, dtype=dtype,
                                  offset_init="random")
@@ -154,7 +154,7 @@ def gradient_checks():
 
     # heads
     pyr, wf, weights = _toy_model()
-    fm = rng.standard_normal((1, wf.head_width, 8, 8))
+    fm = rng.standard_normal((1, wf.final_width, 8, 8))
     gh = rng.standard_normal((1, wf.heatmap_channels, 8, 8))
     go = rng.standard_normal((1, wf.offset_channels, 8, 8))
     tape = T.Tape()
@@ -200,9 +200,9 @@ def gradient_checks():
 
     # stage 3's folded affine map, through each of its ten operands
     cat = rng.standard_normal((2, 5 * wf.branch_width, 3, 4))
-    low = rng.standard_normal((2, wf.low_level_width, 3, 4))
+    low = rng.standard_normal((2, pyr.low_level_width, 3, 4))
     operands = [cat, low] + [weights[name] for name in W.HEAD_PROJECTION_WEIGHTS]
-    gp = rng.standard_normal((2, wf.head_width, 3, 4))
+    gp = rng.standard_normal((2, wf.final_width, 3, 4))
     _, cache = W.head_projection(cat, low, operands[2:])
     grads_hp = W.head_projection_backward(cache, gp)
     for i, name in enumerate(("cat", "low_level") + W.HEAD_PROJECTION_WEIGHTS):
@@ -214,7 +214,7 @@ def gradient_checks():
 
     # the first waterfall branch over the pyramid, through each level and wf.branch0
     levels = [rng.standard_normal((2, c, 8 >> lv, 16 >> lv))
-              for lv, c in enumerate(wf.level_widths)]
+              for lv, c in enumerate(pyr.widths)]
     operands = levels + [weights["wf.branch0.w"], weights["wf.branch0.b"]]
     out, cache = W.pyramid_branch(levels, *operands[4:], 2)
     gp = rng.standard_normal(out.shape)
@@ -336,8 +336,7 @@ def selftest_checks():
 
     # determinism of a tiny training run
     pyr = PyramidConfig(widths=(2, 2, 2, 2), stem_width=2)
-    wf = WaterfallConfig(level_widths=(2, 2, 2, 2), low_level_width=2,
-                         branch_width=2, out_width=2, final_width=2,
+    wf = WaterfallConfig(branch_width=2, out_width=2, final_width=2,
                          keypoints=1, group_width=1)
     img = rng.uniform(0, 1, size=(1, 3, 32, 32)).astype(np.float32)
     samples = [(img, [PersonAnnotation([(12.0, 14.0, 2)], area=36.0)])]
@@ -356,12 +355,13 @@ def selftest_checks():
                for img, poses in scenes))
 
     # the folded stage 3 against its layered oracle, float32 at published widths
-    wf = WaterfallConfig()
-    weights = W.init_waterfall_weights(wf, rng)
+    pyr, wf = PyramidConfig(), WaterfallConfig()
+    weights = draw_weights({name: shape for name, shape in weight_shapes(pyr, wf).items()
+                            if not name.startswith("backbone.")}, rng)
     for name in W.HEAD_PROJECTION_WEIGHTS[1::2]:    # biases start at zero; give c a part
         weights[name] = rng.standard_normal(weights[name].shape).astype(np.float32)
     cat = rng.standard_normal((1, 5 * wf.branch_width, 6, 6)).astype(np.float32)
-    low = rng.standard_normal((1, wf.low_level_width, 6, 6)).astype(np.float32)
+    low = rng.standard_normal((1, pyr.low_level_width, 6, 6)).astype(np.float32)
     folded, _ = W.head_projection(cat, low, [weights[n] for n in W.HEAD_PROJECTION_WEIGHTS])
     err = T.relative_error(folded, layered_head_projection(cat, low, weights))
     record("head_projection_oracle", err <= 1e-5, f"rel err {err:.2e}")
@@ -370,7 +370,7 @@ def selftest_checks():
     # pyramid they stand for, float32 at published widths
     weights["wf.branch0.b"] = rng.standard_normal(wf.branch_width).astype(np.float32)
     levels = [rng.standard_normal((1, c, 16 >> lv, 16 >> lv)).astype(np.float32)
-              for lv, c in enumerate(wf.level_widths)]
+              for lv, c in enumerate(pyr.widths)]
     ref, ref_pooled = layered_pyramid_branch(levels, weights, wf.dilations[0])
     y, _ = W.pyramid_branch(levels, weights["wf.branch0.w"], weights["wf.branch0.b"],
                             wf.dilations[0])

@@ -1,7 +1,8 @@
 """Command-line interface: inference, training, evaluation, gradient
 checking, and the self-test suite.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 check failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 check failure. infer
+holds a checkpoint's weights to the config's shape table (model.weight_shapes).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import checks, dataio, overlay
 from .config import ConfigError, RunConfig, default_config, parse_config
 from .decode import PoseInstance, decode_poses
 from .metrics import evaluate
-from .model import init_model_weights, model_forward
+from .model import init_model_weights, model_forward, weight_shapes
 from .tensor import ForwardTape
 from .train import TrainingError, train_loop
 
@@ -107,6 +108,18 @@ def _check_keypoint_count(cfg: RunConfig, dataset):
             f"expects {cfg.waterfall.keypoints}")
 
 
+def _check_weights(weights: dict, cfg: RunConfig):
+    """The checkpoint contract: the weights' names and shapes are exactly the
+    config's shape table. Names the first entry, in table order, that differs."""
+    shapes = weight_shapes(cfg.pyramid, cfg.waterfall)
+    held = {name: w.shape for name, w in weights.items()}
+    for name in [*shapes, *sorted(held.keys() - shapes.keys())]:
+        if held.get(name) != shapes.get(name):
+            raise DataError(f"checkpoint entry 'weights/{name}': the checkpoint holds "
+                            f"{held.get(name, 'no such entry')}, the config implies "
+                            f"{shapes.get(name, 'no such weight')}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -114,6 +127,7 @@ def cmd_infer(args) -> int:
     cfg = _load_config(args.config)
     weights, _, _, _ = dataio.load_checkpoint(
         _read_file(args.checkpoint), expected_fingerprint=cfg.fingerprint())
+    _check_weights(weights, cfg)
     image = dataio.read_image_ppm(_read_file(args.image))
     padded = _pad_to_divisor(image, cfg.pyramid.divisor())
     # a finite checkpoint can still overflow float32 on the way; the output

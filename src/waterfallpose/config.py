@@ -2,7 +2,8 @@
 tunable, with a canonical serialization whose hash fingerprints checkpoints.
 
 Unknown keys are rejected. Lists are comma-separated. The two head widths
-accept 0 to mean "derived default" (fused width, and a quarter of it).
+accept 0 to mean "derived default" (the fused pyramid width, and a quarter of
+it). A valid config's weights fit a size budget, so no edit allocates at scale.
 """
 
 from __future__ import annotations
@@ -14,8 +15,15 @@ from dataclasses import dataclass
 from .backbone import PyramidConfig
 from .decode import DecodeConfig
 from .metrics import OksParams
+from .model import weight_count, weight_shapes
 from .train import TrainConfig
 from .waterfall import WaterfallConfig
+
+
+# the size budget: at most 2**25 parameters (about 8x the published 4,120,688)
+# in at most 2**11 tensors (published: 134), the count bounded before the table
+MAX_PARAMETERS = 2 ** 25
+MAX_WEIGHT_TENSORS = 2 ** 11
 
 
 class ConfigError(ValueError):
@@ -93,14 +101,12 @@ class RunConfig:
     @property
     def waterfall(self) -> WaterfallConfig:
         v = self.values
-        pyr = self.pyramid
+        fused = sum(v["pyramid.widths"])
         return WaterfallConfig(
-            level_widths=v["pyramid.widths"],
-            low_level_width=pyr.low_level_width,
             dilations=v["waterfall.dilations"],
             branch_width=v["waterfall.branch_width"],
-            out_width=v["waterfall.out_width"] or None,
-            final_width=v["waterfall.final_width"] or None,
+            out_width=v["waterfall.out_width"] or fused,
+            final_width=v["waterfall.final_width"] or fused // 4,
             keypoints=v["waterfall.keypoints"],
             group_width=v["waterfall.group_width"])
 
@@ -156,7 +162,14 @@ class RunConfig:
         return (self.values["eval.crowd_easy"], self.values["eval.crowd_hard"])
 
     def validate(self):
-        _ = self.pyramid, self.waterfall, self.train, self.decode, self.oks
+        pyr, wf = self.pyramid, self.waterfall
+        if weight_count(pyr, wf) > MAX_WEIGHT_TENSORS:
+            raise ConfigError(f"the model would have over {MAX_WEIGHT_TENSORS} weight tensors")
+        params = sum(math.prod(s) for s in weight_shapes(pyr, wf).values())
+        if params > MAX_PARAMETERS:
+            raise ConfigError(f"the model would have {params} parameters, over the "
+                              f"budget of {MAX_PARAMETERS}")
+        _ = self.train, self.decode, self.oks
         if self.eval_style not in ("coco", "crowdpose"):
             raise ConfigError(f"eval.style must be coco or crowdpose, "
                               f"got {self.eval_style!r}")

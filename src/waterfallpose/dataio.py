@@ -6,9 +6,11 @@ Wire formats:
                 then N*C*H*W finite little-endian float32, row-major, width
                 fastest.
   checkpoint    magic "BAC1", uint32 format version, uint32 epoch, a
-                length-prefixed config fingerprint string, then a uint32
+                length-prefixed config fingerprint string, a length-prefixed
+                JSON table of each entry's in-memory shape, then a uint32
                 entry count followed by (length-prefixed name, tensor dump)
-                pairs sorted by name.
+                pairs, sorted by name with no name repeated, and nothing
+                after the last pair.
   annotations   JSON object with "images" (id, file_name, height, width,
                 optional crowd_index), "annotations" (id, image_id, area,
                 bbox, keypoints triplets), and "categories" (keypoint names).
@@ -391,8 +393,14 @@ def load_checkpoint(data: bytes, expected_fingerprint: str | None = None):
         raise FormatError("checkpoint shape table must be a JSON object")
     (count,), pos = _unpack("<I", data, pos)
     entries = {}
+    last = None
     for _ in range(count):
+        start = pos
         name, pos = _unpack_str(data, pos)
+        if last is not None and name <= last:
+            raise FormatError(f"checkpoint entry {name!r} at byte {start} is repeated "
+                              "or out of order; entries are sorted by name")
+        last = name
         try:
             t, used = read_tensor(data, pos)
         except FormatError as e:
@@ -405,6 +413,8 @@ def load_checkpoint(data: bytes, expected_fingerprint: str | None = None):
                 raise FormatError(f"checkpoint entry {name!r} does not fit its "
                                   f"shape {shapes[name]!r}") from e
         entries[name] = t
+    if pos != len(data):
+        raise FormatError(f"checkpoint has trailing bytes from byte {pos} on")
     weights = {k[len("weights/"):]: v for k, v in entries.items()
                if k.startswith("weights/")}
     optim = None

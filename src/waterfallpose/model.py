@@ -1,38 +1,98 @@
 """Full network: image -> feature pyramid -> waterfall head -> pose maps.
 
-Weights live in one dict keyed by layer name, which the checkpoint writer
-and the gradients share; training rebinds its entries to views of the
-optimizer's flat arena (train.init_optim_state). The layers are
+weight_shapes lists the weights the configs imply, by name, shape and draw
+order: init draws from it, the config's size budget counts it and infer holds
+a checkpoint to it. Weights live in one dict keyed by layer name, which the
+checkpoint writer and the gradients share; training rebinds its entries to
+views of the optimizer's flat arena (train.init_optim_state). The layers are
 written forward only: each kernel they run is recorded on a tensor.Tape with
 its analytic backward, and the backward pass is one replay of that tape.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .backbone import PyramidConfig, init_backbone_weights, backbone_forward
+from .backbone import PyramidConfig, backbone_forward
 from .tensor import Tape
-from .waterfall import WaterfallConfig, init_waterfall_weights, waterfall_module_forward
+from .waterfall import IDENTITY_AFFINE, WaterfallConfig, waterfall_module_forward
 
 
-def check_widths(pyr: PyramidConfig, wf: WaterfallConfig):
-    if tuple(wf.level_widths) != tuple(pyr.widths):
-        raise ValueError(
-            f"head expects level widths {wf.level_widths}, backbone provides {pyr.widths}")
-    if wf.low_level_width != pyr.low_level_width:
-        raise ValueError(
-            f"head expects a {wf.low_level_width}-channel low-level map, backbone "
-            f"provides {pyr.low_level_width}")
+def weight_shapes(pyr: PyramidConfig, wf: WaterfallConfig) -> dict:
+    """{name: shape} of every weight, in draw order; allocates nothing. A
+    layer is a kernel (Cout, Cin, k, k) and a bias (Cout,); an adaptive conv
+    has no bias. The head reads the pyramid levels' and low-level widths."""
+    shapes = {}
+
+    def layer(name, cout, cin, k=1, bias=True):
+        shapes[name + ".w"] = (cout, cin, k, k)
+        if bias:
+            shapes[name + ".b"] = (cout,)
+
+    for i in range(pyr.stem_convs):
+        layer(f"backbone.stem.{i}", pyr.stem_width, pyr.stem_width if i else 3, 3)
+    for lv, width in enumerate(pyr.widths):
+        for j in range(lv + pyr.num_blocks):
+            layer(f"backbone.level{lv}.{j}", width, width if j else pyr.low_level_width, 3)
+    fused, branch, out, f, g = (sum(pyr.widths), wf.branch_width, wf.out_width,
+                                wf.final_width, wf.group_width)
+    for i in range(len(wf.dilations)):
+        layer(f"wf.branch{i}", branch, branch if i else fused, 3)
+    layer("wf.pool", branch, fused)
+    layer("wf.out", out, 5 * branch)
+    layer("llf.proj", out, pyr.low_level_width)
+    layer("llf.mid", out, out)
+    layer("llf.out", f, out)
+    layer("head.kp.taps", 6, f)
+    layer("head.kp.adapt", f, f, 3, bias=False)
+    layer("head.kp.out", wf.heatmap_channels, f)
+    layer("head.off.expand", wf.keypoints * g, f)
+    for k in range(wf.keypoints):
+        layer(f"head.off.g{k}.taps", 6, g)
+        layer(f"head.off.g{k}.adapt", g, g, 3, bias=False)
+        layer(f"head.off.g{k}.out", 2, g)
+    return shapes
+
+
+def weight_count(pyr: PyramidConfig, wf: WaterfallConfig) -> int:
+    """len(weight_shapes(pyr, wf)) without building the table: num_blocks and
+    keypoints multiply its entries, so a config can be bounded first."""
+    return 2 * pyr.stem_convs + 2 * (4 * pyr.num_blocks + 6) + 25 + 5 * wf.keypoints
+
+
+def draw_weights(shapes: dict, rng: np.random.Generator, dtype=np.float32,
+                 offset_init="canonical") -> dict:
+    """Weights for a shape table, drawn from rng in its order: He-scaled
+    kernels (zero with no fan-in) and zero biases. A tap predictor (".taps")
+    under offset_init "canonical" has its drawn kernel zeroed and the identity
+    affine as bias, so training starts from plain 3x3 convolutions; "random"
+    keeps the kernel and draws the bias too (used by gradient checks)."""
+    if offset_init not in ("canonical", "random"):
+        raise ValueError(f"unknown offset_init {offset_init!r}")
+    weights = {}
+    for name, shape in shapes.items():
+        if len(shape) == 4:
+            fan_in = math.prod(shape[1:])
+            std = np.sqrt(2.0 / fan_in) if fan_in else 0.0
+            w = (rng.standard_normal(shape) * std).astype(dtype)
+            if offset_init == "canonical" and name.endswith(".taps.w"):
+                w[:] = 0.0
+        elif not name.endswith(".taps.b"):
+            w = np.zeros(shape, dtype=dtype)
+        elif offset_init == "canonical":
+            w = IDENTITY_AFFINE.astype(dtype)
+        else:
+            w = (rng.standard_normal(shape) * 0.3).astype(dtype)
+        weights[name] = w
+    return weights
 
 
 def init_model_weights(pyr: PyramidConfig, wf: WaterfallConfig, seed: int,
                        dtype=np.float32, offset_init="canonical") -> dict:
-    check_widths(pyr, wf)
-    rng = np.random.default_rng(seed)
-    weights = init_backbone_weights(pyr, rng, dtype=dtype)
-    weights.update(init_waterfall_weights(wf, rng, dtype=dtype, offset_init=offset_init))
-    return weights
+    return draw_weights(weight_shapes(pyr, wf), np.random.default_rng(seed), dtype,
+                        offset_init)
 
 
 def model_forward(image: np.ndarray, weights: dict, pyr: PyramidConfig,

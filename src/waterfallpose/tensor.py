@@ -419,14 +419,6 @@ def sigmoid_backward(y: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return gy * y * (1.0 - y)
 
 
-def weight(weights: dict, name: str) -> np.ndarray:
-    """weights[name]; a missing entry is a ShapeError that names it."""
-    try:
-        return weights[name]
-    except KeyError:
-        raise ShapeError(f"missing weight {name!r}") from None
-
-
 class Tape:
     """Reverse-mode record of one forward pass (Baydin et al., "Automatic
     Differentiation in Machine Learning: a Survey", arXiv 1502.05767).
@@ -487,7 +479,7 @@ class Tape:
 
     def conv(self, x, weights: dict, name: str, spec: ConvSpec):
         """conv2d with weights[name + ".w"] and bias weights[name + ".b"]."""
-        w, b = weight(weights, name + ".w"), weight(weights, name + ".b")
+        w, b = weights[name + ".w"], weights[name + ".b"]
         return self.record(conv2d(x, w, b, spec), (x, name + ".w", name + ".b"),
                            lambda gy: conv2d_backward(x, w, spec, gy))
 

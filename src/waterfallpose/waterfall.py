@@ -15,10 +15,11 @@ Every stage's output is at base resolution. Stages:
                          pooled branch are concatenated.
   3. fuse_low_level    - the waterfall 1x1 (wf.out) over that concat, plus the
                          projected low-level map, then two more 1x1 stages, the
-                         last cutting the width to a quarter of the fused input
-                         width. No nonlinearity sits between these four 1x1
-                         layers, so the stage runs as the one affine map they
-                         compose to (head_projection), exact in real arithmetic.
+                         last cutting the width to final_width (by default a
+                         quarter of the fused width). No nonlinearity sits
+                         between these four 1x1 layers, so the stage runs as the
+                         one affine map they compose to (head_projection), exact
+                         in real arithmetic.
   4. heads_forward     - a keypoint head (adaptive conv, sigmoid scores for
                          each joint plus a person-center channel) and a
                          disentangled offset head (one adaptive-conv group per
@@ -57,47 +58,30 @@ TAP_AFFINE[1::2, 5] = 1.0
 
 @dataclass(frozen=True)
 class WaterfallConfig:
-    """Widths for the whole head; every kernel shape follows from these
-    fields alone."""
+    """Widths for the whole head. With the pyramid's level and low-level
+    widths (backbone.PyramidConfig), every kernel shape follows from these
+    fields alone (model.weight_shapes)."""
 
-    level_widths: tuple = (32, 64, 128, 256)
-    low_level_width: int = 32
     dilations: tuple = (1, 6, 12, 18)
     branch_width: int = 128
-    out_width: int | None = None       # width after the waterfall 1x1, default fused
-    final_width: int | None = None     # width entering the heads, default fused // 4
+    out_width: int = 480       # width after the waterfall 1x1
+    final_width: int = 120     # width entering the heads
     keypoints: int = 17
     group_width: int = 15
 
     def __post_init__(self):
-        if len(self.level_widths) != 4 or any(c < 0 for c in self.level_widths):
-            raise ValueError(f"need 4 non-negative level widths, got {self.level_widths}")
-        if self.fused_width < 1:
-            raise ValueError("at least one pyramid level must have channels")
         if len(self.dilations) != 4 or any(d < 1 for d in self.dilations):
             raise ValueError(f"need 4 positive dilation rates, got {self.dilations}")
-        if self.branch_width < 1 or self.low_level_width < 1:
-            raise ValueError("branch and low-level widths must be positive")
+        for name in ("branch_width", "out_width", "final_width", "group_width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"waterfall {name} must be positive, got "
+                                 f"{getattr(self, name)}")
         if self.keypoints < 1:
             raise ValueError("need at least one keypoint")
-        if self.group_width < 1:
-            raise ValueError("regression group width must be positive")
-        if self.head_width < self.keypoints:
+        if self.final_width < self.keypoints:
             raise ValueError(
-                f"final width {self.head_width} cannot support {self.keypoints} "
+                f"final width {self.final_width} cannot support {self.keypoints} "
                 "regression groups")
-
-    @property
-    def fused_width(self) -> int:
-        return sum(self.level_widths)
-
-    @property
-    def waterfall_width(self) -> int:
-        return self.out_width if self.out_width is not None else self.fused_width
-
-    @property
-    def head_width(self) -> int:
-        return self.final_width if self.final_width is not None else self.fused_width // 4
 
     @property
     def heatmap_channels(self) -> int:
@@ -115,58 +99,6 @@ class PoseMaps:
 
     heatmaps: np.ndarray
     offsets: np.ndarray
-
-
-def init_waterfall_weights(cfg: WaterfallConfig, rng: np.random.Generator,
-                           dtype=np.float32, offset_init="canonical") -> dict:
-    """Build every kernel of the head.
-
-    offset_init "canonical" zeroes the tap predictors and biases them to the
-    identity affine, so training starts from plain 3x3 convolutions;
-    "random" draws them like any other layer (used by gradient checks).
-    """
-    weights = {}
-
-    def conv(name, cout, cin, k=1):
-        std = np.sqrt(2.0 / (cin * k * k))
-        weights[name + ".w"] = (rng.standard_normal((cout, cin, k, k)) * std).astype(dtype)
-        weights[name + ".b"] = np.zeros(cout, dtype=dtype)
-
-    def predictor(name, cin):
-        conv(name, 6, cin)
-        if offset_init == "canonical":
-            weights[name + ".w"][:] = 0.0
-            weights[name + ".b"][:] = IDENTITY_AFFINE.astype(dtype)
-        elif offset_init == "random":
-            weights[name + ".b"][:] = (rng.standard_normal(6) * 0.3).astype(dtype)
-        else:
-            raise ValueError(f"unknown offset_init {offset_init!r}")
-
-    def adaptive(name, cout, cin):
-        std = np.sqrt(2.0 / (cin * 9))
-        weights[name + ".w"] = (rng.standard_normal((cout, cin, 3, 3)) * std).astype(dtype)
-
-    prev = cfg.fused_width
-    for i, d in enumerate(cfg.dilations):
-        conv(f"wf.branch{i}", cfg.branch_width, prev, k=3)
-        prev = cfg.branch_width
-    conv("wf.pool", cfg.branch_width, cfg.fused_width)
-    conv("wf.out", cfg.waterfall_width, 5 * cfg.branch_width)
-    conv("llf.proj", cfg.waterfall_width, cfg.low_level_width)
-    conv("llf.mid", cfg.waterfall_width, cfg.waterfall_width)
-    conv("llf.out", cfg.head_width, cfg.waterfall_width)
-
-    f = cfg.head_width
-    predictor("head.kp.taps", f)
-    adaptive("head.kp.adapt", f, f)
-    conv("head.kp.out", cfg.heatmap_channels, f)
-    g = cfg.group_width
-    conv("head.off.expand", cfg.keypoints * g, f)
-    for k in range(cfg.keypoints):
-        predictor(f"head.off.g{k}.taps", g)
-        adaptive(f"head.off.g{k}.adapt", g, g)
-        conv(f"head.off.g{k}.out", 2, g)
-    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +186,16 @@ def waterfall_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig, ta
     spreads every input pixel over the same total weight, so a resized
     level's mean is the level's own. Returns the concat of the four branch
     outputs and the pooled branch, 5 * cfg.branch_width channels; the 1x1
-    that brings it to cfg.waterfall_width runs in fuse_low_level.
+    that brings it to cfg.out_width runs in fuse_low_level.
     """
     n, _, h, w = p.levels[0].shape
-    fused = sum(f.shape[1] for f in p.levels)
-    if fused != cfg.fused_width:
-        raise T.ShapeError(f"pyramid has {fused} channels, config says {cfg.fused_width}")
     for lv, f in enumerate(p.levels):
         if (f.shape[0], f.shape[2] << lv, f.shape[3] << lv) != (n, h, w):
             raise T.ShapeError(
                 f"pyramid level {lv} has shape {f.shape}; it must hold {n} maps whose "
                 f"extents times {1 << lv} are level 0's {h}x{w}")
     names = ("wf.branch0.w", "wf.branch0.b")
-    y, cache = pyramid_branch(p.levels, *(T.weight(weights, name) for name in names),
+    y, cache = pyramid_branch(p.levels, *(weights[name] for name in names),
                               cfg.dilations[0])
     x = tape.relu(tape.record(y, (*p.levels, *names),
                               lambda gy: pyramid_branch_backward(cache, gy)))
@@ -356,13 +285,13 @@ def fuse_low_level(low_level: np.ndarray, cat: np.ndarray,
                    weights: dict, cfg: WaterfallConfig, tape):
     """The waterfall 1x1 over stage 2's concat, plus the low-level map
     projected to the same width, then two 1x1 stages, the last reducing to
-    cfg.head_width: head_projection, recorded on the tape as one kernel.
+    cfg.final_width: head_projection, recorded on the tape as one kernel.
     Returns f_maps."""
     if low_level.shape[2:] != cat.shape[2:]:
         raise T.ShapeError(
             f"low-level extents {low_level.shape[2:]} do not match waterfall "
             f"extents {cat.shape[2:]}")
-    params = tuple(T.weight(weights, name) for name in HEAD_PROJECTION_WEIGHTS)
+    params = tuple(weights[name] for name in HEAD_PROJECTION_WEIGHTS)
     y, cache = head_projection(cat, low_level, params)
     return tape.record(y, (cat, low_level, *HEAD_PROJECTION_WEIGHTS),
                        lambda gy: head_projection_backward(cache, gy))
@@ -452,7 +381,7 @@ def _adaptive_branch(tape, x: np.ndarray, weights: dict, prefix: str) -> np.ndar
     with the adaptive conv recorded on the tape like any other kernel."""
     offsets = predict_offsets(x, weights, prefix + ".taps", tape)
     name = prefix + ".adapt.w"
-    y, cache = adaptive_conv(x, T.weight(weights, name), offsets)
+    y, cache = adaptive_conv(x, weights[name], offsets)
     y = tape.record(y, (x, name, offsets), lambda gy: adaptive_conv_backward(cache, gy))
     return tape.conv(tape.relu(y), weights, prefix + ".out", S1)
 
@@ -465,9 +394,6 @@ def heads_forward(f_maps: np.ndarray, weights: dict, cfg: WaterfallConfig, tape)
     each with its own adaptive conv and 1x1 down to a (dx, dy) pair.
     Returns the PoseMaps.
     """
-    if f_maps.shape[1] != cfg.head_width:
-        raise T.ShapeError(
-            f"head input has {f_maps.shape[1]} channels, config says {cfg.head_width}")
     heat = tape.sigmoid(_adaptive_branch(tape, f_maps, weights, "head.kp"))
     expanded = tape.conv(f_maps, weights, "head.off.expand", S1)
     groups = tape.split(expanded, [cfg.group_width] * cfg.keypoints)

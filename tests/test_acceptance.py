@@ -89,8 +89,8 @@ def test_03_gradient_suite():
     # full-model check at the stated toy widths (pyramid 4/8/16/32, 8x8 base)
     rng = np.random.default_rng(303)
     pyr = PyramidConfig(widths=(4, 8, 16, 32), stem_width=4)
-    wf = WaterfallConfig(level_widths=(4, 8, 16, 32), low_level_width=4,
-                         branch_width=8, out_width=16, keypoints=2, group_width=3)
+    wf = WaterfallConfig(branch_width=8, out_width=16, final_width=15, keypoints=2,
+                         group_width=3)
     weights = init_model_weights(pyr, wf, seed=4, dtype=np.float64,
                                  offset_init="random")
     for name in weights:
@@ -108,8 +108,8 @@ def test_03_gradient_suite():
 
 def test_04_channel_arithmetic_at_paper_widths():
     rng = np.random.default_rng(404)
-    cfg = WaterfallConfig()  # defaults: widths 32/64/128/256, K=17
-    wts = W.init_waterfall_weights(cfg, rng)
+    cfg = WaterfallConfig()  # defaults: widths 480 -> 120, K=17
+    wts = init_model_weights(PyramidConfig(), cfg, seed=404)
     from waterfallpose.backbone import FeaturePyramid
     levels = [rng.standard_normal((1, c, 8 >> i, 8 >> i)).astype(np.float32)
               for i, c in enumerate((32, 64, 128, 256))]
@@ -120,7 +120,7 @@ def test_04_channel_arithmetic_at_paper_widths():
     maps = W.heads_forward(f_maps, wts, cfg, tape)
     # the fused map is never formed; wf.branch0 reads its channels
     fused = wts["wf.branch0.w"].shape[1]
-    ok = (cfg.fused_width == fused == 480 and f_maps.shape[1] == 120
+    ok = (sum(PyramidConfig().widths) == fused == 480 and f_maps.shape[1] == 120
           and maps.heatmaps.shape[1] == 18 and maps.offsets.shape[1] == 34)
     report(4, "channel arithmetic: 480 fused, 120 final, 18+34 head channels",
            ok, f"got {fused}/{f_maps.shape[1]}/"
@@ -273,8 +273,7 @@ def _overfit_dataset(seed=123, n_images=8):
 
 
 OVERFIT_PYR = PyramidConfig(widths=(4, 8, 16, 32), stem_width=4, num_blocks=2)
-OVERFIT_WF = WaterfallConfig(level_widths=(4, 8, 16, 32), low_level_width=4,
-                             branch_width=12, out_width=32, keypoints=2,
+OVERFIT_WF = WaterfallConfig(branch_width=12, out_width=32, final_width=15, keypoints=2,
                              group_width=4)
 OVERFIT_TRAIN = TrainConfig(epochs=200, seed=0, rotation_deg=0.0,
                             scale_range=(1.0, 1.0), translate_px=0.0)

@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 
 from waterfallpose import tensor as T
-from waterfallpose.backbone import PyramidConfig, init_backbone_weights, \
-    backbone_forward
+from waterfallpose.backbone import PyramidConfig, backbone_forward
+from waterfallpose.model import draw_weights, weight_shapes
+from waterfallpose.waterfall import WaterfallConfig
+
+
+def backbone_weights(cfg, rng):
+    # the backbone's part of the shape table, drawn from rng
+    shapes = weight_shapes(cfg, WaterfallConfig())
+    return draw_weights({k: s for k, s in shapes.items() if k.startswith("backbone.")}, rng)
 
 
 def test_paper_width_shapes(rng):
     cfg = PyramidConfig()
-    w = init_backbone_weights(cfg, rng)
+    w = backbone_weights(cfg, rng)
     img = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
     p = backbone_forward(img, w, cfg, T.Tape())
     assert [f.shape for f in p.levels] == [
@@ -18,7 +25,7 @@ def test_paper_width_shapes(rng):
 
 def test_toy_width_shapes(rng):
     cfg = PyramidConfig(widths=(4, 8, 16, 32), stem_width=4)
-    w = init_backbone_weights(cfg, rng)
+    w = backbone_weights(cfg, rng)
     img = rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
     p = backbone_forward(img, w, cfg, T.Tape())
     assert [f.shape for f in p.levels] == [
@@ -27,7 +34,7 @@ def test_toy_width_shapes(rng):
 
 def test_zero_weights_zero_pyramid(rng):
     cfg = PyramidConfig(widths=(4, 8, 16, 32), stem_width=4)
-    w = {k: np.zeros_like(v) for k, v in init_backbone_weights(cfg, rng).items()}
+    w = {k: np.zeros_like(v) for k, v in backbone_weights(cfg, rng).items()}
     img = rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
     p = backbone_forward(img, w, cfg, T.Tape())
     for f in p.levels + [p.low_level]:
@@ -36,7 +43,7 @@ def test_zero_weights_zero_pyramid(rng):
 
 def test_indivisible_extents_rejected(rng):
     cfg = PyramidConfig(widths=(4, 8, 16, 32), stem_width=4)
-    w = init_backbone_weights(cfg, rng)
+    w = backbone_weights(cfg, rng)
     with pytest.raises(T.ShapeError, match="divisible"):
         backbone_forward(np.zeros((1, 3, 40, 32), dtype=np.float32), w, cfg, T.Tape())
 
@@ -47,7 +54,7 @@ def test_randomized_config_shapes(rng):
         blocks = int(rng.integers(1, 3))
         stem = int(rng.integers(2, 6))
         cfg = PyramidConfig(widths=widths, stem_width=stem, num_blocks=blocks)
-        w = init_backbone_weights(cfg, rng)
+        w = backbone_weights(cfg, rng)
         mult = int(rng.integers(1, 3))
         h, wd = 32 * mult, 32
         p = backbone_forward(
@@ -62,7 +69,7 @@ def test_randomized_config_shapes(rng):
 def test_stem_gradient_matches_numeric(rng):
     cfg = PyramidConfig(widths=(2, 2, 2, 2), stem_width=2)
     weights = {k: v.astype(np.float64)
-               for k, v in init_backbone_weights(cfg, rng).items()}
+               for k, v in backbone_weights(cfg, rng).items()}
     img = rng.standard_normal((1, 3, 32, 32))
     proj = [rng.standard_normal((1, 2, 8 >> lv, 8 >> lv)) for lv in range(4)]
 
@@ -85,7 +92,7 @@ def test_stem_gradient_matches_numeric(rng):
 def test_image_gradient_matches_numeric(rng):
     cfg = PyramidConfig(widths=(2, 2, 2, 2), stem_width=2)
     weights = {k: v.astype(np.float64)
-               for k, v in init_backbone_weights(cfg, rng).items()}
+               for k, v in backbone_weights(cfg, rng).items()}
     img = rng.standard_normal((1, 3, 32, 32))
     proj = [rng.standard_normal((1, 2, 8 >> lv, 8 >> lv)) for lv in range(4)]
     gll = rng.standard_normal((1, 2, 8, 8))

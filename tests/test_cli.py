@@ -1,4 +1,6 @@
+import contextlib
 import ctypes
+import io
 import json
 import platform
 import warnings
@@ -6,11 +8,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waterfallpose import dataio
 from waterfallpose.checks import overlay_reference, random_overlay_scene
 from waterfallpose.cli import M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, main, pin_heap_policy
-from waterfallpose.config import default_config, parse_config
+from waterfallpose.config import ConfigError, default_config, parse_config
 from waterfallpose.decode import PoseInstance
 from waterfallpose.model import init_model_weights
 from waterfallpose.overlay import draw_overlay, line_pixels
@@ -178,6 +181,26 @@ class TestInfer:
         assert len(err) == 1 and "not finite" in err[0]
         assert not (tmp / "out.json").exists()
 
+    @pytest.mark.parametrize("edit", ["extra", "misshapen"])
+    def test_weight_outside_the_table_is_data_error(self, workdir, capsys, edit):
+        tmp, cfg = workdir
+        weights = init_model_weights(cfg.pyramid, cfg.waterfall, seed=0)
+        if edit == "extra":
+            weights["extra"] = np.zeros(3, dtype=np.float32)
+        else:
+            weights["backbone.level1.0.w"] = np.zeros((8, 5, 3, 3), dtype=np.float32)
+        ckpt = tmp / "edited.bin"
+        ckpt.write_bytes(dataio.save_checkpoint(weights, None, 0, cfg.fingerprint()))
+        code = main(["infer", "--config", str(tmp / "toy.cfg"),
+                     "--checkpoint", str(ckpt),
+                     "--image", str(tmp / "img0.ppm"),
+                     "--out-poses", str(tmp / "out.json")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        name = "extra" if edit == "extra" else "backbone.level1.0.w"
+        assert len(err) == 1 and f"'weights/{name}'" in err[0]
+        assert not (tmp / "out.json").exists()
+
     def test_too_large_base_stride_is_data_error(self, workdir, capsys):
         tmp, cfg = workdir
         (tmp / "bad.cfg").write_text(TOY_CONFIG + "pyramid.base_stride = 262144\n")
@@ -266,6 +289,16 @@ class TestTrainEval:
         assert code == 2
         assert "keypoints" in capsys.readouterr().err
 
+    def test_train_over_the_size_budget_is_data_error(self, workdir, capsys):
+        tmp, cfg = workdir
+        (tmp / "big.cfg").write_text(TOY_CONFIG + "pyramid.widths = 1000000000000000,8,16,32\n")
+        code = main(["train", "--config", str(tmp / "big.cfg"),
+                     "--dataset", str(tmp / "data.json"),
+                     "--images", str(tmp), "--out", str(tmp / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "over the budget" in err
+
     @pytest.mark.parametrize("line", [
         "train.scale_max = inf", "train.rotation_deg = nan", "train.translate_px = inf",
     ])
@@ -335,6 +368,99 @@ class TestTrainEval:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "results[0]" in err
+
+
+# ---------------------------------------------------------------------------
+# the checkpoint contract and the config's bounds, as properties of toy infer
+
+def _quiet_infer(tmp, cfg_path, ckpt):
+    """(exit code, stderr) of one infer, with warnings raised as errors."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["infer", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--image", str(tmp / "img.ppm"), "--out-poses", str(tmp / "poses.json")])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def toy_infer(tmp_path_factory):
+    """A toy config, a 64x64 image, the weights of a random-offset checkpoint
+    and the poses infer writes from it."""
+    tmp = tmp_path_factory.mktemp("toy_infer")
+    (tmp / "toy.cfg").write_text(TOY_CONFIG)
+    cfg = parse_config(TOY_CONFIG)
+    image = np.random.default_rng(5).uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
+    (tmp / "img.ppm").write_bytes(dataio.write_image_ppm(image))
+    weights = init_model_weights(cfg.pyramid, cfg.waterfall, seed=3, offset_init="random")
+    (tmp / "ckpt.bin").write_bytes(dataio.save_checkpoint(weights, None, 0, cfg.fingerprint()))
+    assert _quiet_infer(tmp, tmp / "toy.cfg", tmp / "ckpt.bin") == (0, "")
+    return tmp, cfg, weights, (tmp / "poses.json").read_bytes()
+
+
+LIST_KEYS = {"pyramid.widths": (4, 8, 16, 32), "waterfall.dilations": (1, 6, 12, 18)}
+SCALAR_KEYS = ("pyramid.stem_width", "pyramid.base_stride", "pyramid.num_blocks",
+               "waterfall.branch_width", "waterfall.out_width", "waterfall.final_width",
+               "waterfall.keypoints", "waterfall.group_width")
+CONFIG_EDITS = [(key, i) for key, values in LIST_KEYS.items() for i in range(len(values))] \
+    + [(key, None) for key in SCALAR_KEYS]
+
+
+class TestContractProperties:
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_weight_edit_is_refused_by_name(self, toy_infer, data):
+        tmp, cfg, weights, poses = toy_infer
+        name = data.draw(st.sampled_from(sorted(weights)))
+        edit = data.draw(st.sampled_from(["none", "drop", "add", "rename", "rank", "grow"]))
+        edited = dict(weights)
+        named = name
+        if edit == "drop":
+            del edited[name]
+        elif edit == "add":
+            edited[name + "x"] = weights[name]
+            named = name + "x"
+        elif edit == "rename":
+            edited[name + "x"] = edited.pop(name)
+        elif edit == "rank":
+            edited[name] = weights[name][None]
+        elif edit == "grow":
+            edited[name] = np.concatenate([weights[name], weights[name][:1]])
+        (tmp / "edited.bin").write_bytes(
+            dataio.save_checkpoint(edited, None, 0, cfg.fingerprint()))
+        (tmp / "poses.json").unlink(missing_ok=True)
+        code, err = _quiet_infer(tmp, tmp / "toy.cfg", tmp / "edited.bin")
+        if edit == "none":
+            assert (code, err) == (0, "") and (tmp / "poses.json").read_bytes() == poses
+        else:
+            assert code == 2 and not (tmp / "poses.json").exists()
+            lines = err.splitlines()
+            assert len(lines) == 1 and f"'weights/{named}'" in lines[0], (edit, err)
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(CONFIG_EDITS), st.sampled_from([0, -1, 2 ** 62]))
+    def test_config_edit_is_refused_or_runs(self, toy_infer, edit, value):
+        tmp = toy_infer[0]
+        key, i = edit
+        if i is None:
+            line = f"{key} = {value}"
+        else:
+            values = list(LIST_KEYS[key])
+            values[i] = value
+            line = f"{key} = {','.join(map(str, values))}"
+        text = TOY_CONFIG + line + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                cfg = parse_config(text)
+            except ConfigError:
+                return
+            weights = init_model_weights(cfg.pyramid, cfg.waterfall, seed=0)
+        (tmp / "edited.cfg").write_text(text)
+        (tmp / "edited.bin").write_bytes(
+            dataio.save_checkpoint(weights, None, 0, cfg.fingerprint()))
+        assert _quiet_infer(tmp, tmp / "edited.cfg", tmp / "edited.bin") == (0, ""), line
 
 
 class _Mallopt:

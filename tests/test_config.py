@@ -1,6 +1,10 @@
+import math
+import time
+
 import pytest
 
-from waterfallpose.config import ConfigError, default_config, parse_config
+from waterfallpose.config import MAX_PARAMETERS, ConfigError, default_config, parse_config
+from waterfallpose.model import weight_shapes
 
 
 class TestParsing:
@@ -8,8 +12,8 @@ class TestParsing:
         cfg = default_config()
         assert cfg.pyramid.widths == (32, 64, 128, 256)
         assert cfg.waterfall.dilations == (1, 6, 12, 18)
-        assert cfg.waterfall.fused_width == 480
-        assert cfg.waterfall.head_width == 120
+        assert cfg.waterfall.out_width == 480
+        assert cfg.waterfall.final_width == 120
         assert cfg.waterfall.keypoints == 17
         t = cfg.train
         assert t.epochs == 140 and t.base_lr == 1e-3
@@ -38,8 +42,8 @@ class TestParsing:
         """
         cfg = parse_config(text)
         assert cfg.pyramid.widths == (4, 8, 16, 32)
-        assert cfg.waterfall.fused_width == 60
-        assert cfg.waterfall.head_width == 15
+        assert cfg.waterfall.out_width == 16
+        assert cfg.waterfall.final_width == 15
         assert cfg.train.epochs == 3
 
     def test_unknown_key_rejected(self):
@@ -148,3 +152,66 @@ class TestParsing:
         assert cfg.falloffs == (0.1, 0.3)
         with pytest.raises(ConfigError, match="falloffs"):
             parse_config("waterfall.keypoints = 2\noks.falloffs = 1,2,3").decode
+
+
+TOY = """
+pyramid.widths = 4,8,16,32
+pyramid.stem_width = 4
+pyramid.num_blocks = 2
+waterfall.branch_width = 12
+waterfall.out_width = 32
+waterfall.keypoints = 2
+waterfall.group_width = 4
+"""
+
+
+class TestWidths:
+    @pytest.mark.parametrize("line", ["waterfall.out_width = -5",
+                                      "waterfall.final_width = -1"])
+    def test_negative_head_width_rejected(self, line):
+        key = line.split(" = ")[0].split(".")[1]
+        with pytest.raises(ConfigError, match=f"{key} must be positive"):
+            parse_config(line)
+
+    def test_all_zero_levels_rejected(self):
+        with pytest.raises(ConfigError, match="at least one pyramid level"):
+            parse_config("pyramid.widths = 0,0,0,0")
+
+    def test_zero_width_levels_accepted(self):
+        cfg = parse_config("pyramid.widths = 0,8,0,16\nwaterfall.keypoints = 2")
+        assert cfg.waterfall.out_width == 24 and cfg.waterfall.final_width == 6
+
+
+class TestSizeBudget:
+    @pytest.mark.parametrize("text, params", [("", 4_120_688), (TOY, 65_224)],
+                             ids=["published", "toy"])
+    def test_published_and_toy_fit(self, text, params):
+        cfg = parse_config(text)
+        shapes = weight_shapes(cfg.pyramid, cfg.waterfall)
+        assert sum(math.prod(s) for s in shapes.values()) == params <= MAX_PARAMETERS
+
+    @pytest.mark.parametrize("line", [
+        "pyramid.widths = 1000000000000000,8,16,32", "pyramid.stem_width = 4611686018427387904",
+        "waterfall.branch_width = 4611686018427387904",
+        "waterfall.out_width = 4611686018427387904",
+        "waterfall.group_width = 4611686018427387904",
+        "waterfall.final_width = 4611686018427387904",
+    ])
+    def test_too_many_parameters_rejected(self, line):
+        with pytest.raises(ConfigError, match="parameters, over the budget of 33554432"):
+            parse_config(line)
+
+    @pytest.mark.parametrize("text", [
+        "pyramid.num_blocks = 4611686018427387904",
+        "pyramid.widths = 0,0,0,1\nwaterfall.final_width = 17\n"
+        "pyramid.num_blocks = 4611686018427387904",
+        "waterfall.keypoints = 4611686018427387904\n"
+        "waterfall.final_width = 4611686018427387904",
+    ], ids=["blocks", "blocks-zero-levels", "keypoints"])
+    def test_too_many_tensors_rejected_before_the_table(self, text):
+        # the entry count is bounded in closed form; building the table
+        # would not end
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="over 2048 weight tensors"):
+            parse_config(text)
+        assert time.perf_counter() - start < 1.0

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from waterfallpose import dataio as D
+from waterfallpose.config import parse_config
 from waterfallpose.decode import PoseInstance
+from waterfallpose.model import init_model_weights, weight_count, weight_shapes
 
 K17 = ["kp%d" % i for i in range(17)]
 
@@ -318,6 +320,31 @@ class TestCheckpoint:
         _, optim, epoch, _ = D.load_checkpoint(blob)
         assert optim is None and epoch == 3
 
+    @staticmethod
+    def _blob(names):
+        # a checkpoint whose entries are written in the given order
+        t = D.write_tensor(np.ones((1, 1, 1, 2), dtype=np.float32))
+        return b"".join([D.CHECKPOINT_MAGIC, struct.pack("<II", D.CHECKPOINT_VERSION, 0),
+                         D._pack_str("fp"), D._pack_str("{}"),
+                         struct.pack("<I", len(names))]
+                        + [D._pack_str(name) + t for name in names])
+
+    def test_repeated_entry_rejected(self):
+        name = "weights/backbone.level0.0.b"
+        assert D.load_checkpoint(self._blob([name, name + "x"]))[0]
+        second = len(self._blob([name]))     # where the second entry starts
+        with pytest.raises(D.FormatError, match=f"entry '{name}' at byte {second} is repeated"):
+            D.load_checkpoint(self._blob([name, name]))
+
+    def test_unsorted_entries_rejected(self):
+        with pytest.raises(D.FormatError, match="entry 'weights/a.b' at byte .* out of order"):
+            D.load_checkpoint(self._blob(["weights/a.w", "weights/a.b"]))
+
+    def test_trailing_bytes_rejected(self, rng):
+        blob = D.save_checkpoint(self._weights(rng), None, 3, "fp")
+        with pytest.raises(D.FormatError, match=f"trailing bytes from byte {len(blob)} on"):
+            D.load_checkpoint(blob + b"garbage")
+
 
 class TestResults:
     def test_round_trip(self):
@@ -458,6 +485,45 @@ class TestKeypointListProperty:
             return
         got = np.array([p.keypoints for p in back.get(1, [])]).reshape(-1, k, 3)
         _assert_read_as_floats(got, [rec["keypoints"] for rec in json.loads(text)], k)
+
+
+# ---------------------------------------------------------------------------
+# the weight-shape table: what init draws and what a checkpoint holds
+
+@st.composite
+def small_config_texts(draw):
+    """Config text at small widths: zero-width levels, base stride 1, one to
+    three blocks per level, and head widths given or left to be derived (0)."""
+    widths = draw(st.tuples(*[st.integers(0, 4)] * 4).filter(any))
+    k = draw(st.integers(1, 3))
+    finals = [0, k, k + 2] if sum(widths) // 4 >= k else [k, k + 2]
+    values = {
+        "pyramid.widths": ",".join(map(str, widths)),
+        "pyramid.stem_width": draw(st.integers(1, 4)),
+        "pyramid.base_stride": draw(st.sampled_from([1, 2, 4, 8])),
+        "pyramid.num_blocks": draw(st.integers(1, 3)),
+        "waterfall.branch_width": draw(st.integers(1, 4)),
+        "waterfall.out_width": draw(st.integers(0, 5)),
+        "waterfall.final_width": draw(st.sampled_from(finals)),
+        "waterfall.keypoints": k,
+        "waterfall.group_width": draw(st.integers(1, 3)),
+    }
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+class TestWeightShapeProperty:
+    @settings(max_examples=80)
+    @given(small_config_texts(), st.sampled_from(["canonical", "random"]))
+    def test_table_is_what_init_draws_and_a_checkpoint_keeps(self, text, offset_init):
+        cfg = parse_config(text)
+        shapes = weight_shapes(cfg.pyramid, cfg.waterfall)
+        weights = init_model_weights(cfg.pyramid, cfg.waterfall, seed=0,
+                                     offset_init=offset_init)
+        assert list(shapes.items()) == [(name, w.shape) for name, w in weights.items()]
+        assert len(shapes) == weight_count(cfg.pyramid, cfg.waterfall)
+        blob = D.save_checkpoint(weights, None, 0, cfg.fingerprint())
+        loaded, _, _, _ = D.load_checkpoint(blob, expected_fingerprint=cfg.fingerprint())
+        assert {name: w.shape for name, w in loaded.items()} == shapes
 
 
 # ---------------------------------------------------------------------------

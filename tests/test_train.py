@@ -12,8 +12,8 @@ from waterfallpose.waterfall import WaterfallConfig
 
 def toy_setup(k=2, seed=5):
     pyr = PyramidConfig(widths=(4, 8, 16, 32), stem_width=4)
-    wf = WaterfallConfig(level_widths=(4, 8, 16, 32), low_level_width=4,
-                         branch_width=8, out_width=16, keypoints=k, group_width=3)
+    wf = WaterfallConfig(branch_width=8, out_width=16, final_width=15, keypoints=k,
+                         group_width=3)
     weights = init_model_weights(pyr, wf, seed=seed)
     return pyr, wf, weights
 
@@ -386,8 +386,7 @@ class TestLoop:
 class TestFullModelGradient:
     def test_total_loss_gradient_through_model(self, rng):
         pyr = PyramidConfig(widths=(2, 3, 2, 2), stem_width=2)
-        wf = WaterfallConfig(level_widths=(2, 3, 2, 2), low_level_width=2,
-                             branch_width=2, out_width=3, final_width=2,
+        wf = WaterfallConfig(branch_width=2, out_width=3, final_width=2,
                              keypoints=2, group_width=2)
         weights = init_model_weights(pyr, wf, seed=1, dtype=np.float64,
                                      offset_init="random")
@@ -444,8 +443,8 @@ class TestFullModelGradient:
     def test_zero_width_level_gets_zero_gradients(self, rng, dtype):
         for widths in ((2, 0, 2, 2), (0, 2, 2, 2), (2, 2, 2, 0)):
             pyr = PyramidConfig(widths=widths, stem_width=2)
-            wf = WaterfallConfig(level_widths=widths, low_level_width=2, branch_width=2,
-                                 out_width=3, final_width=2, keypoints=2, group_width=2)
+            wf = WaterfallConfig(branch_width=2, out_width=3, final_width=2, keypoints=2,
+                                 group_width=2)
             weights = init_model_weights(pyr, wf, seed=1, dtype=dtype)
             img = rng.uniform(0, 1, size=(1, 3, 32, 32)).astype(dtype)
             maps, tape = model_forward(img, weights, pyr, wf)

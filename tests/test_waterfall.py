@@ -6,8 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from waterfallpose import tensor as T
 from waterfallpose import waterfall as W
-from waterfallpose.backbone import FeaturePyramid
+from waterfallpose.backbone import FeaturePyramid, PyramidConfig, backbone_forward
 from waterfallpose.checks import layered_head_projection, layered_pyramid_branch
+from waterfallpose.model import draw_weights, init_model_weights, weight_shapes
+
+TOY_PYR = PyramidConfig(widths=(4, 8, 16, 32), stem_width=4)
 
 
 def make_pyramid(rng, widths=(4, 8, 16, 32), low=4, h=8, w=8, dtype=np.float32, n=1):
@@ -17,10 +20,16 @@ def make_pyramid(rng, widths=(4, 8, 16, 32), low=4, h=8, w=8, dtype=np.float32, 
 
 
 def toy_cfg(**over):
-    base = dict(level_widths=(4, 8, 16, 32), low_level_width=4, branch_width=8,
-                out_width=16, keypoints=2, group_width=3)
+    base = dict(branch_width=8, out_width=16, final_width=15, keypoints=2, group_width=3)
     base.update(over)
     return W.WaterfallConfig(**base)
+
+
+def head_weights(cfg, rng, pyr=TOY_PYR, **kwargs):
+    # the head's part of the shape table, drawn from rng
+    shapes = weight_shapes(pyr, cfg)
+    return draw_weights({k: s for k, s in shapes.items() if not k.startswith("backbone.")},
+                        rng, **kwargs)
 
 
 def branch_weights(cin, rng, cout=3, dtype=np.float32):
@@ -39,9 +48,8 @@ class TestFusePyramid:
     # checks.layered_pyramid_branch forms g0 as their oracle
 
     def test_paper_widths_480(self, rng):
-        cfg = W.WaterfallConfig()
-        wts = W.init_waterfall_weights(cfg, rng)
-        assert cfg.fused_width == 480 and wts["wf.branch0.w"].shape == (128, 480, 3, 3)
+        wts = head_weights(W.WaterfallConfig(), rng, PyramidConfig())
+        assert wts["wf.branch0.w"].shape == (128, 480, 3, 3)
         p = make_pyramid(rng, widths=(32, 64, 128, 256), low=32, h=8, w=8)
         ref, pooled = layered_pyramid_branch(p.levels, wts, 1)
         assert pooled.shape == (1, 480, 1, 1)
@@ -49,8 +57,8 @@ class TestFusePyramid:
 
     def test_toy_widths_60(self, rng):
         cfg = toy_cfg()
-        wts = W.init_waterfall_weights(cfg, rng)
-        assert cfg.fused_width == 60 and wts["wf.branch0.w"].shape[1] == 60
+        wts = head_weights(cfg, rng)
+        assert wts["wf.branch0.w"].shape[1] == 60
         assert W.waterfall_forward(make_pyramid(rng), wts, cfg, T.Tape()).shape == (1, 40, 8, 8)
 
     def test_degenerate_single_level(self, rng):
@@ -142,7 +150,7 @@ class TestWaterfall:
         # wf.out, reads it and gives the waterfall width
         for b in (4, 8):
             cfg = toy_cfg(branch_width=b, out_width=24)
-            wts = W.init_waterfall_weights(cfg, rng)
+            wts = head_weights(cfg, rng)
             cat = W.waterfall_forward(make_pyramid(rng), wts, cfg, T.Tape())
             assert cat.shape == (1, 5 * b, 8, 8)
             assert wts["wf.out.w"].shape == (24, 5 * b, 1, 1)
@@ -155,14 +163,14 @@ class TestWaterfall:
 
     def test_zero_weights_zero_output(self, rng):
         cfg = toy_cfg()
-        wts = {k: np.zeros_like(v) for k, v in W.init_waterfall_weights(cfg, rng).items()}
+        wts = {k: np.zeros_like(v) for k, v in head_weights(cfg, rng).items()}
         out = W.waterfall_forward(make_pyramid(rng), wts, cfg, T.Tape())
         assert not out.any()
 
     def test_matches_straight_line_oracle(self, rng):
         for dilations in ((1, 6, 12, 18), (10 ** 9, 6, 12, 18)):
             cfg = toy_cfg(dilations=dilations)
-            wts = random_biases(W.init_waterfall_weights(cfg, rng, offset_init="random"), rng)
+            wts = random_biases(head_weights(cfg, rng, offset_init="random"), rng)
             p = make_pyramid(rng)
             cat = W.waterfall_forward(p, wts, cfg, T.Tape())
             ref = straight_line_waterfall(p, wts, cfg)
@@ -174,14 +182,14 @@ class TestWaterfall:
         p = make_pyramid(rng)
         cfg_a = toy_cfg(dilations=(1, 6, 12, 18))
         cfg_b = toy_cfg(dilations=(18, 12, 6, 1))
-        wts = W.init_waterfall_weights(cfg_a, np.random.default_rng(7))
+        wts = head_weights(cfg_a, np.random.default_rng(7))
         out_a = W.waterfall_forward(p, wts, cfg_a, T.Tape())
         out_b = W.waterfall_forward(p, wts, cfg_b, T.Tape())
         assert T.relative_error(out_a, out_b) > 1e-3
 
     def test_width_mismatch_rejected(self, rng):
         cfg = toy_cfg()
-        wts = W.init_waterfall_weights(cfg, rng)
+        wts = head_weights(cfg, rng)
         with pytest.raises(T.ShapeError, match="channels"):
             W.waterfall_forward(make_pyramid(rng, widths=(3, 8, 16, 32)), wts, cfg, T.Tape())
 
@@ -189,7 +197,7 @@ class TestWaterfall:
         # the pooled branch pools each level, which equals pooling the fused
         # map only for levels at 1/2, 1/4 and 1/8 of level 0's extents
         cfg = toy_cfg()
-        wts = W.init_waterfall_weights(cfg, rng)
+        wts = head_weights(cfg, rng)
         for lv, shape in ((1, (1, 8, 4, 3)), (3, (1, 32, 2, 1)), (2, (2, 16, 2, 2))):
             p = make_pyramid(rng)
             p.levels[lv] = np.zeros(shape, dtype=np.float32)
@@ -200,7 +208,7 @@ class TestWaterfall:
 class TestFuseLowLevel:
     def test_paper_reduction_480_to_120(self, rng):
         cfg = W.WaterfallConfig()
-        wts = W.init_waterfall_weights(cfg, rng)
+        wts = head_weights(cfg, rng, PyramidConfig())
         assert wts["wf.out.w"].shape == (480, 640, 1, 1)
         assert wts["llf.mid.w"].shape == (480, 480, 1, 1)
         assert wts["llf.out.w"].shape == (120, 480, 1, 1)
@@ -211,7 +219,7 @@ class TestFuseLowLevel:
 
     def test_zero_projection_isolates_waterfall_path(self, rng):
         cfg = toy_cfg()
-        wts = random_biases(W.init_waterfall_weights(cfg, rng), rng)
+        wts = random_biases(head_weights(cfg, rng), rng)
         wts["llf.proj.w"] = np.zeros_like(wts["llf.proj.w"])
         wts["llf.proj.b"] = np.zeros_like(wts["llf.proj.b"])
         cat = rng.standard_normal((1, 40, 8, 8)).astype(np.float32)
@@ -223,7 +231,7 @@ class TestFuseLowLevel:
 
     def test_matches_straight_line_oracle(self, rng):
         cfg = toy_cfg()
-        wts = random_biases(W.init_waterfall_weights(cfg, rng), rng)
+        wts = random_biases(head_weights(cfg, rng), rng)
         low = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
         cat = rng.standard_normal((1, 40, 8, 8)).astype(np.float32)
         out = W.fuse_low_level(low, cat, wts, cfg, T.Tape())
@@ -238,10 +246,10 @@ class TestFuseLowLevel:
                                               n, h, w, seed):
         # widths on both sides of the head width, down to one low-level channel
         rng = np.random.default_rng(seed)
-        cfg = W.WaterfallConfig(level_widths=(1, 1, 1, 1), low_level_width=low,
-                                branch_width=branch, out_width=out_width,
+        cfg = W.WaterfallConfig(branch_width=branch, out_width=out_width,
                                 final_width=final_width, keypoints=1, group_width=1)
-        wts = random_biases(W.init_waterfall_weights(cfg, rng, dtype=np.float64), rng)
+        pyr = PyramidConfig(widths=(1, 1, 1, 1), stem_width=low)
+        wts = random_biases(head_weights(cfg, rng, pyr, dtype=np.float64), rng)
         cat = rng.standard_normal((n, 5 * branch, h, w))
         low_level = rng.standard_normal((n, low, h, w))
         out = W.fuse_low_level(low_level, cat, wts, cfg, T.Tape())
@@ -255,7 +263,7 @@ class TestFuseLowLevel:
                                      ("llf.mid.b", (15,), "llf.mid must be a 1x1"),
                                      ("llf.out.w", (15, 17, 1, 1), "over 16 channels"),
                                      ("llf.proj.w", (12, 4, 1, 1), "llf.proj gives 12")):
-            wts = W.init_waterfall_weights(cfg, rng)
+            wts = head_weights(cfg, rng)
             wts[name] = np.zeros(shape, dtype=np.float32)
             if name == "llf.proj.w":
                 wts["llf.proj.b"] = np.zeros(12, dtype=np.float32)
@@ -264,7 +272,7 @@ class TestFuseLowLevel:
 
     def test_extent_mismatch_rejected(self, rng):
         cfg = toy_cfg()
-        wts = W.init_waterfall_weights(cfg, rng)
+        wts = head_weights(cfg, rng)
         with pytest.raises(T.ShapeError, match="extents"):
             W.fuse_low_level(np.zeros((1, 4, 8, 8), dtype=np.float32),
                              np.zeros((1, 40, 4, 4), dtype=np.float32), wts, cfg,
@@ -341,8 +349,8 @@ class TestAdaptiveConv:
 class TestPredictOffsets:
     def test_canonical_bias_gives_canonical_grid(self, rng):
         cfg = toy_cfg()
-        wts = W.init_waterfall_weights(cfg, rng, offset_init="canonical")
-        feat = rng.standard_normal((1, cfg.head_width, 6, 6)).astype(np.float32)
+        wts = head_weights(cfg, rng, offset_init="canonical")
+        feat = rng.standard_normal((1, cfg.final_width, 6, 6)).astype(np.float32)
         off = W.predict_offsets(feat, wts, "head.kp.taps", T.Tape())
         np.testing.assert_allclose(off, W.canonical_offsets(1, 6, 6), atol=1e-7)
 
@@ -382,8 +390,8 @@ class TestPredictOffsets:
     def test_backward(self, rng):
         cfg = toy_cfg()
         wts = {k: v.astype(np.float64) for k, v in
-               W.init_waterfall_weights(cfg, rng, offset_init="random").items()}
-        feat = rng.standard_normal((1, cfg.head_width, 4, 4))
+               head_weights(cfg, rng, offset_init="random").items()}
+        feat = rng.standard_normal((1, cfg.final_width, 4, 4))
         gy = rng.standard_normal((1, 18, 4, 4))
         tape = T.Tape()
         off = W.predict_offsets(feat, wts, "head.kp.taps", tape)
@@ -404,10 +412,9 @@ class TestPredictOffsets:
 
 class TestHeads:
     def test_channel_counts_k17(self, rng):
-        cfg = W.WaterfallConfig(level_widths=(8, 8, 8, 8), low_level_width=4,
-                                branch_width=4, out_width=8, final_width=20,
+        cfg = W.WaterfallConfig(branch_width=4, out_width=8, final_width=20,
                                 keypoints=17, group_width=2)
-        wts = W.init_waterfall_weights(cfg, rng)
+        wts = head_weights(cfg, rng, PyramidConfig(widths=(8, 8, 8, 8), stem_width=4))
         f = rng.standard_normal((1, 20, 4, 4)).astype(np.float32)
         maps = W.heads_forward(f, wts, cfg, T.Tape())
         assert maps.heatmaps.shape == (1, 18, 4, 4)
@@ -415,16 +422,16 @@ class TestHeads:
 
     def test_minimal_config(self, rng):
         cfg = toy_cfg(keypoints=1, group_width=1)
-        wts = W.init_waterfall_weights(cfg, rng)
-        f = rng.standard_normal((2, cfg.head_width, 4, 4)).astype(np.float32)
+        wts = head_weights(cfg, rng)
+        f = rng.standard_normal((2, cfg.final_width, 4, 4)).astype(np.float32)
         maps = W.heads_forward(f, wts, cfg, T.Tape())
         assert maps.heatmaps.shape == (2, 2, 4, 4)
         assert maps.offsets.shape == (2, 2, 4, 4)
 
     def test_heatmaps_in_unit_interval(self, rng):
         cfg = toy_cfg()
-        wts = W.init_waterfall_weights(cfg, rng, offset_init="random")
-        f = rng.standard_normal((1, cfg.head_width, 6, 6)).astype(np.float32)
+        wts = head_weights(cfg, rng, offset_init="random")
+        f = rng.standard_normal((1, cfg.final_width, 6, 6)).astype(np.float32)
         maps = W.heads_forward(f, wts, cfg, T.Tape())
         assert np.all(maps.heatmaps > 0) and np.all(maps.heatmaps < 1)
         assert np.all(np.isfinite(maps.offsets))
@@ -436,22 +443,19 @@ class TestHeads:
 
 class TestFullModule:
     def test_shapes_at_paper_widths(self, rng):
-        from waterfallpose.backbone import PyramidConfig, init_backbone_weights, \
-            backbone_forward
         pyr = PyramidConfig()
         cfg = W.WaterfallConfig()
-        bw = init_backbone_weights(pyr, rng)
-        ww = W.init_waterfall_weights(cfg, rng)
+        wts = init_model_weights(pyr, cfg, seed=0)
         img = rng.standard_normal((1, 3, 256, 256)).astype(np.float32)
         tape = T.Tape()
-        p = backbone_forward(img, bw, pyr, tape)
-        maps = W.waterfall_module_forward(p, ww, cfg, tape)
+        p = backbone_forward(img, wts, pyr, tape)
+        maps = W.waterfall_module_forward(p, wts, cfg, tape)
         assert maps.heatmaps.shape == (1, 18, 64, 64)
         assert maps.offsets.shape == (1, 34, 64, 64)
 
     def test_zero_weights_center_half(self, rng):
         cfg = toy_cfg()
-        wts = {k: np.zeros_like(v) for k, v in W.init_waterfall_weights(cfg, rng).items()}
+        wts = {k: np.zeros_like(v) for k, v in head_weights(cfg, rng).items()}
         p = make_pyramid(rng)
         maps = W.waterfall_module_forward(p, wts, cfg, T.Tape())
         np.testing.assert_allclose(maps.heatmaps, 0.5)
@@ -460,21 +464,22 @@ class TestFullModule:
         for _ in range(6):
             widths = tuple(int(rng.integers(1, 7)) for _ in range(4))
             k = int(rng.integers(1, 4))
+            pyr = PyramidConfig(widths=widths, stem_width=int(rng.integers(1, 5)))
             cfg = W.WaterfallConfig(
-                level_widths=widths, low_level_width=int(rng.integers(1, 5)),
                 branch_width=int(rng.integers(1, 6)),
                 out_width=int(rng.integers(1, 9)),
                 final_width=int(rng.integers(k, k + 6)),
                 keypoints=k, group_width=int(rng.integers(1, 4)))
-            wts = W.init_waterfall_weights(cfg, rng)
-            p = make_pyramid(rng, widths=widths, low=cfg.low_level_width)
+            wts = head_weights(cfg, rng, pyr)
+            p = make_pyramid(rng, widths=widths, low=pyr.low_level_width)
             tape = T.Tape()
-            assert sum(f.shape[1] for f in p.levels) == sum(widths) == cfg.fused_width
+            assert sum(f.shape[1] for f in p.levels) == sum(widths) \
+                == wts["wf.branch0.w"].shape[1]
             cat = W.waterfall_forward(p, wts, cfg, tape)
             assert cat.shape[1] == 5 * cfg.branch_width
-            assert wts["wf.out.w"].shape[:2] == (cfg.waterfall_width, cat.shape[1])
+            assert wts["wf.out.w"].shape[:2] == (cfg.out_width, cat.shape[1])
             f_maps = W.fuse_low_level(p.low_level, cat, wts, cfg, tape)
-            assert f_maps.shape[1] == cfg.head_width
+            assert f_maps.shape[1] == cfg.final_width
             assert T.relative_error(
                 f_maps, layered_head_projection(cat, p.low_level, wts)) <= 1e-6
             maps = W.heads_forward(f_maps, wts, cfg, tape)
@@ -485,7 +490,7 @@ class TestFullModule:
         cfg = toy_cfg(branch_width=3, out_width=4, final_width=3,
                       keypoints=2, group_width=2)
         wts = {k: v.astype(np.float64) for k, v in
-               W.init_waterfall_weights(cfg, rng, offset_init="random").items()}
+               head_weights(cfg, rng, offset_init="random").items()}
         for name in wts:  # keep ReLU pre-activations off the exact kink
             if name.endswith(".b") and "taps" not in name:
                 wts[name] = rng.standard_normal(wts[name].shape) * 0.1
