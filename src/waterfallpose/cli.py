@@ -61,10 +61,11 @@ def _load_config(path: str | None) -> RunConfig:
         raise DataError(f"bad config {path}: {e}") from e
 
 
-def _read_file(path: str, binary=True):
+def _read_file(path: str, binary=True, read=lambda f: f.read()):
+    """read(f) of the open file, by default its whole contents."""
     try:
         with open(path, "rb" if binary else "r") as f:
-            return f.read()
+            return read(f)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
 
@@ -125,8 +126,9 @@ def _check_weights(weights: dict, cfg: RunConfig):
 
 def cmd_infer(args) -> int:
     cfg = _load_config(args.config)
-    weights, _, _, _ = dataio.load_checkpoint(
-        _read_file(args.checkpoint), expected_fingerprint=cfg.fingerprint())
+    fingerprint = cfg.fingerprint()
+    weights, _, _, _ = _read_file(
+        args.checkpoint, read=lambda f: dataio.load_checkpoint(f, fingerprint))
     _check_weights(weights, cfg)
     image = dataio.read_image_ppm(_read_file(args.image))
     padded = _pad_to_divisor(image, cfg.pyramid.divisor())

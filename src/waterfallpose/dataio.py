@@ -23,6 +23,7 @@ a reader converts all of a file's keypoint lists in one pass.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
@@ -246,28 +247,66 @@ def write_tensor(t: np.ndarray) -> bytes:
     return header + payload
 
 
-def read_tensor(data: bytes, offset: int = 0):
-    """Returns (tensor, bytes consumed from offset)."""
-    if data[offset: offset + 4] != TENSOR_MAGIC:
+class _Stream:
+    """Forward reads of a seekable binary stream whose size is taken once, so
+    a length is held to the bytes left before anything is read or allocated.
+    Positions count from where the stream stood."""
+
+    def __init__(self, f):
+        self._f = f
+        self.pos = 0
+        start = f.tell()
+        self.size = f.seek(0, io.SEEK_END) - start
+        f.seek(start)
+
+    def left(self) -> int:
+        return self.size - self.pos
+
+    def read(self, n: int) -> bytes:
+        """The next n bytes, or all that are left when fewer are."""
+        raw = self._f.read(min(n, self.left()))
+        self.pos += len(raw)
+        return raw
+
+    def readinto(self, arr: np.ndarray) -> int:
+        """Fills the contiguous array from the stream; returns the bytes read."""
+        got = self._f.readinto(arr)
+        self.pos += got
+        return got
+
+
+def _read_tensor(s: _Stream) -> np.ndarray:
+    """One tensor dump from the stream, its payload read into its own array."""
+    if s.read(4) != TENSOR_MAGIC:
         raise FormatError("bad tensor magic; not a tensor dump")
-    if len(data) < offset + 20:
+    header = s.read(16)
+    if len(header) < 16:
         raise FormatError("tensor dump truncated in header")
-    shape = struct.unpack_from("<4I", data, offset + 4)
+    shape = struct.unpack("<4I", header)
     count = math.prod(shape)   # exact: a forged header must not wrap to a small count
-    end = offset + 20 + 4 * count
-    if len(data) < end:
-        raise FormatError(
-            f"tensor dump truncated: expected {4 * count} payload bytes")
+    truncated = FormatError(f"tensor dump truncated: expected {4 * count} payload bytes")
+    if s.left() < 4 * count:
+        raise truncated
     # an empty tensor's other extents must still describe an array numpy can index
     if 4 * math.prod(e or 1 for e in shape) > np.iinfo(np.intp).max:
         raise FormatError(f"tensor dump extents {list(shape)} are too large")
-    arr = np.frombuffer(data[offset + 20: end], dtype="<f4").reshape(shape)
+    arr = np.empty(shape, dtype="<f4")
+    if s.readinto(arr) < 4 * count:     # the stream ended early
+        raise truncated
     # min and max carry any NaN or infinity without a tensor-sized temporary;
     # freeing one raises glibc's mmap threshold and slowed the next forward
     # pass by about 10 %
     if count and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise FormatError("tensor dump holds a non-finite value")
-    return np.ascontiguousarray(arr), end - offset
+    return arr
+
+
+def read_tensor(data: bytes, offset: int = 0):
+    """Returns (tensor, bytes consumed from offset)."""
+    f = io.BytesIO(data)
+    f.seek(offset)
+    s = _Stream(f)
+    return _read_tensor(s), s.pos
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +366,22 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def _unpack(fmt: str, data: bytes, offset: int):
-    """(struct.unpack_from values, end offset); a short buffer is a FormatError."""
-    end = offset + struct.calcsize(fmt)
-    if len(data) < end:
-        raise FormatError(f"checkpoint truncated at byte {len(data)}")
-    return struct.unpack_from(fmt, data, offset), end
+def _take(s: _Stream, n: int) -> bytes:
+    """The next n bytes of a checkpoint; a short stream is a FormatError."""
+    if s.left() < n:
+        raise FormatError(f"checkpoint truncated at byte {s.size}")
+    return s.read(n)
 
 
-def _unpack_str(data: bytes, offset: int):
-    (n,), start = _unpack("<I", data, offset)
-    (raw,), end = _unpack(f"{n}s", data, start)
+def _unpack(fmt: str, s: _Stream):
+    return struct.unpack(fmt, _take(s, struct.calcsize(fmt)))
+
+
+def _unpack_str(s: _Stream) -> str:
+    (n,) = _unpack("<I", s)
+    start = s.pos
     try:
-        return raw.decode(), end
+        return _take(s, n).decode()
     except UnicodeDecodeError as e:
         raise FormatError(f"checkpoint string at byte {start} is not UTF-8") from e
 
@@ -372,40 +414,52 @@ def save_checkpoint(weights: dict, optim_state, epoch: int, fingerprint: str) ->
     return b"".join(out)
 
 
-def load_checkpoint(data: bytes, expected_fingerprint: str | None = None):
-    """Returns (weights, optim_state or None, epoch, fingerprint)."""
-    if data[:4] != CHECKPOINT_MAGIC:
+def load_checkpoint(source, expected_fingerprint: str | None = None):
+    """Returns (weights, optim_state or None, epoch, fingerprint).
+
+    source is the checkpoint's bytes or a binary file, read from where it
+    stands to its end. Bytes are read through io.BytesIO, and so is a file
+    that cannot seek (a pipe), read whole first; so every source takes one
+    parse path, which checks each tensor's extents against the bytes left
+    before it allocates, then reads the payload straight into the tensor's
+    own array.
+    """
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        source = io.BytesIO(source)
+    elif not source.seekable():
+        source = io.BytesIO(source.read())
+    s = _Stream(source)
+    if s.read(4) != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic")
-    (version, epoch), pos = _unpack("<II", data, 4)
+    version, epoch = _unpack("<II", s)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    fingerprint, pos = _unpack_str(data, pos)
+    fingerprint = _unpack_str(s)
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise FormatError(
             "checkpoint was written under a different configuration "
             f"(fingerprint {fingerprint[:12]}... != {expected_fingerprint[:12]}...)")
-    meta, pos = _unpack_str(data, pos)
+    meta = _unpack_str(s)
     try:
         shapes = json.loads(meta)
     except ValueError as e:               # JSONDecodeError, or an over-long integer
         raise FormatError(f"checkpoint shape table is not valid JSON: {e}") from e
     if not isinstance(shapes, dict):
         raise FormatError("checkpoint shape table must be a JSON object")
-    (count,), pos = _unpack("<I", data, pos)
+    (count,) = _unpack("<I", s)
     entries = {}
     last = None
     for _ in range(count):
-        start = pos
-        name, pos = _unpack_str(data, pos)
+        start = s.pos
+        name = _unpack_str(s)
         if last is not None and name <= last:
             raise FormatError(f"checkpoint entry {name!r} at byte {start} is repeated "
                               "or out of order; entries are sorted by name")
         last = name
         try:
-            t, used = read_tensor(data, pos)
+            t = _read_tensor(s)
         except FormatError as e:
             raise FormatError(f"checkpoint entry {name!r}: {e}") from None
-        pos += used
         if name in shapes:
             try:
                 t = t.reshape(shapes[name])
@@ -413,8 +467,8 @@ def load_checkpoint(data: bytes, expected_fingerprint: str | None = None):
                 raise FormatError(f"checkpoint entry {name!r} does not fit its "
                                   f"shape {shapes[name]!r}") from e
         entries[name] = t
-    if pos != len(data):
-        raise FormatError(f"checkpoint has trailing bytes from byte {pos} on")
+    if s.left():
+        raise FormatError(f"checkpoint has trailing bytes from byte {s.pos} on")
     weights = {k[len("weights/"):]: v for k, v in entries.items()
                if k.startswith("weights/")}
     optim = None

@@ -279,6 +279,10 @@ def bilinear_resize_backward(x_shape, gy: np.ndarray) -> np.ndarray:
 
 # corner (row, col) steps of a bilinear read, in the order they are summed
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# the most gathered (points, C) row bytes bilinear_sample holds per block:
+# two such buffers and a block's share of the table fit a 2 MiB L2 cache,
+# which one pass over a 120-channel 32x32 map's 4.4 MB of rows overflows
+SAMPLE_BLOCK_BYTES = 512 << 10
 
 
 def bilinear_sample(x: np.ndarray, rows: np.ndarray, cols: np.ndarray):
@@ -296,7 +300,9 @@ def bilinear_sample(x: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     clipped point is a map pixel or a frame pixel, and the four corner indices
     are top_left + (0, 1, W+4, W+5). The corners are gathered and accumulated
     one at a time, so each value is ((v0*w0 + v1*w1) + v2*w2) + v3*w3 in
-    _CORNERS order.
+    _CORNERS order. That is done over each sample's points in even blocks of
+    at most SAMPLE_BLOCK_BYTES of gathered rows; every step is elementwise,
+    so the blocks change no value.
     """
     n, c, h, w = x.shape
     fh, fw = h + 4, w + 4
@@ -327,21 +333,31 @@ def bilinear_sample(x: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     planes = planes.reshape(n * fh * fw, c)
     flat = index.reshape(4, -1)
     wcol = weight.reshape(4, -1, 1)
-    out = np.empty((flat.shape[1], c), dtype=x.dtype)      # (M, C)
+    p = int(np.prod(rows.shape[1:]))                        # points per sample
+    sampled = np.empty((n, c, p), dtype=x.dtype)
+    # each sample's points in even blocks of at most SAMPLE_BLOCK_BYTES of
+    # gathered rows, so a block's gathers, weighting and transpose stay in cache
+    blocks = max(1, -(-p * c * x.itemsize // SAMPLE_BLOCK_BYTES))
+    step = max(1, -(-p // blocks))
+    out = np.empty((min(step, p), c), dtype=x.dtype)       # (points, C)
     buf = np.empty_like(out)
-    # every index is in range, so mode="clip" only skips the bounds check
-    # (and the copy np.take makes of out= under the default mode="raise")
-    np.take(planes, flat[0], axis=0, out=out, mode="clip")
-    out *= wcol[0]
-    for k in range(1, 4):
-        np.take(planes, flat[k], axis=0, out=buf, mode="clip")
-        buf *= wcol[k]
-        out += buf
-    # one transposing pass to channel-first; adding 0.0 there turns a sum of
-    # four -0.0 terms into +0.0, so every value is bit for bit the sum
-    # 0 + v0*w0 + v1*w1 + v2*w2 + v3*w3 taken left to right
-    sampled = np.empty((n, c, out.shape[0] // n), dtype=x.dtype)
-    np.add(out.reshape(n, -1, c).transpose(0, 2, 1), 0.0, out=sampled)
+    for i in range(n):
+        for lo in range(0, p, step):
+            hi = min(lo + step, p)
+            pts = slice(i * p + lo, i * p + hi)
+            o, b = out[:hi - lo], buf[:hi - lo]
+            # every index is in range, so mode="clip" only skips the bounds
+            # check (and the copy np.take makes of out= under mode="raise")
+            np.take(planes, flat[0, pts], axis=0, out=o, mode="clip")
+            o *= wcol[0, pts]
+            for k in range(1, 4):
+                np.take(planes, flat[k, pts], axis=0, out=b, mode="clip")
+                b *= wcol[k, pts]
+                o += b
+            # the transposing pass to channel-first; adding 0.0 there turns a
+            # sum of four -0.0 terms into +0.0, so every value is bit for bit
+            # the sum 0 + v0*w0 + v1*w1 + v2*w2 + v3*w3 taken left to right
+            np.add(o.T, 0.0, out=sampled[i, :, lo:hi])
     return sampled.reshape((n, c) + rows.shape[1:]), (x.shape, index, weight, fr, fc, planes)
 
 
@@ -411,7 +427,10 @@ def relu_backward(x: np.ndarray, gy: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    # exp(-x) overflows to inf below about -88.7 in float32 (-709 in
+    # float64), where 1 / (1 + inf) is the right value, 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid_backward(y: np.ndarray, gy: np.ndarray) -> np.ndarray:

@@ -22,6 +22,11 @@ class TrainingError(RuntimeError):
     pass
 
 
+# heatmap Gaussians divide by 2·sigma², which over this range lies in
+# [2e-6, 2e6], a normal float64; a typical sigma is 1-4 heatmap pixels
+SIGMA_RANGE = (1e-3, 1e3)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 140
@@ -42,9 +47,13 @@ class TrainConfig:
         for name in ("epochs", "checkpoint_every"):   # checkpoint_every 0: none
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ("base_lr", "lr_factor", "sigma", "offset_radius"):
+        for name in ("base_lr", "lr_factor", "offset_radius"):
             if not 0.0 < getattr(self, name) < math.inf:   # also false for nan
                 raise ValueError(f"{name} must be finite and positive")
+        lo, hi = SIGMA_RANGE
+        if not lo <= self.sigma <= hi:
+            raise ValueError(f"train.sigma must be finite and lie in [{lo:g}, {hi:g}], "
+                             f"got {self.sigma!r}")
         for name in ("heatmap_weight", "offset_weight"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
@@ -321,13 +330,16 @@ def train_loop(samples, weights: dict, pyr: PyramidConfig, wf: WaterfallConfig,
             heat_t = render_keypoint_heatmaps(heat_anns, k, hh, hw, cfg.sigma)
             off_t, off_m, off_s = render_offset_targets(
                 heat_anns, k, hh, hw, cfg.offset_radius)
-            maps, tape = model_forward(image_a, weights, pyr, wf)
-            total, lh, lo, gh, go = total_loss(maps, heat_t, off_t, off_m,
-                                               off_s, cfg)
-            if not np.isfinite(total):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, sample {int(idx)}")
-            grads = model_backward(tape, maps, gh, go)
+            # weights or loss weights that overflow float32 on the way are
+            # reported by the finite checks below, so the warnings are not wanted
+            with np.errstate(all="ignore"):
+                maps, tape = model_forward(image_a, weights, pyr, wf)
+                total, lh, lo, gh, go = total_loss(maps, heat_t, off_t, off_m,
+                                                   off_s, cfg)
+                if not np.isfinite(total):
+                    raise TrainingError(
+                        f"non-finite loss at epoch {epoch}, sample {int(idx)}")
+                grads = model_backward(tape, maps, gh, go)
             # a finite loss can still carry a NaN or inf gradient into Adam
             bad = next((name for name in sorted(grads)
                         if not np.isfinite(grads[name]).all()), None)

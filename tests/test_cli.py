@@ -2,7 +2,9 @@ import contextlib
 import ctypes
 import io
 import json
+import os
 import platform
+import threading
 import warnings
 from types import SimpleNamespace
 
@@ -299,6 +301,28 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "over the budget" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("train.base_lr = 1e30", "non-finite loss at epoch 0"),
+        ("train.heatmap_weight = 1e300", "non-finite gradient at epoch 0"),
+    ])
+    def test_train_overflow_is_one_line_without_warnings(self, workdir, capsys,
+                                                         line, message):
+        # two images, so a step with weights the first one blew up can follow
+        tmp, _ = workdir
+        ds = dataio.parse_annotations((tmp / "data.json").read_text())
+        ds.images.append(dataio.ImageRecord(2, "img0.ppm", 64, 64))
+        ds.annotations[2], ds.ann_ids[2] = ds.annotations[1], [3, 4]
+        (tmp / "two.json").write_text(dataio.serialize_annotations(ds))
+        (tmp / "bad.cfg").write_text(TOY_CONFIG + line + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", str(tmp / "bad.cfg"),
+                         "--dataset", str(tmp / "two.json"),
+                         "--images", str(tmp), "--out", str(tmp / "run")])
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert code == 2 and len(err.splitlines()) == 1 and message in err
+
     @pytest.mark.parametrize("line", [
         "train.scale_max = inf", "train.rotation_deg = nan", "train.translate_px = inf",
     ])
@@ -405,6 +429,29 @@ SCALAR_KEYS = ("pyramid.stem_width", "pyramid.base_stride", "pyramid.num_blocks"
                "waterfall.keypoints", "waterfall.group_width")
 CONFIG_EDITS = [(key, i) for key, values in LIST_KEYS.items() for i in range(len(values))] \
     + [(key, None) for key in SCALAR_KEYS]
+
+
+class TestCheckpointSource:
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_checkpoint_from_a_pipe(self, toy_infer, tmp_path):
+        tmp, _, _, poses = toy_infer
+        fifo = tmp_path / "ckpt.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes,
+                                  args=((tmp / "ckpt.bin").read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            assert _quiet_infer(tmp, tmp / "toy.cfg", fifo) == (0, "")
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert (tmp / "poses.json").read_bytes() == poses
+
+    def test_checkpoint_directory_is_data_error(self, toy_infer, tmp_path):
+        tmp = toy_infer[0]
+        code, err = _quiet_infer(tmp, tmp / "toy.cfg", tmp_path)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and f"cannot read {tmp_path}" in err
 
 
 class TestContractProperties:

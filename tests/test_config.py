@@ -86,6 +86,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             parse_config(line)
 
+    @pytest.mark.parametrize("value", ["1e-300", "1e-160", "1e-4", "1001", "1e200"])
+    def test_sigma_outside_its_range_rejected(self, value):
+        # 2·sigma² must be a normal float64: 0, subnormal and inf are refused
+        with pytest.raises(ConfigError, match=r"train\.sigma must be finite and lie in"):
+            parse_config(f"train.sigma = {value}")
+
+    @pytest.mark.parametrize("value", ["1e-3", "3", "1e3"])
+    def test_sigma_range_is_inclusive(self, value):
+        assert parse_config(f"train.sigma = {value}").train.sigma == float(value)
+
     @pytest.mark.parametrize("line", [
         "train.scale_max = inf", "train.scale_min = nan", "train.scale_min = 2",
     ])

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,88 @@ class TestCheckpoint:
         blob = D.save_checkpoint(self._weights(rng), None, 3, "fp")
         with pytest.raises(D.FormatError, match=f"trailing bytes from byte {len(blob)} on"):
             D.load_checkpoint(blob + b"garbage")
+
+
+def _outcome(load):
+    """What a load gives: every entry's shape, dtype and bytes, or the
+    FormatError's message."""
+    try:
+        weights, optim, epoch, fingerprint = load()
+    except D.FormatError as e:
+        return str(e)
+    tensors = dict(weights)
+    if optim is not None:
+        tensors.update({f"{g}/{k}": v for g in ("m", "v") for k, v in optim[g].items()})
+        tensors["step"] = optim["step"]
+    return epoch, fingerprint, {k: (v.shape, v.dtype.str, v.tobytes()) if
+                                isinstance(v, np.ndarray) else v for k, v in tensors.items()}
+
+
+class TestCheckpointStream:
+    """A checkpoint file on disk loads as its bytes do, tensor by tensor."""
+
+    @pytest.fixture
+    def disk(self, tmp_path):
+        """load(data): load_checkpoint of data written to an open file on disk."""
+        with open(tmp_path / "ckpt.bin", "w+b") as f:
+            def load(data):
+                f.seek(0)
+                f.truncate()
+                f.write(data)
+                f.flush()
+                f.seek(0)
+                return D.load_checkpoint(f)
+            yield load
+
+    @staticmethod
+    def _blob(rng):
+        w = {"a.w": rng.standard_normal((2, 3, 3, 3)).astype(np.float32),
+             "a.b": rng.standard_normal(2).astype(np.float32)}
+        return D.save_checkpoint(w, {"step": 7, "m": w, "v": w}, 2, "fp")
+
+    def test_file_and_bytes_load_bitwise_equal(self, disk):
+        got = _outcome(lambda: disk(_CHECKPOINT))
+        assert not isinstance(got, str) and got == _outcome(lambda: D.load_checkpoint(_CHECKPOINT))
+        assert len(got[2]) == 2 * 3 + 1
+
+    def test_every_prefix_is_the_same_format_error(self, disk, rng):
+        blob = self._blob(rng)
+        for end in range(len(blob)):
+            got = _outcome(lambda: disk(blob[:end]))
+            assert isinstance(got, str) and got == _outcome(lambda: D.load_checkpoint(blob[:end]))
+
+    def test_every_byte_mutation_has_the_same_outcome(self, disk, rng):
+        blob = self._blob(rng)
+        for pos in range(len(blob)):
+            for value in (0x00, 0x7F, 0xFF, ord('"')):
+                mutated = bytearray(blob)
+                mutated[pos] = value
+                assert _outcome(lambda: disk(bytes(mutated))) == \
+                    _outcome(lambda: D.load_checkpoint(bytes(mutated)))
+
+    def test_forged_extent_is_refused_before_allocating(self, tmp_path):
+        # a 1 MB file whose first entry claims a 1 GiB payload
+        blob = D.save_checkpoint({"a": np.ones(2, dtype=np.float32),
+                                  "b": np.zeros(2 ** 18, dtype=np.float32)}, None, 0, "fp")
+        at = blob.index(D.TENSOR_MAGIC) + 4
+        forged = blob[:at] + struct.pack("<4I", 1, 1, 1, 2 ** 28) + blob[at + 16:]
+        (tmp_path / "forged.bin").write_bytes(forged)
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "forged.bin", "rb") as f, pytest.raises(
+                    D.FormatError, match="entry 'weights/a': tensor dump truncated"):
+                D.load_checkpoint(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(forged) / 4
+
+    def test_read_from_where_the_stream_stands(self, tmp_path):
+        (tmp_path / "ckpt.bin").write_bytes(b"junk" + _CHECKPOINT)
+        with open(tmp_path / "ckpt.bin", "rb") as f:
+            f.seek(4)
+            got = _outcome(lambda: D.load_checkpoint(f))
+        assert got == _outcome(lambda: D.load_checkpoint(_CHECKPOINT))
 
 
 class TestResults:

@@ -383,6 +383,67 @@ class TestSamplePlanes:
             assert T.relative_error(got[smooth], num[smooth]) <= 1e-6
 
 
+class TestSampleBlocks:
+    """bilinear_sample's blocks of points change no value and no cache."""
+
+    @settings(max_examples=150)
+    @given(sample_cases(), st.data())
+    def test_blocked_reads_equal_corner_loop_bitwise(self, case, data):
+        x, rows, cols, gy = case
+        points = int(np.prod(rows.shape[1:]))
+        # from one point per block, through blocks that split a sample's
+        # points, to one block that covers them
+        per_block = data.draw(st.integers(1, points + 1))
+        budget = per_block * x.shape[1] * x.itemsize - data.draw(st.integers(0, 1))
+        whole, whole_cache = T.bilinear_sample(x, rows, cols)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "SAMPLE_BLOCK_BYTES", max(budget, 1))
+            out, cache = T.bilinear_sample(x, rows, cols)
+        assert _bits(out) == _bits(_sample_reference(x, rows, cols)) == _bits(whole)
+        for got, want in zip(T.bilinear_sample_backward(cache, gy),
+                             T.bilinear_sample_backward(whole_cache, gy)):
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("c, blocks", [(120, 9), (15, 2), (4, 1)])
+    def test_block_count_at_a_32x32_map(self, c, blocks, monkeypatch):
+        # the nine taps of an adaptive conv over a 32x32 map: 9,216 points
+        taken, take = [], np.take
+
+        def counting_take(table, indices, *args, **kwargs):
+            taken.append(len(indices))
+            return take(table, indices, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counting_take)
+        x = np.ones((1, c, 32, 32), dtype=np.float32)
+        rows = np.broadcast_to(np.arange(32.0).reshape(1, 1, 32, 1), (1, 9, 32, 32))
+        out, _ = T.bilinear_sample(x, rows, rows.transpose(0, 1, 3, 2))
+        assert len(taken) == 4 * blocks and sum(taken) == 4 * 9 * 32 * 32
+        assert out.shape == (1, c, 9, 32, 32) and (out == 1).all()
+
+
+    def test_no_points_reads_nothing(self, rng):
+        x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
+        out, cache = T.bilinear_sample(x, np.zeros((2, 0)), np.zeros((2, 0)))
+        gx, grows, gcols = T.bilinear_sample_backward(cache, np.zeros((2, 3, 0), np.float32))
+        assert out.shape == (2, 3, 0) and grows.shape == gcols.shape == (2, 0)
+        assert gx.shape == x.shape and not gx.any()
+        out, _ = T.bilinear_sample(x[:0], np.zeros((0, 7)), np.zeros((0, 7)))
+        assert out.shape == (0, 3, 7)
+
+
+def test_sigmoid_saturates_without_overflow_warning():
+    for dtype in (np.float32, np.float64):
+        x = np.array([-1e4, -88.8, -88.7, 0.0, 88.7, 1e4], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = T.sigmoid(x)
+            scalar = T.sigmoid(dtype(-1000))
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x))
+        assert y.dtype == dtype and _bits(y) == _bits(want)
+        assert scalar == 0.0 and y[0] == 0.0 and y[-1] == 1.0
+
+
 class TestGeometryCaches:
     """The conv plan and resize matrix caches are keyed on the whole
     geometry: calls that interleave geometries each get their own."""
