@@ -63,12 +63,21 @@ def conv2d_naive(x, w, b, spec):
     return y
 
 
-def layered_head_projection(cat, low_level, weights):
-    """Stage 3 layer by layer, the oracle for waterfall.head_projection:
-    wf.out over the waterfall concat plus llf.proj over the low-level map,
-    then llf.mid and llf.out, each one conv2d."""
+def _resized(x, h, w):
+    """x bilinearly resized to h x w: R_h x R_w^T."""
+    rh, rw = (T.resize_matrix(n, size, 0, x.dtype) for n, size in zip(x.shape[2:], (h, w)))
+    return rh @ x @ rw.T
+
+
+def layered_head_projection(branches, pooled, low_level, weights):
+    """Stage 3 layer by layer, the oracle for waterfall.head_projection: the
+    pooled (N, C, 1, 1) branch resized to the branches' extents and
+    concatenated after them, wf.out over that concat plus llf.proj over the
+    low-level map, then llf.mid and llf.out, each one conv2d."""
     def conv(x, layer):
         return T.conv2d(x, weights[layer + ".w"], weights[layer + ".b"], W.S1)
+    h, w = low_level.shape[2:]
+    cat = T.concat_channels([*branches, _resized(pooled, h, w)])
     return conv(conv(conv(cat, "wf.out") + conv(low_level, "llf.proj"), "llf.mid"), "llf.out")
 
 
@@ -79,7 +88,7 @@ def layered_pyramid_branch(levels, weights, dilation):
     then wf.branch0's conv2d over g0 (before its ReLU), and the pool of g0.
     Returns (conv output, pooled g0)."""
     h, w = levels[0].shape[2:]
-    g0 = T.concat_channels([levels[0]] + [T.bilinear_resize(f, h, w) for f in levels[1:]])
+    g0 = T.concat_channels([levels[0]] + [_resized(f, h, w) for f in levels[1:]])
     spec = T.ConvSpec(3, 3, pad_h=dilation, pad_w=dilation, dilation=dilation)
     y = T.conv2d(g0, weights["wf.branch0.w"], weights["wf.branch0.b"], spec)
     return y, T.global_avg_pool(g0)
@@ -115,12 +124,6 @@ def gradient_checks():
     record("global_avg_pool", _grad_vs_numeric(
         T.global_avg_pool_backward(x.shape, gp),
         lambda v: float((T.global_avg_pool(v) * gp).sum()), x))
-
-    # resize
-    gr = rng.standard_normal((1, 2, 5, 9))
-    record("bilinear_resize", _grad_vs_numeric(
-        T.bilinear_resize_backward(x.shape, gr),
-        lambda v: float((T.bilinear_resize(v, 5, 9) * gr).sum()), x))
 
     # point sampling at four (row, col) points
     pts = rng.uniform(0.3, 5.7, size=(4, 2))
@@ -198,18 +201,20 @@ def gradient_checks():
     results.append(("full_model/sampled_params", worst <= GRAD_TOL,
                     f"worst rel err {worst:.2e}"))
 
-    # stage 3's folded affine map, through each of its ten operands
-    cat = rng.standard_normal((2, 5 * wf.branch_width, 3, 4))
+    # stage 3's folded affine map, through each of its fourteen operands
+    branches = [rng.standard_normal((2, wf.branch_width, 3, 4)) for _ in range(4)]
+    pooled = rng.standard_normal((2, wf.branch_width, 1, 1))
     low = rng.standard_normal((2, pyr.low_level_width, 3, 4))
-    operands = [cat, low] + [weights[name] for name in W.HEAD_PROJECTION_WEIGHTS]
+    operands = branches + [pooled, low] + [weights[name] for name in W.HEAD_PROJECTION_WEIGHTS]
     gp = rng.standard_normal((2, wf.final_width, 3, 4))
-    _, cache = W.head_projection(cat, low, operands[2:])
+    _, cache = W.head_projection(branches, pooled, low, operands[6:])
     grads_hp = W.head_projection_backward(cache, gp)
-    for i, name in enumerate(("cat", "low_level") + W.HEAD_PROJECTION_WEIGHTS):
+    names = [f"branch{i}" for i in range(4)] + ["pooled", "low_level"]
+    for i, name in enumerate(names + list(W.HEAD_PROJECTION_WEIGHTS)):
         def f(v, i=i):
             trial = list(operands)
             trial[i] = v.reshape(operands[i].shape)
-            return float((W.head_projection(trial[0], trial[1], trial[2:])[0] * gp).sum())
+            return float((W.head_projection(trial[:4], *trial[4:6], trial[6:])[0] * gp).sum())
         record("head_projection/" + name, _grad_vs_numeric(grads_hp[i], f, operands[i]))
 
     # the first waterfall branch over the pyramid, through each level and wf.branch0
@@ -360,10 +365,13 @@ def selftest_checks():
                             if not name.startswith("backbone.")}, rng)
     for name in W.HEAD_PROJECTION_WEIGHTS[1::2]:    # biases start at zero; give c a part
         weights[name] = rng.standard_normal(weights[name].shape).astype(np.float32)
-    cat = rng.standard_normal((1, 5 * wf.branch_width, 6, 6)).astype(np.float32)
+    branches = [rng.standard_normal((1, wf.branch_width, 6, 6)).astype(np.float32)
+                for _ in range(4)]
+    pooled = rng.standard_normal((1, wf.branch_width, 1, 1)).astype(np.float32)
     low = rng.standard_normal((1, pyr.low_level_width, 6, 6)).astype(np.float32)
-    folded, _ = W.head_projection(cat, low, [weights[n] for n in W.HEAD_PROJECTION_WEIGHTS])
-    err = T.relative_error(folded, layered_head_projection(cat, low, weights))
+    folded, _ = W.head_projection(branches, pooled, low,
+                                  [weights[n] for n in W.HEAD_PROJECTION_WEIGHTS])
+    err = T.relative_error(folded, layered_head_projection(branches, pooled, low, weights))
     record("head_projection_oracle", err <= 1e-5, f"rel err {err:.2e}")
 
     # the first waterfall branch and the per-level pool against the fused

@@ -53,7 +53,9 @@ def nms_peaks(plane: np.ndarray, cfg: DecodeConfig):
     if plane.ndim != 2:
         raise T.ShapeError(f"expected a 2-d plane, got shape {plane.shape}")
     h, w = plane.shape
-    r = cfg.nms_window // 2
+    # a window past the plane adds only -inf padding, so the peaks are those
+    # of the window that just covers it
+    r = min(cfg.nms_window // 2, max(h, w, 1) - 1)
     padded = np.full((h + 2 * r, w + 2 * r), -np.inf, dtype=np.float64)
     padded[r: r + h, r: r + w] = plane
     is_peak = plane >= cfg.center_threshold

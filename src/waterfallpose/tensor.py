@@ -228,7 +228,8 @@ def resize_matrix(in_size: int, out_size: int, shift: int, dtype) -> np.ndarray:
     zero where o + shift is off the output. So it resizes a map and reads
     the result at offset shift with zero fill, as a conv tap at that offset
     does. Unshifted, row o weights the two input taps around o's source
-    coordinate, taken align-corners-false and clamped to the edge. Costs
+    coordinate, taken align-corners-false and clamped to the edge: a map
+    resizes as R_h x R_w^T, and from one pixel as a broadcast. Costs
     O(out_size * in_size) for any shift. Cached and read-only, since every
     caller shares it; a model forward uses up to about 20 per input size."""
     m = np.zeros((out_size, in_size), dtype=dtype)
@@ -248,33 +249,6 @@ def resize_matrix(in_size: int, out_size: int, shift: int, dtype) -> np.ndarray:
         m[rows, hi] += frac
     m.flags.writeable = False
     return m
-
-
-def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize the spatial extents by bilinear interpolation: the resize is
-    separable, y = Rh x Rw^T per plane.
-
-    Same-size resize returns a bitwise copy of the input.
-    """
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(f"output extents must be positive, got {out_h}x{out_w}")
-    n, c, h, w = x.shape
-    if (out_h, out_w) == (h, w):
-        return x.copy()
-    rh = resize_matrix(h, out_h, 0, x.dtype)
-    rw = resize_matrix(w, out_w, 0, x.dtype)
-    return np.matmul(np.matmul(rh, x), rw.T)
-
-
-def bilinear_resize_backward(x_shape, gy: np.ndarray) -> np.ndarray:
-    """Adjoint of y = Rh x Rw^T: gx = Rh^T gy Rw."""
-    n, c, h, w = x_shape
-    out_h, out_w = gy.shape[2], gy.shape[3]
-    if (out_h, out_w) == (h, w):
-        return gy.copy()
-    rh = resize_matrix(h, out_h, 0, gy.dtype)
-    rw = resize_matrix(w, out_w, 0, gy.dtype)
-    return np.matmul(np.matmul(rh.T, gy), rw)
 
 
 # corner (row, col) steps of a bilinear read, in the order they are summed
@@ -512,10 +486,6 @@ class Tape:
     def pool(self, x):
         return self.record(global_avg_pool(x), (x,),
                            lambda gy: (global_avg_pool_backward(x.shape, gy),))
-
-    def resize(self, x, out_h: int, out_w: int):
-        return self.record(bilinear_resize(x, out_h, out_w), (x,),
-                           lambda gy: (bilinear_resize_backward(x.shape, gy),))
 
     def concat(self, parts):
         parts = tuple(parts)

@@ -47,6 +47,8 @@ class TrainConfig:
         for name in ("epochs", "checkpoint_every"):   # checkpoint_every 0: none
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.seed < 0:   # numpy's generators take non-negative seeds only
+            raise ValueError(f"train.seed must be non-negative, got {self.seed}")
         for name in ("base_lr", "lr_factor", "offset_radius"):
             if not 0.0 < getattr(self, name) < math.inf:   # also false for nan
                 raise ValueError(f"{name} must be finite and positive")

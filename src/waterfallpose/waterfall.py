@@ -11,15 +11,16 @@ Every stage's output is at base resolution. Stages:
                          (pyramid_branch), and the pooled branch pools each
                          level; both are exact in real arithmetic.
   2. waterfall_forward - four sequential 3x3 convolutions at increasing
-                         dilation, each feeding the next; their outputs plus a
-                         pooled branch are concatenated.
-  3. fuse_low_level    - the waterfall 1x1 (wf.out) over that concat, plus the
-                         projected low-level map, then two more 1x1 stages, the
-                         last cutting the width to final_width (by default a
-                         quarter of the fused width). No nonlinearity sits
-                         between these four 1x1 layers, so the stage runs as the
-                         one affine map they compose to (head_projection), exact
-                         in real arithmetic.
+                         dilation, each feeding the next: it returns their
+                         maps and the pooled branch's (N, C, 1, 1) vector p.
+  3. fuse_low_level    - the waterfall 1x1 (wf.out) over the four maps and p,
+                         plus the projected low-level map, then two more 1x1
+                         stages, the last cutting the width to final_width. No
+                         nonlinearity sits between these four 1x1 layers, so the
+                         stage runs as the one affine map they compose to
+                         (head_projection), y = sum_i A_i branch_i + B low +
+                         (A_p p + c), p a per-image bias; exact in real
+                         arithmetic.
   4. heads_forward     - a keypoint head (adaptive conv, sigmoid scores for
                          each joint plus a person-center channel) and a
                          disentangled offset head (one adaptive-conv group per
@@ -184,9 +185,9 @@ def waterfall_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig, ta
     the tape as one kernel; each branch output feeds the next branch. The
     pooled branch pools each level: an integer-factor bilinear upsample
     spreads every input pixel over the same total weight, so a resized
-    level's mean is the level's own. Returns the concat of the four branch
-    outputs and the pooled branch, 5 * cfg.branch_width channels; the 1x1
-    that brings it to cfg.out_width runs in fuse_low_level.
+    level's mean is the level's own. Returns (the four branch outputs, the
+    pooled branch's (N, cfg.branch_width, 1, 1) wf.pool output); the 1x1
+    that brings them to cfg.out_width runs in fuse_low_level.
     """
     n, _, h, w = p.levels[0].shape
     for lv, f in enumerate(p.levels):
@@ -199,14 +200,13 @@ def waterfall_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig, ta
                               cfg.dilations[0])
     x = tape.relu(tape.record(y, (*p.levels, *names),
                               lambda gy: pyramid_branch_backward(cache, gy)))
-    outs = [x]
+    branches = [x]
     for i, d in enumerate(cfg.dilations[1:], start=1):
         spec = T.ConvSpec(3, 3, pad_h=d, pad_w=d, dilation=d)
         x = tape.relu(tape.conv(x, weights, f"wf.branch{i}", spec))
-        outs.append(x)
+        branches.append(x)
     pooled = tape.concat([tape.pool(f) for f in p.levels])
-    outs.append(tape.resize(tape.conv(pooled, weights, "wf.pool", S1), h, w))
-    return tape.concat(outs)
+    return branches, tape.conv(pooled, weights, "wf.pool", S1)
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +227,26 @@ def _layer_matrix(layer: str, w: np.ndarray, b: np.ndarray, cin: int) -> np.ndar
     return w.reshape(w.shape[0], cin)
 
 
-def head_projection(cat: np.ndarray, low_level: np.ndarray, params):
-    """Stage 3 as one affine map: y = A @ cat + B @ low_level + c per pixel.
+def head_projection(branches, pooled: np.ndarray, low_level: np.ndarray, params):
+    """Stage 3 as one affine map: y = sum_i A_i @ branch_i + B @ low_level
+    + (A_p @ p + c) per pixel, with p the (N, C, 1, 1) pooled branch.
 
-    params are the eight arrays named by HEAD_PROJECTION_WEIGHTS. With M(.)
-    the (Cout, Cin) matrix of a 1x1 weight, O = M(llf.out) M(llf.mid),
-    A = O M(wf.out), B = O M(llf.proj) and
+    The layers read cat, the branches and p upsampled to their extents, whose
+    upsample from 1x1 is an exact broadcast: so p is a per-image bias and cat
+    is never formed. params are the eight arrays named by
+    HEAD_PROJECTION_WEIGHTS. With M(.) the (Cout, Cin) matrix of a 1x1 weight,
+    O = M(llf.out) M(llf.mid), A = O M(wf.out), whose column-block views A_i
+    and A_p read cat's parts, B = O M(llf.proj) and
     c = O (b_wf + b_proj) + M(llf.out) b_mid + b_out, which equals the layered
     chain in real arithmetic; in floating point the sums are re-associated.
     Returns (y, cache).
     """
     w_wf, b_wf, w_proj, b_proj, w_mid, b_mid, w_out, b_out = params
-    n, _, h, w = cat.shape
-    m_wf = _layer_matrix("wf.out", w_wf, b_wf, cat.shape[1])
+    n, _, h, w = low_level.shape
+    parts = [x.reshape(n, x.shape[1], h * w) for x in branches]
+    p = pooled.reshape(n, pooled.shape[1])
+    bounds = np.cumsum([0] + [x.shape[1] for x in parts] + [p.shape[1]]).tolist()
+    m_wf = _layer_matrix("wf.out", w_wf, b_wf, bounds[-1])
     m_proj = _layer_matrix("llf.proj", w_proj, b_proj, low_level.shape[1])
     if m_proj.shape[0] != m_wf.shape[0]:
         raise T.ShapeError(
@@ -248,52 +255,58 @@ def head_projection(cat: np.ndarray, low_level: np.ndarray, params):
     m_out = _layer_matrix("llf.out", w_out, b_out, m_mid.shape[0])
     o = np.matmul(m_out, m_mid)
     a = np.matmul(o, m_wf)
+    blocks = [a[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     b = np.matmul(o, m_proj)
     s = b_wf + b_proj
     c = np.matmul(o, s) + np.matmul(m_out, b_mid) + b_out
-    cat3 = cat.reshape(n, cat.shape[1], h * w)
     low3 = low_level.reshape(n, low_level.shape[1], h * w)
-    y = np.matmul(a, cat3)
-    y += np.matmul(b, low3)
-    y += c[:, None]
-    return y.reshape(n, -1, h, w), (params, (m_wf, m_proj, m_mid, m_out), o, a, b, s,
-                                    cat3, low3)
+    y = np.matmul(b, low3)
+    for a_i, x3 in zip(blocks[:-1], parts):
+        y += np.matmul(a_i, x3)
+    y += (np.matmul(p, blocks[-1].T) + c)[:, :, None]
+    return y.reshape(n, -1, h, w), (params, (m_wf, m_proj, m_mid, m_out), o, blocks, b, s,
+                                    parts, p, low3)
 
 
 def head_projection_backward(cache, gy):
-    """Gradients w.r.t. cat, low_level and the eight weights, in
-    head_projection's order: G_A and G_B are the gradients of A and B, and
-    the chain rule runs back through A, B and c to O and the four layers."""
-    params, (m_wf, m_proj, m_mid, m_out), o, a, b, s, cat3, low3 = cache
+    """Gradients w.r.t. each branch, the pooled p, low_level and the eight
+    weights, in head_projection's order. G_A gathers one column block per
+    branch and G_A_p = (sum over pixels of G)^T p; G_B is the gradient of B,
+    and the chain rule runs back through A, B and c to O and the four layers."""
+    params, (m_wf, m_proj, m_mid, m_out), o, blocks, b, s, parts, p, low3 = cache
     b_mid = params[5]
     n, f, h, w = gy.shape
     g = gy.reshape(n, f, h * w)
-    g_c = g.sum(axis=(0, 2))
-    g_a = T.column_gradient(g, cat3)
+    g_bias = g.sum(axis=2)                  # (N, F): each image's bias gradient
+    g_c = g_bias.sum(axis=0)
+    g_a = np.concatenate([T.column_gradient(g, x3) for x3 in parts]
+                         + [np.matmul(g_bias.T, p)], axis=1)
     g_b = T.column_gradient(g, low3)
-    g_cat = np.matmul(a.T, g).reshape(n, -1, h, w)
+    g_parts = [np.matmul(a_i.T, g).reshape(n, -1, h, w) for a_i in blocks[:-1]]
+    g_pooled = np.matmul(g_bias, blocks[-1]).reshape(n, -1, 1, 1)
     g_low = np.matmul(b.T, g).reshape(n, -1, h, w)
     g_o = np.matmul(g_a, m_wf.T) + np.matmul(g_b, m_proj.T) + np.outer(g_c, s)
     g_s = np.matmul(o.T, g_c)
     grads = (np.matmul(o.T, g_a), g_s, np.matmul(o.T, g_b), g_s.copy(),
              np.matmul(m_out.T, g_o), np.matmul(m_out.T, g_c),
              np.matmul(g_o, m_mid.T) + np.outer(g_c, b_mid), g_c)
-    return (g_cat, g_low) + tuple(gp.reshape(p.shape) for gp, p in zip(grads, params))
+    return (*g_parts, g_pooled, g_low) + tuple(gp.reshape(param.shape)
+                                               for gp, param in zip(grads, params))
 
 
-def fuse_low_level(low_level: np.ndarray, cat: np.ndarray,
+def fuse_low_level(low_level: np.ndarray, branches, pooled: np.ndarray,
                    weights: dict, cfg: WaterfallConfig, tape):
-    """The waterfall 1x1 over stage 2's concat, plus the low-level map
-    projected to the same width, then two 1x1 stages, the last reducing to
-    cfg.final_width: head_projection, recorded on the tape as one kernel.
-    Returns f_maps."""
-    if low_level.shape[2:] != cat.shape[2:]:
-        raise T.ShapeError(
-            f"low-level extents {low_level.shape[2:]} do not match waterfall "
-            f"extents {cat.shape[2:]}")
+    """The waterfall 1x1 over stage 2's four branches and pooled branch,
+    plus the low-level map projected to the same width, then two 1x1 stages,
+    the last reducing to cfg.final_width: head_projection, recorded on the
+    tape as one kernel. Returns f_maps."""
+    if any(x.shape[2:] != low_level.shape[2:] for x in branches) or pooled.shape[2:] != (1, 1):
+        raise T.ShapeError(f"stage 3 needs the branches at the low-level extents "
+                           f"{low_level.shape[2:]} and a 1x1 pooled branch, got "
+                           f"{[x.shape for x in (*branches, pooled)]}")
     params = tuple(weights[name] for name in HEAD_PROJECTION_WEIGHTS)
-    y, cache = head_projection(cat, low_level, params)
-    return tape.record(y, (cat, low_level, *HEAD_PROJECTION_WEIGHTS),
+    y, cache = head_projection(branches, pooled, low_level, params)
+    return tape.record(y, (*branches, pooled, low_level, *HEAD_PROJECTION_WEIGHTS),
                        lambda gy: head_projection_backward(cache, gy))
 
 
@@ -409,6 +422,6 @@ def waterfall_module_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallCon
                              tape):
     """waterfall over the pyramid -> low-level fusion -> heads.
     Returns the PoseMaps."""
-    cat = waterfall_forward(p, weights, cfg, tape)
-    f_maps = fuse_low_level(p.low_level, cat, weights, cfg, tape)
+    branches, pooled = waterfall_forward(p, weights, cfg, tape)
+    f_maps = fuse_low_level(p.low_level, branches, pooled, weights, cfg, tape)
     return heads_forward(f_maps, weights, cfg, tape)

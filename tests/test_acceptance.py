@@ -115,8 +115,8 @@ def test_04_channel_arithmetic_at_paper_widths():
               for i, c in enumerate((32, 64, 128, 256))]
     p = FeaturePyramid(levels, rng.standard_normal((1, 32, 8, 8)).astype(np.float32))
     tape = T.Tape()
-    cat = W.waterfall_forward(p, wts, cfg, tape)
-    f_maps = W.fuse_low_level(p.low_level, cat, wts, cfg, tape)
+    branches, pooled = W.waterfall_forward(p, wts, cfg, tape)
+    f_maps = W.fuse_low_level(p.low_level, branches, pooled, wts, cfg, tape)
     maps = W.heads_forward(f_maps, wts, cfg, tape)
     # the fused map is never formed; wf.branch0 reads its channels
     fused = wts["wf.branch0.w"].shape[1]

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from waterfallpose import dataio
 from waterfallpose.checks import overlay_reference, random_overlay_scene
@@ -426,7 +426,8 @@ def toy_infer(tmp_path_factory):
 LIST_KEYS = {"pyramid.widths": (4, 8, 16, 32), "waterfall.dilations": (1, 6, 12, 18)}
 SCALAR_KEYS = ("pyramid.stem_width", "pyramid.base_stride", "pyramid.num_blocks",
                "waterfall.branch_width", "waterfall.out_width", "waterfall.final_width",
-               "waterfall.keypoints", "waterfall.group_width")
+               "waterfall.keypoints", "waterfall.group_width", "decode.center_threshold",
+               "decode.nms_window", "decode.max_instances", "decode.duplicate_oks")
 CONFIG_EDITS = [(key, i) for key, values in LIST_KEYS.items() for i in range(len(values))] \
     + [(key, None) for key in SCALAR_KEYS]
 
@@ -486,7 +487,8 @@ class TestContractProperties:
             assert len(lines) == 1 and f"'weights/{named}'" in lines[0], (edit, err)
 
     @settings(max_examples=150)
-    @given(st.sampled_from(CONFIG_EDITS), st.sampled_from([0, -1, 2 ** 62]))
+    @given(st.sampled_from(CONFIG_EDITS), st.sampled_from([0, -1, 2 ** 62, 2 ** 62 + 1]))
+    @example(("decode.nms_window", None), 2 ** 62 + 1)
     def test_config_edit_is_refused_or_runs(self, toy_infer, edit, value):
         tmp = toy_infer[0]
         key, i = edit
@@ -569,7 +571,8 @@ class TestChecks:
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "adaptive_conv/offsets" in out and "FAIL" not in out
-        for name in ("cat", "low_level") + HEAD_PROJECTION_WEIGHTS:
+        for name in ("branch0", "branch1", "branch2", "branch3", "pooled",
+                     "low_level") + HEAD_PROJECTION_WEIGHTS:
             assert f"[PASS] head_projection/{name} " in out
         for name in ("level0", "level1", "level2", "level3", "w", "b"):
             assert f"[PASS] pyramid_branch/{name} " in out

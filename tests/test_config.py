@@ -136,7 +136,8 @@ class TestParsing:
         ("pyramid.base_stride = 262144", "base stride must be a power of two from 1 to 64"),
         ("train.checkpoint_every = -1", "checkpoint_every must be non-negative"),
         ("train.lr_steps = -5,2000000000000", "lr steps must be non-negative"),
-    ], ids=["stride-128", "stride-262144", "checkpoint-every", "lr-steps"])
+        ("train.seed = -1", "train.seed must be non-negative, got -1"),
+    ], ids=["stride-128", "stride-262144", "checkpoint-every", "lr-steps", "seed"])
     def test_out_of_range_integer_rejected(self, line, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(line)

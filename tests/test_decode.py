@@ -58,6 +58,21 @@ class TestNmsPeaks:
         scores = [s for _, _, s in peaks]
         assert scores == sorted(scores, reverse=True)
 
+    def test_window_past_the_plane_is_clamped(self, rng):
+        # every pixel's window covers the plane from 2 * max(h, w) - 1 on, so
+        # a wider window, up to one that could never be allocated, finds the
+        # same peaks: the plane's strict maximum when it reaches the threshold
+        for h, w in ((1, 1), (1, 9), (7, 3), (16, 16), (5, 31)):
+            for _ in range(4):
+                plane = rng.uniform(0, 1, size=(h, w))
+                covering = 2 * max(h, w) - 1
+                expected = nms_peaks(plane, DecodeConfig(nms_window=covering))
+                y, x = np.unravel_index(np.argmax(plane), plane.shape)
+                top = [(int(x), int(y), float(plane[y, x]))] if plane.max() >= 0.1 else []
+                assert expected == top
+                for window in (covering + 2, 2 * max(h, w) + 1, 2 ** 62 + 1):
+                    assert nms_peaks(plane, DecodeConfig(nms_window=window)) == expected
+
     def test_peaks_not_adjacent(self, rng):
         plane = rng.uniform(0, 1, size=(24, 24))
         peaks = nms_peaks(plane, DecodeConfig(max_instances=1000))

@@ -25,8 +25,6 @@ def _kernel_outputs(rng, dtype):
             out[f"{name}_backward.{part}"] = g
     out["global_avg_pool"] = T.global_avg_pool(x)
     out["global_avg_pool_backward"] = T.global_avg_pool_backward(x.shape, arr(1, 3, 1, 1))
-    out["bilinear_resize"] = T.bilinear_resize(x, 9, 4)
-    out["bilinear_resize_backward"] = T.bilinear_resize_backward(x.shape, arr(1, 3, 9, 4))
     pts = rng.uniform(-1.0, 6.0, size=(4, 2))
     out["bilinear_sample"], cache = T.bilinear_sample(x, pts[None, :, 0], pts[None, :, 1])
     gx, grows, gcols = T.bilinear_sample_backward(cache, arr(1, 3, 4))

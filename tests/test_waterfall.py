@@ -59,7 +59,9 @@ class TestFusePyramid:
         cfg = toy_cfg()
         wts = head_weights(cfg, rng)
         assert wts["wf.branch0.w"].shape[1] == 60
-        assert W.waterfall_forward(make_pyramid(rng), wts, cfg, T.Tape()).shape == (1, 40, 8, 8)
+        branches, pooled = W.waterfall_forward(make_pyramid(rng), wts, cfg, T.Tape())
+        assert [x.shape for x in branches] == [(1, 8, 8, 8)] * 4
+        assert pooled.shape == (1, 8, 1, 1)
 
     def test_degenerate_single_level(self, rng):
         # with levels 1..3 empty the branch is level 0's conv, bit for bit
@@ -126,10 +128,16 @@ def random_biases(wts, rng):
 
 def straight_line_waterfall(p, wts, cfg):
     # independently coded composition of the published dataflow, from the
-    # pyramid up to the concat that stage 3's wf.out reads
+    # pyramid up to the four branches and the 1x1 pooled branch that stage 3
+    # reads; each level is resized as Rh x Rw^T
     h, w = p.levels[0].shape[2:]
-    g0 = np.concatenate([p.levels[0]] + [T.bilinear_resize(f, h, w) for f in p.levels[1:]],
-                        axis=1)
+
+    def resized(f):
+        rh = T.resize_matrix(f.shape[2], h, 0, f.dtype)
+        rw = T.resize_matrix(f.shape[3], w, 0, f.dtype)
+        return rh @ f @ rw.T
+
+    g0 = np.concatenate([p.levels[0]] + [resized(f) for f in p.levels[1:]], axis=1)
     d1, d2, d3, d4 = cfg.dilations
     g1 = T.relu(T.conv2d(g0, wts["wf.branch0.w"], wts["wf.branch0.b"],
                          T.ConvSpec(3, 3, pad_h=d1, pad_w=d1, dilation=d1)))
@@ -140,52 +148,63 @@ def straight_line_waterfall(p, wts, cfg):
     g4 = T.relu(T.conv2d(g3, wts["wf.branch3.w"], wts["wf.branch3.b"],
                          T.ConvSpec(3, 3, pad_h=d4, pad_w=d4, dilation=d4)))
     pool = T.conv2d(T.global_avg_pool(g0), wts["wf.pool.w"], wts["wf.pool.b"], W.S1)
-    pool = T.bilinear_resize(pool, h, w)
-    return T.concat_channels([g1, g2, g3, g4, pool])
+    return [g1, g2, g3, g4], pool
+
+
+def random_stage2(rng, cfg, n=1, h=8, w=8, dtype=np.float32):
+    # four branch maps and a pooled branch as stage 2 hands them to stage 3
+    branches = [rng.standard_normal((n, cfg.branch_width, h, w)).astype(dtype)
+                for _ in range(4)]
+    return branches, rng.standard_normal((n, cfg.branch_width, 1, 1)).astype(dtype)
 
 
 class TestWaterfall:
     def test_output_width_is_wf(self, rng):
-        # stage 2 hands its five-branch concat to stage 3, whose first layer,
-        # wf.out, reads it and gives the waterfall width
+        # stage 2 hands four branches and the pooled branch to stage 3, whose
+        # first layer, wf.out, reads their five-branch concat and gives the
+        # waterfall width
         for b in (4, 8):
             cfg = toy_cfg(branch_width=b, out_width=24)
             wts = head_weights(cfg, rng)
-            cat = W.waterfall_forward(make_pyramid(rng), wts, cfg, T.Tape())
-            assert cat.shape == (1, 5 * b, 8, 8)
+            branches, pooled = W.waterfall_forward(make_pyramid(rng), wts, cfg, T.Tape())
+            assert [x.shape for x in branches] == [(1, b, 8, 8)] * 4
+            assert pooled.shape == (1, b, 1, 1)
             assert wts["wf.out.w"].shape == (24, 5 * b, 1, 1)
             assert wts["llf.proj.w"].shape == (24, 4, 1, 1)
             assert wts["llf.mid.w"].shape == (24, 24, 1, 1)
             low = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
-            assert layered_head_projection(cat, low, wts).shape == (1, 15, 8, 8)
-            out = W.fuse_low_level(low, cat, wts, cfg, T.Tape())
+            assert layered_head_projection(branches, pooled, low, wts).shape == (1, 15, 8, 8)
+            out = W.fuse_low_level(low, branches, pooled, wts, cfg, T.Tape())
             assert out.shape == (1, 15, 8, 8)
 
     def test_zero_weights_zero_output(self, rng):
         cfg = toy_cfg()
         wts = {k: np.zeros_like(v) for k, v in head_weights(cfg, rng).items()}
-        out = W.waterfall_forward(make_pyramid(rng), wts, cfg, T.Tape())
-        assert not out.any()
+        branches, pooled = W.waterfall_forward(make_pyramid(rng), wts, cfg, T.Tape())
+        assert not any(x.any() for x in branches) and not pooled.any()
 
     def test_matches_straight_line_oracle(self, rng):
         for dilations in ((1, 6, 12, 18), (10 ** 9, 6, 12, 18)):
             cfg = toy_cfg(dilations=dilations)
             wts = random_biases(head_weights(cfg, rng, offset_init="random"), rng)
             p = make_pyramid(rng)
-            cat = W.waterfall_forward(p, wts, cfg, T.Tape())
-            ref = straight_line_waterfall(p, wts, cfg)
-            assert T.relative_error(cat, ref) <= 1e-6
-            out = W.fuse_low_level(p.low_level, cat, wts, cfg, T.Tape())
-            assert T.relative_error(out, layered_head_projection(ref, p.low_level, wts)) <= 1e-6
+            branches, pooled = W.waterfall_forward(p, wts, cfg, T.Tape())
+            ref, ref_pooled = straight_line_waterfall(p, wts, cfg)
+            for x, r in zip(branches, ref):
+                assert T.relative_error(x, r) <= 1e-6
+            assert T.relative_error(pooled, ref_pooled) <= 1e-6
+            out = W.fuse_low_level(p.low_level, branches, pooled, wts, cfg, T.Tape())
+            assert T.relative_error(
+                out, layered_head_projection(ref, ref_pooled, p.low_level, wts)) <= 1e-6
 
     def test_dilation_order_matters(self, rng):
         p = make_pyramid(rng)
         cfg_a = toy_cfg(dilations=(1, 6, 12, 18))
         cfg_b = toy_cfg(dilations=(18, 12, 6, 1))
         wts = head_weights(cfg_a, np.random.default_rng(7))
-        out_a = W.waterfall_forward(p, wts, cfg_a, T.Tape())
-        out_b = W.waterfall_forward(p, wts, cfg_b, T.Tape())
-        assert T.relative_error(out_a, out_b) > 1e-3
+        out_a, _ = W.waterfall_forward(p, wts, cfg_a, T.Tape())
+        out_b, _ = W.waterfall_forward(p, wts, cfg_b, T.Tape())
+        assert T.relative_error(np.concatenate(out_a), np.concatenate(out_b)) > 1e-3
 
     def test_width_mismatch_rejected(self, rng):
         cfg = toy_cfg()
@@ -213,8 +232,8 @@ class TestFuseLowLevel:
         assert wts["llf.mid.w"].shape == (480, 480, 1, 1)
         assert wts["llf.out.w"].shape == (120, 480, 1, 1)
         low = rng.standard_normal((1, 32, 4, 4)).astype(np.float32)
-        cat = rng.standard_normal((1, 640, 4, 4)).astype(np.float32)
-        out = W.fuse_low_level(low, cat, wts, cfg, T.Tape())
+        branches, pooled = random_stage2(rng, cfg, h=4, w=4)
+        out = W.fuse_low_level(low, branches, pooled, wts, cfg, T.Tape())
         assert out.shape == (1, 120, 4, 4)
 
     def test_zero_projection_isolates_waterfall_path(self, rng):
@@ -222,20 +241,20 @@ class TestFuseLowLevel:
         wts = random_biases(head_weights(cfg, rng), rng)
         wts["llf.proj.w"] = np.zeros_like(wts["llf.proj.w"])
         wts["llf.proj.b"] = np.zeros_like(wts["llf.proj.b"])
-        cat = rng.standard_normal((1, 40, 8, 8)).astype(np.float32)
+        branches, pooled = random_stage2(rng, cfg)
         low_a = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
         low_b = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        out_a = W.fuse_low_level(low_a, cat, wts, cfg, T.Tape())
-        out_b = W.fuse_low_level(low_b, cat, wts, cfg, T.Tape())
+        out_a = W.fuse_low_level(low_a, branches, pooled, wts, cfg, T.Tape())
+        out_b = W.fuse_low_level(low_b, branches, pooled, wts, cfg, T.Tape())
         np.testing.assert_array_equal(out_a, out_b)
 
     def test_matches_straight_line_oracle(self, rng):
         cfg = toy_cfg()
         wts = random_biases(head_weights(cfg, rng), rng)
         low = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        cat = rng.standard_normal((1, 40, 8, 8)).astype(np.float32)
-        out = W.fuse_low_level(low, cat, wts, cfg, T.Tape())
-        assert T.relative_error(out, layered_head_projection(cat, low, wts)) <= 1e-6
+        branches, pooled = random_stage2(rng, cfg)
+        out = W.fuse_low_level(low, branches, pooled, wts, cfg, T.Tape())
+        assert T.relative_error(out, layered_head_projection(branches, pooled, low, wts)) <= 1e-6
 
     @settings(max_examples=150)
     @given(branch=st.integers(1, 6), low=st.integers(1, 5), out_width=st.integers(1, 9),
@@ -250,14 +269,16 @@ class TestFuseLowLevel:
                                 final_width=final_width, keypoints=1, group_width=1)
         pyr = PyramidConfig(widths=(1, 1, 1, 1), stem_width=low)
         wts = random_biases(head_weights(cfg, rng, pyr, dtype=np.float64), rng)
-        cat = rng.standard_normal((n, 5 * branch, h, w))
+        branches, pooled = random_stage2(rng, cfg, n, h, w, np.float64)
         low_level = rng.standard_normal((n, low, h, w))
-        out = W.fuse_low_level(low_level, cat, wts, cfg, T.Tape())
-        assert T.relative_error(out, layered_head_projection(cat, low_level, wts)) <= 1e-12
+        out = W.fuse_low_level(low_level, branches, pooled, wts, cfg, T.Tape())
+        ref = layered_head_projection(branches, pooled, low_level, wts)
+        assert T.relative_error(out, ref) <= 1e-12
 
     def test_mismatched_layer_shapes_rejected(self, rng):
         cfg = toy_cfg()
-        cat = np.zeros((1, 40, 8, 8), dtype=np.float32)
+        branches = [np.zeros((1, 8, 8, 8), dtype=np.float32)] * 4
+        pooled = np.zeros((1, 8, 1, 1), dtype=np.float32)
         low = np.zeros((1, 4, 8, 8), dtype=np.float32)
         for name, shape, message in (("wf.out.w", (16, 40, 3, 3), "wf.out must be a 1x1"),
                                      ("llf.mid.b", (15,), "llf.mid must be a 1x1"),
@@ -268,15 +289,18 @@ class TestFuseLowLevel:
             if name == "llf.proj.w":
                 wts["llf.proj.b"] = np.zeros(12, dtype=np.float32)
             with pytest.raises(T.ShapeError, match=message):
-                W.fuse_low_level(low, cat, wts, cfg, T.Tape())
+                W.fuse_low_level(low, branches, pooled, wts, cfg, T.Tape())
 
     def test_extent_mismatch_rejected(self, rng):
         cfg = toy_cfg()
         wts = head_weights(cfg, rng)
+        branches, pooled = random_stage2(rng, cfg, h=4, w=4)
         with pytest.raises(T.ShapeError, match="extents"):
-            W.fuse_low_level(np.zeros((1, 4, 8, 8), dtype=np.float32),
-                             np.zeros((1, 40, 4, 4), dtype=np.float32), wts, cfg,
-                             T.Tape())
+            W.fuse_low_level(np.zeros((1, 4, 8, 8), dtype=np.float32), branches, pooled,
+                             wts, cfg, T.Tape())
+        with pytest.raises(T.ShapeError, match="1x1 pooled branch"):
+            W.fuse_low_level(np.zeros((1, 4, 4, 4), dtype=np.float32), branches,
+                             branches[0], wts, cfg, T.Tape())
 
 
 class TestAdaptiveConv:
@@ -475,13 +499,14 @@ class TestFullModule:
             tape = T.Tape()
             assert sum(f.shape[1] for f in p.levels) == sum(widths) \
                 == wts["wf.branch0.w"].shape[1]
-            cat = W.waterfall_forward(p, wts, cfg, tape)
-            assert cat.shape[1] == 5 * cfg.branch_width
-            assert wts["wf.out.w"].shape[:2] == (cfg.out_width, cat.shape[1])
-            f_maps = W.fuse_low_level(p.low_level, cat, wts, cfg, tape)
+            branches, pooled = W.waterfall_forward(p, wts, cfg, tape)
+            widths = [x.shape[1] for x in (*branches, pooled)]
+            assert widths == [cfg.branch_width] * 5
+            assert wts["wf.out.w"].shape[:2] == (cfg.out_width, sum(widths))
+            f_maps = W.fuse_low_level(p.low_level, branches, pooled, wts, cfg, tape)
             assert f_maps.shape[1] == cfg.final_width
             assert T.relative_error(
-                f_maps, layered_head_projection(cat, p.low_level, wts)) <= 1e-6
+                f_maps, layered_head_projection(branches, pooled, p.low_level, wts)) <= 1e-6
             maps = W.heads_forward(f_maps, wts, cfg, tape)
             assert maps.heatmaps.shape[1] == k + 1
             assert maps.offsets.shape[1] == 2 * k
