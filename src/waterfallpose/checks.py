@@ -24,6 +24,7 @@ from .train import TrainConfig, lr_at_epoch, heatmap_loss, offset_loss, total_lo
 from .waterfall import WaterfallConfig, PoseMaps
 
 GRAD_TOL = 1e-6
+GRAD_STEP = 1e-6
 
 
 def _toy_model(seed=0, dtype=np.float64):
@@ -94,9 +95,18 @@ def layered_pyramid_branch(levels, weights, dilation):
     return y, T.global_avg_pool(g0)
 
 
-def _grad_vs_numeric(analytic, f, x, h=1e-6):
-    num = T.numeric_gradient(f, x.reshape(1, 1, 1, -1) if x.ndim != 4 else x, h=h)
-    return T.relative_error(analytic, num.reshape(analytic.shape))
+def operand_errors(loss, operands, grads, h=1e-5):
+    """Relative error of each analytic gradient in grads against central
+    differences (tensor.numeric_gradient with step h) of the scalar
+    loss(*operands), varying only that operand; operands may have any shape."""
+    errors = []
+    for i, (operand, grad) in enumerate(zip(operands, grads, strict=True)):
+        def f(v, i=i):
+            trial = list(operands)
+            trial[i] = v
+            return loss(*trial)
+        errors.append(T.relative_error(grad, T.numeric_gradient(f, operand, h=h)))
+    return errors
 
 
 def gradient_checks():
@@ -104,8 +114,10 @@ def gradient_checks():
     rng = np.random.default_rng(42)
     results = []
 
-    def record(name, err):
-        results.append((name, err <= GRAD_TOL, f"rel err {err:.2e}"))
+    def record(names, loss, operands, grads):
+        for name, err in zip(names, operand_errors(loss, operands, grads, h=GRAD_STEP),
+                             strict=True):
+            results.append((name, err <= GRAD_TOL, f"rel err {err:.2e}"))
 
     # conv2d
     spec = T.ConvSpec(3, 3, stride=2, pad_h=2, pad_w=2, dilation=2)
@@ -113,17 +125,14 @@ def gradient_checks():
     w = rng.standard_normal((2, 2, 3, 3))
     b = rng.standard_normal(2)
     gy = rng.standard_normal(T.conv2d(x, w, b, spec).shape)
-    gx, gw, gb = T.conv2d_backward(x, w, spec, gy)
-    record("conv2d/input", _grad_vs_numeric(
-        gx, lambda v: float((T.conv2d(v, w, b, spec) * gy).sum()), x))
-    record("conv2d/weight", _grad_vs_numeric(
-        gw, lambda v: float((T.conv2d(x, v.reshape(w.shape), b, spec) * gy).sum()), w))
+    record(("conv2d/input", "conv2d/weight"),
+           lambda x, w: float((T.conv2d(x, w, b, spec) * gy).sum()),
+           (x, w), T.conv2d_backward(x, w, spec, gy)[:2])
 
     # pooling
     gp = rng.standard_normal((1, 2, 1, 1))
-    record("global_avg_pool", _grad_vs_numeric(
-        T.global_avg_pool_backward(x.shape, gp),
-        lambda v: float((T.global_avg_pool(v) * gp).sum()), x))
+    record(("global_avg_pool",), lambda x: float((T.global_avg_pool(x) * gp).sum()),
+           (x,), (T.global_avg_pool_backward(x.shape, gp),))
 
     # point sampling at four (row, col) points
     pts = rng.uniform(0.3, 5.7, size=(4, 2))
@@ -133,11 +142,9 @@ def gradient_checks():
         return T.bilinear_sample(v, p[None, :, 0], p[None, :, 1])
 
     gx, grows, gcols = T.bilinear_sample_backward(sample(x, pts)[1], gs)
-    record("bilinear_sample/input", _grad_vs_numeric(
-        gx, lambda v: float((sample(v, pts)[0] * gs).sum()), x))
-    record("bilinear_sample/points", _grad_vs_numeric(
-        np.stack([grows[0], gcols[0]], axis=1),
-        lambda v: float((sample(x, v.reshape(4, 2))[0] * gs).sum()), pts))
+    record(("bilinear_sample/input", "bilinear_sample/points"),
+           lambda v, p: float((sample(v, p)[0] * gs).sum()),
+           (x, pts), (gx, np.stack([grows[0], gcols[0]], axis=1)))
 
     # adaptive conv
     xa = rng.standard_normal((1, 2, 5, 5))
@@ -146,14 +153,9 @@ def gradient_checks():
     off += rng.uniform(0.1, 0.4, size=off.shape)
     ga = rng.standard_normal((1, 2, 5, 5))
     _, cache = W.adaptive_conv(xa, w9, off)
-    gxa, gw9, goff = W.adaptive_conv_backward(cache, ga)
-    record("adaptive_conv/input", _grad_vs_numeric(
-        gxa, lambda v: float((W.adaptive_conv(v, w9, off)[0] * ga).sum()), xa))
-    record("adaptive_conv/weights", _grad_vs_numeric(
-        gw9, lambda v: float((W.adaptive_conv(xa, v.reshape(w9.shape), off)[0]
-                              * ga).sum()), w9))
-    record("adaptive_conv/offsets", _grad_vs_numeric(
-        goff, lambda v: float((W.adaptive_conv(xa, w9, v)[0] * ga).sum()), off))
+    record(("adaptive_conv/input", "adaptive_conv/weights", "adaptive_conv/offsets"),
+           lambda *args: float((W.adaptive_conv(*args)[0] * ga).sum()),
+           (xa, w9, off), W.adaptive_conv_backward(cache, ga))
 
     # heads
     pyr, wf, weights = _toy_model()
@@ -163,35 +165,29 @@ def gradient_checks():
     tape = T.Tape()
     maps = W.heads_forward(fm, weights, wf, tape)
     grads, (g_fm,) = tape.backward([(maps.heatmaps, gh), (maps.offsets, go)], wrt=[fm])
+    names = ("head.kp.adapt.w", "head.off.g0.taps.w")
 
-    def head_loss(v):
-        m = W.heads_forward(v, weights, wf, T.ForwardTape())
+    def head_loss(v, *head_weights):
+        m = W.heads_forward(v, {**weights, **dict(zip(names, head_weights))}, wf,
+                            T.ForwardTape())
         return float((m.heatmaps * gh).sum() + (m.offsets * go).sum())
 
-    record("heads/input", _grad_vs_numeric(g_fm, head_loss, fm))
-    for name in ("head.kp.adapt.w", "head.off.g0.taps.w"):
-        def f(v, name=name):
-            trial = dict(weights)
-            trial[name] = v.reshape(weights[name].shape)
-            m = W.heads_forward(fm, trial, wf, T.ForwardTape())
-            return float((m.heatmaps * gh).sum() + (m.offsets * go).sum())
-        record("heads/" + name, _grad_vs_numeric(grads[name], f, weights[name]))
+    record(["heads/input"] + ["heads/" + name for name in names], head_loss,
+           [fm] + [weights[name] for name in names], [g_fm] + [grads[name] for name in names])
 
     # losses
     pred = rng.uniform(0.1, 0.9, size=(1, 3, 6, 6))
     target = rng.uniform(0, 1, size=(1, 3, 6, 6))
-    _, ghm = heatmap_loss(pred, target)
-    record("heatmap_loss", _grad_vs_numeric(
-        ghm, lambda v: heatmap_loss(v, target)[0], pred))
+    record(("heatmap_loss",), lambda v: heatmap_loss(v, target)[0],
+           (pred,), heatmap_loss(pred, target)[1:])
     offp = rng.standard_normal((1, 4, 6, 6)) * 2
     offt = rng.standard_normal((1, 4, 6, 6))
     mask = (rng.uniform(size=offp.shape) < 0.5).astype(np.float64)
     scale = rng.uniform(0.5, 3.0, size=(1, 1, 6, 6))
     e = np.abs((offp - offt) / scale)
     offp += ((e > 0.98) & (e < 1.02)) * 0.1
-    _, gol = offset_loss(offp, offt, mask, scale)
-    record("offset_loss", _grad_vs_numeric(
-        gol, lambda v: offset_loss(v, offt, mask, scale)[0], offp))
+    record(("offset_loss",), lambda v: offset_loss(v, offt, mask, scale)[0],
+           (offp,), offset_loss(offp, offt, mask, scale)[1:])
 
     # full model through the losses, sampled parameter coordinates
     img = rng.uniform(0, 1, size=(1, 3, 32, 32))
@@ -208,14 +204,10 @@ def gradient_checks():
     operands = branches + [pooled, low] + [weights[name] for name in W.HEAD_PROJECTION_WEIGHTS]
     gp = rng.standard_normal((2, wf.final_width, 3, 4))
     _, cache = W.head_projection(branches, pooled, low, operands[6:])
-    grads_hp = W.head_projection_backward(cache, gp)
     names = [f"branch{i}" for i in range(4)] + ["pooled", "low_level"]
-    for i, name in enumerate(names + list(W.HEAD_PROJECTION_WEIGHTS)):
-        def f(v, i=i):
-            trial = list(operands)
-            trial[i] = v.reshape(operands[i].shape)
-            return float((W.head_projection(trial[:4], *trial[4:6], trial[6:])[0] * gp).sum())
-        record("head_projection/" + name, _grad_vs_numeric(grads_hp[i], f, operands[i]))
+    record(["head_projection/" + name for name in names + list(W.HEAD_PROJECTION_WEIGHTS)],
+           lambda *ops: float((W.head_projection(ops[:4], *ops[4:6], ops[6:])[0] * gp).sum()),
+           operands, W.head_projection_backward(cache, gp))
 
     # the first waterfall branch over the pyramid, through each level and wf.branch0
     levels = [rng.standard_normal((2, c, 8 >> lv, 16 >> lv))
@@ -223,20 +215,17 @@ def gradient_checks():
     operands = levels + [weights["wf.branch0.w"], weights["wf.branch0.b"]]
     out, cache = W.pyramid_branch(levels, *operands[4:], 2)
     gp = rng.standard_normal(out.shape)
-    grads_pb = W.pyramid_branch_backward(cache, gp)
-    for i, name in enumerate(("level0", "level1", "level2", "level3", "w", "b")):
-        def f(v, i=i):
-            trial = list(operands)
-            trial[i] = v.reshape(operands[i].shape)
-            return float((W.pyramid_branch(trial[:4], *trial[4:], 2)[0] * gp).sum())
-        record("pyramid_branch/" + name, _grad_vs_numeric(grads_pb[i], f, operands[i]))
+    names = [f"level{lv}" for lv in range(4)] + ["w", "b"]
+    record(["pyramid_branch/" + name for name in names],
+           lambda *ops: float((W.pyramid_branch(ops[:4], *ops[4:], 2)[0] * gp).sum()),
+           operands, W.pyramid_branch_backward(cache, gp))
     return results
 
 
 def full_model_gradient_error(img, anns, weights, pyr, wf, coords, seed):
     """Worst relative error of the analytic gradient of total_loss (targets
     rendered from anns at base resolution) against central differences with
-    step 1e-6, at up to `coords` coordinates of each weight drawn with
+    step GRAD_STEP, at up to `coords` coordinates of each weight drawn with
     default_rng(seed) in sorted name order. Nudges weights in place and
     restores every coordinate it touches."""
     k = wf.keypoints
@@ -246,30 +235,26 @@ def full_model_gradient_error(img, anns, weights, pyr, wf, coords, seed):
                            for a in render_offset_targets(anns, k, hh, hw))
     tcfg = TrainConfig()
 
-    def model_loss():
-        m, _ = model_forward(img, weights, pyr, wf, T.ForwardTape())
-        return total_loss(m, heat_t, off_t, off_m, off_s, tcfg)[0]
-
     maps, tape = model_forward(img, weights, pyr, wf)
     _, _, _, gh, go = total_loss(maps, heat_t, off_t, off_m, off_s, tcfg)
     grads = model_backward(tape, maps, gh, go)
     coord_rng = np.random.default_rng(seed)
-    h = 1e-6
     worst = 0.0
     for name in sorted(weights):
         flat = weights[name].reshape(-1)
         picks = np.arange(flat.size) if flat.size <= coords else \
             coord_rng.choice(flat.size, size=coords, replace=False)
-        for j in picks:
-            orig = flat[j]
-            flat[j] = orig + h
-            fp = model_loss()
-            flat[j] = orig - h
-            fm = model_loss()
-            flat[j] = orig
-            num = (fp - fm) / (2 * h)
-            ana = grads[name].reshape(-1)[j]
-            worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1e-3))
+        picked = flat[picks]
+
+        def model_loss(v):
+            flat[picks] = v
+            m, _ = model_forward(img, weights, pyr, wf, T.ForwardTape())
+            return total_loss(m, heat_t, off_t, off_m, off_s, tcfg)[0]
+
+        num = T.numeric_gradient(model_loss, picked, h=GRAD_STEP)
+        flat[picks] = picked
+        for n, a in zip(num, grads[name].reshape(-1)[picks]):
+            worst = max(worst, abs(n - a) / max(abs(n), abs(a), 1e-3))
     return worst
 
 

@@ -56,19 +56,42 @@ def nms_peaks(plane: np.ndarray, cfg: DecodeConfig):
     # a window past the plane adds only -inf padding, so the peaks are those
     # of the window that just covers it
     r = min(cfg.nms_window // 2, max(h, w, 1) - 1)
-    padded = np.full((h + 2 * r, w + 2 * r), -np.inf, dtype=np.float64)
-    padded[r: r + h, r: r + w] = plane
     is_peak = plane >= cfg.center_threshold
-    for dr in range(-r, r + 1):
-        for dc in range(-r, r + 1):
-            if dr == 0 and dc == 0:
-                continue
-            neigh = padded[r + dr: r + dr + h, r + dc: r + dc + w]
-            is_peak &= plane > neigh
+    if r:
+        # the window less its centre is four arms: the r pixels left and
+        # right in the centre's row, and the r whole window rows above and
+        # below; a NaN in any arm carries into their max, so it beats none
+        left, right = _arm_maxima(plane, r)
+        arms = np.maximum(left, right)
+        up, down = _arm_maxima(np.maximum(arms, plane).T, r)
+        np.maximum(arms, up.T, out=arms)
+        np.maximum(arms, down.T, out=arms)
+        is_peak &= plane > arms
     ys, xs = np.nonzero(is_peak)
     peaks = sorted(((float(plane[y, x]), int(y), int(x)) for y, x in zip(ys, xs)),
                    key=lambda t: (-t[0], t[1], t[2]))
     return [(x, y, s) for s, y, x in peaks[: cfg.max_instances]]
+
+
+def _arm_maxima(a, r):
+    """Per element of the 2-d array a, the max of the r >= 1 elements
+    before it and of the r elements after it in its row, -inf past the ends
+    (NaN if one is NaN).
+
+    Over the row padded by r on each side, max(padded[i: i + k]) for k
+    doubling up to the largest power of two k <= r, then each r-wide window
+    as the max of two k-wide ones that overlap: log2(r) + 1 passes.
+    """
+    n, w = a.shape
+    m = np.full((n, w + 2 * r), -np.inf)
+    m[:, r: r + w] = a
+    k = 1
+    while 2 * k <= r:
+        m = np.maximum(m[:, :-k], m[:, k:])
+        k *= 2
+    # window[:, i] is the max of padded[:, i: i + r]
+    window = np.maximum(m[:, : w + r + 1], m[:, r - k: w + 2 * r - k + 1])
+    return window[:, :w], window[:, r + 1:]
 
 
 def decode_poses(maps: PoseMaps, cfg: DecodeConfig):

@@ -172,13 +172,37 @@ def greedy_match(sims, pred_counts, gt_counts, thresholds):
 
     Returns a (thresholds, predictions) int64 array for finite thresholds:
     per threshold and prediction, the index of the ground truth it claims
-    within its image, or -1. One step per within-image rank covers every
-    image and threshold, over arrays (images, thresholds, most ground truths
-    in an image) wide.
+    within its image, or -1. A prediction whose best OKS is below the lowest
+    threshold, or NaN, claims nothing and takes nothing from the others, so
+    it gets -1 and the steps skip it. One step per remaining within-image
+    rank covers every image and threshold, over arrays (images, thresholds,
+    most ground truths in an image) wide.
     """
+    sims = np.asarray(sims, dtype=np.float64)
     pred_counts = np.asarray(pred_counts, dtype=np.int64)
     gt_counts = np.asarray(gt_counts, dtype=np.int64)
     thresholds = np.asarray(thresholds, dtype=np.float64)
+    # each prediction's best OKS; a prediction in an image with no ground
+    # truth has an empty row, which reduceat cannot take
+    row_len = np.repeat(gt_counts, pred_counts)
+    best = np.full(len(row_len), -np.inf)
+    has_row = row_len > 0
+    if has_row.any():
+        best[has_row] = np.fmax.reduceat(sims, (np.cumsum(row_len) - row_len)[has_row])
+    kept = best >= thresholds.min(initial=np.inf)
+    if kept.all():
+        return _claims_by_rank(sims, pred_counts, gt_counts, thresholds)
+    image = np.repeat(np.arange(len(pred_counts)), pred_counts)
+    claims = np.full((len(thresholds), len(row_len)), -1, dtype=np.int64)
+    claims[:, kept] = _claims_by_rank(sims[np.repeat(kept, row_len)],
+                                      np.bincount(image[kept], minlength=len(pred_counts)),
+                                      gt_counts, thresholds)
+    return claims
+
+
+def _claims_by_rank(sims, pred_counts, gt_counts, thresholds):
+    """greedy_match's steps over every prediction in sims, one per
+    within-image rank."""
     row_counts = pred_counts * gt_counts
     claims = np.full((len(thresholds), int(pred_counts.sum())), -1, dtype=np.int64)
     # only images with both sides can claim; most predictions first, so the

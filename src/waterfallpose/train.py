@@ -332,8 +332,8 @@ def train_loop(samples, weights: dict, pyr: PyramidConfig, wf: WaterfallConfig,
             heat_t = render_keypoint_heatmaps(heat_anns, k, hh, hw, cfg.sigma)
             off_t, off_m, off_s = render_offset_targets(
                 heat_anns, k, hh, hw, cfg.offset_radius)
-            # weights or loss weights that overflow float32 on the way are
-            # reported by the finite checks below, so the warnings are not wanted
+            # weights, loss weights or rates that overflow float32 on the way
+            # are reported by the finite checks, so the warnings are not wanted
             with np.errstate(all="ignore"):
                 maps, tape = model_forward(image_a, weights, pyr, wf)
                 total, lh, lo, gh, go = total_loss(maps, heat_t, off_t, off_m,
@@ -342,14 +342,23 @@ def train_loop(samples, weights: dict, pyr: PyramidConfig, wf: WaterfallConfig,
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch}, sample {int(idx)}")
                 grads = model_backward(tape, maps, gh, go)
-            # a finite loss can still carry a NaN or inf gradient into Adam
-            bad = next((name for name in sorted(grads)
-                        if not np.isfinite(grads[name]).all()), None)
-            if bad is not None:
-                raise TrainingError(
-                    f"non-finite gradient at epoch {epoch}, sample {int(idx)}: {bad}")
-            optim_step(weights, grads, state, lr)
+                # a finite loss can still carry a NaN or inf gradient into Adam
+                bad = next((name for name in sorted(grads)
+                            if not np.isfinite(grads[name]).all()), None)
+                if bad is not None:
+                    raise TrainingError(
+                        f"non-finite gradient at epoch {epoch}, sample {int(idx)}: {bad}")
+                optim_step(weights, grads, state, lr)
             sums += (lh, lo, total)
+        # a finite gradient can still step a weight to inf or NaN (a rate
+        # whose float32 cast overflows), and no forward follows the epoch's
+        # last step before its checkpoint; min and max see every non-finite
+        # value without a temporary
+        arena = state["arenas"]["w"]
+        if not (np.isfinite(arena.min(initial=0.0)) and np.isfinite(arena.max(initial=0.0))):
+            bad = next(name for name, view in state["weights"].items()
+                       if not np.isfinite(view).all())
+            raise TrainingError(f"non-finite weight after epoch {epoch}: {bad}")
         n = max(len(samples), 1)
         log.append(f"{epoch}\t{lr:.6g}\t{sums[0] / n:.8g}\t{sums[1] / n:.8g}"
                    f"\t{sums[2] / n:.8g}")

@@ -2,6 +2,7 @@ import contextlib
 import ctypes
 import io
 import json
+import math
 import os
 import platform
 import threading
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from waterfallpose import dataio
 from waterfallpose.checks import overlay_reference, random_overlay_scene
 from waterfallpose.cli import M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, main, pin_heap_policy
-from waterfallpose.config import ConfigError, default_config, parse_config
+from waterfallpose.config import SCHEMA, ConfigError, default_config, parse_config
 from waterfallpose.decode import PoseInstance
 from waterfallpose.model import init_model_weights
 from waterfallpose.overlay import draw_overlay, line_pixels
@@ -48,6 +49,12 @@ def _disk(img, ch, cx, cy, r, v=1.0):
 
 @pytest.fixture
 def workdir(tmp_path):
+    return tmp_path, _write_toy_workdir(tmp_path)
+
+
+def _write_toy_workdir(tmp_path):
+    """toy.cfg, a 64x64 image of two people and its dataset; returns the
+    parsed config."""
     cfg_path = tmp_path / "toy.cfg"
     cfg_path.write_text(TOY_CONFIG)
     cfg = parse_config(TOY_CONFIG)
@@ -67,7 +74,7 @@ def workdir(tmp_path):
         images=[dataio.ImageRecord(1, "img0.ppm", 64, 64)],
         annotations={1: anns}, keypoint_names=["a", "b"], ann_ids={1: [1, 2]})
     (tmp_path / "data.json").write_text(dataio.serialize_annotations(ds))
-    return tmp_path, cfg
+    return cfg
 
 
 def zero_checkpoint(tmp_path, cfg):
@@ -323,6 +330,21 @@ class TestTrainEval:
         assert [str(w.message) for w in caught] == []
         assert code == 2 and len(err.splitlines()) == 1 and message in err
 
+    def test_train_overflowing_last_step_writes_no_checkpoint(self, workdir, capsys):
+        # one image and one epoch: no forward follows the step that overflows
+        tmp, _ = workdir
+        (tmp / "bad.cfg").write_text(TOY_CONFIG + "train.epochs = 1\ntrain.base_lr = 1e300\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", str(tmp / "bad.cfg"),
+                         "--dataset", str(tmp / "data.json"),
+                         "--images", str(tmp), "--out", str(tmp / "run")])
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert code == 2 and len(err.splitlines()) == 1
+        assert "non-finite weight after epoch 0" in err
+        assert not (tmp / "run" / "checkpoint_final.bin").exists()
+
     @pytest.mark.parametrize("line", [
         "train.scale_max = inf", "train.rotation_deg = nan", "train.translate_px = inf",
     ])
@@ -510,6 +532,59 @@ class TestContractProperties:
         (tmp / "edited.bin").write_bytes(
             dataio.save_checkpoint(weights, None, 0, cfg.fingerprint()))
         assert _quiet_infer(tmp, tmp / "edited.cfg", tmp / "edited.bin") == (0, ""), line
+
+
+def _quiet_main(argv):
+    """(exit code, stderr, warning messages) of one main call."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.fixture(scope="module")
+def toy_train_eval(tmp_path_factory):
+    """The toy workdir and a results file for its image."""
+    tmp = tmp_path_factory.mktemp("toy_train_eval")
+    _write_toy_workdir(tmp)
+    insts = {1: [PoseInstance([(8.0, 10.0, 1.0), (24.0, 22.0, 1.0)], 1.0),
+                 PoseInstance([(40.0, 42.0, 0.5), (55.0, 55.0, 1.0)], 0.9)]}
+    (tmp / "results.json").write_text(dataio.write_results(insts))
+    return tmp
+
+
+# every train.* and eval.* key, and each element of a list key
+TRAIN_EVAL_EDITS = [(key, i) for key, (_, default) in SCHEMA.items()
+                    if key.startswith(("train.", "eval."))
+                    for i in (range(len(default)) if isinstance(default, tuple) else [None])]
+
+
+@pytest.mark.parametrize("key, i", TRAIN_EVAL_EDITS)
+def test_train_eval_edit_is_refused_or_runs(toy_train_eval, key, i):
+    # each edit is a ConfigError, or eval and a one-epoch train each exit 0,
+    # or exit 2 with one line; none warns
+    tmp = toy_train_eval
+    for value in (0, -1, 1e-300, 1e300, math.nan, math.inf):
+        if i is None:
+            line = f"{key} = {value}"
+        else:
+            values = list(SCHEMA[key][1])
+            values[i] = value
+            line = f"{key} = {','.join(map(str, values))}"
+        text = TOY_CONFIG + "train.epochs = 1\n" + line + "\n"
+        try:
+            parse_config(text)
+        except ConfigError:
+            continue
+        (tmp / "edited.cfg").write_text(text)
+        for argv in (["eval", "--results", str(tmp / "results.json")],
+                     ["train", "--images", str(tmp), "--out", str(tmp / "run")]):
+            code, err, caught = _quiet_main(
+                argv + ["--config", str(tmp / "edited.cfg"), "--dataset", str(tmp / "data.json")])
+            assert caught == [] and (code, len(err.splitlines())) in ((0, 0), (2, 1)), \
+                (line, argv[0], code, err, caught)
 
 
 class _Mallopt:

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from waterfallpose import tensor as T
 from waterfallpose.checks import random_pose_scene, scene_maps
@@ -12,7 +16,50 @@ from waterfallpose.waterfall import PoseMaps
 CFG = DecodeConfig()
 
 
+def nms_by_loop(plane, cfg):
+    """The peaks of nms_peaks, one comparison per window offset over the
+    plane padded with -inf (the window clamped to the plane as there)."""
+    h, w = plane.shape
+    r = min(cfg.nms_window // 2, max(h, w, 1) - 1)
+    padded = np.full((h + 2 * r, w + 2 * r), -np.inf)
+    padded[r: r + h, r: r + w] = plane
+    is_peak = plane >= cfg.center_threshold
+    for dr in range(-r, r + 1):
+        for dc in range(-r, r + 1):
+            if dr or dc:
+                is_peak &= plane > padded[r + dr: r + dr + h, r + dc: r + dc + w]
+    ys, xs = np.nonzero(is_peak)
+    peaks = sorted(((float(plane[y, x]), int(y), int(x)) for y, x in zip(ys, xs)),
+                   key=lambda t: (-t[0], t[1], t[2]))
+    return [(x, y, s) for s, y, x in peaks[: cfg.max_instances]]
+
+
+# plateaus, -inf and NaN all occur
+scores = st.sampled_from([0.0, 0.1, 0.5, 1.0, -np.inf, np.nan]) | st.floats(0.0, 1.0)
+
+
 class TestNmsPeaks:
+    @settings(max_examples=300)
+    @given(plane=st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+               lambda shape: arrays(np.float64, shape, elements=scores)),
+           window=st.integers(0, 13).map(lambda r: 2 * r + 1) | st.just(2 ** 62 + 1),
+           threshold=st.sampled_from([0.0, 0.1, 0.5]))
+    def test_equals_the_offset_loop(self, plane, window, threshold):
+        cfg = DecodeConfig(center_threshold=threshold, nms_window=window, max_instances=200)
+        assert nms_peaks(plane, cfg) == nms_by_loop(plane, cfg)
+
+    def test_widest_window_is_fast(self, rng):
+        # the window that covers a 128x128 map (a 512x512 image): one numpy
+        # pass per window offset would be 65,024 passes over the plane
+        plane = rng.uniform(0, 1, size=(128, 128))
+        cfg = DecodeConfig(nms_window=255)
+        best = np.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            peaks = nms_peaks(plane, cfg)
+            best = min(best, time.perf_counter() - start)
+        assert len(peaks) == 1 and best < 0.1, best
+
     def test_zero_map_empty(self):
         assert nms_peaks(np.zeros((16, 16)), CFG) == []
 

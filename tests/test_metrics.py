@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from waterfallpose.decode import PoseInstance
 from waterfallpose.metrics import AREA_RANGE, DEFAULT_THRESHOLDS, FALLOFF_RANGE, OksParams, \
@@ -316,6 +316,10 @@ class TestMatching:
 
     @settings(max_examples=300)
     @given(matching_sets())
+    # rows that cannot claim (best OKS below every threshold, or NaN) between
+    # rows that do, which the steps skip
+    @example(([[[0.9, 0.2], [0.1, 0.45], [math.nan, math.nan], [0.8, 0.6], [0.3, math.nan]],
+               [], [[math.nan], [0.7], [0.49]]], [2, 3, 1], DEFAULT_THRESHOLDS))
     def test_every_image_and_threshold_is_the_loop(self, case):
         images, gt_counts, thresholds = case
         sims = np.array([v for rows in images for row in rows for v in row], dtype=np.float64)

@@ -4,6 +4,7 @@ import pytest
 from waterfallpose import tensor as T
 from waterfallpose import train as TR
 from waterfallpose.backbone import PyramidConfig
+from waterfallpose.checks import operand_errors
 from waterfallpose.dataio import save_checkpoint, load_checkpoint
 from waterfallpose.model import init_model_weights, model_forward, model_backward
 from waterfallpose.targets import PersonAnnotation
@@ -370,6 +371,20 @@ class TestLoop:
         for k in before:
             np.testing.assert_array_equal(weights[k], before[k])
 
+    def test_overflowing_step_is_caught_before_the_checkpoint(self, rng):
+        # 1e300 overflows float32 in Adam's `a *= lr`: the epoch's last step
+        # leaves inf and NaN weights, and no forward follows it
+        samples = self._tiny_samples(rng, n=1)
+        pyr, wf, weights = toy_setup()
+        saved = []
+        cfg = TR.TrainConfig(epochs=1, seed=5, base_lr=1e300, checkpoint_every=1,
+                             **IDENTITY_AUG)
+        with pytest.raises(TR.TrainingError,
+                           match="non-finite weight after epoch 0: backbone.level0.0.b"):
+            TR.train_loop(samples, weights, pyr, wf, cfg,
+                          on_checkpoint=lambda *args: saved.append(args))
+        assert saved == []
+
     def test_loss_decreases_and_log_format(self, rng):
         samples = self._tiny_samples(rng)
         cfg = TR.TrainConfig(epochs=8, seed=3, **IDENTITY_AUG)
@@ -403,9 +418,11 @@ class TestFullModelGradient:
         heat_t = render_keypoint_heatmaps(anns, 2, 8, 8).astype(np.float64)
         off_t, off_m, off_s = render_offset_targets(anns, 2, 8, 8)
         cfg = TR.TrainConfig()
+        names = ("backbone.stem.0.w", "backbone.level1.0.w", "wf.branch2.w",
+                 "llf.mid.w", "head.kp.out.b", "head.off.g0.adapt.w")
 
-        def loss_fn(wset):
-            maps, _ = model_forward(img, wset, pyr, wf)
+        def loss(*picked):
+            maps, _ = model_forward(img, {**weights, **dict(zip(names, picked))}, pyr, wf)
             total, _, _, _, _ = TR.total_loss(
                 maps, heat_t, off_t.astype(np.float64), off_m.astype(np.float64),
                 off_s.astype(np.float64), cfg)
@@ -416,15 +433,9 @@ class TestFullModelGradient:
                                         off_m.astype(np.float64),
                                         off_s.astype(np.float64), cfg)
         grads = model_backward(tape, maps, gh, go)
-        for name in ("backbone.stem.0.w", "backbone.level1.0.w", "wf.branch2.w",
-                     "llf.mid.w", "head.kp.out.b", "head.off.g0.adapt.w"):
-            def f(v, name=name):
-                trial = dict(weights)
-                trial[name] = v.reshape(weights[name].shape)
-                return loss_fn(trial)
-            num = T.numeric_gradient(f, weights[name].reshape(1, 1, 1, -1), h=1e-6)
-            assert T.relative_error(grads[name], num.reshape(weights[name].shape)) \
-                <= 1e-6, name
+        errors = operand_errors(loss, [weights[n] for n in names], [grads[n] for n in names],
+                                h=1e-6)
+        assert np.max(errors) <= 1e-6, names[np.argmax(errors)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_tape_gives_the_recorded_maps(self, rng, dtype):

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from waterfallpose import tensor as T
 from waterfallpose import waterfall as W
 from waterfallpose.backbone import FeaturePyramid, PyramidConfig, backbone_forward
-from waterfallpose.checks import layered_head_projection, layered_pyramid_branch
+from waterfallpose.checks import layered_head_projection, layered_pyramid_branch, \
+    operand_errors
 from waterfallpose.model import draw_weights, init_model_weights, weight_shapes
 
 TOY_PYR = PyramidConfig(widths=(4, 8, 16, 32), stem_width=4)
@@ -89,16 +90,15 @@ class TestFusePyramid:
             out, cache = W.pyramid_branch(p.levels, wts["wf.branch0.w"], wts["wf.branch0.b"], d)
             gy = rng.standard_normal(out.shape)
             grads = W.pyramid_branch_backward(cache, gy)
-            operands = [*p.levels, wts["wf.branch0.w"], wts["wf.branch0.b"]]
-            for i, operand in enumerate(operands):
-                def f(v, i=i):
-                    trial = list(operands)
-                    trial[i] = v.reshape(operand.shape)
-                    ref, _ = layered_pyramid_branch(
-                        trial[:4], {"wf.branch0.w": trial[4], "wf.branch0.b": trial[5]}, d)
-                    return float((ref * gy).sum())
-                num = T.numeric_gradient(f, operand.reshape(1, 1, 1, -1))
-                assert T.relative_error(grads[i], num.reshape(operand.shape)) <= 1e-6, (d, i)
+
+            def loss(*ops):
+                ref, _ = layered_pyramid_branch(
+                    ops[:4], {"wf.branch0.w": ops[4], "wf.branch0.b": ops[5]}, d)
+                return float((ref * gy).sum())
+            errors = operand_errors(
+                loss, [*p.levels, wts["wf.branch0.w"], wts["wf.branch0.b"]], grads)
+            names = ("level0", "level1", "level2", "level3", "w", "b")
+            assert np.max(errors) <= 1e-6, (d, names[np.argmax(errors)])
 
     @settings(max_examples=150)
     @given(widths=st.tuples(*[st.integers(0, 3)] * 4), n=st.integers(1, 2),
@@ -340,15 +340,9 @@ class TestAdaptiveConv:
         off += rng.uniform(0.1, 0.4, size=off.shape)  # keep taps off the lattice
         gy = rng.standard_normal((1, 2, 5, 5))
         y, cache = W.adaptive_conv(x, w9, off)
-        gx, gw9, goff = W.adaptive_conv_backward(cache, gy)
-        num = T.numeric_gradient(lambda v: float((W.adaptive_conv(v, w9, off)[0] * gy).sum()), x)
-        assert T.relative_error(gx, num) <= 1e-6
-        num = T.numeric_gradient(
-            lambda v: float((W.adaptive_conv(x, v.reshape(w9.shape), off)[0] * gy).sum()),
-            w9.reshape(1, 2, 6, 3)).reshape(w9.shape)
-        assert T.relative_error(gw9, num) <= 1e-6
-        num = T.numeric_gradient(lambda v: float((W.adaptive_conv(x, w9, v)[0] * gy).sum()), off)
-        assert T.relative_error(goff, num) <= 1e-6
+        errors = operand_errors(lambda *args: float((W.adaptive_conv(*args)[0] * gy).sum()),
+                                (x, w9, off), W.adaptive_conv_backward(cache, gy))
+        assert np.max(errors) <= 1e-6, ("input", "weights", "offsets")[np.argmax(errors)]
 
     def test_far_offsets_read_zero_without_warnings(self, rng):
         x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
@@ -420,18 +414,13 @@ class TestPredictOffsets:
         tape = T.Tape()
         off = W.predict_offsets(feat, wts, "head.kp.taps", tape)
         grads, (gx,) = tape.backward([(off, gy)], wrt=[feat])
-        num = T.numeric_gradient(
-            lambda v: float((W.predict_offsets(v, wts, "head.kp.taps", T.Tape())
-                             * gy).sum()), feat)
-        assert T.relative_error(gx, num) <= 1e-6
         name = "head.kp.taps.w"
-        def f(v):
-            trial = dict(wts)
-            trial[name] = v.reshape(wts[name].shape)
-            return float((W.predict_offsets(feat, trial, "head.kp.taps", T.Tape())
+
+        def loss(v, w):
+            return float((W.predict_offsets(v, {**wts, name: w}, "head.kp.taps", T.Tape())
                           * gy).sum())
-        num = T.numeric_gradient(f, wts[name].reshape(1, 1, 6, -1))
-        assert T.relative_error(grads[name], num.reshape(wts[name].shape)) <= 1e-6
+        errors = operand_errors(loss, (feat, wts[name]), (gx, grads[name]))
+        assert np.max(errors) <= 1e-6, ("input", name)[np.argmax(errors)]
 
 
 class TestHeads:
@@ -522,32 +511,21 @@ class TestFullModule:
         p = make_pyramid(rng, dtype=np.float64)
         gh = rng.standard_normal((1, 3, 8, 8))
         go = rng.standard_normal((1, 4, 8, 8))
+        names = ("wf.branch0.b", "wf.branch1.w", "wf.pool.w", "wf.out.b", "llf.proj.w",
+                 "head.kp.adapt.w", "head.kp.taps.b", "head.off.g1.adapt.w",
+                 "head.off.expand.w", "head.off.g0.out.b")
 
-        def loss(pyr, wset):
-            maps = W.waterfall_module_forward(pyr, wset, cfg, T.Tape())
+        def loss(*ops):
+            maps = W.waterfall_module_forward(FeaturePyramid(list(ops[:4]), ops[4]),
+                                              {**wts, **dict(zip(names, ops[5:]))}, cfg,
+                                              T.Tape())
             return float((maps.heatmaps * gh).sum() + (maps.offsets * go).sum())
 
         tape = T.Tape()
         maps = W.waterfall_module_forward(p, wts, cfg, tape)
         grads, (*g_levels, g_low) = tape.backward(
             [(maps.heatmaps, gh), (maps.offsets, go)], wrt=[*p.levels, p.low_level])
-
-        for lv in range(4):
-            num = T.numeric_gradient(
-                lambda v, lv=lv: loss(FeaturePyramid(
-                    p.levels[:lv] + [v] + p.levels[lv + 1:], p.low_level), wts),
-                p.levels[lv])
-            assert T.relative_error(g_levels[lv], num) <= 1e-6, lv
-        num = T.numeric_gradient(
-            lambda v: loss(FeaturePyramid(p.levels, v), wts), p.low_level)
-        assert T.relative_error(g_low, num) <= 1e-6
-
-        for name in ("wf.branch0.b", "wf.branch1.w", "wf.pool.w", "wf.out.b", "llf.proj.w",
-                     "head.kp.adapt.w", "head.kp.taps.b", "head.off.g1.adapt.w",
-                     "head.off.expand.w", "head.off.g0.out.b"):
-            def f(v, name=name):
-                trial = dict(wts)
-                trial[name] = v.reshape(wts[name].shape)
-                return loss(p, trial)
-            num = T.numeric_gradient(f, wts[name].reshape(1, 1, 1, -1))
-            assert T.relative_error(grads[name], num.reshape(wts[name].shape)) <= 1e-6, name
+        errors = operand_errors(loss, [*p.levels, p.low_level, *(wts[n] for n in names)],
+                                [*g_levels, g_low, *(grads[n] for n in names)])
+        operands = ("level0", "level1", "level2", "level3", "low_level", *names)
+        assert np.max(errors) <= 1e-6, operands[np.argmax(errors)]
