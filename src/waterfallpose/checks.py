@@ -95,6 +95,15 @@ def layered_pyramid_branch(levels, weights, dilation):
     return y, T.global_avg_pool(g0)
 
 
+def offset_head_at_pixels_error(expanded, weights, cfg, ys, xs):
+    """Relative error of waterfall.offset_head at the pixels (ys, xs)
+    against the dense field it gives, read there: the oracle for the point
+    path that infer runs at the centre peaks."""
+    dense = W.offset_head(expanded, weights, cfg, T.ForwardTape())
+    at = W.offset_head(expanded, weights, cfg, T.ForwardTape(), at=(ys, xs))
+    return T.relative_error(at[:, :, 0], dense[:, :, ys, xs])
+
+
 def operand_errors(loss, operands, grads, h=1e-5):
     """Relative error of each analytic gradient in grads against central
     differences (tensor.numeric_gradient with step h) of the scalar
@@ -370,6 +379,15 @@ def selftest_checks():
     pooled = T.concat_channels([T.global_avg_pool(f) for f in levels])
     err = max(T.relative_error(y, ref), T.relative_error(pooled, ref_pooled))
     record("pyramid_branch_oracle", err <= 1e-5, f"rel err {err:.2e}")
+
+    # the offset head at 30 pixels, with repeats and the four corners, against
+    # its dense field, float32 at published widths with fractional taps
+    weights = init_model_weights(pyr, wf, seed=6, offset_init="random")
+    expanded = rng.standard_normal((1, wf.keypoints * wf.group_width, 8, 8)).astype(np.float32)
+    ys = np.concatenate([[0, 0, 7, 7], rng.integers(0, 8, size=26)])
+    xs = np.concatenate([[0, 7, 0, 7], rng.integers(0, 8, size=26)])
+    err = offset_head_at_pixels_error(expanded, weights, wf, ys, xs)
+    record("offset_head_at_pixels", err <= 1e-6, f"rel err {err:.2e}")
     return results
 
 

@@ -19,9 +19,9 @@ from . import checks, dataio, overlay
 from .config import ConfigError, RunConfig, default_config, parse_config
 from .decode import PoseInstance, decode_poses
 from .metrics import evaluate
-from .model import init_model_weights, model_forward, weight_shapes
-from .tensor import ForwardTape
+from .model import infer_maps, init_model_weights, weight_shapes
 from .train import TrainingError, train_loop
+from .waterfall import PoseMaps
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,15 +133,24 @@ def cmd_infer(args) -> int:
     image = dataio.read_image_ppm(_read_file(args.image))
     padded = _pad_to_divisor(image, cfg.pyramid.divisor())
     # a finite checkpoint can still overflow float32 on the way; the output
-    # check below reports that, so the forward's warnings are not wanted
+    # checks report that, so the forward's warnings are not wanted
     with np.errstate(all="ignore"):
-        maps, _ = model_forward(padded, weights, cfg.pyramid, cfg.waterfall, ForwardTape())
-    # min and max, unlike isfinite, make no map-sized temporary
-    if not all(np.isfinite(m.min()) and np.isfinite(m.max())
-               for m in (maps.heatmaps, maps.offsets)):
-        raise DataError(f"the network output on {args.image} is not finite: "
-                        "the checkpoint's weights overflow float32")
-    poses = decode_poses(maps, cfg.decode)
+        maps = infer_maps(padded, weights, cfg.pyramid, cfg.waterfall)
+
+    def checked(out):
+        # min and max, unlike isfinite, make no map-sized temporary
+        if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+            raise DataError(f"the network output on {args.image} is not finite: "
+                            "the checkpoint's weights overflow float32")
+        return out
+
+    def offsets_at(ys, xs):
+        with np.errstate(all="ignore"):
+            return checked(maps.offsets_at(ys, xs))
+
+    # decode runs the offset head at the centre peaks alone, and every
+    # offset it reads is checked before a pose is assembled
+    poses = decode_poses(PoseMaps(checked(maps.heatmaps), offsets_at), cfg.decode)
     stride = float(cfg.pyramid.base_stride)
     poses_img = [PoseInstance(p.keypoints * (stride, stride, 1.0), p.score) for p in poses]
     _write_file(args.out_poses, dataio.write_results({args.image_id: poses_img}))

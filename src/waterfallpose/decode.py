@@ -68,9 +68,10 @@ def nms_peaks(plane: np.ndarray, cfg: DecodeConfig):
         np.maximum(arms, down.T, out=arms)
         is_peak &= plane > arms
     ys, xs = np.nonzero(is_peak)
-    peaks = sorted(((float(plane[y, x]), int(y), int(x)) for y, x in zip(ys, xs)),
-                   key=lambda t: (-t[0], t[1], t[2]))
-    return [(x, y, s) for s, y, x in peaks[: cfg.max_instances]]
+    scores = plane[ys, xs]
+    # by descending score, then row, then column; a peak is never NaN
+    kept = np.lexsort((xs, ys, -scores))[: cfg.max_instances]
+    return [(int(xs[i]), int(ys[i]), float(scores[i])) for i in kept]
 
 
 def _arm_maxima(a, r):
@@ -101,25 +102,25 @@ def decode_poses(maps: PoseMaps, cfg: DecodeConfig):
     by sampling heatmap channel k there; the instance score is the center
     score times the mean joint score. Instances that duplicate a
     higher-scored one (OKS against it, as the reference pose, above
-    cfg.duplicate_oks) are dropped.
+    cfg.duplicate_oks) are dropped. The offsets are read at the peaks alone
+    (PoseMaps.offsets_at), so maps with no peak read none.
     """
     heat = maps.heatmaps
-    offs = maps.offsets
-    if heat.shape[0] != 1 or offs.shape[0] != 1:
-        raise T.ShapeError("decode_poses works on single-image maps")
-    if offs.shape[1] % 2:
-        raise T.ShapeError(f"offset field needs 2K channels, got {offs.shape[1]}")
-    k = offs.shape[1] // 2
-    if heat.shape[1] != k + 1:
-        raise T.ShapeError(
-            f"expected {k + 1} heatmap channels (K joints + center), got {heat.shape[1]}")
+    if heat.ndim != 4 or heat.shape[0] != 1 or heat.shape[1] < 2:
+        raise T.ShapeError(f"decode_poses works on single-image maps of K joints plus the "
+                           f"center, got heatmaps of shape {heat.shape}")
+    k = heat.shape[1] - 1
 
     peaks = nms_peaks(heat[0, k].astype(np.float64), cfg)
     if not peaks:
         return []
     cx = np.array([x for x, _, _ in peaks])
     cy = np.array([y for _, y, _ in peaks])
-    at_center = offs[0][:, cy, cx].astype(np.float64)          # (2K, P)
+    at_center = maps.offsets_at(cy, cx)
+    if at_center.shape != (1, 2 * k, len(peaks)):
+        raise T.ShapeError(f"expected {2 * k} offset channels (two per joint) of one "
+                           f"image, got offsets of shape {at_center.shape} at the peaks")
+    at_center = at_center[0].astype(np.float64)                 # (2K, P)
     xs = (cx + at_center[0::2]).T                               # (P, K)
     ys = (cy + at_center[1::2]).T
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):

@@ -16,8 +16,9 @@ import math
 import numpy as np
 
 from .backbone import PyramidConfig, backbone_forward
-from .tensor import Tape
-from .waterfall import IDENTITY_AFFINE, WaterfallConfig, waterfall_module_forward
+from .tensor import ForwardTape, Tape
+from .waterfall import IDENTITY_AFFINE, PoseMaps, WaterfallConfig, full_map_heads, \
+    fused_features, offset_head, waterfall_module_forward
 
 
 def weight_shapes(pyr: PyramidConfig, wf: WaterfallConfig) -> dict:
@@ -105,6 +106,19 @@ def model_forward(image: np.ndarray, weights: dict, pyr: PyramidConfig,
     tape = Tape() if tape is None else tape
     pyramid = backbone_forward(image, weights, pyr, tape)
     return waterfall_module_forward(pyramid, weights, wf, tape), tape
+
+
+def infer_maps(image: np.ndarray, weights: dict, pyr: PyramidConfig,
+               wf: WaterfallConfig) -> PoseMaps:
+    """A forward-only pass that runs the offset head only where it is read:
+    the full heatmaps, and as offsets a function of pixel rows and columns
+    (ys, xs) that runs waterfall.offset_head at those pixels and returns
+    their (N, 2K, P) offsets. Both are model_forward's maps where read."""
+    tape = ForwardTape()
+    f_maps = fused_features(backbone_forward(image, weights, pyr, tape), weights, wf, tape)
+    heat, expanded = full_map_heads(f_maps, weights, tape)
+    return PoseMaps(heat, lambda ys, xs: offset_head(expanded, weights, wf, tape,
+                                                     at=(ys, xs))[:, :, 0])
 
 
 def model_backward(tape, maps, g_heat, g_offsets):

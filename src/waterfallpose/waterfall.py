@@ -24,7 +24,10 @@ Every stage's output is at base resolution. Stages:
   4. heads_forward     - a keypoint head (adaptive conv, sigmoid scores for
                          each joint plus a person-center channel) and a
                          disentangled offset head (one adaptive-conv group per
-                         keypoint regressing a 2-vector toward that joint).
+                         keypoint regressing a 2-vector toward that joint). The
+                         offset head runs densely, or at given pixels alone
+                         (offset_head's at), such as the centre peaks decode
+                         reads.
 
 An adaptive convolution displaces the nine taps of a 3x3 kernel per pixel;
 the displacements come from a 1x1 predictor emitting a 2x2 matrix and a
@@ -33,6 +36,7 @@ translation applied to the canonical tap grid.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,11 +99,20 @@ class WaterfallConfig:
 
 @dataclass
 class PoseMaps:
-    """Network output: per-joint (plus center) score maps in (0,1), and the
-    per-keypoint (dx, dy) offset field, both at base resolution."""
+    """Network output at base resolution: per-joint (plus center) score maps
+    in (0,1), and the per-keypoint (dx, dy) offsets. offsets is the dense
+    (N, 2K, h, w) field, or a function of pixel rows and columns (ys, xs)
+    that runs the offset head at those P pixels alone and returns their
+    (N, 2K, P) offsets (model.infer_maps)."""
 
     heatmaps: np.ndarray
-    offsets: np.ndarray
+    offsets: np.ndarray | Callable
+
+    def offsets_at(self, ys, xs) -> np.ndarray:
+        """The (N, 2K, P) offsets at the P pixels (ys[p], xs[p])."""
+        if callable(self.offsets):
+            return self.offsets(ys, xs)
+        return self.offsets[:, :, ys, xs]
 
 
 # ---------------------------------------------------------------------------
@@ -348,36 +361,46 @@ def canonical_offsets(n: int, h: int, w: int, dtype=np.float32) -> np.ndarray:
     return affine_to_offsets(np.broadcast_to(identity, (n, 6, h, w)))
 
 
-def adaptive_conv(x: np.ndarray, w9: np.ndarray, offsets: np.ndarray):
-    """3x3 convolution whose nine taps are displaced per pixel.
+def adaptive_conv(x: np.ndarray, w9: np.ndarray, offsets: np.ndarray, at=None):
+    """3x3 convolution whose nine taps are displaced per output point.
 
     y(c) = sum_i  w_i @ x(c + g_i(c)), with x read bilinearly and zero
-    outside. w9 is (Cout, Cin, 3, 3); offsets is (N, 18, h, w) holding the
-    per-tap (row, col) displacements. Returns (y, cache).
+    outside. w9 is (Cout, Cin, 3, 3); offsets holds each point's per-tap
+    (row, col) displacements. With at=None the points are the pixels of x,
+    offsets is (N, 18, h, w) and so is y's grid. With at=(ys, xs), P pixel
+    rows and columns, the points are those pixels, offsets is (N, 18, 1, P)
+    and y is a (N, Cout, 1, P) map; its taps still read all of x. Returns
+    (y, cache).
     """
     n, cin, h, w = x.shape
-    if offsets.shape != (n, 18, h, w):
+    if at is None:
+        base_r = np.arange(h, dtype=np.float64).reshape(h, 1)
+        base_c = np.arange(w, dtype=np.float64).reshape(1, w)
+    else:
+        base_r, base_c = (np.asarray(v, dtype=np.float64).reshape(1, -1) for v in at)
+    grid = np.broadcast_shapes(base_r.shape, base_c.shape)
+    if offsets.shape != (n, 18, *grid):
         raise T.ShapeError(
-            f"offsets must be (N, 18, {h}, {w}), got {offsets.shape}")
+            f"offsets must be (N, 18, {grid[0]}, {grid[1]}), got {offsets.shape}")
     if w9.shape[1] != cin or w9.shape[2:] != (3, 3):
         raise T.ShapeError(f"tap weights {w9.shape} do not match input {x.shape}")
-    base_r = np.arange(h, dtype=np.float64).reshape(1, 1, h, 1)
-    base_c = np.arange(w, dtype=np.float64).reshape(1, 1, 1, w)
-    rows = base_r + offsets[:, 0::2].astype(np.float64)   # (N, 9, h, w)
+    rows = base_r + offsets[:, 0::2].astype(np.float64)   # (N, 9, *grid)
     cols = base_c + offsets[:, 1::2].astype(np.float64)
     sampled, scache = T.bilinear_sample(x, rows, cols)
-    # one GEMM over the (N, Cin*9, h*w) column matrix of sampled taps
-    sampled = sampled.reshape(n, cin * 9, h * w)
+    # one GEMM over the (N, Cin*9, points) column matrix of sampled taps
+    sampled = sampled.reshape(n, cin * 9, -1)
     y = np.matmul(w9.reshape(w9.shape[0], cin * 9), sampled)
-    return y.reshape(n, w9.shape[0], h, w), (x.shape, w9, sampled, scache)
+    return y.reshape(n, w9.shape[0], *grid), (w9, sampled, scache)
 
 
 def adaptive_conv_backward(cache, gy):
     """Gradients w.r.t. the input, the tap weights, and the offset field."""
-    (n, cin, h, w), w9, sampled, scache = cache
-    gy3 = gy.reshape(n, w9.shape[0], h * w)
+    w9, sampled, scache = cache
+    n, cout, h, w = gy.shape
+    cin = w9.shape[1]
+    gy3 = gy.reshape(n, cout, h * w)
     gw9 = T.column_gradient(gy3, sampled).reshape(w9.shape)
-    g_sampled = np.matmul(w9.reshape(w9.shape[0], cin * 9).T, gy3)
+    g_sampled = np.matmul(w9.reshape(cout, cin * 9).T, gy3)
     gx, grows, gcols = T.bilinear_sample_backward(
         scache, g_sampled.reshape(n, cin, 9, h, w))
     g_off = np.empty((n, 18, h, w), dtype=gy.dtype)
@@ -389,39 +412,86 @@ def adaptive_conv_backward(cache, gy):
 # ---------------------------------------------------------------------------
 # stage 4: heads
 
-def _adaptive_branch(tape, x: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
+# the offset head's point path runs its GEMMs over a multiple of this many
+# columns. OpenBLAS sums a column's products in one order inside its full
+# 16-wide (float32) or 8-wide (float64) column blocks and in another in a
+# narrower tail block or a one-column matrix-vector product, so a GEMM over
+# P % 16 in 1..8 columns can differ from the dense one in the last bits. A
+# divisor-padded image's map has h*w a multiple of 64, all in full blocks.
+POINT_BLOCK = 16
+
+
+def _adaptive_branch(tape, x: np.ndarray, weights: dict, prefix: str, at=None) -> np.ndarray:
     """Tap predictor, adaptive conv over x, ReLU, 1x1 out: one head branch,
-    with the adaptive conv recorded on the tape like any other kernel."""
-    offsets = predict_offsets(x, weights, prefix + ".taps", tape)
+    with the adaptive conv recorded on the tape like any other kernel. With
+    at=(ys, xs) the branch runs at those P pixels alone, as a (N, C, 1, P)
+    map: the tap predictor reads x's columns there, unrecorded, and the
+    adaptive conv samples all of x around them."""
+    cols = x if at is None else x[:, :, at[0], at[1]][:, :, None]
+    offsets = predict_offsets(cols, weights, prefix + ".taps", tape)
     name = prefix + ".adapt.w"
-    y, cache = adaptive_conv(x, weights[name], offsets)
+    y, cache = adaptive_conv(x, weights[name], offsets, at)
     y = tape.record(y, (x, name, offsets), lambda gy: adaptive_conv_backward(cache, gy))
     return tape.conv(tape.relu(y), weights, prefix + ".out", S1)
 
 
-def heads_forward(f_maps: np.ndarray, weights: dict, cfg: WaterfallConfig, tape):
-    """Keypoint and offset heads over the fused feature map.
-
-    Keypoint head: offset-predicted adaptive conv, ReLU, 1x1 to the score
-    channels, sigmoid. Offset head: 1x1 expansion into per-keypoint groups,
-    each with its own adaptive conv and 1x1 down to a (dx, dy) pair.
-    Returns the PoseMaps.
-    """
+def full_map_heads(f_maps: np.ndarray, weights: dict, tape):
+    """The part of stage 4 that runs over the whole map in every pass: the
+    keypoint head (offset-predicted adaptive conv, ReLU, 1x1 to the score
+    channels, sigmoid), whose centre channel NMS reads in full, and the
+    offset head's 1x1 expansion into per-keypoint groups, whose adaptive
+    convs may sample it anywhere. Returns (heatmaps, expanded)."""
     heat = tape.sigmoid(_adaptive_branch(tape, f_maps, weights, "head.kp"))
-    expanded = tape.conv(f_maps, weights, "head.off.expand", S1)
+    return heat, tape.conv(f_maps, weights, "head.off.expand", S1)
+
+
+def offset_head(expanded: np.ndarray, weights: dict, cfg: WaterfallConfig, tape, at=None):
+    """The disentangled offset head over full_map_heads' expanded map: per
+    keypoint group, its own adaptive conv and 1x1 down to a (dx, dy) pair.
+
+    With at=None it gives the dense (N, 2K, h, w) field. With at=(ys, xs),
+    two integer arrays of P pixel rows and columns (repeats allowed), every
+    group's branch runs on those P columns alone, padded to a multiple of
+    POINT_BLOCK with repeats of the last pixel, and it gives their
+    (N, 2K, 1, P) offsets, the dense field's there in real arithmetic. That
+    path gathers its columns off the tape, so it runs on a ForwardTape only.
+    """
+    if at is not None:
+        ys, xs = at
+        h, w = expanded.shape[2:]
+        if not isinstance(tape, T.ForwardTape):
+            raise TypeError("the offset head runs at given pixels on a ForwardTape only")
+        if ys.ndim != 1 or ys.shape != xs.shape or not ys.size \
+                or min(ys.min(), xs.min()) < 0 or ys.max() >= h or xs.max() >= w:
+            raise T.ShapeError(f"the offset head needs one or more pixels of its {h}x{w} "
+                               f"map, two 1-d arrays of one length")
+        pad = -ys.size % POINT_BLOCK
+        at = tuple(np.concatenate([v, np.repeat(v[-1:], pad)]) for v in at)
     groups = tape.split(expanded, [cfg.group_width] * cfg.keypoints)
-    offsets = tape.concat(_adaptive_branch(tape, feat, weights, f"head.off.g{k}")
+    offsets = tape.concat(_adaptive_branch(tape, feat, weights, f"head.off.g{k}", at)
                           for k, feat in enumerate(groups))
-    return PoseMaps(heat, offsets)
+    return offsets if at is None else offsets[..., :ys.size]
+
+
+def heads_forward(f_maps: np.ndarray, weights: dict, cfg: WaterfallConfig, tape):
+    """Keypoint and offset heads over the fused feature map: full_map_heads,
+    then the dense offset_head. Returns the PoseMaps."""
+    heat, expanded = full_map_heads(f_maps, weights, tape)
+    return PoseMaps(heat, offset_head(expanded, weights, cfg, tape))
 
 
 # ---------------------------------------------------------------------------
 # full module
 
+def fused_features(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig, tape):
+    """Stages 1 to 3: waterfall over the pyramid -> low-level fusion.
+    Returns the f_maps the heads read."""
+    branches, pooled = waterfall_forward(p, weights, cfg, tape)
+    return fuse_low_level(p.low_level, branches, pooled, weights, cfg, tape)
+
+
 def waterfall_module_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig,
                              tape):
     """waterfall over the pyramid -> low-level fusion -> heads.
     Returns the PoseMaps."""
-    branches, pooled = waterfall_forward(p, weights, cfg, tape)
-    f_maps = fuse_low_level(p.low_level, branches, pooled, weights, cfg, tape)
-    return heads_forward(f_maps, weights, cfg, tape)
+    return heads_forward(fused_features(p, weights, cfg, tape), weights, cfg, tape)

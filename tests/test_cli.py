@@ -17,8 +17,8 @@ from waterfallpose import dataio
 from waterfallpose.checks import overlay_reference, random_overlay_scene
 from waterfallpose.cli import M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, main, pin_heap_policy
 from waterfallpose.config import SCHEMA, ConfigError, default_config, parse_config
-from waterfallpose.decode import PoseInstance
-from waterfallpose.model import init_model_weights
+from waterfallpose.decode import PoseInstance, decode_poses
+from waterfallpose.model import init_model_weights, model_forward
 from waterfallpose.overlay import draw_overlay, line_pixels
 from waterfallpose.targets import PersonAnnotation
 from waterfallpose.waterfall import HEAD_PROJECTION_WEIGHTS
@@ -189,6 +189,47 @@ class TestInfer:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "not finite" in err[0]
         assert not (tmp / "out.json").exists()
+
+    def test_offset_group_overflow_at_the_peaks_is_data_error(self, workdir, capsys):
+        # only one offset group's weights are edited: the heatmaps stay
+        # finite, and the offsets decode reads at the centre peaks overflow
+        tmp, cfg = workdir
+        weights = init_model_weights(cfg.pyramid, cfg.waterfall, seed=0)
+        for name in ("head.off.g0.adapt.w", "head.off.g0.out.w"):
+            weights[name] *= np.float32(1e30)
+        ckpt = tmp / "g0.bin"
+        ckpt.write_bytes(dataio.save_checkpoint(weights, None, 0, cfg.fingerprint()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["infer", "--config", str(tmp / "toy.cfg"),
+                         "--checkpoint", str(ckpt),
+                         "--image", str(tmp / "img0.ppm"),
+                         "--out-poses", str(tmp / "out.json")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "network output" in err[0] and "not finite" in err[0]
+        assert not (tmp / "out.json").exists()
+
+    @pytest.mark.parametrize("offset_init", ["canonical", "random"])
+    def test_results_are_those_of_the_dense_forward(self, workdir, offset_init):
+        # infer runs the offset head at the centre peaks alone; its results
+        # file is the one the dense field decodes to, byte for byte
+        tmp, cfg = workdir
+        weights = init_model_weights(cfg.pyramid, cfg.waterfall, seed=1,
+                                     offset_init=offset_init)
+        ckpt = tmp / "ckpt.bin"
+        ckpt.write_bytes(dataio.save_checkpoint(weights, None, 0, cfg.fingerprint()))
+        code = main(["infer", "--config", str(tmp / "toy.cfg"), "--checkpoint", str(ckpt),
+                     "--image", str(tmp / "img0.ppm"), "--out-poses", str(tmp / "out.json"),
+                     "--image-id", "4"])
+        assert code == 0
+        image = dataio.read_image_ppm((tmp / "img0.ppm").read_bytes())
+        maps, _ = model_forward(image, weights, cfg.pyramid, cfg.waterfall)
+        stride = float(cfg.pyramid.base_stride)
+        poses = [PoseInstance(p.keypoints * (stride, stride, 1.0), p.score)
+                 for p in decode_poses(maps, cfg.decode)]
+        assert len(poses) > 1
+        assert (tmp / "out.json").read_text() == dataio.write_results({4: poses})
 
     @pytest.mark.parametrize("edit", ["extra", "misshapen"])
     def test_weight_outside_the_table_is_data_error(self, workdir, capsys, edit):

@@ -8,7 +8,7 @@ from waterfallpose import tensor as T
 from waterfallpose import waterfall as W
 from waterfallpose.backbone import FeaturePyramid, PyramidConfig, backbone_forward
 from waterfallpose.checks import layered_head_projection, layered_pyramid_branch, \
-    operand_errors
+    offset_head_at_pixels_error, operand_errors
 from waterfallpose.model import draw_weights, init_model_weights, weight_shapes
 
 TOY_PYR = PyramidConfig(widths=(4, 8, 16, 32), stem_width=4)
@@ -421,6 +421,39 @@ class TestPredictOffsets:
                           * gy).sum())
         errors = operand_errors(loss, (feat, wts[name]), (gx, grads[name]))
         assert np.max(errors) <= 1e-6, ("input", name)[np.argmax(errors)]
+
+
+class TestOffsetHeadAtPixels:
+    @settings(max_examples=60)
+    @given(data=st.data(), h=st.integers(1, 9), w=st.integers(1, 9), n=st.integers(1, 2),
+           k=st.integers(1, 3), g=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_dense_field(self, data, h, w, n, k, g, seed):
+        # random tap predictors, and any P pixels with repeats, corners and edges
+        rng = np.random.default_rng(seed)
+        cfg = toy_cfg(keypoints=k, group_width=g)
+        wts = {name: v.astype(np.float64) for name, v in
+               head_weights(cfg, rng, offset_init="random").items()}
+        expanded = rng.standard_normal((n, k * g, h, w))
+        border = [(y, x) for y in (0, h - 1) for x in (0, w - 1)] + [(0, w // 2), (h // 2, 0)]
+        pixels = data.draw(st.lists(
+            st.sampled_from(border) | st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)),
+            min_size=1, max_size=h * w))
+        ys, xs = (np.array(v) for v in zip(*pixels))
+        assert offset_head_at_pixels_error(expanded, wts, cfg, ys, xs) <= 1e-12
+
+    def test_takes_pixels_of_its_map_on_a_forward_tape(self, rng):
+        cfg = toy_cfg()
+        wts = head_weights(cfg, rng)
+        expanded = rng.standard_normal((1, 6, 4, 5)).astype(np.float32)
+        inside = (np.array([0, 3]), np.array([4, 0]))
+        assert W.offset_head(expanded, wts, cfg, T.ForwardTape(), at=inside).shape == \
+            (1, 4, 1, 2)
+        with pytest.raises(TypeError, match="ForwardTape"):
+            W.offset_head(expanded, wts, cfg, T.Tape(), at=inside)
+        for ys, xs in (([4], [0]), ([0], [5]), ([-1], [0]), ([], []), ([0, 1], [0])):
+            with pytest.raises(T.ShapeError, match="4x5 map"):
+                W.offset_head(expanded, wts, cfg, T.ForwardTape(),
+                              at=(np.array(ys, dtype=int), np.array(xs, dtype=int)))
 
 
 class TestHeads:
