@@ -14,7 +14,8 @@ from . import waterfall as W
 from .backbone import PyramidConfig
 from .dataio import save_checkpoint
 from .decode import DecodeConfig, PoseInstance, decode_poses
-from .metrics import OksParams, EvalResult, oks, evaluate, DEFAULT_THRESHOLDS, RECALL_POINTS
+from .metrics import AREA_EDGES, CROWD_EDGES, DEFAULT_THRESHOLDS, RECALL_POINTS, EvalResult, \
+    OksParams, evaluate, oks
 from .model import draw_weights, init_model_weights, model_backward, model_forward, \
     weight_shapes
 from .overlay import LINE_COLOR, MARKER_COLORS, draw_overlay
@@ -493,7 +494,7 @@ def scene_maps(anns, k, h=64, w=64):
     return PoseMaps(heat, offs)
 
 
-def random_eval_scene(rng, area_edges=(32.0 ** 2, 96.0 ** 2), crowd_edges=(0.1, 0.8)):
+def random_eval_scene(rng, area_edges=AREA_EDGES, crowd_edges=CROWD_EDGES):
     """A random scene for the evaluator oracle, with ties: 1 to 3 images, each
     with 0 to 5 ground truths and 0 to 8 predictions of K = 2 joints.
 
@@ -569,7 +570,7 @@ def ap_by_loop(curve):
 
 
 def bruteforce_eval(preds_by_image, gts_by_image, params, style="coco",
-                    area_edges=(32.0 ** 2, 96.0 ** 2), crowd_edges=(0.1, 0.8)):
+                    area_edges=AREA_EDGES, crowd_edges=CROWD_EDGES):
     """Plain-loop reference: greedy matching and direct PR integration.
 
     Returns the whole EvalResult: AP, AP50, AP75 and AR over all ground

@@ -166,7 +166,10 @@ def cmd_train(args) -> int:
     dataset = dataio.parse_annotations(_read_file(args.dataset, binary=False))
     _check_keypoint_count(cfg, dataset)
     samples = _load_samples(cfg, dataset, args.images)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:                # a file in the way, or no permission
+        raise DataError(f"cannot create output directory {args.out}: {e}") from e
     weights = init_model_weights(cfg.pyramid, cfg.waterfall, seed=cfg.train.seed)
     fingerprint = cfg.fingerprint()
 

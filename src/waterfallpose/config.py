@@ -1,21 +1,25 @@
 """Run configuration: a flat "section.key = value" text format covering every
 tunable, with a canonical serialization whose hash fingerprints checkpoints.
 
-Unknown keys are rejected. Lists are comma-separated. The two head widths
-accept 0 to mean "derived default" (the fused pyramid width, and a quarter of
-it). A valid config's weights fit a size budget, so no edit allocates at scale.
+The pyramid, waterfall, train and decode keys are the fields of their config
+classes, with the fields' defaults; SCHEMA adds the OKS falloffs and the
+evaluator's settings. Unknown keys are rejected. Lists are comma-separated.
+The two head widths accept 0 to mean "derived default" (the fused pyramid
+width, and a quarter of it). A valid config's weights fit a size budget, so
+no edit allocates at scale.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import islice
 
 from .backbone import PyramidConfig
 from .decode import DecodeConfig
-from .metrics import OksParams
-from .model import weight_count, weight_shapes
+from .metrics import AREA_EDGES, CROWD_EDGES, OksParams
+from .model import weight_entries
 from .train import TrainConfig
 from .waterfall import WaterfallConfig
 
@@ -47,83 +51,51 @@ def _parse_list(cast):
     return parse
 
 
+def _parser(default):
+    """A key's parser follows from its default: a list of the items' type for
+    a tuple, otherwise the default's own type."""
+    return _parse_list(type(default[0])) if isinstance(default, tuple) else type(default)
+
+
+# section -> (field, key, default) of each field its config class is built
+# from; decode's falloffs are not a key, since decode reads oks.falloffs
+_SECTIONS = {section: [(f.name, f"{section}.{f.name}", f.default) for f in fields(cls)
+                       if (section, f.name) != ("decode", "falloffs")]
+             for section, cls in (("pyramid", PyramidConfig), ("waterfall", WaterfallConfig),
+                                  ("train", TrainConfig), ("decode", DecodeConfig))}
+# the defaults no field gives: 0 for the head widths is "derived", and no
+# config class holds the OKS falloffs or the evaluator's settings
+_OWN_DEFAULTS = {"waterfall.out_width": 0, "waterfall.final_width": 0,
+                 "oks.falloffs": (0.1,), "eval.style": "coco",
+                 "eval.area_medium": AREA_EDGES[0], "eval.area_large": AREA_EDGES[1],
+                 "eval.crowd_easy": CROWD_EDGES[0], "eval.crowd_hard": CROWD_EDGES[1]}
 # key -> (parser, default)
-SCHEMA = {
-    "pyramid.widths": (_parse_list(int), (32, 64, 128, 256)),
-    "pyramid.stem_width": (int, 32),
-    "pyramid.base_stride": (int, 4),
-    "pyramid.num_blocks": (int, 1),
-    "waterfall.dilations": (_parse_list(int), (1, 6, 12, 18)),
-    "waterfall.branch_width": (int, 128),
-    "waterfall.out_width": (int, 0),
-    "waterfall.final_width": (int, 0),
-    "waterfall.keypoints": (int, 17),
-    "waterfall.group_width": (int, 15),
-    "train.epochs": (int, 140),
-    "train.base_lr": (float, 1e-3),
-    "train.lr_steps": (_parse_list(int), (90, 120)),
-    "train.lr_factor": (float, 0.1),
-    "train.rotation_deg": (float, 30.0),
-    "train.scale_min": (float, 0.75),
-    "train.scale_max": (float, 1.5),
-    "train.translate_px": (float, 40.0),
-    "train.heatmap_weight": (float, 1.0),
-    "train.offset_weight": (float, 0.03),
-    "train.seed": (int, 0),
-    "train.sigma": (float, 3.0),
-    "train.offset_radius": (float, 4.0),
-    "train.checkpoint_every": (int, 50),
-    "decode.center_threshold": (float, 0.1),
-    "decode.nms_window": (int, 3),
-    "decode.max_instances": (int, 30),
-    "decode.duplicate_oks": (float, 0.9),
-    "oks.falloffs": (_parse_list(float), (0.1,)),
-    "eval.style": (str, "coco"),
-    "eval.area_medium": (float, 32.0 ** 2),
-    "eval.area_large": (float, 96.0 ** 2),
-    "eval.crowd_easy": (float, 0.1),
-    "eval.crowd_hard": (float, 0.8),
-}
+SCHEMA = {key: (_parser(default), default) for key, default in {
+    **{key: default for entries in _SECTIONS.values() for _, key, default in entries},
+    **_OWN_DEFAULTS}.items()}
 
 
 @dataclass
 class RunConfig:
     values: dict
 
+    def _section(self, section: str) -> dict:
+        return {name: self.values[key] for name, key, _ in _SECTIONS[section]}
+
     @property
     def pyramid(self) -> PyramidConfig:
-        v = self.values
-        return PyramidConfig(widths=v["pyramid.widths"],
-                             stem_width=v["pyramid.stem_width"],
-                             base_stride=v["pyramid.base_stride"],
-                             num_blocks=v["pyramid.num_blocks"])
+        return PyramidConfig(**self._section("pyramid"))
 
     @property
     def waterfall(self) -> WaterfallConfig:
-        v = self.values
-        fused = sum(v["pyramid.widths"])
-        return WaterfallConfig(
-            dilations=v["waterfall.dilations"],
-            branch_width=v["waterfall.branch_width"],
-            out_width=v["waterfall.out_width"] or fused,
-            final_width=v["waterfall.final_width"] or fused // 4,
-            keypoints=v["waterfall.keypoints"],
-            group_width=v["waterfall.group_width"])
+        s = self._section("waterfall")
+        fused = sum(self.values["pyramid.widths"])
+        return WaterfallConfig(**{**s, "out_width": s["out_width"] or fused,
+                                  "final_width": s["final_width"] or fused // 4})
 
     @property
     def train(self) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            epochs=v["train.epochs"], base_lr=v["train.base_lr"],
-            lr_steps=v["train.lr_steps"], lr_factor=v["train.lr_factor"],
-            rotation_deg=v["train.rotation_deg"],
-            scale_range=(v["train.scale_min"], v["train.scale_max"]),
-            translate_px=v["train.translate_px"],
-            heatmap_weight=v["train.heatmap_weight"],
-            offset_weight=v["train.offset_weight"],
-            seed=v["train.seed"],
-            sigma=v["train.sigma"], offset_radius=v["train.offset_radius"],
-            checkpoint_every=v["train.checkpoint_every"])
+        return TrainConfig(**self._section("train"))
 
     @property
     def falloffs(self) -> tuple:
@@ -142,12 +114,7 @@ class RunConfig:
 
     @property
     def decode(self) -> DecodeConfig:
-        v = self.values
-        return DecodeConfig(center_threshold=v["decode.center_threshold"],
-                            nms_window=v["decode.nms_window"],
-                            max_instances=v["decode.max_instances"],
-                            duplicate_oks=v["decode.duplicate_oks"],
-                            falloffs=self.falloffs)
+        return DecodeConfig(**self._section("decode"), falloffs=self.falloffs)
 
     @property
     def eval_style(self) -> str:
@@ -163,9 +130,10 @@ class RunConfig:
 
     def validate(self):
         pyr, wf = self.pyramid, self.waterfall
-        if weight_count(pyr, wf) > MAX_WEIGHT_TENSORS:
+        entries = list(islice(weight_entries(pyr, wf), MAX_WEIGHT_TENSORS + 1))
+        if len(entries) > MAX_WEIGHT_TENSORS:
             raise ConfigError(f"the model would have over {MAX_WEIGHT_TENSORS} weight tensors")
-        params = sum(math.prod(s) for s in weight_shapes(pyr, wf).values())
+        params = sum(math.prod(shape) for _, shape in entries)
         if params > MAX_PARAMETERS:
             raise ConfigError(f"the model would have {params} parameters, over the "
                               f"budget of {MAX_PARAMETERS}")

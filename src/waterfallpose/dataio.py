@@ -143,7 +143,7 @@ def parse_annotations(text: str) -> Dataset:
     """Parse the JSON annotation schema into a Dataset."""
     try:
         doc = json.loads(text)
-    except ValueError as e:               # JSONDecodeError, or an over-long integer
+    except (ValueError, RecursionError) as e:   # bad JSON, over-long integer, deep nesting
         raise FormatError(f"annotation file is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise FormatError("annotation file must be a JSON object")
@@ -442,7 +442,7 @@ def load_checkpoint(source, expected_fingerprint: str | None = None):
     meta = _unpack_str(s)
     try:
         shapes = json.loads(meta)
-    except ValueError as e:               # JSONDecodeError, or an over-long integer
+    except (ValueError, RecursionError) as e:   # bad JSON, over-long integer, deep nesting
         raise FormatError(f"checkpoint shape table is not valid JSON: {e}") from e
     if not isinstance(shapes, dict):
         raise FormatError("checkpoint shape table must be a JSON object")
@@ -502,7 +502,7 @@ def write_results(instances_by_image: dict) -> str:
 def parse_results(text: str, k: int) -> dict:
     try:
         doc = json.loads(text)
-    except ValueError as e:               # JSONDecodeError, or an over-long integer
+    except (ValueError, RecursionError) as e:   # bad JSON, over-long integer, deep nesting
         raise FormatError(f"results file is not valid JSON: {e}") from e
     if not isinstance(doc, list):
         raise FormatError("results file must be a JSON list")

@@ -46,6 +46,10 @@ PAIR_BLOCK = 512
 # are at least 1 and, from float32 offsets, below about 5e77
 FALLOFF_RANGE = (1e-3, 10.0)
 AREA_RANGE = (1e-6, 1e100)
+# the default bucket edges: COCO's medium and large areas, and CrowdPose's
+# easy and hard crowd indices
+AREA_EDGES = (32.0 ** 2, 96.0 ** 2)
+CROWD_EDGES = (0.1, 0.8)
 
 
 @dataclass(frozen=True)
@@ -276,7 +280,7 @@ def _bucket_masks(style, area, crowd, area_edges, crowd_edges):
 
 
 def evaluate(preds_by_image: dict, gts_by_image: dict, params: OksParams, style: str = "coco",
-             area_edges=(32.0 ** 2, 96.0 ** 2), crowd_edges=(0.1, 0.8)) -> EvalResult:
+             area_edges=AREA_EDGES, crowd_edges=CROWD_EDGES) -> EvalResult:
     """Dataset-level AP/AR.
 
     preds_by_image maps image id to PoseInstance lists, gts_by_image to

@@ -1,12 +1,13 @@
 """Full network: image -> feature pyramid -> waterfall head -> pose maps.
 
-weight_shapes lists the weights the configs imply, by name, shape and draw
-order: init draws from it, the config's size budget counts it and infer holds
-a checkpoint to it. Weights live in one dict keyed by layer name, which the
-checkpoint writer and the gradients share; training rebinds its entries to
-views of the optimizer's flat arena (train.init_optim_state). The layers are
-written forward only: each kernel they run is recorded on a tensor.Tape with
-its analytic backward, and the backward pass is one replay of that tape.
+weight_entries lists the weights the configs imply, by name, shape and draw
+order, and weight_shapes is its table: init draws from it, the config's size
+budget counts it and infer holds a checkpoint to it. Weights live in one dict
+keyed by layer name, which the checkpoint writer and the gradients share;
+training rebinds its entries to views of the optimizer's flat arena
+(train.init_optim_state). The layers are written forward only: each kernel
+they run is recorded on a tensor.Tape with its analytic backward, and the
+backward pass is one replay of that tape.
 """
 
 from __future__ import annotations
@@ -21,46 +22,44 @@ from .waterfall import IDENTITY_AFFINE, PoseMaps, WaterfallConfig, full_map_head
     fused_features, offset_head, waterfall_module_forward
 
 
-def weight_shapes(pyr: PyramidConfig, wf: WaterfallConfig) -> dict:
-    """{name: shape} of every weight, in draw order; allocates nothing. A
-    layer is a kernel (Cout, Cin, k, k) and a bias (Cout,); an adaptive conv
-    has no bias. The head reads the pyramid levels' and low-level widths."""
-    shapes = {}
-
+def weight_entries(pyr: PyramidConfig, wf: WaterfallConfig):
+    """(name, shape) of every weight, in draw order, one at a time, so that a
+    bound can read a prefix. A layer is a kernel (Cout, Cin, k, k) and a bias
+    (Cout,); an adaptive conv has no bias. The head reads the pyramid levels'
+    and low-level widths."""
     def layer(name, cout, cin, k=1, bias=True):
-        shapes[name + ".w"] = (cout, cin, k, k)
+        yield name + ".w", (cout, cin, k, k)
         if bias:
-            shapes[name + ".b"] = (cout,)
+            yield name + ".b", (cout,)
 
     for i in range(pyr.stem_convs):
-        layer(f"backbone.stem.{i}", pyr.stem_width, pyr.stem_width if i else 3, 3)
+        yield from layer(f"backbone.stem.{i}", pyr.stem_width, pyr.stem_width if i else 3, 3)
     for lv, width in enumerate(pyr.widths):
         for j in range(lv + pyr.num_blocks):
-            layer(f"backbone.level{lv}.{j}", width, width if j else pyr.low_level_width, 3)
+            yield from layer(f"backbone.level{lv}.{j}", width,
+                             width if j else pyr.low_level_width, 3)
     fused, branch, out, f, g = (sum(pyr.widths), wf.branch_width, wf.out_width,
                                 wf.final_width, wf.group_width)
     for i in range(len(wf.dilations)):
-        layer(f"wf.branch{i}", branch, branch if i else fused, 3)
-    layer("wf.pool", branch, fused)
-    layer("wf.out", out, 5 * branch)
-    layer("llf.proj", out, pyr.low_level_width)
-    layer("llf.mid", out, out)
-    layer("llf.out", f, out)
-    layer("head.kp.taps", 6, f)
-    layer("head.kp.adapt", f, f, 3, bias=False)
-    layer("head.kp.out", wf.heatmap_channels, f)
-    layer("head.off.expand", wf.keypoints * g, f)
+        yield from layer(f"wf.branch{i}", branch, branch if i else fused, 3)
+    yield from layer("wf.pool", branch, fused)
+    yield from layer("wf.out", out, 5 * branch)
+    yield from layer("llf.proj", out, pyr.low_level_width)
+    yield from layer("llf.mid", out, out)
+    yield from layer("llf.out", f, out)
+    yield from layer("head.kp.taps", 6, f)
+    yield from layer("head.kp.adapt", f, f, 3, bias=False)
+    yield from layer("head.kp.out", wf.heatmap_channels, f)
+    yield from layer("head.off.expand", wf.keypoints * g, f)
     for k in range(wf.keypoints):
-        layer(f"head.off.g{k}.taps", 6, g)
-        layer(f"head.off.g{k}.adapt", g, g, 3, bias=False)
-        layer(f"head.off.g{k}.out", 2, g)
-    return shapes
+        yield from layer(f"head.off.g{k}.taps", 6, g)
+        yield from layer(f"head.off.g{k}.adapt", g, g, 3, bias=False)
+        yield from layer(f"head.off.g{k}.out", 2, g)
 
 
-def weight_count(pyr: PyramidConfig, wf: WaterfallConfig) -> int:
-    """len(weight_shapes(pyr, wf)) without building the table: num_blocks and
-    keypoints multiply its entries, so a config can be bounded first."""
-    return 2 * pyr.stem_convs + 2 * (4 * pyr.num_blocks + 6) + 25 + 5 * wf.keypoints
+def weight_shapes(pyr: PyramidConfig, wf: WaterfallConfig) -> dict:
+    """{name: shape} of every weight, in draw order; allocates no weight."""
+    return dict(weight_entries(pyr, wf))
 
 
 def draw_weights(shapes: dict, rng: np.random.Generator, dtype=np.float32,

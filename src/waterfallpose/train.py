@@ -34,7 +34,8 @@ class TrainConfig:
     lr_steps: tuple = (90, 120)
     lr_factor: float = 0.1
     rotation_deg: float = 30.0
-    scale_range: tuple = (0.75, 1.5)
+    scale_min: float = 0.75
+    scale_max: float = 1.5
     translate_px: float = 40.0
     heatmap_weight: float = 1.0
     offset_weight: float = 0.03
@@ -68,10 +69,9 @@ class TrainConfig:
         if steps != sorted(steps) or min(steps, default=0) < 0:
             raise ValueError(f"lr steps must be non-negative and increasing, "
                              f"got {self.lr_steps}")
-        lo, hi = self.scale_range
-        if not 0.0 < lo <= hi < math.inf:
+        if not 0.0 < self.scale_min <= self.scale_max < math.inf:
             raise ValueError(f"scale range must be finite and positive with "
-                             f"min <= max, got {self.scale_range}")
+                             f"min <= max, got {(self.scale_min, self.scale_max)}")
 
 
 def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:
@@ -130,7 +130,7 @@ def total_loss(maps, heat_target, off_target, off_mask, off_scale, cfg: TrainCon
 
 def sample_affine_params(rng: np.random.Generator, cfg: TrainConfig):
     theta = rng.uniform(-cfg.rotation_deg, cfg.rotation_deg)
-    scale = rng.uniform(cfg.scale_range[0], cfg.scale_range[1])
+    scale = rng.uniform(cfg.scale_min, cfg.scale_max)
     tx = rng.uniform(-cfg.translate_px, cfg.translate_px)
     ty = rng.uniform(-cfg.translate_px, cfg.translate_px)
     return theta, scale, tx, ty

@@ -308,10 +308,10 @@ def head_projection_backward(cache, gy):
 
 
 def fuse_low_level(low_level: np.ndarray, branches, pooled: np.ndarray,
-                   weights: dict, cfg: WaterfallConfig, tape):
+                   weights: dict, tape):
     """The waterfall 1x1 over stage 2's four branches and pooled branch,
     plus the low-level map projected to the same width, then two 1x1 stages,
-    the last reducing to cfg.final_width: head_projection, recorded on the
+    the last reducing to the final width: head_projection, recorded on the
     tape as one kernel. Returns f_maps."""
     if any(x.shape[2:] != low_level.shape[2:] for x in branches) or pooled.shape[2:] != (1, 1):
         raise T.ShapeError(f"stage 3 needs the branches at the low-level extents "
@@ -487,7 +487,7 @@ def fused_features(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig, tape)
     """Stages 1 to 3: waterfall over the pyramid -> low-level fusion.
     Returns the f_maps the heads read."""
     branches, pooled = waterfall_forward(p, weights, cfg, tape)
-    return fuse_low_level(p.low_level, branches, pooled, weights, cfg, tape)
+    return fuse_low_level(p.low_level, branches, pooled, weights, tape)
 
 
 def waterfall_module_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig,

@@ -116,7 +116,7 @@ def test_04_channel_arithmetic_at_paper_widths():
     p = FeaturePyramid(levels, rng.standard_normal((1, 32, 8, 8)).astype(np.float32))
     tape = T.Tape()
     branches, pooled = W.waterfall_forward(p, wts, cfg, tape)
-    f_maps = W.fuse_low_level(p.low_level, branches, pooled, wts, cfg, tape)
+    f_maps = W.fuse_low_level(p.low_level, branches, pooled, wts, tape)
     maps = W.heads_forward(f_maps, wts, cfg, tape)
     # the fused map is never formed; wf.branch0 reads its channels
     fused = wts["wf.branch0.w"].shape[1]
@@ -276,7 +276,7 @@ OVERFIT_PYR = PyramidConfig(widths=(4, 8, 16, 32), stem_width=4, num_blocks=2)
 OVERFIT_WF = WaterfallConfig(branch_width=12, out_width=32, final_width=15, keypoints=2,
                              group_width=4)
 OVERFIT_TRAIN = TrainConfig(epochs=200, seed=0, rotation_deg=0.0,
-                            scale_range=(1.0, 1.0), translate_px=0.0)
+                            scale_min=1.0, scale_max=1.0, translate_px=0.0)
 
 
 def test_10_toy_overfit():

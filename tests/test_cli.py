@@ -41,6 +41,12 @@ oks.falloffs = 0.2
 """
 
 
+def test_toy_config_fingerprint_is_pinned():
+    # the toy checkpoints these tests write carry this fingerprint
+    assert parse_config(TOY_CONFIG).fingerprint() == \
+        "734f00ac7817876da2245ae9f7a7cf29524336ec3b10d28af34b5298c4206912"
+
+
 def _disk(img, ch, cx, cy, r, v=1.0):
     h, w = img.shape[2], img.shape[3]
     ys, xs = np.ogrid[:h, :w]
@@ -331,6 +337,28 @@ class TestTrainEval:
         assert code == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("out", ["data.json", "data.json/run"], ids=["file", "under-a-file"])
+    def test_train_out_that_cannot_be_a_directory_is_data_error(self, workdir, out):
+        tmp, _ = workdir
+        code, err, caught = _quiet_main(["train", "--config", str(tmp / "toy.cfg"),
+                                         "--dataset", str(tmp / "data.json"),
+                                         "--images", str(tmp), "--out", str(tmp / out)])
+        assert (code, caught) == (2, [])
+        assert len(err.splitlines()) == 1 and "cannot create output directory" in err
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--results"])
+    def test_eval_json_nested_too_deep_is_data_error(self, workdir, flag):
+        tmp, _ = workdir
+        (tmp / "deep.json").write_text("[" * 200_000)
+        (tmp / "results.json").write_text("[]")
+        argv = ["eval", "--config", str(tmp / "toy.cfg")]
+        for name, file in {"--dataset": "data.json", "--results": "results.json",
+                           flag: "deep.json"}.items():
+            argv += [name, str(tmp / file)]
+        code, err, caught = _quiet_main(argv)
+        assert (code, caught) == (2, [])
+        assert len(err.splitlines()) == 1 and "not valid JSON" in err
+
     def test_eval_keypoint_count_mismatch(self, workdir, capsys):
         tmp, cfg = workdir
         (tmp / "r.json").write_text("[]")
@@ -509,6 +537,17 @@ class TestCheckpointSource:
         finally:
             writer.join(timeout=60)
         assert not writer.is_alive()
+        assert (tmp / "poses.json").read_bytes() == poses
+
+    def test_shape_table_nested_too_deep_is_data_error(self, toy_infer, tmp_path):
+        tmp, cfg, _, poses = toy_infer
+        # the fingerprint matches, so the loader reads on into the shape table
+        blob = dataio.save_checkpoint({}, None, 0, cfg.fingerprint()).replace(
+            dataio._pack_str("{}"), dataio._pack_str("[" * 200_000))
+        (tmp_path / "deep.bin").write_bytes(blob)
+        code, err = _quiet_infer(tmp, tmp / "toy.cfg", tmp_path / "deep.bin")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "shape table is not valid JSON" in err
         assert (tmp / "poses.json").read_bytes() == poses
 
     def test_checkpoint_directory_is_data_error(self, toy_infer, tmp_path):

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from waterfallpose.config import MAX_PARAMETERS, ConfigError, default_config, parse_config
+from waterfallpose.config import MAX_PARAMETERS, SCHEMA, ConfigError, default_config, \
+    parse_config
 from waterfallpose.model import weight_shapes
 
 
@@ -19,7 +20,7 @@ class TestParsing:
         assert t.epochs == 140 and t.base_lr == 1e-3
         assert t.lr_steps == (90, 120) and t.lr_factor == 0.1
         assert t.rotation_deg == 30.0
-        assert t.scale_range == (0.75, 1.5)
+        assert (t.scale_min, t.scale_max) == (0.75, 1.5)
         assert t.translate_px == 40.0
         assert t.sigma == 3.0
 
@@ -220,9 +221,144 @@ class TestSizeBudget:
         "waterfall.final_width = 4611686018427387904",
     ], ids=["blocks", "blocks-zero-levels", "keypoints"])
     def test_too_many_tensors_rejected_before_the_table(self, text):
-        # the entry count is bounded in closed form; building the table
-        # would not end
+        # the entry count is bounded on a prefix of the table; building the
+        # whole table would not end
         start = time.perf_counter()
         with pytest.raises(ConfigError, match="over 2048 weight tensors"):
             parse_config(text)
         assert time.perf_counter() - start < 1.0
+
+
+# the canonical text of the defaults; its hash fingerprints every checkpoint,
+# so neither may move when the config code does
+DEFAULT_TEXT = """\
+decode.center_threshold = 0.1
+decode.duplicate_oks = 0.9
+decode.max_instances = 30
+decode.nms_window = 3
+eval.area_large = 9216.0
+eval.area_medium = 1024.0
+eval.crowd_easy = 0.1
+eval.crowd_hard = 0.8
+eval.style = coco
+oks.falloffs = 0.1
+pyramid.base_stride = 4
+pyramid.num_blocks = 1
+pyramid.stem_width = 32
+pyramid.widths = 32,64,128,256
+train.base_lr = 0.001
+train.checkpoint_every = 50
+train.epochs = 140
+train.heatmap_weight = 1.0
+train.lr_factor = 0.1
+train.lr_steps = 90,120
+train.offset_radius = 4.0
+train.offset_weight = 0.03
+train.rotation_deg = 30.0
+train.scale_max = 1.5
+train.scale_min = 0.75
+train.seed = 0
+train.sigma = 3.0
+train.translate_px = 40.0
+waterfall.branch_width = 128
+waterfall.dilations = 1,6,12,18
+waterfall.final_width = 0
+waterfall.group_width = 15
+waterfall.keypoints = 17
+waterfall.out_width = 0
+"""
+DEFAULT_FINGERPRINT = "20873fd64c0c3dcb5a5ca0b3fec35b439ec582eb615d3c11c3faad6dba6aa74d"
+
+SCHEMA_KEYS = [
+    "pyramid.widths", "pyramid.stem_width", "pyramid.base_stride", "pyramid.num_blocks",
+    "waterfall.dilations", "waterfall.branch_width", "waterfall.out_width",
+    "waterfall.final_width", "waterfall.keypoints", "waterfall.group_width",
+    "train.epochs", "train.base_lr", "train.lr_steps", "train.lr_factor",
+    "train.rotation_deg", "train.scale_min", "train.scale_max", "train.translate_px",
+    "train.heatmap_weight", "train.offset_weight", "train.seed", "train.sigma",
+    "train.offset_radius", "train.checkpoint_every",
+    "decode.center_threshold", "decode.nms_window", "decode.max_instances",
+    "decode.duplicate_oks", "oks.falloffs", "eval.style", "eval.area_medium",
+    "eval.area_large", "eval.crowd_easy", "eval.crowd_hard",
+]
+# what each key's parser makes of "7", in SCHEMA order: i int, f float,
+# s str, L a list of the kind that follows
+SCHEMA_KINDS = "Li i i i Li i i i i i i f Li f f f f f f f i f f i f i i f Lf s f f f f"
+
+PERFBENCH_TRAIN_TOY = """\
+# synthetic benchmark configuration
+pyramid.num_blocks = 2
+pyramid.stem_width = 4
+pyramid.widths = 4,8,16,32
+train.epochs = 10
+train.rotation_deg = 0.0
+train.scale_max = 1.0
+train.scale_min = 1.0
+train.seed = 1
+train.translate_px = 0.0
+waterfall.branch_width = 12
+waterfall.group_width = 4
+waterfall.keypoints = 2
+waterfall.out_width = 32
+"""
+PERFBENCH_INFER = """\
+# synthetic benchmark configuration
+pyramid.widths = 32,64,128,256
+waterfall.dilations = 1,6,12,18
+waterfall.group_width = 15
+waterfall.keypoints = 17
+"""
+AUGMENTATION_FALLOFF_EDIT = """
+train.rotation_deg = 12.5
+train.scale_min = 0.5
+train.scale_max = 2
+train.translate_px = 8
+waterfall.keypoints = 3
+oks.falloffs = 0.025,0.05,0.107
+"""
+DECODE_EVAL_EDIT = """
+decode.center_threshold = 0.25
+decode.nms_window = 5
+decode.max_instances = 7
+decode.duplicate_oks = 0.5
+eval.style = crowdpose
+eval.area_medium = 0
+eval.area_large = 2500
+eval.crowd_easy = 0.2
+eval.crowd_hard = 0.7
+"""
+
+
+def _kind(value) -> str:
+    if isinstance(value, tuple):
+        return "L" + _kind(value[0])
+    return {int: "i", float: "f", str: "s"}[type(value)]
+
+
+class TestPinned:
+    def test_default_canonical_text_and_fingerprint(self):
+        cfg = default_config()
+        assert cfg.canonical_text() == DEFAULT_TEXT
+        assert cfg.fingerprint() == DEFAULT_FINGERPRINT
+
+    def test_schema_keys_parsers_and_defaults(self):
+        assert list(SCHEMA) == SCHEMA_KEYS
+        assert " ".join(_kind(parse("7")) for parse, _ in SCHEMA.values()) == SCHEMA_KINDS
+        defaults = parse_config(DEFAULT_TEXT).values
+        assert {key: default for key, (_, default) in SCHEMA.items()} == defaults
+        assert [_kind(v) for v in defaults.values()] == SCHEMA_KINDS.split()
+
+    @pytest.mark.parametrize("text, fingerprint", [
+        (TOY, "dd19ac29fa0be72d298ed32d65414f7e6382c5a6a84690e53b8e2cb6ed183803"),
+        (PERFBENCH_TRAIN_TOY,
+         "1126f79809607373a7c2b0f6c928b58e4d0573223038c06f16e2ddf36e43eb17"),
+        ("# synthetic benchmark configuration\ntrain.epochs = 1\ntrain.seed = 1\n",
+         "6cc408b81e7ee4b7507a2975d8dd0c51543dbe976bafc27ccfc2e40934b3c6df"),
+        (PERFBENCH_INFER, DEFAULT_FINGERPRINT),
+        (AUGMENTATION_FALLOFF_EDIT,
+         "098caba4361693fccc6dd70f915e1cc1515ffc48eae638a27c558a8725d1fbe9"),
+        (DECODE_EVAL_EDIT, "ee470b1df61481adfccbcda3d89843f2844bdf4f22836901ea68246058102b44"),
+    ], ids=["toy", "perfbench-train-toy", "perfbench-train-published", "perfbench-infer",
+            "augmentation-falloffs", "decode-eval"])
+    def test_fingerprint(self, text, fingerprint):
+        assert parse_config(text).fingerprint() == fingerprint

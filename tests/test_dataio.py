@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from waterfallpose import dataio as D
 from waterfallpose.config import parse_config
 from waterfallpose.decode import PoseInstance
-from waterfallpose.model import init_model_weights, weight_count, weight_shapes
+from waterfallpose.model import init_model_weights, weight_shapes
 
 K17 = ["kp%d" % i for i in range(17)]
 
@@ -107,6 +107,10 @@ class TestAnnotations:
         text = json.dumps(minimal_doc()).replace('"area": 120.0', '"area": ' + "1" * 5001)
         with pytest.raises(D.FormatError, match="not valid JSON"):
             D.parse_annotations(text)
+
+    def test_nesting_too_deep_to_decode_rejected(self):
+        with pytest.raises(D.FormatError, match="not valid JSON.*recursion"):
+            D.parse_annotations("[" * 200_000)
 
     @pytest.mark.parametrize("field,value", [("id", 0.5), ("height", 4.9)])
     def test_non_integral_image_field_rejected(self, field, value):
@@ -316,6 +320,12 @@ class TestCheckpoint:
         with pytest.raises(D.FormatError, match="shape table"):
             D.load_checkpoint(blob)
 
+    def test_nesting_too_deep_in_shape_table_rejected(self):
+        blob = (D.CHECKPOINT_MAGIC + struct.pack("<II", D.CHECKPOINT_VERSION, 0)
+                + D._pack_str("fp") + D._pack_str("[" * 200_000) + struct.pack("<I", 0))
+        with pytest.raises(D.FormatError, match="shape table is not valid JSON.*recursion"):
+            D.load_checkpoint(blob)
+
     def test_no_optimizer_state(self, rng):
         blob = D.save_checkpoint(self._weights(rng), None, 3, "fp")
         _, optim, epoch, _ = D.load_checkpoint(blob)
@@ -479,6 +489,10 @@ class TestResults:
         with pytest.raises(D.FormatError, match="not valid JSON"):
             D.parse_results(text.replace("0.5", "1" * 5001), 1)
 
+    def test_nesting_too_deep_to_decode_rejected(self):
+        with pytest.raises(D.FormatError, match="not valid JSON.*recursion"):
+            D.parse_results("[" * 200_000, 1)
+
     def test_non_integral_image_id_rejected(self):
         text = json.dumps([{"image_id": 2.9, "keypoints": [0, 0, 0], "score": 0.5}])
         with pytest.raises(D.FormatError, match=r"results\[0\].*expected an integer"):
@@ -603,7 +617,6 @@ class TestWeightShapeProperty:
         weights = init_model_weights(cfg.pyramid, cfg.waterfall, seed=0,
                                      offset_init=offset_init)
         assert list(shapes.items()) == [(name, w.shape) for name, w in weights.items()]
-        assert len(shapes) == weight_count(cfg.pyramid, cfg.waterfall)
         blob = D.save_checkpoint(weights, None, 0, cfg.fingerprint())
         loaded, _, _, _ = D.load_checkpoint(blob, expected_fingerprint=cfg.fingerprint())
         assert {name: w.shape for name, w in loaded.items()} == shapes

@@ -19,7 +19,7 @@ def toy_setup(k=2, seed=5):
     return pyr, wf, weights
 
 
-IDENTITY_AUG = dict(rotation_deg=0.0, scale_range=(1.0, 1.0), translate_px=0.0)
+IDENTITY_AUG = dict(rotation_deg=0.0, scale_min=1.0, scale_max=1.0, translate_px=0.0)
 
 
 class TestSchedule:
@@ -144,7 +144,7 @@ class TestAugmentation:
             assert -40.0 <= tx <= 40.0 and -40.0 <= ty <= 40.0
 
     def test_out_of_canvas_marked_unlabeled(self):
-        cfg = TR.TrainConfig(rotation_deg=0.0, scale_range=(1.0, 1.0),
+        cfg = TR.TrainConfig(rotation_deg=0.0, scale_min=1.0, scale_max=1.0,
                              translate_px=40.0)
         img = np.zeros((1, 3, 32, 32), dtype=np.float32)
         anns = [PersonAnnotation([(2, 2, 2), (16, 16, 2)], area=9.0)]

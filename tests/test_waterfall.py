@@ -174,7 +174,7 @@ class TestWaterfall:
             assert wts["llf.mid.w"].shape == (24, 24, 1, 1)
             low = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
             assert layered_head_projection(branches, pooled, low, wts).shape == (1, 15, 8, 8)
-            out = W.fuse_low_level(low, branches, pooled, wts, cfg, T.Tape())
+            out = W.fuse_low_level(low, branches, pooled, wts, T.Tape())
             assert out.shape == (1, 15, 8, 8)
 
     def test_zero_weights_zero_output(self, rng):
@@ -193,7 +193,7 @@ class TestWaterfall:
             for x, r in zip(branches, ref):
                 assert T.relative_error(x, r) <= 1e-6
             assert T.relative_error(pooled, ref_pooled) <= 1e-6
-            out = W.fuse_low_level(p.low_level, branches, pooled, wts, cfg, T.Tape())
+            out = W.fuse_low_level(p.low_level, branches, pooled, wts, T.Tape())
             assert T.relative_error(
                 out, layered_head_projection(ref, ref_pooled, p.low_level, wts)) <= 1e-6
 
@@ -233,7 +233,7 @@ class TestFuseLowLevel:
         assert wts["llf.out.w"].shape == (120, 480, 1, 1)
         low = rng.standard_normal((1, 32, 4, 4)).astype(np.float32)
         branches, pooled = random_stage2(rng, cfg, h=4, w=4)
-        out = W.fuse_low_level(low, branches, pooled, wts, cfg, T.Tape())
+        out = W.fuse_low_level(low, branches, pooled, wts, T.Tape())
         assert out.shape == (1, 120, 4, 4)
 
     def test_zero_projection_isolates_waterfall_path(self, rng):
@@ -244,8 +244,8 @@ class TestFuseLowLevel:
         branches, pooled = random_stage2(rng, cfg)
         low_a = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
         low_b = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        out_a = W.fuse_low_level(low_a, branches, pooled, wts, cfg, T.Tape())
-        out_b = W.fuse_low_level(low_b, branches, pooled, wts, cfg, T.Tape())
+        out_a = W.fuse_low_level(low_a, branches, pooled, wts, T.Tape())
+        out_b = W.fuse_low_level(low_b, branches, pooled, wts, T.Tape())
         np.testing.assert_array_equal(out_a, out_b)
 
     def test_matches_straight_line_oracle(self, rng):
@@ -253,7 +253,7 @@ class TestFuseLowLevel:
         wts = random_biases(head_weights(cfg, rng), rng)
         low = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
         branches, pooled = random_stage2(rng, cfg)
-        out = W.fuse_low_level(low, branches, pooled, wts, cfg, T.Tape())
+        out = W.fuse_low_level(low, branches, pooled, wts, T.Tape())
         assert T.relative_error(out, layered_head_projection(branches, pooled, low, wts)) <= 1e-6
 
     @settings(max_examples=150)
@@ -271,7 +271,7 @@ class TestFuseLowLevel:
         wts = random_biases(head_weights(cfg, rng, pyr, dtype=np.float64), rng)
         branches, pooled = random_stage2(rng, cfg, n, h, w, np.float64)
         low_level = rng.standard_normal((n, low, h, w))
-        out = W.fuse_low_level(low_level, branches, pooled, wts, cfg, T.Tape())
+        out = W.fuse_low_level(low_level, branches, pooled, wts, T.Tape())
         ref = layered_head_projection(branches, pooled, low_level, wts)
         assert T.relative_error(out, ref) <= 1e-12
 
@@ -289,7 +289,7 @@ class TestFuseLowLevel:
             if name == "llf.proj.w":
                 wts["llf.proj.b"] = np.zeros(12, dtype=np.float32)
             with pytest.raises(T.ShapeError, match=message):
-                W.fuse_low_level(low, branches, pooled, wts, cfg, T.Tape())
+                W.fuse_low_level(low, branches, pooled, wts, T.Tape())
 
     def test_extent_mismatch_rejected(self, rng):
         cfg = toy_cfg()
@@ -297,10 +297,10 @@ class TestFuseLowLevel:
         branches, pooled = random_stage2(rng, cfg, h=4, w=4)
         with pytest.raises(T.ShapeError, match="extents"):
             W.fuse_low_level(np.zeros((1, 4, 8, 8), dtype=np.float32), branches, pooled,
-                             wts, cfg, T.Tape())
+                             wts, T.Tape())
         with pytest.raises(T.ShapeError, match="1x1 pooled branch"):
             W.fuse_low_level(np.zeros((1, 4, 4, 4), dtype=np.float32), branches,
-                             branches[0], wts, cfg, T.Tape())
+                             branches[0], wts, T.Tape())
 
 
 class TestAdaptiveConv:
@@ -525,7 +525,7 @@ class TestFullModule:
             widths = [x.shape[1] for x in (*branches, pooled)]
             assert widths == [cfg.branch_width] * 5
             assert wts["wf.out.w"].shape[:2] == (cfg.out_width, sum(widths))
-            f_maps = W.fuse_low_level(p.low_level, branches, pooled, wts, cfg, tape)
+            f_maps = W.fuse_low_level(p.low_level, branches, pooled, wts, tape)
             assert f_maps.shape[1] == cfg.final_width
             assert T.relative_error(
                 f_maps, layered_head_projection(branches, pooled, p.low_level, wts)) <= 1e-6
