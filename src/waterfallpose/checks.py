@@ -97,12 +97,13 @@ def layered_pyramid_branch(levels, weights, dilation):
 
 
 def offset_head_at_pixels_error(expanded, weights, cfg, ys, xs):
-    """Relative error of waterfall.offset_head at the pixels (ys, xs)
-    against the dense field it gives, read there: the oracle for the point
-    path that infer runs at the centre peaks."""
-    dense = W.offset_head(expanded, weights, cfg, T.ForwardTape())
+    """Relative error of waterfall.offset_head at the pixels (ys, xs), a
+    subset of its map with repeats allowed, against the every-pixel field it
+    gives with at=None, read there: the oracle for the pixel sets that infer
+    (the centre peaks) and training (the supervised pixels) run."""
+    field = W.offset_head(expanded, weights, cfg, T.ForwardTape())
     at = W.offset_head(expanded, weights, cfg, T.ForwardTape(), at=(ys, xs))
-    return T.relative_error(at[:, :, 0], dense[:, :, ys, xs])
+    return T.relative_error(at[:, :, 0], field[:, :, ys, xs])
 
 
 def operand_errors(loss, operands, grads, h=1e-5):
@@ -229,6 +230,32 @@ def gradient_checks():
     record(["pyramid_branch/" + name for name in names],
            lambda *ops: float((W.pyramid_branch(ops[:4], *ops[4:], 2)[0] * gp).sum()),
            operands, W.pyramid_branch_backward(cache, gp))
+
+    # the pixel gather, one pixel read twice
+    ys, xs = np.array([0, 4, 6, 4]), np.array([1, 3, 2, 3])
+    gg = rng.standard_normal((1, 2, 1, 4))
+    record(("gather_pixels",), lambda v: float((T.gather_pixels(v, ys, xs) * gg).sum()),
+           (x,), (T.gather_pixels_backward(x.shape, ys, xs, gg),))
+
+    # the offset head at pixels with repeats, as training runs it, through the
+    # gather and the cut of its padded columns
+    expanded = rng.standard_normal((1, wf.keypoints * wf.group_width, 6, 6))
+    ys, xs = np.array([0, 5, 2, 2, 5, 3]), np.array([3, 5, 1, 1, 0, 4])
+    go = rng.standard_normal((1, wf.offset_channels, 1, ys.size))
+    tape = T.Tape()
+    out = W.offset_head(expanded, weights, wf, tape, at=(ys, xs))
+    grads, (g_exp,) = tape.backward([(out, go)], wrt=[expanded])
+    names = ("head.off.g0.taps.w", "head.off.g1.adapt.w", "head.off.g1.out.b")
+
+    def at_loss(v, *head_weights):
+        o = W.offset_head(v, {**weights, **dict(zip(names, head_weights))}, wf,
+                          T.ForwardTape(), at=(ys, xs))
+        return float((o * go).sum())
+
+    record(["offset_head_at_pixels/expanded"] + ["offset_head_at_pixels/" + name
+                                                 for name in names],
+           at_loss, [expanded] + [weights[name] for name in names],
+           [g_exp] + [grads[name] for name in names])
     return results
 
 
@@ -382,7 +409,7 @@ def selftest_checks():
     record("pyramid_branch_oracle", err <= 1e-5, f"rel err {err:.2e}")
 
     # the offset head at 30 pixels, with repeats and the four corners, against
-    # its dense field, float32 at published widths with fractional taps
+    # its every-pixel field, float32 at published widths with fractional taps
     weights = init_model_weights(pyr, wf, seed=6, offset_init="random")
     expanded = rng.standard_normal((1, wf.keypoints * wf.group_width, 8, 8)).astype(np.float32)
     ys = np.concatenate([[0, 0, 7, 7], rng.integers(0, 8, size=26)])

@@ -69,6 +69,20 @@ class Dataset:
         return len(self.keypoint_names)
 
 
+# the most characters of an input value that an error message echoes
+ECHO_CHARS = 80
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, cut to ECHO_CHARS characters and
+    marked with its full length when longer, so that the line stays short
+    whatever the input holds."""
+    text = repr(value)
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
+
 def _require(obj, key, where):
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected a JSON object, got {type(obj).__name__}")
@@ -88,7 +102,7 @@ def _number(value, where) -> float:
     """A JSON number as a float; null, booleans, strings and containers are
     a FormatError."""
     if type(value) not in (int, float):   # excludes bool, an int subclass
-        raise FormatError(f"{where}: expected a number, got {value!r}")
+        raise FormatError(f"{where}: expected a number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:                 # an integer beyond the float range
@@ -99,7 +113,7 @@ def _numbers(values, where) -> list:
     """_number over a list, with one call for the whole list."""
     for v in values:
         if type(v) not in (int, float):
-            raise FormatError(f"{where}: expected a number, got {v!r}")
+            raise FormatError(f"{where}: expected a number, got {_shown(v)}")
     try:
         return [float(v) for v in values]
     except OverflowError:
@@ -108,7 +122,7 @@ def _numbers(values, where) -> list:
 
 def _string(value, where) -> str:
     if type(value) is not str:
-        raise FormatError(f"{where}: expected a JSON string, got {value!r}")
+        raise FormatError(f"{where}: expected a JSON string, got {_shown(value)}")
     return value
 
 
@@ -117,7 +131,7 @@ def _integer(value, where) -> int:
     if type(value) is int:                # exact: no float round trip above 2**53
         return value
     if not x.is_integer():                # also false for inf and nan
-        raise FormatError(f"{where}: expected an integer, got {value!r}")
+        raise FormatError(f"{where}: expected an integer, got {_shown(value)}")
     return int(x)
 
 
@@ -136,7 +150,7 @@ def _keypoint_rows(records, k) -> np.ndarray:
 
 def _where(kind, i, rec):
     """How messages name record i of a list: by its id when it is an object."""
-    return f"{kind}[id={rec.get('id')!r}]" if isinstance(rec, dict) else f"{kind}[{i}]"
+    return f"{kind}[id={_shown(rec.get('id'))}]" if isinstance(rec, dict) else f"{kind}[{i}]"
 
 
 def parse_annotations(text: str) -> Dataset:
@@ -157,7 +171,7 @@ def parse_annotations(text: str) -> Dataset:
     k = len(names)
     source = doc.get("source", "coco")
     if source not in ("coco", "crowdpose"):
-        raise FormatError(f"unknown source tag {source!r}")
+        raise FormatError(f"unknown source tag {_shown(source)}")
 
     images = []
     crowd = {}
@@ -465,7 +479,7 @@ def load_checkpoint(source, expected_fingerprint: str | None = None):
                 t = t.reshape(shapes[name])
             except (TypeError, ValueError) as e:
                 raise FormatError(f"checkpoint entry {name!r} does not fit its "
-                                  f"shape {shapes[name]!r}") from e
+                                  f"shape {_shown(shapes[name])}") from e
         entries[name] = t
     if s.left():
         raise FormatError(f"checkpoint has trailing bytes from byte {s.pos} on")
@@ -517,7 +531,7 @@ def parse_results(text: str, k: int) -> dict:
         score = _require(rec, "score", where)
         if type(score) not in (int, float) \
                 or not math.isfinite(_number(score, f"{where} score")):
-            raise FormatError(f"{where}: malformed score {score!r}")
+            raise FormatError(f"{where}: malformed score {_shown(score)}")
         records.append((where, kps, image_id, float(score)))
 
     rows = _keypoint_rows(records, k)

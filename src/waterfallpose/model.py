@@ -96,15 +96,18 @@ def init_model_weights(pyr: PyramidConfig, wf: WaterfallConfig, seed: int,
 
 
 def model_forward(image: np.ndarray, weights: dict, pyr: PyramidConfig,
-                  wf: WaterfallConfig, tape=None):
+                  wf: WaterfallConfig, tape=None, at=None):
     """Returns (PoseMaps, tape); the tape feeds model_backward.
 
     tape defaults to a new recording tensor.Tape; pass a tensor.ForwardTape
     for a pass that is never replayed, so no kernel cache outlives its kernel.
+    The maps' offsets are the every-pixel field, or with at=(ys, xs) the
+    (N, 2K, 1, P) offsets at those P pixels alone (waterfall.offset_head), as
+    training runs it at the pixels its offset loss supervises.
     """
     tape = Tape() if tape is None else tape
     pyramid = backbone_forward(image, weights, pyr, tape)
-    return waterfall_module_forward(pyramid, weights, wf, tape), tape
+    return waterfall_module_forward(pyramid, weights, wf, tape, at), tape
 
 
 def infer_maps(image: np.ndarray, weights: dict, pyr: PyramidConfig,

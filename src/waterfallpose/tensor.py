@@ -373,6 +373,22 @@ def bilinear_sample_backward(cache, gy: np.ndarray):
     return np.ascontiguousarray(gx), grows, gcols
 
 
+def gather_pixels(x: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The (N, C, 1, P) columns of x (N, C, H, W) at the P pixels (ys[p], xs[p]),
+    a pixel given more than once read each time."""
+    return x[:, :, ys, xs][:, :, None]
+
+
+def gather_pixels_backward(x_shape, ys: np.ndarray, xs: np.ndarray,
+                           gy: np.ndarray) -> np.ndarray:
+    """Adjoint of gather_pixels: each column's gradient added back onto its
+    pixel, so a pixel read more than once sums its columns' gradients."""
+    n, c, h, w = x_shape
+    gx = np.zeros((n, c, h * w), dtype=gy.dtype)
+    np.add.at(gx, (slice(None), slice(None), ys * w + xs), gy.reshape(n, c, -1))
+    return gx.reshape(x_shape)
+
+
 def concat_channels(parts) -> np.ndarray:
     """Concatenate along the channel axis; all parts must share N, H, W."""
     parts = list(parts)
@@ -492,6 +508,11 @@ class Tape:
         y = concat_channels(parts)
         counts = [p.shape[1] for p in parts]
         return self.record(y, parts, lambda gy: concat_channels_backward(counts, gy))
+
+    def gather(self, x, ys, xs):
+        """gather_pixels of x at the pixels (ys, xs), as a (N, C, 1, P) map."""
+        return self.record(gather_pixels(x, ys, xs), (x,),
+                           lambda gy: (gather_pixels_backward(x.shape, ys, xs, gy),))
 
     def split(self, x, counts):
         """Channel slices of x with counts[i] channels each, as a tuple; the

@@ -302,6 +302,17 @@ def optim_step(weights: dict, grads: dict, state: dict, lr: float):
 # ---------------------------------------------------------------------------
 # loop
 
+def supervised_pixels(mask: np.ndarray):
+    """Rows and columns, in row-major order, of the pixels where a (1, 2K,
+    h, w) offset mask supervises any channel. With none, pixel (0, 0) alone,
+    where the mask reads zero: the offset head still runs there, so each of
+    its weights gets a gradient, a zero one."""
+    _, ys, xs = np.nonzero(mask.max(axis=1))
+    if not ys.size:
+        ys = xs = np.zeros(1, dtype=np.intp)
+    return ys, xs
+
+
 def train_loop(samples, weights: dict, pyr: PyramidConfig, wf: WaterfallConfig,
                cfg: TrainConfig, on_checkpoint=None):
     """Seeded, single-image training loop.
@@ -309,7 +320,9 @@ def train_loop(samples, weights: dict, pyr: PyramidConfig, wf: WaterfallConfig,
     samples is a list of (image tensor, [PersonAnnotation in image coords]).
     Per epoch: shuffle, and for each image augment, render targets at heatmap
     resolution, run forward/backward, and apply one optimizer step at the
-    scheduled rate. The optimizer state packs the weights into one flat
+    scheduled rate. The offset head runs only at the pixels the offset loss
+    supervises (supervised_pixels), where the loss reads its target, mask
+    and scale. The optimizer state packs the weights into one flat
     arena and rebinds each entry of the weights dict to its view of it, so
     the dict the caller passed in holds the trained weights. Returns
     (weights, optim state, log lines); log lines are
@@ -332,12 +345,14 @@ def train_loop(samples, weights: dict, pyr: PyramidConfig, wf: WaterfallConfig,
             heat_t = render_keypoint_heatmaps(heat_anns, k, hh, hw, cfg.sigma)
             off_t, off_m, off_s = render_offset_targets(
                 heat_anns, k, hh, hw, cfg.offset_radius)
+            at = supervised_pixels(off_m)
             # weights, loss weights or rates that overflow float32 on the way
             # are reported by the finite checks, so the warnings are not wanted
             with np.errstate(all="ignore"):
-                maps, tape = model_forward(image_a, weights, pyr, wf)
-                total, lh, lo, gh, go = total_loss(maps, heat_t, off_t, off_m,
-                                                   off_s, cfg)
+                maps, tape = model_forward(image_a, weights, pyr, wf, at=at)
+                total, lh, lo, gh, go = total_loss(
+                    maps, heat_t, *(T.gather_pixels(a, *at) for a in (off_t, off_m, off_s)),
+                    cfg)
                 if not np.isfinite(total):
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch}, sample {int(idx)}")

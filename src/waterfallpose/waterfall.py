@@ -25,9 +25,11 @@ Every stage's output is at base resolution. Stages:
                          each joint plus a person-center channel) and a
                          disentangled offset head (one adaptive-conv group per
                          keypoint regressing a 2-vector toward that joint). The
-                         offset head runs densely, or at given pixels alone
-                         (offset_head's at), such as the centre peaks decode
-                         reads.
+                         keypoint head runs densely. The offset head runs on
+                         pixel columns alone, gathered on the tape: at given
+                         pixels (offset_head's at), such as the centre peaks
+                         decode reads or the pixels training supervises, or
+                         at every pixel for the full field.
 
 An adaptive convolution displaces the nine taps of a 3x3 kernel per pixel;
 the displacements come from a 1x1 predictor emitting a 2x2 matrix and a
@@ -100,10 +102,13 @@ class WaterfallConfig:
 @dataclass
 class PoseMaps:
     """Network output at base resolution: per-joint (plus center) score maps
-    in (0,1), and the per-keypoint (dx, dy) offsets. offsets is the dense
-    (N, 2K, h, w) field, or a function of pixel rows and columns (ys, xs)
-    that runs the offset head at those P pixels alone and returns their
-    (N, 2K, P) offsets (model.infer_maps)."""
+    in (0,1), and the per-keypoint (dx, dy) offsets. offsets is one of: the
+    every-pixel (N, 2K, h, w) field; the (N, 2K, 1, P) offsets at the P
+    pixels a forward was given (model_forward's at, the supervised pixels
+    training runs); or a function of pixel rows and columns (ys, xs) that
+    runs the offset head at those P pixels alone and returns their
+    (N, 2K, P) offsets (model.infer_maps). offsets_at reads the first and
+    the last."""
 
     heatmaps: np.ndarray
     offsets: np.ndarray | Callable
@@ -412,12 +417,14 @@ def adaptive_conv_backward(cache, gy):
 # ---------------------------------------------------------------------------
 # stage 4: heads
 
-# the offset head's point path runs its GEMMs over a multiple of this many
-# columns. OpenBLAS sums a column's products in one order inside its full
-# 16-wide (float32) or 8-wide (float64) column blocks and in another in a
-# narrower tail block or a one-column matrix-vector product, so a GEMM over
-# P % 16 in 1..8 columns can differ from the dense one in the last bits. A
-# divisor-padded image's map has h*w a multiple of 64, all in full blocks.
+# the offset head runs its GEMMs over a multiple of this many pixel columns.
+# OpenBLAS sums a column's products in one order inside its full 16-wide
+# (float32) or 8-wide (float64) column blocks and in another in a narrower
+# tail block or a one-column matrix-vector product, so without the padding a
+# pixel's offsets could differ in the last bits with the number of pixels run
+# beside it: the centre peaks infer reads would then not equal the
+# every-pixel field there. A divisor-padded image's map has h*w a multiple of
+# 64, all in full blocks.
 POINT_BLOCK = 16
 
 
@@ -425,9 +432,9 @@ def _adaptive_branch(tape, x: np.ndarray, weights: dict, prefix: str, at=None) -
     """Tap predictor, adaptive conv over x, ReLU, 1x1 out: one head branch,
     with the adaptive conv recorded on the tape like any other kernel. With
     at=(ys, xs) the branch runs at those P pixels alone, as a (N, C, 1, P)
-    map: the tap predictor reads x's columns there, unrecorded, and the
-    adaptive conv samples all of x around them."""
-    cols = x if at is None else x[:, :, at[0], at[1]][:, :, None]
+    map: the tap predictor reads x's columns there (a gather on the tape),
+    and the adaptive conv samples all of x around them."""
+    cols = x if at is None else tape.gather(x, *at)
     offsets = predict_offsets(cols, weights, prefix + ".taps", tape)
     name = prefix + ".adapt.w"
     y, cache = adaptive_conv(x, weights[name], offsets, at)
@@ -445,39 +452,54 @@ def full_map_heads(f_maps: np.ndarray, weights: dict, tape):
     return heat, tape.conv(f_maps, weights, "head.off.expand", S1)
 
 
+def _pad_columns(gy: np.ndarray, shape) -> np.ndarray:
+    """The adjoint of keeping the first columns of a (N, C, 1, M) map of this
+    shape: gy's columns, then zeros."""
+    cols = gy.reshape(*shape[:3], -1)
+    g = np.zeros(shape, dtype=gy.dtype)
+    g[..., :cols.shape[-1]] = cols
+    return g
+
+
 def offset_head(expanded: np.ndarray, weights: dict, cfg: WaterfallConfig, tape, at=None):
     """The disentangled offset head over full_map_heads' expanded map: per
     keypoint group, its own adaptive conv and 1x1 down to a (dx, dy) pair.
 
-    With at=None it gives the dense (N, 2K, h, w) field. With at=(ys, xs),
-    two integer arrays of P pixel rows and columns (repeats allowed), every
-    group's branch runs on those P columns alone, padded to a multiple of
-    POINT_BLOCK with repeats of the last pixel, and it gives their
-    (N, 2K, 1, P) offsets, the dense field's there in real arithmetic. That
-    path gathers its columns off the tape, so it runs on a ForwardTape only.
+    Every group's branch runs on P pixel columns alone, padded to a multiple
+    of POINT_BLOCK with repeats of the last pixel; the padding is cut off on
+    the tape, so it carries no gradient. With at=(ys, xs), two integer arrays
+    of P pixel rows and columns (repeats allowed), the head gives their
+    (N, 2K, 1, P) offsets: the pixels infer reads at the centre peaks, or
+    those training supervises. With at=None the pixels are all h*w of the
+    map in row-major order, and it gives the every-pixel (N, 2K, h, w) field.
+    Runs on a recording Tape or a ForwardTape alike.
     """
-    if at is not None:
+    n, _, h, w = expanded.shape
+    if at is None:
+        ys, xs = np.divmod(np.arange(h * w), w)
+        shape = (n, cfg.offset_channels, h, w)
+    else:
         ys, xs = at
-        h, w = expanded.shape[2:]
-        if not isinstance(tape, T.ForwardTape):
-            raise TypeError("the offset head runs at given pixels on a ForwardTape only")
         if ys.ndim != 1 or ys.shape != xs.shape or not ys.size \
                 or min(ys.min(), xs.min()) < 0 or ys.max() >= h or xs.max() >= w:
             raise T.ShapeError(f"the offset head needs one or more pixels of its {h}x{w} "
                                f"map, two 1-d arrays of one length")
-        pad = -ys.size % POINT_BLOCK
-        at = tuple(np.concatenate([v, np.repeat(v[-1:], pad)]) for v in at)
+        shape = (n, cfg.offset_channels, 1, ys.size)
+    pad = -ys.size % POINT_BLOCK
+    cols = tuple(np.concatenate([v, np.repeat(v[-1:], pad)]) for v in (ys, xs))
     groups = tape.split(expanded, [cfg.group_width] * cfg.keypoints)
-    offsets = tape.concat(_adaptive_branch(tape, feat, weights, f"head.off.g{k}", at)
+    offsets = tape.concat(_adaptive_branch(tape, feat, weights, f"head.off.g{k}", cols)
                           for k, feat in enumerate(groups))
-    return offsets if at is None else offsets[..., :ys.size]
+    return tape.record(offsets[..., :ys.size].reshape(shape), (offsets,),
+                       lambda gy: (_pad_columns(gy, offsets.shape),))
 
 
-def heads_forward(f_maps: np.ndarray, weights: dict, cfg: WaterfallConfig, tape):
+def heads_forward(f_maps: np.ndarray, weights: dict, cfg: WaterfallConfig, tape, at=None):
     """Keypoint and offset heads over the fused feature map: full_map_heads,
-    then the dense offset_head. Returns the PoseMaps."""
+    then offset_head at every pixel, or at the pixels at=(ys, xs) alone.
+    Returns the PoseMaps."""
     heat, expanded = full_map_heads(f_maps, weights, tape)
-    return PoseMaps(heat, offset_head(expanded, weights, cfg, tape))
+    return PoseMaps(heat, offset_head(expanded, weights, cfg, tape, at))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +513,8 @@ def fused_features(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig, tape)
 
 
 def waterfall_module_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig,
-                             tape):
-    """waterfall over the pyramid -> low-level fusion -> heads.
+                             tape, at=None):
+    """waterfall over the pyramid -> low-level fusion -> heads, the offset
+    head at the pixels at=(ys, xs) or at every pixel (heads_forward).
     Returns the PoseMaps."""
-    return heads_forward(fused_features(p, weights, cfg, tape), weights, cfg, tape)
+    return heads_forward(fused_features(p, weights, cfg, tape), weights, cfg, tape, at)

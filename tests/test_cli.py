@@ -726,6 +726,7 @@ class TestChecks:
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "adaptive_conv/offsets" in out and "FAIL" not in out
+        assert "[PASS] gather_pixels " in out and "[PASS] offset_head_at_pixels/expanded " in out
         for name in ("branch0", "branch1", "branch2", "branch3", "pooled",
                      "low_level") + HEAD_PROJECTION_WEIGHTS:
             assert f"[PASS] head_projection/{name} " in out

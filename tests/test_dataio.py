@@ -112,6 +112,22 @@ class TestAnnotations:
         with pytest.raises(D.FormatError, match="not valid JSON.*recursion"):
             D.parse_annotations("[" * 200_000)
 
+    def test_huge_value_is_echoed_cut_short(self):
+        doc = minimal_doc()
+        doc["annotations"][0]["area"] = "0" * 1_000_000
+        with pytest.raises(D.FormatError, match=r"expected a number, got '000") as err:
+            D.parse_annotations(json.dumps(doc))
+        assert len(str(err.value)) <= 300
+        assert "(1000002 characters)" in str(err.value)
+
+    def test_deeply_nested_id_is_named_cut_short(self):
+        nested = "[" * 950 + "]" * 950
+        text = json.dumps(minimal_doc()).replace('"id": 1,', f'"id": {nested},', 1)
+        with pytest.raises(D.FormatError, match=r"images\[id=\[\[\[") as err:
+            D.parse_annotations(text)
+        assert len(str(err.value)) <= 300
+        assert str(err.value).count("[") <= 200
+
     @pytest.mark.parametrize("field,value", [("id", 0.5), ("height", 4.9)])
     def test_non_integral_image_field_rejected(self, field, value):
         doc = minimal_doc()

@@ -385,6 +385,58 @@ class TestLoop:
                           on_checkpoint=lambda *args: saved.append(args))
         assert saved == []
 
+    def test_steps_through_the_module_hook_once_per_image(self, rng, monkeypatch):
+        # perfbench times each step by replacing train.optim_step
+        samples = self._tiny_samples(rng, n=3)
+        pyr, wf, weights = toy_setup()
+        calls = []
+        real_step = TR.optim_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(TR, "optim_step", counted)
+        TR.train_loop(samples, weights, pyr, wf, TR.TrainConfig(epochs=2, seed=2))
+        assert len(calls) == 6
+
+    def _one_step_grads(self, samples, cfg, monkeypatch):
+        pyr, wf, weights = toy_setup()
+        stepped = []
+        real_step = TR.optim_step
+
+        def recorded(weights, grads, state, lr):
+            stepped.append({name: g.copy() for name, g in grads.items()})
+            return real_step(weights, grads, state, lr)
+
+        monkeypatch.setattr(TR, "optim_step", recorded)
+        _, _, log = TR.train_loop(samples, weights, pyr, wf, cfg)
+        assert len(stepped) == 1 and set(stepped[0]) == set(weights)
+        return stepped[0], log
+
+    @pytest.mark.parametrize("people", ["none", "off the canvas"])
+    def test_image_with_no_supervised_pixel_steps_a_zero_offset_gradient(
+            self, rng, monkeypatch, people):
+        img = rng.uniform(0, 1, size=(1, 3, 32, 32)).astype(np.float32)
+        if people == "none":
+            anns, aug = [], IDENTITY_AUG
+        else:
+            # a 20x zoom about the centre puts every joint, each over 10 px
+            # from it, far off the 32x32 canvas
+            anns = [PersonAnnotation([(2.0, 3.0, 2), (28.0, 29.0, 2)], area=64.0),
+                    PersonAnnotation([(27.0, 4.0, 2), (4.0, 27.0, 1)], area=64.0)]
+            aug = dict(IDENTITY_AUG, scale_min=20.0, scale_max=20.0)
+        cfg = TR.TrainConfig(epochs=1, seed=3, **aug)
+        _, moved = TR.augment_sample(img, anns, np.random.default_rng(0), cfg)
+        assert all(ann.num_labeled() == 0 for ann in moved)
+        grads, log = self._one_step_grads([(img, anns)], cfg, monkeypatch)
+        offset_head = [name for name in grads if name.startswith("head.off.g")]
+        assert len(offset_head) == 5 * 2
+        for name in offset_head + ["head.off.expand.w", "head.off.expand.b"]:
+            assert not grads[name].any(), name
+        assert grads["head.kp.out.w"].any()
+        assert log[0].split("\t")[3] == "0"
+
     def test_loss_decreases_and_log_format(self, rng):
         samples = self._tiny_samples(rng)
         cfg = TR.TrainConfig(epochs=8, seed=3, **IDENTITY_AUG)

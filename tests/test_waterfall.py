@@ -441,19 +441,55 @@ class TestOffsetHeadAtPixels:
         ys, xs = (np.array(v) for v in zip(*pixels))
         assert offset_head_at_pixels_error(expanded, wts, cfg, ys, xs) <= 1e-12
 
-    def test_takes_pixels_of_its_map_on_a_forward_tape(self, rng):
+    @settings(max_examples=40)
+    @given(data=st.data(), h=st.integers(1, 7), w=st.integers(1, 7), n=st.integers(1, 2),
+           k=st.integers(1, 3), g=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_gradients_equal_the_every_pixel_head_seeded_there(self, data, h, w, n, k, g,
+                                                               seed):
+        # the loss gradient at P pixels (with repeats), against the every-pixel
+        # head seeded with it there, a repeated pixel's gradients summed, and
+        # with zero elsewhere
+        rng = np.random.default_rng(seed)
+        cfg = toy_cfg(keypoints=k, group_width=g)
+        wts = {name: v.astype(np.float64) for name, v in
+               head_weights(cfg, rng, offset_init="random").items()}
+        expanded = rng.standard_normal((n, k * g, h, w))
+        pixels = data.draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)),
+                                    min_size=1, max_size=2 * h * w))
+        ys, xs = (np.array(v) for v in zip(*pixels))
+        go = rng.standard_normal((n, 2 * k, 1, ys.size))
+        tape = T.Tape()
+        at = W.offset_head(expanded, wts, cfg, tape, at=(ys, xs))
+        grads, (g_at,) = tape.backward([(at, go)], wrt=[expanded])
+        seeded = np.zeros((n, 2 * k, h, w))
+        np.add.at(seeded, (slice(None), slice(None), ys, xs), go[:, :, 0])
+        tape = T.Tape()
+        field = W.offset_head(expanded, wts, cfg, tape)
+        want, (g_field,) = tape.backward([(field, seeded)], wrt=[expanded])
+        assert set(grads) == set(want) == {name for name in wts
+                                           if name.startswith("head.off.g")}
+        for name in want:
+            assert T.relative_error(grads[name], want[name]) <= 1e-12, name
+        assert T.relative_error(g_at, g_field) <= 1e-12
+
+    def test_takes_pixels_of_its_map_on_either_tape(self, rng):
         cfg = toy_cfg()
         wts = head_weights(cfg, rng)
         expanded = rng.standard_normal((1, 6, 4, 5)).astype(np.float32)
         inside = (np.array([0, 3]), np.array([4, 0]))
-        assert W.offset_head(expanded, wts, cfg, T.ForwardTape(), at=inside).shape == \
-            (1, 4, 1, 2)
-        with pytest.raises(TypeError, match="ForwardTape"):
-            W.offset_head(expanded, wts, cfg, T.Tape(), at=inside)
+        bare = W.offset_head(expanded, wts, cfg, T.ForwardTape(), at=inside)
+        tape = T.Tape()
+        recorded = W.offset_head(expanded, wts, cfg, tape, at=inside)
+        assert bare.shape == recorded.shape == (1, 4, 1, 2)
+        assert bare.tobytes() == recorded.tobytes()
+        grads, (g,) = tape.backward([(recorded, np.ones_like(recorded))], wrt=[expanded])
+        assert g.shape == expanded.shape and g.any()
+        assert {name for name in wts if name.startswith("head.off.g")} <= set(grads)
         for ys, xs in (([4], [0]), ([0], [5]), ([-1], [0]), ([], []), ([0, 1], [0])):
-            with pytest.raises(T.ShapeError, match="4x5 map"):
-                W.offset_head(expanded, wts, cfg, T.ForwardTape(),
-                              at=(np.array(ys, dtype=int), np.array(xs, dtype=int)))
+            for tape in (T.ForwardTape(), T.Tape()):
+                with pytest.raises(T.ShapeError, match="4x5 map"):
+                    W.offset_head(expanded, wts, cfg, tape,
+                                  at=(np.array(ys, dtype=int), np.array(xs, dtype=int)))
 
 
 class TestHeads:
