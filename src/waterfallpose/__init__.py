@@ -10,7 +10,7 @@ from .backbone import FeaturePyramid, PyramidConfig
 from .config import RunConfig, default_config, parse_config
 from .decode import DecodeConfig, PoseInstance, decode_poses, nms_peaks
 from .metrics import EvalResult, OksParams, evaluate, oks
-from .model import init_model_weights, model_backward, model_forward
+from .model import init_model_weights, model_forward
 from .targets import PersonAnnotation, render_keypoint_heatmaps, \
     render_offset_targets
 from .train import TrainConfig, lr_at_epoch, train_loop
@@ -22,7 +22,7 @@ __all__ = [
     "FeaturePyramid", "PyramidConfig", "RunConfig", "default_config",
     "parse_config", "DecodeConfig", "PoseInstance", "decode_poses", "nms_peaks",
     "EvalResult", "OksParams", "evaluate", "oks", "init_model_weights",
-    "model_backward", "model_forward", "PersonAnnotation",
+    "model_forward", "PersonAnnotation",
     "render_keypoint_heatmaps", "render_offset_targets", "TrainConfig",
     "lr_at_epoch", "train_loop", "PoseMaps", "WaterfallConfig",
 ]

@@ -16,8 +16,7 @@ from .dataio import save_checkpoint
 from .decode import DecodeConfig, PoseInstance, decode_poses
 from .metrics import AREA_EDGES, CROWD_EDGES, DEFAULT_THRESHOLDS, RECALL_POINTS, EvalResult, \
     OksParams, evaluate, oks
-from .model import draw_weights, init_model_weights, model_backward, model_forward, \
-    weight_shapes
+from .model import draw_weights, init_model_weights, model_forward, weight_shapes
 from .overlay import LINE_COLOR, MARKER_COLORS, draw_overlay
 from .targets import PersonAnnotation, render_keypoint_heatmaps, \
     render_offset_targets
@@ -96,14 +95,33 @@ def layered_pyramid_branch(levels, weights, dilation):
     return y, T.global_avg_pool(g0)
 
 
+def pixel_grid(h: int, w: int):
+    """Rows and columns of all h*w pixels of a map, in row-major order."""
+    return np.divmod(np.arange(h * w), w)
+
+
+def offset_field(expanded, weights, cfg, tape):
+    """The every-pixel (N, 2K, h, w) offset field: waterfall.offset_head at
+    all h*w pixels in row-major order, reshaped (a replay is seeded at the
+    head's own node)."""
+    n, _, h, w = expanded.shape
+    return W.offset_head(expanded, weights, cfg, tape, *pixel_grid(h, w)).reshape(n, -1, h, w)
+
+
+def field_maps(heatmaps, field):
+    """PoseMaps over an every-pixel (N, 2K, h, w) offset field, whose
+    offsets_at reads the field at the pixels asked for."""
+    return PoseMaps(heatmaps, lambda ys, xs: field[:, :, ys, xs])
+
+
 def offset_head_at_pixels_error(expanded, weights, cfg, ys, xs):
     """Relative error of waterfall.offset_head at the pixels (ys, xs), a
-    subset of its map with repeats allowed, against the every-pixel field it
-    gives with at=None, read there: the oracle for the pixel sets that infer
-    (the centre peaks) and training (the supervised pixels) run."""
-    field = W.offset_head(expanded, weights, cfg, T.ForwardTape())
-    at = W.offset_head(expanded, weights, cfg, T.ForwardTape(), at=(ys, xs))
-    return T.relative_error(at[:, :, 0], field[:, :, ys, xs])
+    subset of its map with repeats allowed, against the every-pixel field
+    (offset_field) read there: the oracle for the pixel sets that infer (the
+    centre peaks) and training (the supervised pixels) run."""
+    field = offset_field(expanded, weights, cfg, T.ForwardTape())
+    at = W.offset_head(expanded, weights, cfg, T.ForwardTape(), ys, xs)
+    return T.relative_error(at, field[:, :, ys, xs])
 
 
 def operand_errors(loss, operands, grads, h=1e-5):
@@ -163,9 +181,10 @@ def gradient_checks():
     off = W.canonical_offsets(1, 5, 5, dtype=np.float64)
     off += rng.uniform(0.1, 0.4, size=off.shape)
     ga = rng.standard_normal((1, 2, 5, 5))
-    _, cache = W.adaptive_conv(xa, w9, off)
+    grid = np.ogrid[:5, :5]
+    _, cache = W.adaptive_conv(xa, w9, off, *grid)
     record(("adaptive_conv/input", "adaptive_conv/weights", "adaptive_conv/offsets"),
-           lambda *args: float((W.adaptive_conv(*args)[0] * ga).sum()),
+           lambda *args: float((W.adaptive_conv(*args, *grid)[0] * ga).sum()),
            (xa, w9, off), W.adaptive_conv_backward(cache, ga))
 
     # heads
@@ -174,14 +193,15 @@ def gradient_checks():
     gh = rng.standard_normal((1, wf.heatmap_channels, 8, 8))
     go = rng.standard_normal((1, wf.offset_channels, 8, 8))
     tape = T.Tape()
-    maps = W.heads_forward(fm, weights, wf, tape)
-    grads, (g_fm,) = tape.backward([(maps.heatmaps, gh), (maps.offsets, go)], wrt=[fm])
+    heat, expanded = W.full_map_heads(fm, weights, tape)
+    offsets = W.offset_head(expanded, weights, wf, tape, *pixel_grid(8, 8))
+    grads, (g_fm,) = tape.backward([(heat, gh), (offsets, go.reshape(offsets.shape))], wrt=[fm])
     names = ("head.kp.adapt.w", "head.off.g0.taps.w")
 
     def head_loss(v, *head_weights):
-        m = W.heads_forward(v, {**weights, **dict(zip(names, head_weights))}, wf,
-                            T.ForwardTape())
-        return float((m.heatmaps * gh).sum() + (m.offsets * go).sum())
+        trial, fwd = {**weights, **dict(zip(names, head_weights))}, T.ForwardTape()
+        heat, expanded = W.full_map_heads(v, trial, fwd)
+        return float((heat * gh).sum() + (offset_field(expanded, trial, wf, fwd) * go).sum())
 
     record(["heads/input"] + ["heads/" + name for name in names], head_loss,
            [fm] + [weights[name] for name in names], [g_fm] + [grads[name] for name in names])
@@ -241,15 +261,15 @@ def gradient_checks():
     # gather and the cut of its padded columns
     expanded = rng.standard_normal((1, wf.keypoints * wf.group_width, 6, 6))
     ys, xs = np.array([0, 5, 2, 2, 5, 3]), np.array([3, 5, 1, 1, 0, 4])
-    go = rng.standard_normal((1, wf.offset_channels, 1, ys.size))
+    go = rng.standard_normal((1, wf.offset_channels, ys.size))
     tape = T.Tape()
-    out = W.offset_head(expanded, weights, wf, tape, at=(ys, xs))
+    out = W.offset_head(expanded, weights, wf, tape, ys, xs)
     grads, (g_exp,) = tape.backward([(out, go)], wrt=[expanded])
     names = ("head.off.g0.taps.w", "head.off.g1.adapt.w", "head.off.g1.out.b")
 
     def at_loss(v, *head_weights):
         o = W.offset_head(v, {**weights, **dict(zip(names, head_weights))}, wf,
-                          T.ForwardTape(), at=(ys, xs))
+                          T.ForwardTape(), ys, xs)
         return float((o * go).sum())
 
     record(["offset_head_at_pixels/expanded"] + ["offset_head_at_pixels/" + name
@@ -261,20 +281,23 @@ def gradient_checks():
 
 def full_model_gradient_error(img, anns, weights, pyr, wf, coords, seed):
     """Worst relative error of the analytic gradient of total_loss (targets
-    rendered from anns at base resolution) against central differences with
-    step GRAD_STEP, at up to `coords` coordinates of each weight drawn with
-    default_rng(seed) in sorted name order. Nudges weights in place and
+    rendered from anns at base resolution, offsets read at every pixel)
+    against central differences with step GRAD_STEP, at up to `coords`
+    coordinates of each weight drawn with default_rng(seed) in sorted name
+    order. Nudges weights in place and
     restores every coordinate it touches."""
     k = wf.keypoints
     hh, hw = img.shape[2] // pyr.base_stride, img.shape[3] // pyr.base_stride
+    ys, xs = pixel_grid(hh, hw)
     heat_t = render_keypoint_heatmaps(anns, k, hh, hw).astype(np.float64)
-    off_t, off_m, off_s = (a.astype(np.float64)
+    off_t, off_m, off_s = (a.astype(np.float64)[:, :, ys, xs]
                            for a in render_offset_targets(anns, k, hh, hw))
     tcfg = TrainConfig()
 
     maps, tape = model_forward(img, weights, pyr, wf)
-    _, _, _, gh, go = total_loss(maps, heat_t, off_t, off_m, off_s, tcfg)
-    grads = model_backward(tape, maps, gh, go)
+    offsets = maps.offsets_at(ys, xs)
+    _, _, _, gh, go = total_loss(maps.heatmaps, offsets, heat_t, off_t, off_m, off_s, tcfg)
+    grads, _ = tape.backward([(maps.heatmaps, gh), (offsets, go)])
     coord_rng = np.random.default_rng(seed)
     worst = 0.0
     for name in sorted(weights):
@@ -286,7 +309,8 @@ def full_model_gradient_error(img, anns, weights, pyr, wf, coords, seed):
         def model_loss(v):
             flat[picks] = v
             m, _ = model_forward(img, weights, pyr, wf, T.ForwardTape())
-            return total_loss(m, heat_t, off_t, off_m, off_s, tcfg)[0]
+            return total_loss(m.heatmaps, m.offsets_at(ys, xs), heat_t, off_t, off_m, off_s,
+                              tcfg)[0]
 
         num = T.numeric_gradient(model_loss, picked, h=GRAD_STEP)
         flat[picks] = picked
@@ -317,7 +341,7 @@ def selftest_checks():
     # adaptive conv degeneracy
     x = rng.standard_normal((1, 3, 7, 7)).astype(np.float32)
     w9 = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-    y, _ = W.adaptive_conv(x, w9, W.canonical_offsets(1, 7, 7))
+    y, _ = W.adaptive_conv(x, w9, W.canonical_offsets(1, 7, 7), *np.ogrid[:7, :7])
     ref = T.conv2d(x, w9, np.zeros(2, dtype=np.float32),
                    T.ConvSpec(3, 3, pad_h=1, pad_w=1))
     err = T.relative_error(y, ref)
@@ -328,10 +352,11 @@ def selftest_checks():
     img = rng.uniform(0, 1, size=(1, 3, 32, 32))
     recorded, _ = model_forward(img, weights, pyr, wf)
     maps, tape = model_forward(img, weights, pyr, wf, T.ForwardTape())
+    every = pixel_grid(*maps.heatmaps.shape[2:])
     record("forward_only_equivalence",
-           not tape.nodes
-           and maps.heatmaps.tobytes() == recorded.heatmaps.tobytes()
-           and maps.offsets.tobytes() == recorded.offsets.tobytes())
+           maps.heatmaps.tobytes() == recorded.heatmaps.tobytes()
+           and maps.offsets_at(*every).tobytes() == recorded.offsets_at(*every).tobytes()
+           and not tape.nodes)
 
     # render -> decode round trip
     k = 3
@@ -518,7 +543,7 @@ def scene_maps(anns, k, h=64, w=64):
     """The heatmaps and offsets that training would target for anns."""
     heat = render_keypoint_heatmaps(anns, k, h, w)
     offs, _, _ = render_offset_targets(anns, k, h, w)
-    return PoseMaps(heat, offs)
+    return field_maps(heat, offs)
 
 
 def random_eval_scene(rng, area_edges=AREA_EDGES, crowd_edges=CROWD_EDGES):

@@ -19,7 +19,8 @@ from . import checks, dataio, overlay
 from .config import ConfigError, RunConfig, default_config, parse_config
 from .decode import PoseInstance, decode_poses
 from .metrics import evaluate
-from .model import infer_maps, init_model_weights, weight_shapes
+from .model import init_model_weights, model_forward, weight_shapes
+from .tensor import ForwardTape
 from .train import TrainingError, train_loop
 from .waterfall import PoseMaps
 
@@ -135,7 +136,7 @@ def cmd_infer(args) -> int:
     # a finite checkpoint can still overflow float32 on the way; the output
     # checks report that, so the forward's warnings are not wanted
     with np.errstate(all="ignore"):
-        maps = infer_maps(padded, weights, cfg.pyramid, cfg.waterfall)
+        maps, _ = model_forward(padded, weights, cfg.pyramid, cfg.waterfall, ForwardTape())
 
     def checked(out):
         # min and max, unlike isfinite, make no map-sized temporary
@@ -311,6 +312,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (DataError, ValueError) as e:   # FormatError, ConfigError, ShapeError
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as e:                # an input too large for this host
+        print(f"error: out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -7,7 +7,7 @@ keyed by layer name, which the checkpoint writer and the gradients share;
 training rebinds its entries to views of the optimizer's flat arena
 (train.init_optim_state). The layers are written forward only: each kernel
 they run is recorded on a tensor.Tape with its analytic backward, and the
-backward pass is one replay of that tape.
+backward pass is one replay of that tape (tensor.Tape.backward).
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import math
 import numpy as np
 
 from .backbone import PyramidConfig, backbone_forward
-from .tensor import ForwardTape, Tape
+from .tensor import Tape
 from .waterfall import IDENTITY_AFFINE, PoseMaps, WaterfallConfig, full_map_heads, \
-    fused_features, offset_head, waterfall_module_forward
+    fused_features, offset_head
 
 
 def weight_entries(pyr: PyramidConfig, wf: WaterfallConfig):
@@ -96,35 +96,14 @@ def init_model_weights(pyr: PyramidConfig, wf: WaterfallConfig, seed: int,
 
 
 def model_forward(image: np.ndarray, weights: dict, pyr: PyramidConfig,
-                  wf: WaterfallConfig, tape=None, at=None):
-    """Returns (PoseMaps, tape); the tape feeds model_backward.
-
-    tape defaults to a new recording tensor.Tape; pass a tensor.ForwardTape
-    for a pass that is never replayed, so no kernel cache outlives its kernel.
-    The maps' offsets are the every-pixel field, or with at=(ys, xs) the
-    (N, 2K, 1, P) offsets at those P pixels alone (waterfall.offset_head), as
-    training runs it at the pixels its offset loss supervises.
-    """
+                  wf: WaterfallConfig, tape=None):
+    """The one forward: backbone, waterfall stages 1 to 3 and the full-map
+    heads on one tape, a new recording tensor.Tape by default, or a
+    tensor.ForwardTape for a pass never replayed (infer), which keeps no
+    kernel cache. Returns (PoseMaps, tape); the maps' offsets_at(ys, xs)
+    runs waterfall.offset_head at those pixels on the same tape and returns
+    its recorded (N, 2K, P) node, at which a replay is seeded."""
     tape = Tape() if tape is None else tape
-    pyramid = backbone_forward(image, weights, pyr, tape)
-    return waterfall_module_forward(pyramid, weights, wf, tape, at), tape
-
-
-def infer_maps(image: np.ndarray, weights: dict, pyr: PyramidConfig,
-               wf: WaterfallConfig) -> PoseMaps:
-    """A forward-only pass that runs the offset head only where it is read:
-    the full heatmaps, and as offsets a function of pixel rows and columns
-    (ys, xs) that runs waterfall.offset_head at those pixels and returns
-    their (N, 2K, P) offsets. Both are model_forward's maps where read."""
-    tape = ForwardTape()
     f_maps = fused_features(backbone_forward(image, weights, pyr, tape), weights, wf, tape)
     heat, expanded = full_map_heads(f_maps, weights, tape)
-    return PoseMaps(heat, lambda ys, xs: offset_head(expanded, weights, wf, tape,
-                                                     at=(ys, xs))[:, :, 0])
-
-
-def model_backward(tape, maps, g_heat, g_offsets):
-    """Replay the tape model_forward returned from the gradients on its maps.
-    Returns the gradient of every weight, by name."""
-    grads, _ = tape.backward([(maps.heatmaps, g_heat), (maps.offsets, g_offsets)])
-    return grads
+    return PoseMaps(heat, lambda ys, xs: offset_head(expanded, weights, wf, tape, ys, xs)), tape

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import PyramidConfig
-from .model import model_forward, model_backward
+from .model import model_forward
 from .targets import PersonAnnotation, scale_annotations, \
     render_keypoint_heatmaps, render_offset_targets
 from .waterfall import WaterfallConfig
@@ -117,10 +117,11 @@ def offset_loss(pred: np.ndarray, target: np.ndarray, mask: np.ndarray,
     return loss, grad
 
 
-def total_loss(maps, heat_target, off_target, off_mask, off_scale, cfg: TrainConfig):
-    """Weighted sum; returns (total, heat part, offset part, grads on maps)."""
-    lh, gh = heatmap_loss(maps.heatmaps, heat_target)
-    lo, go = offset_loss(maps.offsets, off_target, off_mask, off_scale)
+def total_loss(heatmaps, offsets, heat_target, off_target, off_mask, off_scale,
+               cfg: TrainConfig):
+    """Weighted sum; returns (total, heat part, offset part, grads on both inputs)."""
+    lh, gh = heatmap_loss(heatmaps, heat_target)
+    lo, go = offset_loss(offsets, off_target, off_mask, off_scale)
     total = cfg.heatmap_weight * lh + cfg.offset_weight * lo
     return total, lh, lo, cfg.heatmap_weight * gh, cfg.offset_weight * go
 
@@ -345,18 +346,19 @@ def train_loop(samples, weights: dict, pyr: PyramidConfig, wf: WaterfallConfig,
             heat_t = render_keypoint_heatmaps(heat_anns, k, hh, hw, cfg.sigma)
             off_t, off_m, off_s = render_offset_targets(
                 heat_anns, k, hh, hw, cfg.offset_radius)
-            at = supervised_pixels(off_m)
+            ys, xs = supervised_pixels(off_m)
             # weights, loss weights or rates that overflow float32 on the way
             # are reported by the finite checks, so the warnings are not wanted
             with np.errstate(all="ignore"):
-                maps, tape = model_forward(image_a, weights, pyr, wf, at=at)
+                maps, tape = model_forward(image_a, weights, pyr, wf)
+                off = maps.offsets_at(ys, xs)
                 total, lh, lo, gh, go = total_loss(
-                    maps, heat_t, *(T.gather_pixels(a, *at) for a in (off_t, off_m, off_s)),
+                    maps.heatmaps, off, heat_t, *(a[:, :, ys, xs] for a in (off_t, off_m, off_s)),
                     cfg)
                 if not np.isfinite(total):
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch}, sample {int(idx)}")
-                grads = model_backward(tape, maps, gh, go)
+                grads, _ = tape.backward([(maps.heatmaps, gh), (off, go)])
                 # a finite loss can still carry a NaN or inf gradient into Adam
                 bad = next((name for name in sorted(grads)
                             if not np.isfinite(grads[name]).all()), None)

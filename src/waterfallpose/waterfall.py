@@ -21,15 +21,14 @@ Every stage's output is at base resolution. Stages:
                          (head_projection), y = sum_i A_i branch_i + B low +
                          (A_p p + c), p a per-image bias; exact in real
                          arithmetic.
-  4. heads_forward     - a keypoint head (adaptive conv, sigmoid scores for
+  4. heads             - a keypoint head (adaptive conv, sigmoid scores for
                          each joint plus a person-center channel) and a
                          disentangled offset head (one adaptive-conv group per
                          keypoint regressing a 2-vector toward that joint). The
-                         keypoint head runs densely. The offset head runs on
-                         pixel columns alone, gathered on the tape: at given
-                         pixels (offset_head's at), such as the centre peaks
-                         decode reads or the pixels training supervises, or
-                         at every pixel for the full field.
+                         keypoint head runs densely (full_map_heads). The
+                         offset head (offset_head) runs at given pixels alone,
+                         their columns gathered on the tape: the centre peaks
+                         decode reads, or the pixels training supervises.
 
 An adaptive convolution displaces the nine taps of a 3x3 kernel per pixel;
 the displacements come from a 1x1 predictor emitting a 2x2 matrix and a
@@ -102,22 +101,11 @@ class WaterfallConfig:
 @dataclass
 class PoseMaps:
     """Network output at base resolution: per-joint (plus center) score maps
-    in (0,1), and the per-keypoint (dx, dy) offsets. offsets is one of: the
-    every-pixel (N, 2K, h, w) field; the (N, 2K, 1, P) offsets at the P
-    pixels a forward was given (model_forward's at, the supervised pixels
-    training runs); or a function of pixel rows and columns (ys, xs) that
-    runs the offset head at those P pixels alone and returns their
-    (N, 2K, P) offsets (model.infer_maps). offsets_at reads the first and
-    the last."""
+    in (0,1), and offsets_at, a function of P pixel rows and columns (ys, xs)
+    that gives the per-keypoint (dx, dy) offsets at those pixels, (N, 2K, P)."""
 
     heatmaps: np.ndarray
-    offsets: np.ndarray | Callable
-
-    def offsets_at(self, ys, xs) -> np.ndarray:
-        """The (N, 2K, P) offsets at the P pixels (ys[p], xs[p])."""
-        if callable(self.offsets):
-            return self.offsets(ys, xs)
-        return self.offsets[:, :, ys, xs]
+    offsets_at: Callable
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +316,13 @@ def fuse_low_level(low_level: np.ndarray, branches, pooled: np.ndarray,
                        lambda gy: head_projection_backward(cache, gy))
 
 
+def fused_features(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig, tape):
+    """Stages 1 to 3: waterfall over the pyramid -> low-level fusion.
+    Returns the f_maps the heads read."""
+    branches, pooled = waterfall_forward(p, weights, cfg, tape)
+    return fuse_low_level(p.low_level, branches, pooled, weights, tape)
+
+
 # ---------------------------------------------------------------------------
 # adaptive convolution
 
@@ -366,23 +361,18 @@ def canonical_offsets(n: int, h: int, w: int, dtype=np.float32) -> np.ndarray:
     return affine_to_offsets(np.broadcast_to(identity, (n, 6, h, w)))
 
 
-def adaptive_conv(x: np.ndarray, w9: np.ndarray, offsets: np.ndarray, at=None):
+def adaptive_conv(x: np.ndarray, w9: np.ndarray, offsets: np.ndarray, ys, xs):
     """3x3 convolution whose nine taps are displaced per output point.
 
     y(c) = sum_i  w_i @ x(c + g_i(c)), with x read bilinearly and zero
-    outside. w9 is (Cout, Cin, 3, 3); offsets holds each point's per-tap
-    (row, col) displacements. With at=None the points are the pixels of x,
-    offsets is (N, 18, h, w) and so is y's grid. With at=(ys, xs), P pixel
-    rows and columns, the points are those pixels, offsets is (N, 18, 1, P)
-    and y is a (N, Cout, 1, P) map; its taps still read all of x. Returns
-    (y, cache).
+    outside. The points c are the pixel rows ys and columns xs, broadcast to
+    one grid: np.ogrid[:h, :w] for every pixel of x, or two (1, P) arrays for
+    P pixels. offsets is (N, 18, *grid), each point's per-tap (row, col)
+    displacements, and y is a (N, Cout, *grid) map whose taps read all of x.
+    Returns (y, cache).
     """
-    n, cin, h, w = x.shape
-    if at is None:
-        base_r = np.arange(h, dtype=np.float64).reshape(h, 1)
-        base_c = np.arange(w, dtype=np.float64).reshape(1, w)
-    else:
-        base_r, base_c = (np.asarray(v, dtype=np.float64).reshape(1, -1) for v in at)
+    n, cin = x.shape[:2]
+    base_r, base_c = (np.asarray(v, dtype=np.float64) for v in (ys, xs))
     grid = np.broadcast_shapes(base_r.shape, base_c.shape)
     if offsets.shape != (n, 18, *grid):
         raise T.ShapeError(
@@ -428,16 +418,15 @@ def adaptive_conv_backward(cache, gy):
 POINT_BLOCK = 16
 
 
-def _adaptive_branch(tape, x: np.ndarray, weights: dict, prefix: str, at=None) -> np.ndarray:
-    """Tap predictor, adaptive conv over x, ReLU, 1x1 out: one head branch,
-    with the adaptive conv recorded on the tape like any other kernel. With
-    at=(ys, xs) the branch runs at those P pixels alone, as a (N, C, 1, P)
-    map: the tap predictor reads x's columns there (a gather on the tape),
-    and the adaptive conv samples all of x around them."""
-    cols = x if at is None else tape.gather(x, *at)
-    offsets = predict_offsets(cols, weights, prefix + ".taps", tape)
+def _adaptive_branch(tape, x: np.ndarray, feats: np.ndarray, ys, xs, weights: dict,
+                     prefix: str) -> np.ndarray:
+    """Tap predictor over feats, x's columns at the points (ys, xs) as
+    adaptive_conv takes them, then the adaptive conv over x at those points,
+    ReLU and the 1x1 out: one head branch, with the adaptive conv recorded on
+    the tape like any other kernel."""
+    offsets = predict_offsets(feats, weights, prefix + ".taps", tape)
     name = prefix + ".adapt.w"
-    y, cache = adaptive_conv(x, weights[name], offsets, at)
+    y, cache = adaptive_conv(x, weights[name], offsets, ys, xs)
     y = tape.record(y, (x, name, offsets), lambda gy: adaptive_conv_backward(cache, gy))
     return tape.conv(tape.relu(y), weights, prefix + ".out", S1)
 
@@ -448,7 +437,9 @@ def full_map_heads(f_maps: np.ndarray, weights: dict, tape):
     channels, sigmoid), whose centre channel NMS reads in full, and the
     offset head's 1x1 expansion into per-keypoint groups, whose adaptive
     convs may sample it anywhere. Returns (heatmaps, expanded)."""
-    heat = tape.sigmoid(_adaptive_branch(tape, f_maps, weights, "head.kp"))
+    h, w = f_maps.shape[2:]
+    heat = tape.sigmoid(_adaptive_branch(tape, f_maps, f_maps, *np.ogrid[:h, :w], weights,
+                                         "head.kp"))
     return heat, tape.conv(f_maps, weights, "head.off.expand", S1)
 
 
@@ -461,60 +452,28 @@ def _pad_columns(gy: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def offset_head(expanded: np.ndarray, weights: dict, cfg: WaterfallConfig, tape, at=None):
-    """The disentangled offset head over full_map_heads' expanded map: per
-    keypoint group, its own adaptive conv and 1x1 down to a (dx, dy) pair.
+def offset_head(expanded: np.ndarray, weights: dict, cfg: WaterfallConfig, tape, ys, xs):
+    """The disentangled offset head over full_map_heads' expanded map at P
+    pixels, ys and xs two integer arrays of their rows and columns (repeats
+    allowed): per keypoint group, its own adaptive conv and 1x1 down to a
+    (dx, dy) pair. Returns their (N, 2K, P) offsets.
 
-    Every group's branch runs on P pixel columns alone, padded to a multiple
+    Every group's branch runs on the P pixel columns, padded to a multiple
     of POINT_BLOCK with repeats of the last pixel; the padding is cut off on
-    the tape, so it carries no gradient. With at=(ys, xs), two integer arrays
-    of P pixel rows and columns (repeats allowed), the head gives their
-    (N, 2K, 1, P) offsets: the pixels infer reads at the centre peaks, or
-    those training supervises. With at=None the pixels are all h*w of the
-    map in row-major order, and it gives the every-pixel (N, 2K, h, w) field.
-    Runs on a recording Tape or a ForwardTape alike.
+    the tape, so it carries no gradient. Runs on a recording Tape or a
+    ForwardTape alike.
     """
-    n, _, h, w = expanded.shape
-    if at is None:
-        ys, xs = np.divmod(np.arange(h * w), w)
-        shape = (n, cfg.offset_channels, h, w)
-    else:
-        ys, xs = at
-        if ys.ndim != 1 or ys.shape != xs.shape or not ys.size \
-                or min(ys.min(), xs.min()) < 0 or ys.max() >= h or xs.max() >= w:
-            raise T.ShapeError(f"the offset head needs one or more pixels of its {h}x{w} "
-                               f"map, two 1-d arrays of one length")
-        shape = (n, cfg.offset_channels, 1, ys.size)
+    h, w = expanded.shape[2:]
+    if ys.ndim != 1 or ys.shape != xs.shape or not ys.size \
+            or min(ys.min(), xs.min()) < 0 or ys.max() >= h or xs.max() >= w:
+        raise T.ShapeError(f"the offset head needs one or more pixels of its {h}x{w} "
+                           f"map, two 1-d arrays of one length")
     pad = -ys.size % POINT_BLOCK
     cols = tuple(np.concatenate([v, np.repeat(v[-1:], pad)]) for v in (ys, xs))
+    points = tuple(v.reshape(1, -1) for v in cols)
     groups = tape.split(expanded, [cfg.group_width] * cfg.keypoints)
-    offsets = tape.concat(_adaptive_branch(tape, feat, weights, f"head.off.g{k}", cols)
+    offsets = tape.concat(_adaptive_branch(tape, feat, tape.gather(feat, *cols), *points,
+                                           weights, f"head.off.g{k}")
                           for k, feat in enumerate(groups))
-    return tape.record(offsets[..., :ys.size].reshape(shape), (offsets,),
+    return tape.record(offsets[:, :, 0, :ys.size], (offsets,),
                        lambda gy: (_pad_columns(gy, offsets.shape),))
-
-
-def heads_forward(f_maps: np.ndarray, weights: dict, cfg: WaterfallConfig, tape, at=None):
-    """Keypoint and offset heads over the fused feature map: full_map_heads,
-    then offset_head at every pixel, or at the pixels at=(ys, xs) alone.
-    Returns the PoseMaps."""
-    heat, expanded = full_map_heads(f_maps, weights, tape)
-    return PoseMaps(heat, offset_head(expanded, weights, cfg, tape, at))
-
-
-# ---------------------------------------------------------------------------
-# full module
-
-def fused_features(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig, tape):
-    """Stages 1 to 3: waterfall over the pyramid -> low-level fusion.
-    Returns the f_maps the heads read."""
-    branches, pooled = waterfall_forward(p, weights, cfg, tape)
-    return fuse_low_level(p.low_level, branches, pooled, weights, tape)
-
-
-def waterfall_module_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig,
-                             tape, at=None):
-    """waterfall over the pyramid -> low-level fusion -> heads, the offset
-    head at the pixels at=(ys, xs) or at every pixel (heads_forward).
-    Returns the PoseMaps."""
-    return heads_forward(fused_features(p, weights, cfg, tape), weights, cfg, tape, at)

@@ -21,8 +21,8 @@ from waterfallpose.train import TrainConfig, lr_at_epoch, \
 from waterfallpose.waterfall import WaterfallConfig
 from waterfallpose.decode import PoseInstance
 
-from waterfallpose.checks import bruteforce_eval, conv2d_naive, random_pose_scene, \
-    scene_maps
+from waterfallpose.checks import bruteforce_eval, conv2d_naive, offset_field, \
+    random_pose_scene, scene_maps
 
 
 def report(num, name, ok, detail=""):
@@ -72,7 +72,7 @@ def test_02_adaptive_conv_degeneracy():
         wd = int(rng.integers(3, 9))
         x = rng.standard_normal((1, cin, h, wd)).astype(np.float32)
         w9 = rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)
-        y, _ = W.adaptive_conv(x, w9, W.canonical_offsets(1, h, wd))
+        y, _ = W.adaptive_conv(x, w9, W.canonical_offsets(1, h, wd), *np.ogrid[:h, :wd])
         ref = T.conv2d(x, w9, np.zeros(cout, dtype=np.float32),
                        T.ConvSpec(3, 3, pad_h=1, pad_w=1))
         worst = max(worst, T.relative_error(y, ref))
@@ -117,14 +117,14 @@ def test_04_channel_arithmetic_at_paper_widths():
     tape = T.Tape()
     branches, pooled = W.waterfall_forward(p, wts, cfg, tape)
     f_maps = W.fuse_low_level(p.low_level, branches, pooled, wts, tape)
-    maps = W.heads_forward(f_maps, wts, cfg, tape)
+    heat, expanded = W.full_map_heads(f_maps, wts, tape)
+    offsets = offset_field(expanded, wts, cfg, tape)
     # the fused map is never formed; wf.branch0 reads its channels
     fused = wts["wf.branch0.w"].shape[1]
     ok = (sum(PyramidConfig().widths) == fused == 480 and f_maps.shape[1] == 120
-          and maps.heatmaps.shape[1] == 18 and maps.offsets.shape[1] == 34)
+          and heat.shape[1] == 18 and offsets.shape[1] == 34)
     report(4, "channel arithmetic: 480 fused, 120 final, 18+34 head channels",
-           ok, f"got {fused}/{f_maps.shape[1]}/"
-               f"{maps.heatmaps.shape[1]}+{maps.offsets.shape[1]}")
+           ok, f"got {fused}/{f_maps.shape[1]}/{heat.shape[1]}+{offsets.shape[1]}")
 
 
 def test_05_render_decode_round_trip():

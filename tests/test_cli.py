@@ -14,14 +14,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from waterfallpose import dataio
-from waterfallpose.checks import overlay_reference, random_overlay_scene
+from waterfallpose import model as M
+from waterfallpose import tensor as T
+from waterfallpose.backbone import backbone_forward
+from waterfallpose.checks import field_maps, offset_field, overlay_reference, \
+    random_overlay_scene
 from waterfallpose.cli import M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, main, pin_heap_policy
 from waterfallpose.config import SCHEMA, ConfigError, default_config, parse_config
 from waterfallpose.decode import PoseInstance, decode_poses
-from waterfallpose.model import init_model_weights, model_forward
+from waterfallpose.model import init_model_weights
 from waterfallpose.overlay import draw_overlay, line_pixels
 from waterfallpose.targets import PersonAnnotation
-from waterfallpose.waterfall import HEAD_PROJECTION_WEIGHTS
+from waterfallpose.waterfall import HEAD_PROJECTION_WEIGHTS, full_map_heads, fused_features
 
 TOY_CONFIG = """
 pyramid.widths = 4,8,16,32
@@ -216,10 +220,26 @@ class TestInfer:
         assert len(err) == 1 and "network output" in err[0] and "not finite" in err[0]
         assert not (tmp / "out.json").exists()
 
+    def test_out_of_memory_is_data_error(self, workdir, capsys, monkeypatch):
+        tmp, cfg = workdir
+
+        def oom(*args):
+            raise MemoryError("Unable to allocate 1.12 GiB for an array")
+
+        monkeypatch.setattr(M, "backbone_forward", oom)
+        code = main(["infer", "--config", str(tmp / "toy.cfg"),
+                     "--checkpoint", str(zero_checkpoint(tmp, cfg)),
+                     "--image", str(tmp / "img0.ppm"), "--out-poses", str(tmp / "out.json")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "out of memory" in err[0] and "1.12 GiB" in err[0]
+        assert not (tmp / "out.json").exists()
+
     @pytest.mark.parametrize("offset_init", ["canonical", "random"])
     def test_results_are_those_of_the_dense_forward(self, workdir, offset_init):
         # infer runs the offset head at the centre peaks alone; its results
-        # file is the one the dense field decodes to, byte for byte
+        # file is the one the every-pixel field, built stage by stage,
+        # decodes to, byte for byte
         tmp, cfg = workdir
         weights = init_model_weights(cfg.pyramid, cfg.waterfall, seed=1,
                                      offset_init=offset_init)
@@ -230,7 +250,11 @@ class TestInfer:
                      "--image-id", "4"])
         assert code == 0
         image = dataio.read_image_ppm((tmp / "img0.ppm").read_bytes())
-        maps, _ = model_forward(image, weights, cfg.pyramid, cfg.waterfall)
+        tape = T.ForwardTape()
+        f_maps = fused_features(backbone_forward(image, weights, cfg.pyramid, tape), weights,
+                                cfg.waterfall, tape)
+        heat, expanded = full_map_heads(f_maps, weights, tape)
+        maps = field_maps(heat, offset_field(expanded, weights, cfg.waterfall, tape))
         stride = float(cfg.pyramid.base_stride)
         poses = [PoseInstance(p.keypoints * (stride, stride, 1.0), p.score)
                  for p in decode_poses(maps, cfg.decode)]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from waterfallpose import tensor as T
-from waterfallpose.checks import random_pose_scene, scene_maps
+from waterfallpose.checks import field_maps, random_pose_scene, scene_maps
 from waterfallpose.decode import DecodeConfig, PoseInstance, nms_peaks, decode_poses
 from waterfallpose.metrics import OksParams, oks
 from waterfallpose.targets import PersonAnnotation, render_keypoint_heatmaps
@@ -134,9 +134,33 @@ class TestNmsPeaks:
 
 class TestDecodePoses:
     def test_empty_maps_empty_list(self):
-        maps = PoseMaps(np.zeros((1, 4, 16, 16), dtype=np.float32),
-                        np.zeros((1, 6, 16, 16), dtype=np.float32))
+        maps = field_maps(np.zeros((1, 4, 16, 16), dtype=np.float32),
+                          np.zeros((1, 6, 16, 16), dtype=np.float32))
         assert decode_poses(maps, CFG) == []
+
+    def test_reads_the_offsets_once_at_the_peaks(self, rng):
+        heat = rng.uniform(0, 1, size=(1, 3, 16, 16)).astype(np.float32)
+        offs = rng.standard_normal((1, 4, 16, 16)).astype(np.float32)
+        calls = []
+
+        def spy(ys, xs):
+            calls.append((ys.tolist(), xs.tolist()))
+            return offs[:, :, ys, xs]
+
+        cfg = DecodeConfig(center_threshold=0.5)
+        peaks = nms_peaks(heat[0, 2].astype(np.float64), cfg)
+        assert len(peaks) > 1
+        got = decode_poses(PoseMaps(heat, spy), cfg)
+        assert calls == [([y for _, y, _ in peaks], [x for x, _, _ in peaks])]
+        assert [(p.keypoints.tolist(), p.score) for p in got] == \
+            [(p.keypoints.tolist(), p.score) for p in decode_poses(field_maps(heat, offs), cfg)]
+
+    def test_no_peak_reads_no_offsets(self):
+        def spy(ys, xs):
+            raise AssertionError("offsets read with no peak")
+
+        heat = np.full((1, 3, 16, 16), 0.2, dtype=np.float32)
+        assert decode_poses(PoseMaps(heat, spy), CFG) == []
 
     def test_non_finite_joint_is_an_error(self):
         heat = np.zeros((1, 2, 16, 16), dtype=np.float32)
@@ -144,7 +168,7 @@ class TestDecodePoses:
         offs = np.zeros((1, 2, 16, 16), dtype=np.float32)
         offs[0, 1, 8, 8] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            decode_poses(PoseMaps(heat, offs), CFG)
+            decode_poses(field_maps(heat, offs), CFG)
 
     def test_round_trip_single_person(self, rng):
         anns = random_pose_scene(rng, 1)
@@ -182,7 +206,7 @@ class TestDecodePoses:
         heat[0, 1, 8, 10] = 0.8
         offs = np.zeros((1, 2, 16, 16), dtype=np.float32)
         offs[0, 0, 8, 10] = -2.0  # second center points at the same joint
-        maps = PoseMaps(heat, offs)
+        maps = field_maps(heat, offs)
         poses = decode_poses(maps, DecodeConfig(nms_window=1, duplicate_oks=0.9))
         assert len(poses) == 1
         assert poses[0].score >= 0.9
@@ -190,8 +214,7 @@ class TestDecodePoses:
     def test_matches_per_joint_reference(self, rng):
         """Batched sampling and the similarity matrix give what one sample per
         joint and one oks() per (candidate, kept instance) pair give."""
-        def reference(maps, cfg):
-            heat, offs = maps.heatmaps, maps.offsets
+        def reference(heat, offs, cfg):
             k = offs.shape[1] // 2
             cands = []
             for cx, cy, cs in nms_peaks(heat[0, k].astype(np.float64), cfg):
@@ -237,8 +260,8 @@ class TestDecodePoses:
             cfg = DecodeConfig(center_threshold=float(rng.uniform(0, 0.8)),
                                max_instances=int(rng.integers(1, 40)),
                                duplicate_oks=float(rng.uniform(0.2, 1.0)))
-            got = decode_poses(PoseMaps(heat, offs), cfg)
-            want = reference(PoseMaps(heat, offs), cfg)
+            got = decode_poses(field_maps(heat, offs), cfg)
+            want = reference(heat, offs, cfg)
             assert [(p.keypoints.tolist(), p.score) for p in got] == \
                 [(p.keypoints.tolist(), p.score) for p in want]
             suppressed += len(nms_peaks(heat[0, k].astype(np.float64), cfg)) - len(got)

@@ -39,7 +39,7 @@ def _kernel_outputs(rng, dtype):
     out["sigmoid"] = T.sigmoid(x)
     out["sigmoid_backward"] = T.sigmoid_backward(T.sigmoid(x), arr(*x.shape))
     offsets = W.canonical_offsets(1, 6, 5, dtype=dtype) + arr(1, 18, 6, 5) * dtype(0.3)
-    y, cache = W.adaptive_conv(x, arr(2, 3, 3, 3), offsets)
+    y, cache = W.adaptive_conv(x, arr(2, 3, 3, 3), offsets, *np.ogrid[:6, :5])
     out["adaptive_conv"] = y
     for part, g in zip(["x", "w9", "offsets"], W.adaptive_conv_backward(cache, arr(*y.shape))):
         out[f"adaptive_conv_backward.{part}"] = g

@@ -4,9 +4,9 @@ import pytest
 from waterfallpose import tensor as T
 from waterfallpose import train as TR
 from waterfallpose.backbone import PyramidConfig
-from waterfallpose.checks import operand_errors
+from waterfallpose.checks import operand_errors, pixel_grid
 from waterfallpose.dataio import save_checkpoint, load_checkpoint
-from waterfallpose.model import init_model_weights, model_forward, model_backward
+from waterfallpose.model import init_model_weights, model_forward
 from waterfallpose.targets import PersonAnnotation
 from waterfallpose.waterfall import WaterfallConfig
 
@@ -356,14 +356,14 @@ class TestLoop:
         samples = self._tiny_samples(rng)
         pyr, wf, weights = toy_setup()
         before = {k: v.copy() for k, v in weights.items()}
-        real_backward = TR.model_backward
+        real_backward = T.Tape.backward
 
-        def poisoned(*args, **kwargs):
-            grads = real_backward(*args, **kwargs)
+        def poisoned(tape, *args, **kwargs):
+            grads, wrt = real_backward(tape, *args, **kwargs)
             grads["llf.mid.w"].flat[3] = np.nan
-            return grads
+            return grads, wrt
 
-        monkeypatch.setattr(TR, "model_backward", poisoned)
+        monkeypatch.setattr(T.Tape, "backward", poisoned)
         cfg = TR.TrainConfig(epochs=1, seed=5, **IDENTITY_AUG)
         with pytest.raises(TR.TrainingError,
                            match=r"non-finite gradient at epoch 0, sample \d+: llf\.mid\.w"):
@@ -468,23 +468,25 @@ class TestFullModelGradient:
         from waterfallpose.targets import render_keypoint_heatmaps, \
             render_offset_targets
         heat_t = render_keypoint_heatmaps(anns, 2, 8, 8).astype(np.float64)
-        off_t, off_m, off_s = render_offset_targets(anns, 2, 8, 8)
+        # the offsets and their targets at every pixel
+        ys, xs = pixel_grid(8, 8)
+        off_t, off_m, off_s = (a.astype(np.float64)[:, :, ys, xs]
+                               for a in render_offset_targets(anns, 2, 8, 8))
         cfg = TR.TrainConfig()
         names = ("backbone.stem.0.w", "backbone.level1.0.w", "wf.branch2.w",
                  "llf.mid.w", "head.kp.out.b", "head.off.g0.adapt.w")
 
         def loss(*picked):
             maps, _ = model_forward(img, {**weights, **dict(zip(names, picked))}, pyr, wf)
-            total, _, _, _, _ = TR.total_loss(
-                maps, heat_t, off_t.astype(np.float64), off_m.astype(np.float64),
-                off_s.astype(np.float64), cfg)
+            total, _, _, _, _ = TR.total_loss(maps.heatmaps, maps.offsets_at(ys, xs), heat_t,
+                                              off_t, off_m, off_s, cfg)
             return total
 
         maps, tape = model_forward(img, weights, pyr, wf)
-        _, _, _, gh, go = TR.total_loss(maps, heat_t, off_t.astype(np.float64),
-                                        off_m.astype(np.float64),
-                                        off_s.astype(np.float64), cfg)
-        grads = model_backward(tape, maps, gh, go)
+        offsets = maps.offsets_at(ys, xs)
+        _, _, _, gh, go = TR.total_loss(maps.heatmaps, offsets, heat_t, off_t, off_m, off_s,
+                                        cfg)
+        grads, _ = tape.backward([(maps.heatmaps, gh), (offsets, go)])
         errors = operand_errors(loss, [weights[n] for n in names], [grads[n] for n in names],
                                 h=1e-6)
         assert np.max(errors) <= 1e-6, names[np.argmax(errors)]
@@ -497,10 +499,11 @@ class TestFullModelGradient:
         recorded, tape = model_forward(img, weights, pyr, wf)
         assert tape.nodes
         maps, bare = model_forward(img, weights, pyr, wf, T.ForwardTape())
-        assert bare.nodes == []
+        every = pixel_grid(*maps.heatmaps.shape[2:])
         for got, want in ((maps.heatmaps, recorded.heatmaps),
-                          (maps.offsets, recorded.offsets)):
+                          (maps.offsets_at(*every), recorded.offsets_at(*every))):
             assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert bare.nodes == []
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_zero_width_level_gets_zero_gradients(self, rng, dtype):
@@ -511,8 +514,9 @@ class TestFullModelGradient:
             weights = init_model_weights(pyr, wf, seed=1, dtype=dtype)
             img = rng.uniform(0, 1, size=(1, 3, 32, 32)).astype(dtype)
             maps, tape = model_forward(img, weights, pyr, wf)
-            grads = model_backward(tape, maps, np.ones_like(maps.heatmaps),
-                                   np.ones_like(maps.offsets))
+            offsets = maps.offsets_at(*pixel_grid(*maps.heatmaps.shape[2:]))
+            grads, _ = tape.backward([(maps.heatmaps, np.ones_like(maps.heatmaps)),
+                                      (offsets, np.ones_like(offsets))])
             assert set(grads) == set(weights)
             empty = f"backbone.level{widths.index(0)}."
             for name, w in weights.items():

@@ -8,7 +8,7 @@ from waterfallpose import tensor as T
 from waterfallpose import waterfall as W
 from waterfallpose.backbone import FeaturePyramid, PyramidConfig, backbone_forward
 from waterfallpose.checks import layered_head_projection, layered_pyramid_branch, \
-    offset_head_at_pixels_error, operand_errors
+    offset_field, offset_head_at_pixels_error, operand_errors, pixel_grid
 from waterfallpose.model import draw_weights, init_model_weights, weight_shapes
 
 TOY_PYR = PyramidConfig(widths=(4, 8, 16, 32), stem_width=4)
@@ -31,6 +31,12 @@ def head_weights(cfg, rng, pyr=TOY_PYR, **kwargs):
     shapes = weight_shapes(pyr, cfg)
     return draw_weights({k: s for k, s in shapes.items() if not k.startswith("backbone.")},
                         rng, **kwargs)
+
+
+def heads(f_maps, wts, cfg, tape):
+    # the heatmaps and the every-pixel offset field over f_maps
+    heat, expanded = W.full_map_heads(f_maps, wts, tape)
+    return heat, offset_field(expanded, wts, cfg, tape)
 
 
 def branch_weights(cin, rng, cout=3, dtype=np.float32):
@@ -311,7 +317,7 @@ class TestAdaptiveConv:
             x = rng.standard_normal((1, cin, h, w)).astype(np.float32)
             w9 = rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)
             off = W.canonical_offsets(1, h, w)
-            y, _ = W.adaptive_conv(x, w9, off)
+            y, _ = W.adaptive_conv(x, w9, off, *np.ogrid[:h, :w])
             ref = T.conv2d(x, w9, np.zeros(cout, dtype=np.float32),
                            T.ConvSpec(3, 3, pad_h=1, pad_w=1))
             assert T.relative_error(y, ref) <= 1e-6
@@ -323,7 +329,7 @@ class TestAdaptiveConv:
         w9 = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
         off = W.canonical_offsets(1, 6, 6)
         off[:, 1::2] += 1.0
-        y, _ = W.adaptive_conv(x, w9, off)
+        y, _ = W.adaptive_conv(x, w9, off, *np.ogrid[:6, :6])
         x_shift = np.zeros_like(x)
         x_shift[:, :, :, :-1] = x[:, :, :, 1:]
         ref = T.conv2d(x_shift, w9, np.zeros(3, dtype=np.float32),
@@ -339,8 +345,9 @@ class TestAdaptiveConv:
         off = W.canonical_offsets(1, 5, 5, dtype=np.float64)
         off += rng.uniform(0.1, 0.4, size=off.shape)  # keep taps off the lattice
         gy = rng.standard_normal((1, 2, 5, 5))
-        y, cache = W.adaptive_conv(x, w9, off)
-        errors = operand_errors(lambda *args: float((W.adaptive_conv(*args)[0] * gy).sum()),
+        grid = np.ogrid[:5, :5]
+        y, cache = W.adaptive_conv(x, w9, off, *grid)
+        errors = operand_errors(lambda *args: float((W.adaptive_conv(*args, *grid)[0] * gy).sum()),
                                 (x, w9, off), W.adaptive_conv_backward(cache, gy))
         assert np.max(errors) <= 1e-6, ("input", "weights", "offsets")[np.argmax(errors)]
 
@@ -352,7 +359,7 @@ class TestAdaptiveConv:
         gy = rng.standard_normal((1, 3, 4, 4)).astype(np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y, cache = W.adaptive_conv(x, w9, off)
+            y, cache = W.adaptive_conv(x, w9, off, *np.ogrid[:4, :4])
             grads = W.adaptive_conv_backward(cache, gy)
         assert y.shape == (1, 3, 4, 4) and not y.any()
         assert not any(g.any() for g in grads)
@@ -361,7 +368,8 @@ class TestAdaptiveConv:
         x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
         w9 = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
         with pytest.raises(T.ShapeError, match="18"):
-            W.adaptive_conv(x, w9, np.zeros((1, 12, 4, 4), dtype=np.float32))
+            W.adaptive_conv(x, w9, np.zeros((1, 12, 4, 4), dtype=np.float32),
+                            *np.ogrid[:4, :4])
 
 
 class TestPredictOffsets:
@@ -385,7 +393,7 @@ class TestPredictOffsets:
             for c in range(7):
                 x[:] = 0.0
                 x[0, 0, r, c] = 1.0
-                y, _ = W.adaptive_conv(x, w9, off)
+                y, _ = W.adaptive_conv(x, w9, off, *np.ogrid[:7, :7])
                 if y[0, 0, 3, 3] != 0.0:
                     hits.append((r, c))
         rows = [r for r, _ in hits]
@@ -400,7 +408,7 @@ class TestPredictOffsets:
         x = rng.standard_normal((1, 3, 5, 5)).astype(np.float32)
         w9 = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
         off = np.zeros((1, 18, 5, 5), dtype=np.float32)
-        y, _ = W.adaptive_conv(x, w9, off)
+        y, _ = W.adaptive_conv(x, w9, off, *np.ogrid[:5, :5])
         w1 = w9.sum(axis=(2, 3))[:, :, None, None]
         ref = T.conv2d(x, w1, np.zeros(2, dtype=np.float32), T.ConvSpec(1, 1))
         assert T.relative_error(y, ref) <= 1e-6
@@ -457,15 +465,16 @@ class TestOffsetHeadAtPixels:
         pixels = data.draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)),
                                     min_size=1, max_size=2 * h * w))
         ys, xs = (np.array(v) for v in zip(*pixels))
-        go = rng.standard_normal((n, 2 * k, 1, ys.size))
+        go = rng.standard_normal((n, 2 * k, ys.size))
         tape = T.Tape()
-        at = W.offset_head(expanded, wts, cfg, tape, at=(ys, xs))
+        at = W.offset_head(expanded, wts, cfg, tape, ys, xs)
         grads, (g_at,) = tape.backward([(at, go)], wrt=[expanded])
         seeded = np.zeros((n, 2 * k, h, w))
-        np.add.at(seeded, (slice(None), slice(None), ys, xs), go[:, :, 0])
+        np.add.at(seeded, (slice(None), slice(None), ys, xs), go)
         tape = T.Tape()
-        field = W.offset_head(expanded, wts, cfg, tape)
-        want, (g_field,) = tape.backward([(field, seeded)], wrt=[expanded])
+        field = W.offset_head(expanded, wts, cfg, tape, *pixel_grid(h, w))
+        want, (g_field,) = tape.backward([(field, seeded.reshape(field.shape))],
+                                         wrt=[expanded])
         assert set(grads) == set(want) == {name for name in wts
                                            if name.startswith("head.off.g")}
         for name in want:
@@ -477,10 +486,10 @@ class TestOffsetHeadAtPixels:
         wts = head_weights(cfg, rng)
         expanded = rng.standard_normal((1, 6, 4, 5)).astype(np.float32)
         inside = (np.array([0, 3]), np.array([4, 0]))
-        bare = W.offset_head(expanded, wts, cfg, T.ForwardTape(), at=inside)
+        bare = W.offset_head(expanded, wts, cfg, T.ForwardTape(), *inside)
         tape = T.Tape()
-        recorded = W.offset_head(expanded, wts, cfg, tape, at=inside)
-        assert bare.shape == recorded.shape == (1, 4, 1, 2)
+        recorded = W.offset_head(expanded, wts, cfg, tape, *inside)
+        assert bare.shape == recorded.shape == (1, 4, 2)
         assert bare.tobytes() == recorded.tobytes()
         grads, (g,) = tape.backward([(recorded, np.ones_like(recorded))], wrt=[expanded])
         assert g.shape == expanded.shape and g.any()
@@ -489,7 +498,7 @@ class TestOffsetHeadAtPixels:
             for tape in (T.ForwardTape(), T.Tape()):
                 with pytest.raises(T.ShapeError, match="4x5 map"):
                     W.offset_head(expanded, wts, cfg, tape,
-                                  at=(np.array(ys, dtype=int), np.array(xs, dtype=int)))
+                                  np.array(ys, dtype=int), np.array(xs, dtype=int))
 
 
 class TestHeads:
@@ -498,25 +507,25 @@ class TestHeads:
                                 keypoints=17, group_width=2)
         wts = head_weights(cfg, rng, PyramidConfig(widths=(8, 8, 8, 8), stem_width=4))
         f = rng.standard_normal((1, 20, 4, 4)).astype(np.float32)
-        maps = W.heads_forward(f, wts, cfg, T.Tape())
-        assert maps.heatmaps.shape == (1, 18, 4, 4)
-        assert maps.offsets.shape == (1, 34, 4, 4)
+        heat, offsets = heads(f, wts, cfg, T.Tape())
+        assert heat.shape == (1, 18, 4, 4)
+        assert offsets.shape == (1, 34, 4, 4)
 
     def test_minimal_config(self, rng):
         cfg = toy_cfg(keypoints=1, group_width=1)
         wts = head_weights(cfg, rng)
         f = rng.standard_normal((2, cfg.final_width, 4, 4)).astype(np.float32)
-        maps = W.heads_forward(f, wts, cfg, T.Tape())
-        assert maps.heatmaps.shape == (2, 2, 4, 4)
-        assert maps.offsets.shape == (2, 2, 4, 4)
+        heat, offsets = heads(f, wts, cfg, T.Tape())
+        assert heat.shape == (2, 2, 4, 4)
+        assert offsets.shape == (2, 2, 4, 4)
 
     def test_heatmaps_in_unit_interval(self, rng):
         cfg = toy_cfg()
         wts = head_weights(cfg, rng, offset_init="random")
         f = rng.standard_normal((1, cfg.final_width, 6, 6)).astype(np.float32)
-        maps = W.heads_forward(f, wts, cfg, T.Tape())
-        assert np.all(maps.heatmaps > 0) and np.all(maps.heatmaps < 1)
-        assert np.all(np.isfinite(maps.offsets))
+        heat, offsets = heads(f, wts, cfg, T.Tape())
+        assert np.all(heat > 0) and np.all(heat < 1)
+        assert np.all(np.isfinite(offsets))
 
     def test_too_few_channels_rejected(self):
         with pytest.raises(ValueError, match="cannot support"):
@@ -531,16 +540,17 @@ class TestFullModule:
         img = rng.standard_normal((1, 3, 256, 256)).astype(np.float32)
         tape = T.Tape()
         p = backbone_forward(img, wts, pyr, tape)
-        maps = W.waterfall_module_forward(p, wts, cfg, tape)
-        assert maps.heatmaps.shape == (1, 18, 64, 64)
-        assert maps.offsets.shape == (1, 34, 64, 64)
+        heat, offsets = heads(W.fused_features(p, wts, cfg, tape), wts, cfg, tape)
+        assert heat.shape == (1, 18, 64, 64)
+        assert offsets.shape == (1, 34, 64, 64)
 
     def test_zero_weights_center_half(self, rng):
         cfg = toy_cfg()
         wts = {k: np.zeros_like(v) for k, v in head_weights(cfg, rng).items()}
         p = make_pyramid(rng)
-        maps = W.waterfall_module_forward(p, wts, cfg, T.Tape())
-        np.testing.assert_allclose(maps.heatmaps, 0.5)
+        tape = T.Tape()
+        heat, _ = W.full_map_heads(W.fused_features(p, wts, cfg, tape), wts, tape)
+        np.testing.assert_allclose(heat, 0.5)
 
     def test_channel_bookkeeping_fuzzed(self, rng):
         for _ in range(6):
@@ -565,9 +575,9 @@ class TestFullModule:
             assert f_maps.shape[1] == cfg.final_width
             assert T.relative_error(
                 f_maps, layered_head_projection(branches, pooled, p.low_level, wts)) <= 1e-6
-            maps = W.heads_forward(f_maps, wts, cfg, tape)
-            assert maps.heatmaps.shape[1] == k + 1
-            assert maps.offsets.shape[1] == 2 * k
+            heat, offsets = heads(f_maps, wts, cfg, tape)
+            assert heat.shape[1] == k + 1
+            assert offsets.shape[1] == 2 * k
 
     def test_full_module_gradient(self, rng):
         cfg = toy_cfg(branch_width=3, out_width=4, final_width=3,
@@ -585,15 +595,16 @@ class TestFullModule:
                  "head.off.expand.w", "head.off.g0.out.b")
 
         def loss(*ops):
-            maps = W.waterfall_module_forward(FeaturePyramid(list(ops[:4]), ops[4]),
-                                              {**wts, **dict(zip(names, ops[5:]))}, cfg,
-                                              T.Tape())
-            return float((maps.heatmaps * gh).sum() + (maps.offsets * go).sum())
+            trial, tape = {**wts, **dict(zip(names, ops[5:]))}, T.ForwardTape()
+            f_maps = W.fused_features(FeaturePyramid(list(ops[:4]), ops[4]), trial, cfg, tape)
+            heat, offsets = heads(f_maps, trial, cfg, tape)
+            return float((heat * gh).sum() + (offsets * go).sum())
 
         tape = T.Tape()
-        maps = W.waterfall_module_forward(p, wts, cfg, tape)
+        heat, expanded = W.full_map_heads(W.fused_features(p, wts, cfg, tape), wts, tape)
+        offsets = W.offset_head(expanded, wts, cfg, tape, *pixel_grid(8, 8))
         grads, (*g_levels, g_low) = tape.backward(
-            [(maps.heatmaps, gh), (maps.offsets, go)], wrt=[*p.levels, p.low_level])
+            [(heat, gh), (offsets, go.reshape(offsets.shape))], wrt=[*p.levels, p.low_level])
         errors = operand_errors(loss, [*p.levels, p.low_level, *(wts[n] for n in names)],
                                 [*g_levels, g_low, *(grads[n] for n in names)])
         operands = ("level0", "level1", "level2", "level3", "low_level", *names)
