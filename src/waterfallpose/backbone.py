@@ -58,10 +58,6 @@ class FeaturePyramid:
     low_level: np.ndarray
 
 
-S3 = T.ConvSpec(3, 3, stride=1, pad_h=1, pad_w=1)
-S3D2 = T.ConvSpec(3, 3, stride=2, pad_h=1, pad_w=1)
-
-
 def backbone_forward(image: np.ndarray, weights: dict, cfg: PyramidConfig, tape):
     """Run the stem and the four level branches, recording on tape.
 
@@ -76,19 +72,18 @@ def backbone_forward(image: np.ndarray, weights: dict, cfg: PyramidConfig, tape)
         raise T.ShapeError(
             f"image extents {h}x{w} must be divisible by {div}; pad the input first")
 
-    def block(name, x, spec):
-        return tape.relu(tape.conv(x, weights, name, spec))
+    def block(name, x, stride):
+        return tape.relu(tape.conv(x, weights, name, T.ConvSpec(stride=stride)))
 
     x = image
     for i in range(cfg.stem_convs):
-        x = block(f"backbone.stem.{i}", x, S3D2)
+        x = block(f"backbone.stem.{i}", x, 2)
     low_level = x
 
     levels = []
     for lv in range(4):
         y = low_level
         for j in range(lv + cfg.num_blocks):
-            spec = S3D2 if j < lv else S3
-            y = block(f"backbone.level{lv}.{j}", y, spec)
+            y = block(f"backbone.level{lv}.{j}", y, 2 if j < lv else 1)
         levels.append(y)
     return FeaturePyramid(levels, low_level)

@@ -42,11 +42,13 @@ def _toy_model(seed=0, dtype=np.float64):
 
 def conv2d_naive(x, w, b, spec):
     """Six-nested-loop cross-correlation oracle: float64 products, zero outside
-    the input, and its own output-extent formula rather than ConvSpec's."""
+    the input, "same" padding worked out from the weight's extent, and its own
+    output-extent formula rather than tensor's."""
     n, cin, h, wd = x.shape
-    cout = w.shape[0]
-    oh = (h + 2 * spec.pad_h - (spec.kh - 1) * spec.dilation - 1) // spec.stride + 1
-    ow = (wd + 2 * spec.pad_w - (spec.kw - 1) * spec.dilation - 1) // spec.stride + 1
+    cout, _, k, _ = w.shape
+    pad = spec.dilation * (k // 2)
+    oh = (h + 2 * pad - (k - 1) * spec.dilation - 1) // spec.stride + 1
+    ow = (wd + 2 * pad - (k - 1) * spec.dilation - 1) // spec.stride + 1
     y = np.zeros((n, cout, oh, ow), dtype=np.float64)
     for bi in range(n):
         for oc in range(cout):
@@ -54,10 +56,10 @@ def conv2d_naive(x, w, b, spec):
                 for oj in range(ow):
                     acc = 0.0
                     for ic in range(cin):
-                        for ki in range(spec.kh):
-                            for kj in range(spec.kw):
-                                ri = oi * spec.stride - spec.pad_h + ki * spec.dilation
-                                cj = oj * spec.stride - spec.pad_w + kj * spec.dilation
+                        for ki in range(k):
+                            for kj in range(k):
+                                ri = oi * spec.stride - pad + ki * spec.dilation
+                                cj = oj * spec.stride - pad + kj * spec.dilation
                                 if 0 <= ri < h and 0 <= cj < wd:
                                     acc += float(x[bi, ic, ri, cj]) * float(w[oc, ic, ki, kj])
                     y[bi, oc, oi, oj] = acc + float(b[oc])
@@ -76,7 +78,7 @@ def layered_head_projection(branches, pooled, low_level, weights):
     concatenated after them, wf.out over that concat plus llf.proj over the
     low-level map, then llf.mid and llf.out, each one conv2d."""
     def conv(x, layer):
-        return T.conv2d(x, weights[layer + ".w"], weights[layer + ".b"], W.S1)
+        return T.conv2d(x, weights[layer + ".w"], weights[layer + ".b"], T.ConvSpec())
     h, w = low_level.shape[2:]
     cat = T.concat_channels([*branches, _resized(pooled, h, w)])
     return conv(conv(conv(cat, "wf.out") + conv(low_level, "llf.proj"), "llf.mid"), "llf.out")
@@ -90,8 +92,8 @@ def layered_pyramid_branch(levels, weights, dilation):
     Returns (conv output, pooled g0)."""
     h, w = levels[0].shape[2:]
     g0 = T.concat_channels([levels[0]] + [_resized(f, h, w) for f in levels[1:]])
-    spec = T.ConvSpec(3, 3, pad_h=dilation, pad_w=dilation, dilation=dilation)
-    y = T.conv2d(g0, weights["wf.branch0.w"], weights["wf.branch0.b"], spec)
+    y = T.conv2d(g0, weights["wf.branch0.w"], weights["wf.branch0.b"],
+                 T.ConvSpec(dilation=dilation))
     return y, T.global_avg_pool(g0)
 
 
@@ -149,7 +151,7 @@ def gradient_checks():
             results.append((name, err <= GRAD_TOL, f"rel err {err:.2e}"))
 
     # conv2d
-    spec = T.ConvSpec(3, 3, stride=2, pad_h=2, pad_w=2, dilation=2)
+    spec = T.ConvSpec(stride=2, dilation=2)
     x = rng.standard_normal((1, 2, 7, 7))
     w = rng.standard_normal((2, 2, 3, 3))
     b = rng.standard_normal(2)
@@ -330,7 +332,7 @@ def selftest_checks():
     # convolution vs naive oracle
     worst = 0.0
     for dilation in (1, 2, 6):
-        spec = T.ConvSpec(3, 3, pad_h=dilation, pad_w=dilation, dilation=dilation)
+        spec = T.ConvSpec(dilation=dilation)
         x = rng.standard_normal((1, 3, 9, 9)).astype(np.float32)
         w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
         b = rng.standard_normal(2).astype(np.float32)
@@ -342,8 +344,7 @@ def selftest_checks():
     x = rng.standard_normal((1, 3, 7, 7)).astype(np.float32)
     w9 = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
     y, _ = W.adaptive_conv(x, w9, W.canonical_offsets(1, 7, 7), *np.ogrid[:7, :7])
-    ref = T.conv2d(x, w9, np.zeros(2, dtype=np.float32),
-                   T.ConvSpec(3, 3, pad_h=1, pad_w=1))
+    ref = T.conv2d(x, w9, np.zeros(2, dtype=np.float32), T.ConvSpec())
     err = T.relative_error(y, ref)
     record("adaptive_conv_degeneracy", err <= 1e-6, f"rel err {err:.2e}")
 

@@ -205,6 +205,10 @@ def cmd_eval(args) -> int:
     preds = dataio.parse_results(_read_file(args.results, binary=False),
                                  dataset.num_keypoints)
     gts = {img.id: dataset.annotations[img.id] for img in dataset.images}
+    stray = preds.keys() - gts.keys()
+    if stray:
+        raise DataError(f"{args.results}: results for image {min(stray)}, "
+                        "which the dataset does not hold")
     res = evaluate(preds, gts, cfg.oks, style=cfg.eval_style,
                    area_edges=cfg.area_edges, crowd_edges=cfg.crowd_edges)
     cells = res.as_row()

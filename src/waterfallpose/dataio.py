@@ -315,11 +315,9 @@ def _read_tensor(s: _Stream) -> np.ndarray:
     return arr
 
 
-def read_tensor(data: bytes, offset: int = 0):
-    """Returns (tensor, bytes consumed from offset)."""
-    f = io.BytesIO(data)
-    f.seek(offset)
-    s = _Stream(f)
+def read_tensor(data: bytes):
+    """Returns (tensor, bytes consumed)."""
+    s = _Stream(io.BytesIO(data))
     return _read_tensor(s), s.pos
 
 

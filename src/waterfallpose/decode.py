@@ -125,11 +125,9 @@ def decode_poses(maps: PoseMaps, cfg: DecodeConfig):
     ys = (cy + at_center[1::2]).T
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("joint coordinates must be finite")
-    # one read of all K heatmap channels at every joint point; joint j of
-    # peak p is point p*K + j, read from channel j
-    sampled, _ = T.bilinear_sample(heat[:, :k], ys.reshape(1, -1), xs.reshape(1, -1))
-    joint = np.tile(np.arange(k), len(peaks))
-    scores = sampled[0, joint, np.arange(len(joint))].reshape(len(peaks), k).astype(np.float64)
+    # each joint's channel as a one-channel map, read at that joint's P points
+    sampled, _ = T.bilinear_sample(heat[0, :k, None], ys.T, xs.T)      # (K, 1, P)
+    scores = sampled[:, 0].T.astype(np.float64)                         # (P, K)
 
     # the mean joint score sums the joints in order
     inst_scores = [cs * (sum(ps) / k) for (_, _, cs), ps in zip(peaks, scores.tolist())]

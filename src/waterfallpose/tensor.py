@@ -10,11 +10,11 @@ the adaptive conv built on it, the head's first waterfall branch and its
 folded 1x1 chain, return (value, cache), and their backward takes
 (cache, gy): the cache holds what the forward worked out. Two bounded caches
 outlive every call and depend on geometry alone: the conv plan of each
-(ConvSpec, h, w), its output extents and live taps, and the read-only
-bilinear resize matrix of each (in, out, row shift, dtype). A Tape records
-the kernels a forward pass runs and replays their backwards in reverse, so
-composite layers are written forward only; a ForwardTape runs the same
-kernels and keeps nothing.
+(ConvSpec, kernel extent, h, w), its output extents and live taps, and the
+read-only bilinear resize matrix of each (in, out, row shift, dtype). A Tape
+records the kernels a forward pass runs and replays their backwards in
+reverse, so composite layers are written forward only; a ForwardTape runs the
+same kernels and keeps nothing.
 """
 
 from __future__ import annotations
@@ -40,33 +40,21 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Geometry of a 2-d cross-correlation.
+    """Stride and dilation of a 2-d cross-correlation.
 
-    Padding is zero-fill, applied symmetrically per axis. The effective kernel
-    extent along an axis is (k - 1) * dilation + 1.
+    The kernel extent k comes from the weight, odd and square. Every side is
+    zero-padded by dilation * (k // 2), "same" padding, so an input extent S
+    gives ceil(S / stride) outputs.
     """
 
-    kh: int = 3
-    kw: int = 3
     stride: int = 1
-    pad_h: int = 0
-    pad_w: int = 0
     dilation: int = 1
 
     def __post_init__(self):
-        if self.kh < 1 or self.kw < 1:
-            raise ShapeError(f"kernel extents must be positive, got {self.kh}x{self.kw}")
         if self.stride < 1:
             raise ShapeError(f"stride must be positive, got {self.stride}")
         if self.dilation < 1:
             raise ShapeError(f"dilation must be positive, got {self.dilation}")
-        if self.pad_h < 0 or self.pad_w < 0:
-            raise ShapeError("padding must be non-negative")
-
-    def out_extent(self, size: int, axis: int) -> int:
-        k, pad = (self.kh, self.pad_h) if axis == 0 else (self.kw, self.pad_w)
-        eff = (k - 1) * self.dilation + 1
-        return (size + 2 * pad - eff) // self.stride + 1
 
 
 def _tap_window(offset: int, size: int, out: int, stride: int):
@@ -94,28 +82,27 @@ class _ConvPlan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=256)
-def _conv_plan(spec: ConvSpec, h: int, w: int) -> _ConvPlan:
-    """The plan of spec over an (h, w) input. Only kernel taps that read at
-    least one input pixel are live: taps that fall wholly in the zero padding,
-    such as the outer taps of a dilation larger than the map, contribute
-    nothing and are left out of the GEMM. Cached, since a model runs the same
-    few geometries on every call: a published-width forward uses 14 to 33
-    plans per input size, so the bound holds those of several sizes."""
-    oh, ow = spec.out_extent(h, 0), spec.out_extent(w, 1)
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"conv2d output would be {oh}x{ow} for input {h}x{w} with {spec}")
+def _conv_plan(spec: ConvSpec, k: int, h: int, w: int) -> _ConvPlan:
+    """The plan of spec with a kxk kernel over an (h, w) input. Only kernel
+    taps that read at least one input pixel are live: taps that fall wholly
+    in the zero padding, such as the outer taps of a dilation larger than the
+    map, contribute nothing and are left out of the GEMM. Cached, since a
+    model runs the same few geometries on every call: a published-width
+    forward uses 14 to 33 plans per input size, so the bound holds those of
+    several sizes."""
+    oh, ow = -(-h // spec.stride), -(-w // spec.stride)
+    # each tap's input offset along an axis: "same" padding centres the kernel
+    offsets = [(i - k // 2) * spec.dilation for i in range(k)]
+    rows = [_tap_window(o, h, oh, spec.stride) for o in offsets]
+    cols = [_tap_window(o, w, ow, spec.stride) for o in offsets]
     taps, windows = [], []
-    for i in range(spec.kh):
-        rows = _tap_window(i * spec.dilation - spec.pad_h, h, oh, spec.stride)
-        if rows is None:
-            continue
-        for j in range(spec.kw):
-            cols = _tap_window(j * spec.dilation - spec.pad_w, w, ow, spec.stride)
-            if cols is not None:
-                taps.append(i * spec.kw + j)
-                windows.append(((rows[0], cols[0]), (rows[1], cols[1])))
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            if r is not None and c is not None:
+                taps.append(i * k + j)
+                windows.append(((r[0], c[0]), (r[1], c[1])))
     live = None
-    if len(taps) < spec.kh * spec.kw:
+    if len(taps) < k * k:
         live = np.array(taps, dtype=np.intp)
         live.flags.writeable = False
     as_is = (len(windows) == 1 and (oh, ow) == (h, w)
@@ -168,24 +155,31 @@ def column_gradient(gy3: np.ndarray, cols: np.ndarray) -> np.ndarray:
                      cols.transpose(0, 2, 1).reshape(n * m, cols.shape[1]))
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Cross-correlate x (N,Cin,H,W) with w (Cout,Cin,kh,kw) plus bias b (Cout,).
+def _kernel_extent(w: np.ndarray) -> int:
+    """The extent k of a (Cout, Cin, k, k) weight, k odd."""
+    kh, kw = w.shape[2:]
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"conv2d wants an odd square kernel, got {kh}x{kw}")
+    return kh
 
-    No kernel flip; zero padding; dilation spaces the taps spec.dilation pixels
-    apart. Output extents follow floor((S + 2*pad - (k-1)*d - 1) / stride) + 1.
-    Computed as one GEMM of the weights with the im2col column matrix.
+
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Cross-correlate x (N,Cin,H,W) with w (Cout,Cin,k,k) plus bias b (Cout,).
+
+    No kernel flip; "same" zero padding of dilation * (k // 2) per side;
+    dilation spaces the taps spec.dilation pixels apart. Output extents are
+    ceil(S / stride). Computed as one GEMM of the weights with the im2col
+    column matrix.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d wants 4-axis tensors, got x{x.shape}, w{w.shape}")
     n, cin, h, wd = x.shape
-    cout, wcin, kh, kw = w.shape
+    cout, wcin = w.shape[:2]
     if wcin != cin:
         raise ShapeError(f"conv2d channel mismatch: input has {cin}, weight expects {wcin}")
-    if (kh, kw) != (spec.kh, spec.kw):
-        raise ShapeError(f"weight is {kh}x{kw} but spec says {spec.kh}x{spec.kw}")
     if b.shape != (cout,):
         raise ShapeError(f"bias must be ({cout},), got {b.shape}")
-    plan = _conv_plan(spec, h, wd)
+    plan = _conv_plan(spec, _kernel_extent(w), h, wd)
     y = np.matmul(_tap_matrix(w, plan), _im2col(x, plan)).reshape(n, cout, plan.oh, plan.ow)
     y += b[None, :, None, None]
     return y
@@ -194,17 +188,16 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> np.nd
 def conv2d_backward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, gy: np.ndarray):
     """Gradients of conv2d w.r.t. (x, w, b) given upstream gy (N,Cout,oh,ow)."""
     n, cin, h, wd = x.shape
-    cout = w.shape[0]
-    plan = _conv_plan(spec, h, wd)
+    cout, k = w.shape[0], _kernel_extent(w)
+    plan = _conv_plan(spec, k, h, wd)
     gb = gy.sum(axis=(0, 2, 3))
     gy3 = gy.reshape(n, cout, plan.oh * plan.ow)
     gw_live = column_gradient(gy3, _im2col(x, plan))
     if plan.live is None:
         gw = gw_live.reshape(w.shape)
     else:
-        gw = np.zeros((cout, cin, spec.kh * spec.kw), dtype=gw_live.dtype)
-        gw[:, :, plan.live] = gw_live.reshape(cout, cin, len(plan.live))
-        gw = gw.reshape(w.shape)
+        gw = np.zeros(w.shape, dtype=gw_live.dtype)
+        gw.reshape(cout, cin, k * k)[:, :, plan.live] = gw_live.reshape(cout, cin, len(plan.live))
     gcols = np.matmul(_tap_matrix(w, plan).T, gy3)
     return _col2im(gcols, plan, x.shape), gw, gb
 
@@ -486,7 +479,7 @@ class Tape:
     # one recording method per kernel; each calls the kernel and its backward
     # by module-level name at call time
 
-    def conv(self, x, weights: dict, name: str, spec: ConvSpec):
+    def conv(self, x, weights: dict, name: str, spec: ConvSpec = ConvSpec()):
         """conv2d with weights[name + ".w"] and bias weights[name + ".b"]."""
         w, b = weights[name + ".w"], weights[name + ".b"]
         return self.record(conv2d(x, w, b, spec), (x, name + ".w", name + ".b"),

@@ -45,8 +45,6 @@ import numpy as np
 from . import tensor as T
 from .backbone import FeaturePyramid
 
-S1 = T.ConvSpec(1, 1)
-
 # canonical 3x3 tap grid, row-major: (-1,-1), (-1,0), ... (1,1)
 TAP_GRID = np.array([(r, c) for r in (-1, 0, 1) for c in (-1, 0, 1)], dtype=np.float64)
 
@@ -134,7 +132,7 @@ def pyramid_branch(levels, w: np.ndarray, b: np.ndarray, dilation: int):
     cin = sum(x.shape[1] for x in levels)
     if w.ndim != 4 or w.shape[1] != cin:
         raise T.ShapeError(f"weight {w.shape} does not read the pyramid's {cin} channels")
-    spec = T.ConvSpec(3, 3, pad_h=dilation, pad_w=dilation, dilation=dilation)
+    spec = T.ConvSpec(dilation=dilation)
     y = T.conv2d(x0, w[:, :c0], b, spec)
     # the live taps of each axis: all three, or the centre alone once the
     # outer two fall wholly in the padding
@@ -208,11 +206,10 @@ def waterfall_forward(p: FeaturePyramid, weights: dict, cfg: WaterfallConfig, ta
                               lambda gy: pyramid_branch_backward(cache, gy)))
     branches = [x]
     for i, d in enumerate(cfg.dilations[1:], start=1):
-        spec = T.ConvSpec(3, 3, pad_h=d, pad_w=d, dilation=d)
-        x = tape.relu(tape.conv(x, weights, f"wf.branch{i}", spec))
+        x = tape.relu(tape.conv(x, weights, f"wf.branch{i}", T.ConvSpec(dilation=d)))
         branches.append(x)
     pooled = tape.concat([tape.pool(f) for f in p.levels])
-    return branches, tape.conv(pooled, weights, "wf.pool", S1)
+    return branches, tape.conv(pooled, weights, "wf.pool")
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +346,7 @@ def affine_to_offsets_backward(g_offsets: np.ndarray) -> np.ndarray:
 def predict_offsets(features: np.ndarray, weights: dict, name: str, tape):
     """1x1 predictor emitting 6 affine parameters per pixel, expanded to the
     18-channel tap displacement field. Returns the offsets."""
-    params = tape.conv(features, weights, name, S1)
+    params = tape.conv(features, weights, name)
     return tape.record(affine_to_offsets(params), (params,),
                        lambda g: (affine_to_offsets_backward(g),))
 
@@ -428,7 +425,7 @@ def _adaptive_branch(tape, x: np.ndarray, feats: np.ndarray, ys, xs, weights: di
     name = prefix + ".adapt.w"
     y, cache = adaptive_conv(x, weights[name], offsets, ys, xs)
     y = tape.record(y, (x, name, offsets), lambda gy: adaptive_conv_backward(cache, gy))
-    return tape.conv(tape.relu(y), weights, prefix + ".out", S1)
+    return tape.conv(tape.relu(y), weights, prefix + ".out")
 
 
 def full_map_heads(f_maps: np.ndarray, weights: dict, tape):
@@ -440,7 +437,7 @@ def full_map_heads(f_maps: np.ndarray, weights: dict, tape):
     h, w = f_maps.shape[2:]
     heat = tape.sigmoid(_adaptive_branch(tape, f_maps, f_maps, *np.ogrid[:h, :w], weights,
                                          "head.kp"))
-    return heat, tape.conv(f_maps, weights, "head.off.expand", S1)
+    return heat, tape.conv(f_maps, weights, "head.off.expand")
 
 
 def _pad_columns(gy: np.ndarray, shape) -> np.ndarray:

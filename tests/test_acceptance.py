@@ -36,26 +36,21 @@ def test_01_convolution_oracle():
     rng = np.random.default_rng(101)
     start = time.monotonic()
     worst = 0.0
-    cases = 0
     dilations = [1, 2, 6, 12, 18]
-    while cases < 200:
-        d = dilations[cases % len(dilations)]
+    for case in range(200):
+        d = dilations[case % len(dilations)]
         n = int(rng.integers(1, 3))
         cin = int(rng.integers(1, 5))
         cout = int(rng.integers(1, 5))
         h = int(rng.integers(1, 10))
         wd = int(rng.integers(1, 10))
-        k = int(rng.integers(1, 4))
-        stride = int(rng.integers(1, 3))
-        spec = T.ConvSpec(k, k, stride=stride, pad_h=d, pad_w=d, dilation=d)
-        if spec.out_extent(h, 0) < 1 or spec.out_extent(wd, 1) < 1:
-            continue
+        k = 2 * int(rng.integers(0, 3)) + 1
+        spec = T.ConvSpec(stride=int(rng.integers(1, 3)), dilation=d)
         x = rng.standard_normal((n, cin, h, wd)).astype(np.float32)
         w = rng.standard_normal((cout, cin, k, k)).astype(np.float32)
         b = rng.standard_normal(cout).astype(np.float32)
         worst = max(worst, T.relative_error(
             T.conv2d(x, w, b, spec), conv2d_naive(x, w, b, spec)))
-        cases += 1
     elapsed = time.monotonic() - start
     report(1, "conv2d matches the 6-loop oracle on 200 randomized cases",
            worst <= 1e-5 and elapsed < 30.0,
@@ -74,7 +69,7 @@ def test_02_adaptive_conv_degeneracy():
         w9 = rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)
         y, _ = W.adaptive_conv(x, w9, W.canonical_offsets(1, h, wd), *np.ogrid[:h, :wd])
         ref = T.conv2d(x, w9, np.zeros(cout, dtype=np.float32),
-                       T.ConvSpec(3, 3, pad_h=1, pad_w=1))
+                       T.ConvSpec())
         worst = max(worst, T.relative_error(y, ref))
     report(2, "adaptive conv with canonical offsets equals 3x3 conv (50 cases)",
            worst <= 1e-6, f"max rel err {worst:.2e}")

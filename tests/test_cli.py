@@ -5,8 +5,11 @@ import json
 import math
 import os
 import platform
+import re
+import shlex
 import threading
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +22,8 @@ from waterfallpose import tensor as T
 from waterfallpose.backbone import backbone_forward
 from waterfallpose.checks import field_maps, offset_field, overlay_reference, \
     random_overlay_scene
-from waterfallpose.cli import M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, main, pin_heap_policy
+from waterfallpose.cli import M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, build_parser, main, \
+    pin_heap_policy
 from waterfallpose.config import SCHEMA, ConfigError, default_config, parse_config
 from waterfallpose.decode import PoseInstance, decode_poses
 from waterfallpose.model import init_model_weights
@@ -109,6 +113,20 @@ class TestExitCodes:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+    def test_readme_commands_parse(self):
+        # a renamed command or flag cannot leave the README's examples stale
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        text = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+        commands = [shlex.split(line, comments=True)[1:] for line in text.splitlines()
+                    if line.startswith("waterfallpose ")]
+        for argv in commands:
+            parsed = vars(build_parser().parse_args(argv))
+            # each flag by its whole name: argparse also takes a prefix of one
+            assert {a[2:].replace("-", "_") for a in argv if a.startswith("--")} <= \
+                parsed.keys(), argv
+        assert sorted(argv[0] for argv in commands) == \
+            ["eval", "gradcheck", "infer", "selftest", "train"]
 
     def test_missing_file_is_data_error(self, workdir, capsys):
         tmp, cfg = workdir
@@ -349,6 +367,22 @@ class TestTrainEval:
         out = capsys.readouterr().out
         assert "AP" in out
         assert "100.0%" in out
+
+    def test_eval_results_for_an_image_not_in_the_dataset_is_data_error(self, workdir, capsys):
+        # scored, each stray record would count as a false positive; the
+        # smallest stray id is named
+        tmp, cfg = workdir
+        perfect = [PoseInstance([(8.0, 10.0, 1.0), (24.0, 22.0, 1.0)], 1.0),
+                   PoseInstance([(40.0, 42.0, 1.0), (56.0, 54.0, 1.0)], 0.9)]
+        insts = {1: perfect, 9: perfect[:1], 7: perfect[1:]}
+        (tmp / "stray.json").write_text(dataio.write_results(insts))
+        code = main(["eval", "--config", str(tmp / "toy.cfg"),
+                     "--dataset", str(tmp / "data.json"),
+                     "--results", str(tmp / "stray.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "image 7," in captured.err
 
     def test_eval_far_joints_score_without_warning(self, workdir, capsys):
         tmp, cfg = workdir

@@ -5,7 +5,7 @@ import pytest
 
 from waterfallpose.config import MAX_PARAMETERS, SCHEMA, ConfigError, default_config, \
     parse_config
-from waterfallpose.model import weight_shapes
+from waterfallpose.model import weight_entries, weight_shapes
 
 
 class TestParsing:
@@ -201,6 +201,15 @@ class TestSizeBudget:
         cfg = parse_config(text)
         shapes = weight_shapes(cfg.pyramid, cfg.waterfall)
         assert sum(math.prod(s) for s in shapes.values()) == params <= MAX_PARAMETERS
+
+    @pytest.mark.parametrize("text", ["", TOY], ids=["published", "toy"])
+    def test_every_kernel_is_odd_and_square(self, text):
+        # conv2d centres its "same" padding on the kernel, whose extent the
+        # weight table alone states
+        cfg = parse_config(text)
+        kernels = [shape[2:] for _, shape in weight_entries(cfg.pyramid, cfg.waterfall)
+                   if len(shape) == 4]
+        assert kernels and all(kh == kw and kh % 2 for kh, kw in kernels)
 
     @pytest.mark.parametrize("line", [
         "pyramid.widths = 1000000000000000,8,16,32", "pyramid.stem_width = 4611686018427387904",

@@ -74,10 +74,10 @@ class TestFusePyramid:
         # with levels 1..3 empty the branch is level 0's conv, bit for bit
         p = make_pyramid(rng, widths=(4, 0, 0, 0))
         wts = branch_weights(4, rng)
-        spec = T.ConvSpec(3, 3, pad_h=2, pad_w=2, dilation=2)
         np.testing.assert_array_equal(
             pyramid_branch(p, wts, 2),
-            T.conv2d(p.levels[0], wts["wf.branch0.w"], wts["wf.branch0.b"], spec))
+            T.conv2d(p.levels[0], wts["wf.branch0.w"], wts["wf.branch0.b"],
+                     T.ConvSpec(dilation=2)))
 
     def test_matches_resize_concat(self, rng):
         p = make_pyramid(rng, h=8, w=16)
@@ -146,14 +146,14 @@ def straight_line_waterfall(p, wts, cfg):
     g0 = np.concatenate([p.levels[0]] + [resized(f) for f in p.levels[1:]], axis=1)
     d1, d2, d3, d4 = cfg.dilations
     g1 = T.relu(T.conv2d(g0, wts["wf.branch0.w"], wts["wf.branch0.b"],
-                         T.ConvSpec(3, 3, pad_h=d1, pad_w=d1, dilation=d1)))
+                         T.ConvSpec(dilation=d1)))
     g2 = T.relu(T.conv2d(g1, wts["wf.branch1.w"], wts["wf.branch1.b"],
-                         T.ConvSpec(3, 3, pad_h=d2, pad_w=d2, dilation=d2)))
+                         T.ConvSpec(dilation=d2)))
     g3 = T.relu(T.conv2d(g2, wts["wf.branch2.w"], wts["wf.branch2.b"],
-                         T.ConvSpec(3, 3, pad_h=d3, pad_w=d3, dilation=d3)))
+                         T.ConvSpec(dilation=d3)))
     g4 = T.relu(T.conv2d(g3, wts["wf.branch3.w"], wts["wf.branch3.b"],
-                         T.ConvSpec(3, 3, pad_h=d4, pad_w=d4, dilation=d4)))
-    pool = T.conv2d(T.global_avg_pool(g0), wts["wf.pool.w"], wts["wf.pool.b"], W.S1)
+                         T.ConvSpec(dilation=d4)))
+    pool = T.conv2d(T.global_avg_pool(g0), wts["wf.pool.w"], wts["wf.pool.b"], T.ConvSpec())
     return [g1, g2, g3, g4], pool
 
 
@@ -319,7 +319,7 @@ class TestAdaptiveConv:
             off = W.canonical_offsets(1, h, w)
             y, _ = W.adaptive_conv(x, w9, off, *np.ogrid[:h, :w])
             ref = T.conv2d(x, w9, np.zeros(cout, dtype=np.float32),
-                           T.ConvSpec(3, 3, pad_h=1, pad_w=1))
+                           T.ConvSpec())
             assert T.relative_error(y, ref) <= 1e-6
 
     def test_integer_shift_equivalence(self, rng):
@@ -333,7 +333,7 @@ class TestAdaptiveConv:
         x_shift = np.zeros_like(x)
         x_shift[:, :, :, :-1] = x[:, :, :, 1:]
         ref = T.conv2d(x_shift, w9, np.zeros(3, dtype=np.float32),
-                       T.ConvSpec(3, 3, pad_h=1, pad_w=1))
+                       T.ConvSpec())
         # at output column 0 the shifted input has lost x[..., 0], which the
         # displaced taps can still reach; equivalence holds from column 1 on
         assert T.relative_error(y[:, :, :, 1:], ref[:, :, :, 1:]) <= 1e-6
@@ -410,7 +410,7 @@ class TestPredictOffsets:
         off = np.zeros((1, 18, 5, 5), dtype=np.float32)
         y, _ = W.adaptive_conv(x, w9, off, *np.ogrid[:5, :5])
         w1 = w9.sum(axis=(2, 3))[:, :, None, None]
-        ref = T.conv2d(x, w1, np.zeros(2, dtype=np.float32), T.ConvSpec(1, 1))
+        ref = T.conv2d(x, w1, np.zeros(2, dtype=np.float32), T.ConvSpec())
         assert T.relative_error(y, ref) <= 1e-6
 
     def test_backward(self, rng):
