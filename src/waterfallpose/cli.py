@@ -171,21 +171,21 @@ def cmd_train(args) -> int:
         os.makedirs(args.out, exist_ok=True)
     except OSError as e:                # a file in the way, or no permission
         raise DataError(f"cannot create output directory {args.out}: {e}") from e
-    weights = init_model_weights(cfg.pyramid, cfg.waterfall, seed=cfg.train.seed)
     fingerprint = cfg.fingerprint()
 
-    def save_every(epoch, w, state):
-        blob = dataio.save_checkpoint(w, state, epoch + 1, fingerprint)
+    def save_every(epoch, state):
+        blob = dataio.save_checkpoint(state["weights"], state, epoch + 1, fingerprint)
         _write_file(os.path.join(args.out, f"checkpoint_epoch{epoch + 1}.bin"), blob)
 
     try:
-        weights, state, log = train_loop(samples, weights, cfg.pyramid,
-                                         cfg.waterfall, cfg.train,
-                                         on_checkpoint=save_every)
+        # nothing here keeps the initial weights: the state trains its own copy
+        _, state, log = train_loop(
+            samples, init_model_weights(cfg.pyramid, cfg.waterfall, seed=cfg.train.seed),
+            cfg.pyramid, cfg.waterfall, cfg.train, on_checkpoint=save_every)
     except TrainingError as e:
         raise DataError(str(e)) from e
-    _write_file(os.path.join(args.out, "checkpoint_final.bin"),
-                dataio.save_checkpoint(weights, state, cfg.train.epochs, fingerprint))
+    _write_file(os.path.join(args.out, "checkpoint_final.bin"), dataio.save_checkpoint(
+        state["weights"], state, cfg.train.epochs, fingerprint))
     _write_file(os.path.join(args.out, "loss_log.tsv"), "\n".join(log) + "\n")
     if log:
         print(log[-1])
@@ -274,13 +274,9 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("gradcheck",
                        help="analytic vs numeric gradients, 64-bit toy widths")
-    p.add_argument("--config", help="accepted for uniformity; checks run at "
-                                    "fixed toy widths")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("selftest", help="run the module oracle suites")
-    p.add_argument("--config", help="accepted for uniformity; checks run at "
-                                    "fixed toy widths")
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -83,6 +83,18 @@ def _shown(value) -> str:
     return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 
+def _json_doc(text, name: str, kind: type):
+    """text parsed as JSON whose top level is a kind, dict or list; anything
+    else is a FormatError that names the document."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:   # bad JSON, over-long integer, deep nesting
+        raise FormatError(f"{name} is not valid JSON: {e}") from e
+    if not isinstance(doc, kind):
+        raise FormatError(f"{name} must be a JSON {'object' if kind is dict else 'list'}")
+    return doc
+
+
 def _require(obj, key, where):
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected a JSON object, got {type(obj).__name__}")
@@ -155,13 +167,7 @@ def _where(kind, i, rec):
 
 def parse_annotations(text: str) -> Dataset:
     """Parse the JSON annotation schema into a Dataset."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:   # bad JSON, over-long integer, deep nesting
-        raise FormatError(f"annotation file is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise FormatError("annotation file must be a JSON object")
-
+    doc = _json_doc(text, "annotation file", dict)
     cats = _require_list(doc, "categories", "annotation file")
     if not cats or not isinstance(cats[0], dict) \
             or not isinstance(cats[0].get("keypoints"), list):
@@ -185,6 +191,8 @@ def parse_annotations(text: str) -> Dataset:
             crowd_index=(_number(rec["crowd_index"], where) if "crowd_index" in rec
                          else None),
         )
+        if img.height <= 0 or img.width <= 0:
+            raise FormatError(f"{where}: height and width must be positive")
         if img.crowd_index is not None and not 0.0 <= img.crowd_index <= 1.0:
             raise FormatError(f"{where}: crowd_index must lie in [0, 1]")
         images.append(img)
@@ -452,12 +460,7 @@ def load_checkpoint(source, expected_fingerprint: str | None = None):
             "checkpoint was written under a different configuration "
             f"(fingerprint {fingerprint[:12]}... != {expected_fingerprint[:12]}...)")
     meta = _unpack_str(s)
-    try:
-        shapes = json.loads(meta)
-    except (ValueError, RecursionError) as e:   # bad JSON, over-long integer, deep nesting
-        raise FormatError(f"checkpoint shape table is not valid JSON: {e}") from e
-    if not isinstance(shapes, dict):
-        raise FormatError("checkpoint shape table must be a JSON object")
+    shapes = _json_doc(meta, "checkpoint shape table", dict)
     (count,) = _unpack("<I", s)
     entries = {}
     last = None
@@ -512,12 +515,7 @@ def write_results(instances_by_image: dict) -> str:
 
 
 def parse_results(text: str, k: int) -> dict:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:   # bad JSON, over-long integer, deep nesting
-        raise FormatError(f"results file is not valid JSON: {e}") from e
-    if not isinstance(doc, list):
-        raise FormatError("results file must be a JSON list")
+    doc = _json_doc(text, "results file", list)
     records = []
     for i, rec in enumerate(doc):
         where = f"results[{i}]"

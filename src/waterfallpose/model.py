@@ -4,7 +4,7 @@ weight_entries lists the weights the configs imply, by name, shape and draw
 order, and weight_shapes is its table: init draws from it, the config's size
 budget counts it and infer holds a checkpoint to it. Weights live in one dict
 keyed by layer name, which the checkpoint writer and the gradients share;
-training rebinds its entries to views of the optimizer's flat arena
+training copies them into the optimizer's flat arena and trains its views
 (train.init_optim_state). The layers are written forward only: each kernel
 they run is recorded on a tensor.Tape with its analytic backward, and the
 backward pass is one replay of that tape (tensor.Tape.backward).

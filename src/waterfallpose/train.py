@@ -214,10 +214,11 @@ BLOCK = 32768
 def init_optim_state(weights: dict) -> dict:
     """Adam state over one flat arena per quantity.
 
-    The weights are copied into one flat arena in sorted-name order and each
-    weights[name] is rebound to its view of it; state["m"] and state["v"]
-    are dicts of views of the same layout into two zeroed arenas. Every
-    weight must share one dtype.
+    The weights are copied into one flat arena in sorted-name order, and
+    state["weights"] holds each one's view of it: the weights that training
+    reads and the update writes. The dict given is left as it is.
+    state["m"] and state["v"] are dicts of views of the same layout into two
+    zeroed arenas. Every weight must share one dtype.
     """
     names = sorted(weights)
     dtypes = {weights[k].dtype for k in names}
@@ -233,7 +234,6 @@ def init_optim_state(weights: dict) -> dict:
     views = {group: {k: arena[s:e].reshape(weights[k].shape)
                      for k, s, e in zip(names, starts, ends)}
              for group, arena in arenas.items()}
-    weights.update(views["w"])
     # each block as (start, stop, [(name, lo, hi) of every tensor it covers])
     blocks = []
     for b0 in range(0, flat.size, BLOCK):
@@ -246,27 +246,20 @@ def init_optim_state(weights: dict) -> dict:
             "scratch": np.empty((2, min(BLOCK, flat.size)), dtype=flat.dtype)}
 
 
-def optim_step(weights: dict, grads: dict, state: dict, lr: float):
-    """One adaptive-moment update, in place, over the arena block by block;
-    returns (weights, state).
+def optim_step(grads: dict, state: dict, lr: float):
+    """One adaptive-moment update of state["weights"], in place, over the
+    arena block by block.
 
     Each element sees the same float operations in the same order as a
     per-tensor update, so the result does not depend on the block size.
     """
-    views = state["weights"]
     flat_grads = {}
-    for name, view in views.items():
-        if weights.get(name) is not view:
-            raise TrainingError(f"weight {name!r} is no longer its optimizer "
-                                "arena view; it was rebound after init_optim_state")
+    for name, view in state["weights"].items():
         g = grads[name]
         if g.shape != view.shape or g.dtype != view.dtype:
             raise TrainingError(f"gradient {name!r} is {g.dtype}{list(g.shape)}, "
                                 f"weight is {view.dtype}{list(view.shape)}")
         flat_grads[name] = g.reshape(-1)
-    if len(weights) != len(views):
-        extra = sorted(set(weights) - set(views))[0]
-        raise TrainingError(f"weight {extra!r} is not in the optimizer arena")
 
     state["step"] += 1
     t = state["step"]
@@ -297,7 +290,6 @@ def optim_step(weights: dict, grads: dict, state: dict, lr: float):
         a /= gg
         a *= lr
         w -= a
-    return weights, state
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +315,15 @@ def train_loop(samples, weights: dict, pyr: PyramidConfig, wf: WaterfallConfig,
     resolution, run forward/backward, and apply one optimizer step at the
     scheduled rate. The offset head runs only at the pixels the offset loss
     supervises (supervised_pixels), where the loss reads its target, mask
-    and scale. The optimizer state packs the weights into one flat
-    arena and rebinds each entry of the weights dict to its view of it, so
-    the dict the caller passed in holds the trained weights. Returns
-    (weights, optim state, log lines); log lines are
-    "epoch<TAB>lr<TAB>heat<TAB>off<TAB>total" with per-epoch means.
+    and scale. The optimizer state copies the weights into one flat arena
+    and trains its views of it, state["weights"]; the dict passed in is left
+    as it is. Every cfg.checkpoint_every epochs, on_checkpoint(epoch, state)
+    is called. Returns (state["weights"], optim state, log lines); log lines
+    are "epoch<TAB>lr<TAB>heat<TAB>off<TAB>total" with per-epoch means.
     """
     rng = np.random.default_rng(cfg.seed)
     state = init_optim_state(weights)
+    weights = state["weights"]
     k = wf.keypoints
     stride = pyr.base_stride
     log = []
@@ -365,7 +358,7 @@ def train_loop(samples, weights: dict, pyr: PyramidConfig, wf: WaterfallConfig,
                 if bad is not None:
                     raise TrainingError(
                         f"non-finite gradient at epoch {epoch}, sample {int(idx)}: {bad}")
-                optim_step(weights, grads, state, lr)
+                optim_step(grads, state, lr)
             sums += (lh, lo, total)
         # a finite gradient can still step a weight to inf or NaN (a rate
         # whose float32 cast overflows), and no forward follows the epoch's
@@ -373,7 +366,7 @@ def train_loop(samples, weights: dict, pyr: PyramidConfig, wf: WaterfallConfig,
         # value without a temporary
         arena = state["arenas"]["w"]
         if not (np.isfinite(arena.min(initial=0.0)) and np.isfinite(arena.max(initial=0.0))):
-            bad = next(name for name, view in state["weights"].items()
+            bad = next(name for name, view in weights.items()
                        if not np.isfinite(view).all())
             raise TrainingError(f"non-finite weight after epoch {epoch}: {bad}")
         n = max(len(samples), 1)
@@ -381,5 +374,5 @@ def train_loop(samples, weights: dict, pyr: PyramidConfig, wf: WaterfallConfig,
                    f"\t{sums[2] / n:.8g}")
         if on_checkpoint is not None and cfg.checkpoint_every > 0 \
                 and (epoch + 1) % cfg.checkpoint_every == 0:
-            on_checkpoint(epoch, weights, state)
+            on_checkpoint(epoch, state)
     return weights, state, log

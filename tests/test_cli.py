@@ -23,7 +23,7 @@ from waterfallpose.backbone import backbone_forward
 from waterfallpose.checks import field_maps, offset_field, overlay_reference, \
     random_overlay_scene
 from waterfallpose.cli import M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, build_parser, main, \
-    pin_heap_policy
+    pin_heap_policy, UsageError
 from waterfallpose.config import SCHEMA, ConfigError, default_config, parse_config
 from waterfallpose.decode import PoseInstance, decode_poses
 from waterfallpose.model import init_model_weights
@@ -113,6 +113,12 @@ class TestExitCodes:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("cmd", ["gradcheck", "selftest"])
+    def test_checks_take_no_config(self, cmd):
+        # both run at fixed toy widths, so a config they would not read is refused
+        with pytest.raises(UsageError, match="--config"):
+            build_parser().parse_args([cmd, "--config", "x"])
 
     def test_readme_commands_parse(self):
         # a renamed command or flag cannot leave the README's examples stale

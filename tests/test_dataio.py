@@ -135,6 +135,14 @@ class TestAnnotations:
         with pytest.raises(D.FormatError, match=r"images\[.*expected an integer"):
             D.parse_annotations(json.dumps(doc))
 
+    @pytest.mark.parametrize("height,width", [(-4, 0), (0, 64), (64, -1)])
+    def test_extent_not_positive_rejected(self, height, width):
+        doc = minimal_doc()
+        doc["images"][0].update(height=height, width=width)
+        with pytest.raises(D.FormatError) as err:
+            D.parse_annotations(json.dumps(doc))
+        assert str(err.value) == "images[id=1]: height and width must be positive"
+
     def test_integral_float_is_an_integer(self):
         doc = minimal_doc()
         doc["images"][0]["id"] = 1.0

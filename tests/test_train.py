@@ -190,8 +190,10 @@ class TestAugmentation:
         assert demoted > 0
 
 
-def reference_optim_step(weights, grads, state, lr):
-    """The per-tensor Adam update: the oracle for the arena update."""
+def reference_optim_step(grads, state, lr):
+    """The per-tensor Adam update of state["weights"]: the oracle for the
+    arena update."""
+    weights = state["weights"]
     state["step"] += 1
     t = state["step"]
     bc1 = 1.0 - TR.ADAM_BETA1 ** t
@@ -204,7 +206,6 @@ def reference_optim_step(weights, grads, state, lr):
         v += (1.0 - TR.ADAM_BETA2) * (g * g - v)
         update = (m / bc1) / (np.sqrt(v / bc2) + TR.ADAM_EPS)
         weights[name] -= np.asarray(lr * update, dtype=weights[name].dtype)
-    return weights, state
 
 
 class TestOptimizer:
@@ -215,79 +216,71 @@ class TestOptimizer:
         shapes = {"big.a": (1,), "big.b": (TR.BLOCK - 1,), "big.c": (TR.BLOCK,),
                   "big.d": (TR.BLOCK + 1,), "empty": (0, 2, 3, 3)}
         shapes.update({f"small.{i}": (1 + i, 2, 1, 3) for i in range(6)})
-        weights = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
-        ref_w = {k: v.copy() for k, v in weights.items()}
-        state = TR.init_optim_state(weights)
+        state = TR.init_optim_state(
+            {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()})
         assert {len(pieces) for _, _, pieces in state["blocks"]} >= {1, 2}
         for group in ("m", "v"):   # a state part way through training
             for k, view in state[group].items():
                 view[...] = rng.uniform(0.0 if group == "v" else -1.0, 1.0, view.shape)
-        ref = {"step": 3, "m": {k: v.copy() for k, v in state["m"].items()},
-               "v": {k: v.copy() for k, v in state["v"].items()}}
+        ref = {"step": 3, **{group: {k: v.copy() for k, v in state[group].items()}
+                             for group in ("weights", "m", "v")}}
         state["step"] = 3
         for lr in (1e-3, 0.05, 1e-5):
             grads = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
-            TR.optim_step(weights, grads, state, lr)
-            reference_optim_step(ref_w, grads, ref, lr)
+            TR.optim_step(grads, state, lr)
+            reference_optim_step(grads, ref, lr)
         assert state["step"] == ref["step"] == 6
         for k in shapes:
-            assert weights[k].dtype == dtype and weights[k].shape == shapes[k], k
-            for got, want in ((weights[k], ref_w[k]), (state["m"][k], ref["m"][k]),
-                              (state["v"][k], ref["v"][k])):
-                assert got.tobytes() == want.tobytes(), k
+            w = state["weights"][k]
+            assert w.dtype == dtype and w.shape == shapes[k], k
+            assert np.shares_memory(w, state["arenas"]["w"]) or not w.size, k
+            for group in ("weights", "m", "v"):
+                assert state[group][k].tobytes() == ref[group][k].tobytes(), (group, k)
 
-    def test_weights_are_rebound_to_arena_views(self, rng):
+    def test_state_weights_are_arena_views_and_the_dict_given_is_untouched(self, rng):
         weights = {"b": rng.standard_normal((2, 3)).astype(np.float32),
                    "a": rng.standard_normal(4).astype(np.float32)}
+        given = dict(weights)
         before = {k: v.copy() for k, v in weights.items()}
         state = TR.init_optim_state(weights)
         arena = np.concatenate([before["a"], before["b"].ravel()])
+        assert list(weights) == list(given)
+        assert set(state["weights"]) == set(weights)
         for k in weights:
-            assert np.shares_memory(weights[k], state["arenas"]["w"])
-            assert weights[k].tobytes() == before[k].tobytes()
+            assert weights[k] is given[k]
+            assert not np.shares_memory(weights[k], state["arenas"]["w"])
+            assert np.shares_memory(state["weights"][k], state["arenas"]["w"])
+            assert state["weights"][k].tobytes() == before[k].tobytes()
             assert not state["m"][k].any() and not state["v"][k].any()
         assert state["arenas"]["w"].tobytes() == arena.tobytes()
+        TR.optim_step({k: np.ones_like(v) for k, v in weights.items()}, state, 0.1)
+        for k in weights:
+            assert weights[k].tobytes() == before[k].tobytes()
+            assert state["weights"][k].tobytes() != before[k].tobytes()
 
     def test_mixed_dtypes_rejected(self):
         weights = {"a": np.zeros(2, dtype=np.float32), "b": np.zeros(2, dtype=np.float64)}
         with pytest.raises(TypeError, match="mix dtypes"):
             TR.init_optim_state(weights)
 
-    def test_rebound_weight_rejected(self):
-        weights = {"a": np.ones(3, dtype=np.float32), "b": np.ones(2, dtype=np.float32)}
-        state = TR.init_optim_state(weights)
-        grads = {k: np.ones_like(v) for k, v in weights.items()}
-        weights["b"] = weights["b"].copy()
-        with pytest.raises(TR.TrainingError, match="'b' is no longer"):
-            TR.optim_step(weights, grads, state, 0.1)
-        assert state["step"] == 0 and (state["arenas"]["w"] == 1.0).all()
-
-    def test_weight_outside_arena_rejected(self):
-        weights = {"a": np.ones(3, dtype=np.float32)}
-        state = TR.init_optim_state(weights)
-        weights["z"] = np.ones(2, dtype=np.float32)
-        grads = {k: np.ones_like(v) for k, v in weights.items()}
-        with pytest.raises(TR.TrainingError, match="'z' is not in the optimizer arena"):
-            TR.optim_step(weights, grads, state, 0.1)
-
     def test_gradient_of_another_shape_rejected(self):
         weights = {"a": np.ones((2, 3), dtype=np.float32)}
         state = TR.init_optim_state(weights)
         with pytest.raises(TR.TrainingError, match="gradient 'a'"):
-            TR.optim_step(weights, {"a": np.ones(6, dtype=np.float32)}, state, 0.1)
+            TR.optim_step({"a": np.ones(6, dtype=np.float32)}, state, 0.1)
 
     def test_zero_grads_no_change(self):
         w = {"p": np.array([1.0, -2.0], dtype=np.float32)}
         state = TR.init_optim_state(w)
-        TR.optim_step(w, {"p": np.zeros(2, dtype=np.float32)}, state, lr=0.1)
-        np.testing.assert_array_equal(w["p"], [1.0, -2.0])
+        TR.optim_step({"p": np.zeros(2, dtype=np.float32)}, state, lr=0.1)
+        np.testing.assert_array_equal(state["weights"]["p"], [1.0, -2.0])
 
     def test_matches_hand_iterated_recurrence(self):
         w = {"p": np.array([0.5], dtype=np.float64)}
         state = TR.init_optim_state(w)
         g = np.array([0.3], dtype=np.float64)
         for _ in range(5):
-            TR.optim_step(w, {"p": g}, state, lr=0.01)
+            TR.optim_step({"p": g}, state, lr=0.01)
         # scalar reference recurrence
         m = v = 0.0
         x = 0.5
@@ -297,15 +290,15 @@ class TestOptimizer:
             mh = m / (1 - 0.9 ** t)
             vh = v / (1 - 0.999 ** t)
             x -= 0.01 * mh / (np.sqrt(vh) + 1e-8)
-        assert w["p"][0] == pytest.approx(x, rel=1e-12)
+        assert state["weights"]["p"][0] == pytest.approx(x, rel=1e-12)
         assert state["step"] == 5
 
     def test_state_round_trips_through_checkpoint(self, rng):
         w = {"p.w": rng.standard_normal((1, 1, 2, 2)).astype(np.float32)}
         state = TR.init_optim_state(w)
-        TR.optim_step(w, {"p.w": rng.standard_normal((1, 1, 2, 2)).astype(np.float32)},
+        TR.optim_step({"p.w": rng.standard_normal((1, 1, 2, 2)).astype(np.float32)},
                       state, lr=0.05)
-        blob = save_checkpoint(w, state, 1, "fp")
+        blob = save_checkpoint(state["weights"], state, 1, "fp")
         w2, state2, _, _ = load_checkpoint(blob)
         assert save_checkpoint(w2, state2, 1, "fp") == blob
 
@@ -328,6 +321,21 @@ class TestLoop:
                    for _ in range(k)]
             samples.append((img, [PersonAnnotation(kps, area=64.0)]))
         return samples
+
+    def test_trains_its_own_copy_and_leaves_the_dict_given(self, rng):
+        samples = self._tiny_samples(rng)
+        pyr, wf, weights = toy_setup()
+        given = dict(weights)
+        before = {k: v.tobytes() for k, v in weights.items()}
+        w2, state, _ = TR.train_loop(samples, weights, pyr, wf,
+                                     TR.TrainConfig(epochs=1, seed=2))
+        assert list(weights) == list(given)
+        for k in given:
+            assert weights[k] is given[k] and weights[k].tobytes() == before[k], k
+        assert w2 is state["weights"] and set(w2) == set(given)
+        for k, view in w2.items():
+            assert view.base is state["arenas"]["w"], k
+        assert any(w2[k].tobytes() != before[k] for k in given)
 
     def test_determinism_bitwise(self, rng):
         samples = self._tiny_samples(rng)
@@ -405,9 +413,9 @@ class TestLoop:
         stepped = []
         real_step = TR.optim_step
 
-        def recorded(weights, grads, state, lr):
+        def recorded(grads, state, lr):
             stepped.append({name: g.copy() for name, g in grads.items()})
-            return real_step(weights, grads, state, lr)
+            real_step(grads, state, lr)
 
         monkeypatch.setattr(TR, "optim_step", recorded)
         _, _, log = TR.train_loop(samples, weights, pyr, wf, cfg)
