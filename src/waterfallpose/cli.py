@@ -178,7 +178,8 @@ def cmd_train(args) -> int:
         _write_file(os.path.join(args.out, f"checkpoint_epoch{epoch + 1}.bin"), blob)
 
     try:
-        # nothing here keeps the initial weights: the state trains its own copy
+        # the state trains its own copy; on CPython 3.11+ the callee owns its
+        # arguments, so the initial weights are freed once it has copied them
         _, state, log = train_loop(
             samples, init_model_weights(cfg.pyramid, cfg.waterfall, seed=cfg.train.seed),
             cfg.pyramid, cfg.waterfall, cfg.train, on_checkpoint=save_every)

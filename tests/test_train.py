@@ -372,11 +372,22 @@ class TestLoop:
             return grads, wrt
 
         monkeypatch.setattr(T.Tape, "backward", poisoned)
+        # Adam must take no step on the poisoned gradient: the state's own
+        # weights, which it would write, still hold the initial values
+        states, steps = [], []
+        real_init = TR.init_optim_state
+        monkeypatch.setattr(TR, "init_optim_state",
+                            lambda w: states.append(real_init(w)) or states[-1])
+        real_step = TR.optim_step
+        monkeypatch.setattr(TR, "optim_step",
+                            lambda *args: steps.append(args) or real_step(*args))
         cfg = TR.TrainConfig(epochs=1, seed=5, **IDENTITY_AUG)
         with pytest.raises(TR.TrainingError,
                            match=r"non-finite gradient at epoch 0, sample \d+: llf\.mid\.w"):
             TR.train_loop(samples, weights, pyr, wf, cfg)
+        assert steps == [] and len(states) == 1
         for k in before:
+            np.testing.assert_array_equal(states[0]["weights"][k], before[k])
             np.testing.assert_array_equal(weights[k], before[k])
 
     def test_overflowing_step_is_caught_before_the_checkpoint(self, rng):
