@@ -62,20 +62,21 @@ def _load_config(path: str | None) -> RunConfig:
         raise DataError(f"bad config {path}: {e}") from e
 
 
-def _read_file(path: str, binary=True, read=lambda f: f.read()):
-    """read(f) of the open file, by default its whole contents."""
+def _read_file(path: str, read=lambda f: f.read()):
+    """read(f) of the file opened as bytes, by default its whole contents; JSON
+    is decoded from the bytes, so the locale decides nothing."""
     try:
-        with open(path, "rb" if binary else "r") as f:
+        with open(path, "rb") as f:
             return read(f)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
 
 
 def _write_file(path: str, data):
-    mode = "wb" if isinstance(data, bytes) else "w"
+    """data, bytes or a str written as UTF-8."""
     try:
-        with open(path, mode) as f:
-            f.write(data)
+        with open(path, "wb") as f:
+            f.write(data.encode() if isinstance(data, str) else data)
     except OSError as e:
         raise DataError(f"cannot write {path}: {e}") from e
 
@@ -164,7 +165,7 @@ def cmd_infer(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    dataset = dataio.parse_annotations(_read_file(args.dataset, binary=False))
+    dataset = dataio.parse_annotations(_read_file(args.dataset))
     _check_keypoint_count(cfg, dataset)
     samples = _load_samples(cfg, dataset, args.images)
     try:
@@ -201,10 +202,9 @@ def _fmt_cell(v) -> str:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
-    dataset = dataio.parse_annotations(_read_file(args.dataset, binary=False))
+    dataset = dataio.parse_annotations(_read_file(args.dataset))
     _check_keypoint_count(cfg, dataset)
-    preds = dataio.parse_results(_read_file(args.results, binary=False),
-                                 dataset.num_keypoints)
+    preds = dataio.parse_results(_read_file(args.results), dataset.num_keypoints)
     gts = {img.id: dataset.annotations[img.id] for img in dataset.images}
     stray = preds.keys() - gts.keys()
     if stray:

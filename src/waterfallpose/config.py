@@ -15,6 +15,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 from itertools import islice
+from types import MappingProxyType
 
 from .backbone import PyramidConfig
 from .decode import DecodeConfig
@@ -75,85 +76,22 @@ SCHEMA = {key: (_parser(default), default) for key, default in {
     **_OWN_DEFAULTS}.items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    values: dict
+    """The key table, read-only so that the fingerprint stays that of the
+    sections, and the section objects built and checked from it, once
+    (_build). The waterfall's derived widths are resolved, and decode's and
+    the OKS parameters' falloffs are broadcast to the keypoint count."""
 
-    def _section(self, section: str) -> dict:
-        return {name: self.values[key] for name, key, _ in _SECTIONS[section]}
-
-    @property
-    def pyramid(self) -> PyramidConfig:
-        return PyramidConfig(**self._section("pyramid"))
-
-    @property
-    def waterfall(self) -> WaterfallConfig:
-        s = self._section("waterfall")
-        fused = sum(self.values["pyramid.widths"])
-        return WaterfallConfig(**{**s, "out_width": s["out_width"] or fused,
-                                  "final_width": s["final_width"] or fused // 4})
-
-    @property
-    def train(self) -> TrainConfig:
-        return TrainConfig(**self._section("train"))
-
-    @property
-    def falloffs(self) -> tuple:
-        raw = self.values["oks.falloffs"]
-        k = self.values["waterfall.keypoints"]
-        if len(raw) == 1:
-            return tuple(raw) * k
-        if len(raw) != k:
-            raise ConfigError(
-                f"oks.falloffs needs 1 or {k} values, got {len(raw)}")
-        return tuple(raw)
-
-    @property
-    def oks(self) -> OksParams:
-        return OksParams(self.falloffs)
-
-    @property
-    def decode(self) -> DecodeConfig:
-        return DecodeConfig(**self._section("decode"), falloffs=self.falloffs)
-
-    @property
-    def eval_style(self) -> str:
-        return self.values["eval.style"]
-
-    @property
-    def area_edges(self) -> tuple:
-        return (self.values["eval.area_medium"], self.values["eval.area_large"])
-
-    @property
-    def crowd_edges(self) -> tuple:
-        return (self.values["eval.crowd_easy"], self.values["eval.crowd_hard"])
-
-    def validate(self):
-        pyr, wf = self.pyramid, self.waterfall
-        entries = list(islice(weight_entries(pyr, wf), MAX_WEIGHT_TENSORS + 1))
-        if len(entries) > MAX_WEIGHT_TENSORS:
-            raise ConfigError(f"the model would have over {MAX_WEIGHT_TENSORS} weight tensors")
-        params = sum(math.prod(shape) for _, shape in entries)
-        if params > MAX_PARAMETERS:
-            raise ConfigError(f"the model would have {params} parameters, over the "
-                              f"budget of {MAX_PARAMETERS}")
-        _ = self.train, self.decode, self.oks
-        if self.eval_style not in ("coco", "crowdpose"):
-            raise ConfigError(f"eval.style must be coco or crowdpose, "
-                              f"got {self.eval_style!r}")
-        for key in ("eval.area_medium", "eval.area_large", "eval.crowd_easy",
-                    "eval.crowd_hard"):
-            if not math.isfinite(self.values[key]):
-                raise ConfigError(f"{key} must be finite, got {self.values[key]!r}")
-        medium, large = self.area_edges
-        if not 0.0 <= medium <= large:
-            raise ConfigError(f"eval area edges need 0 <= eval.area_medium <= "
-                              f"eval.area_large, got {medium!r} and {large!r}")
-        easy, hard = self.crowd_edges
-        if not 0.0 <= easy <= hard <= 1.0:
-            raise ConfigError(f"eval crowd edges need 0 <= eval.crowd_easy <= "
-                              f"eval.crowd_hard <= 1, got {easy!r} and {hard!r}")
-        return self
+    values: MappingProxyType
+    pyramid: PyramidConfig
+    waterfall: WaterfallConfig
+    train: TrainConfig
+    decode: DecodeConfig
+    oks: OksParams
+    eval_style: str
+    area_edges: tuple
+    crowd_edges: tuple
 
     def canonical_text(self) -> str:
         lines = [f"{key} = {_fmt(self.values[key])}" for key in sorted(SCHEMA)]
@@ -163,8 +101,53 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
+def _build(values: dict) -> RunConfig:
+    """The run configuration of a full key table. Raises the first check that
+    fails, in this order: pyramid, waterfall, size budget, train, falloff
+    count, decode, OKS, eval settings; a section class raises ValueError."""
+    def section(name: str) -> dict:
+        return {field: values[key] for field, key, _ in _SECTIONS[name]}
+
+    pyramid = PyramidConfig(**section("pyramid"))
+    wf, fused = section("waterfall"), sum(values["pyramid.widths"])
+    waterfall = WaterfallConfig(**{**wf, "out_width": wf["out_width"] or fused,
+                                   "final_width": wf["final_width"] or fused // 4})
+    entries = list(islice(weight_entries(pyramid, waterfall), MAX_WEIGHT_TENSORS + 1))
+    if len(entries) > MAX_WEIGHT_TENSORS:
+        raise ConfigError(f"the model would have over {MAX_WEIGHT_TENSORS} weight tensors")
+    params = sum(math.prod(shape) for _, shape in entries)
+    if params > MAX_PARAMETERS:
+        raise ConfigError(f"the model would have {params} parameters, over the "
+                          f"budget of {MAX_PARAMETERS}")
+    train = TrainConfig(**section("train"))
+    falloffs, k = tuple(values["oks.falloffs"]), values["waterfall.keypoints"]
+    if len(falloffs) == 1:
+        falloffs *= k
+    elif len(falloffs) != k:
+        raise ConfigError(f"oks.falloffs needs 1 or {k} values, got {len(falloffs)}")
+    decode = DecodeConfig(**section("decode"), falloffs=falloffs)
+    oks = OksParams(falloffs)
+    style = values["eval.style"]
+    if style not in ("coco", "crowdpose"):
+        raise ConfigError(f"eval.style must be coco or crowdpose, got {style!r}")
+    for key in ("eval.area_medium", "eval.area_large", "eval.crowd_easy",
+                "eval.crowd_hard"):
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"{key} must be finite, got {values[key]!r}")
+    medium, large = values["eval.area_medium"], values["eval.area_large"]
+    if not 0.0 <= medium <= large:
+        raise ConfigError(f"eval area edges need 0 <= eval.area_medium <= "
+                          f"eval.area_large, got {medium!r} and {large!r}")
+    easy, hard = values["eval.crowd_easy"], values["eval.crowd_hard"]
+    if not 0.0 <= easy <= hard <= 1.0:
+        raise ConfigError(f"eval crowd edges need 0 <= eval.crowd_easy <= "
+                          f"eval.crowd_hard <= 1, got {easy!r} and {hard!r}")
+    return RunConfig(MappingProxyType(values), pyramid, waterfall, train, decode, oks,
+                     style, (medium, large), (easy, hard))
+
+
 def default_config() -> RunConfig:
-    return RunConfig({k: default for k, (_, default) in SCHEMA.items()})
+    return parse_config("")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -187,11 +170,9 @@ def parse_config(text: str) -> RunConfig:
             raise
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
-    cfg = RunConfig(values)
     try:
-        cfg.validate()
+        return _build(values)
     except ConfigError:
         raise
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    return cfg

@@ -84,8 +84,9 @@ def _shown(value) -> str:
 
 
 def _json_doc(text, name: str, kind: type):
-    """text parsed as JSON whose top level is a kind, dict or list; anything
-    else is a FormatError that names the document."""
+    """text, a str or bytes in a JSON encoding, parsed as JSON whose top level
+    is a kind, dict or list; anything else is a FormatError that names the
+    document."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:   # bad JSON, over-long integer, deep nesting
@@ -165,7 +166,7 @@ def _where(kind, i, rec):
     return f"{kind}[id={_shown(rec.get('id'))}]" if isinstance(rec, dict) else f"{kind}[{i}]"
 
 
-def parse_annotations(text: str) -> Dataset:
+def parse_annotations(text: str | bytes) -> Dataset:
     """Parse the JSON annotation schema into a Dataset."""
     doc = _json_doc(text, "annotation file", dict)
     cats = _require_list(doc, "categories", "annotation file")
@@ -514,7 +515,7 @@ def write_results(instances_by_image: dict) -> str:
     return json.dumps(out, indent=1)
 
 
-def parse_results(text: str, k: int) -> dict:
+def parse_results(text: str | bytes, k: int) -> dict:
     doc = _json_doc(text, "results file", list)
     records = []
     for i, rec in enumerate(doc):

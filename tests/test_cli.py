@@ -7,6 +7,8 @@ import os
 import platform
 import re
 import shlex
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -285,6 +287,27 @@ class TestInfer:
         assert len(poses) > 1
         assert (tmp / "out.json").read_text() == dataio.write_results({4: poses})
 
+    def test_image_is_zero_padded_to_the_divisor(self, workdir, capsys):
+        # a 56x40 image gives the results of the same image zero-padded to
+        # 64x64 by hand, and its overlay keeps its own size
+        tmp, cfg = workdir
+        weights = init_model_weights(cfg.pyramid, cfg.waterfall, seed=1, offset_init="random")
+        ckpt = tmp / "ckpt.bin"
+        ckpt.write_bytes(dataio.save_checkpoint(weights, None, 0, cfg.fingerprint()))
+        image = dataio.read_image_ppm((tmp / "img0.ppm").read_bytes())[:, :, :40, :56]
+        padded = np.zeros((1, 3, 64, 64), dtype=np.float32)
+        padded[:, :, :40, :56] = image
+        for name, img in (("small", image), ("padded", padded)):
+            (tmp / f"{name}.ppm").write_bytes(dataio.write_image_ppm(img))
+            assert main(["infer", "--config", str(tmp / "toy.cfg"), "--checkpoint", str(ckpt),
+                         "--image", str(tmp / f"{name}.ppm"),
+                         "--out-poses", str(tmp / f"{name}.json"),
+                         "--out-overlay", str(tmp / f"{name}_overlay.ppm")]) == 0
+        results = (tmp / "small.json").read_bytes()
+        assert dataio.parse_results(results, 2) and results == (tmp / "padded.json").read_bytes()
+        overlay = dataio.read_image_ppm((tmp / "small_overlay.ppm").read_bytes())
+        assert overlay.shape == (1, 3, 40, 56)
+
     @pytest.mark.parametrize("edit", ["extra", "misshapen"])
     def test_weight_outside_the_table_is_data_error(self, workdir, capsys, edit):
         tmp, cfg = workdir
@@ -359,6 +382,39 @@ class TestTrainEval:
         assert len(poses.get(1, [])) >= 1  # the trained toy model detects people
         overlay = dataio.read_image_ppm((tmp / "overlay.ppm").read_bytes())
         assert overlay.shape == (1, 3, 64, 64)
+
+    def test_train_writes_a_checkpoint_every_so_many_epochs(self, workdir, capsys):
+        tmp, _ = workdir
+        (tmp / "every2.cfg").write_text(TOY_CONFIG + "train.epochs = 4\n"
+                                        "train.checkpoint_every = 2\n")
+        out_dir = tmp / "run"
+        assert main(["train", "--config", str(tmp / "every2.cfg"),
+                     "--dataset", str(tmp / "data.json"),
+                     "--images", str(tmp), "--out", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "checkpoint_epoch2.bin", "checkpoint_epoch4.bin", "checkpoint_final.bin",
+            "loss_log.tsv"]
+        epoch2 = (out_dir / "checkpoint_epoch2.bin").read_bytes()
+        assert dataio.load_checkpoint(epoch2)[2] == 2
+        assert (out_dir / "checkpoint_epoch4.bin").read_bytes() == \
+            (out_dir / "checkpoint_final.bin").read_bytes()
+        assert main(["infer", "--config", str(tmp / "every2.cfg"),
+                     "--checkpoint", str(out_dir / "checkpoint_epoch2.bin"),
+                     "--image", str(tmp / "img0.ppm"),
+                     "--out-poses", str(tmp / "poses.json")]) == 0
+
+    def test_train_image_of_another_size_than_its_record_is_data_error(self, workdir,
+                                                                         capsys):
+        tmp, _ = workdir
+        image = dataio.read_image_ppm((tmp / "img0.ppm").read_bytes())[:, :, :40, :56]
+        (tmp / "img0.ppm").write_bytes(dataio.write_image_ppm(image))
+        assert main(["train", "--config", str(tmp / "toy.cfg"),
+                     "--dataset", str(tmp / "data.json"),
+                     "--images", str(tmp), "--out", str(tmp / "run")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {tmp / 'img0.ppm'}: file is 56x40 but the dataset says 64x64"]
+        assert not (tmp / "run").exists()
 
     def test_eval_perfect_predictions_ap1(self, workdir, capsys):
         tmp, cfg = workdir
@@ -537,6 +593,17 @@ class TestTrainEval:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "images[0]" in err
+
+    def test_eval_results_not_utf8_is_data_error(self, workdir, capsys):
+        tmp, _ = workdir
+        (tmp / "r.json").write_bytes('[{"image_id": 1, "note": "höfte"}]'.encode("latin-1"))
+        code = main(["eval", "--config", str(tmp / "toy.cfg"),
+                     "--dataset", str(tmp / "data.json"),
+                     "--results", str(tmp / "r.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert not captured.out and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: results file is not valid JSON: ")
 
     def test_eval_malformed_result_record(self, workdir, capsys):
         tmp, cfg = workdir
@@ -878,3 +945,50 @@ class TestOverlay:
                                                 int(rng.integers(1, 40)))
             assert draw_overlay(image, poses).tobytes() == \
                 overlay_reference(image, poses).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the commands in a child process, where the interpreter's options and the
+# locale can be chosen
+
+def _cli(argv, *options, **env):
+    """(exit code, stdout, stderr) of `python options -m waterfallpose.cli argv`,
+    with the package of this checkout first on the path."""
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, *options, "-m", "waterfallpose.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestFileEncoding:
+    def test_eval_reads_utf8_json_whatever_the_locale(self, workdir):
+        # a keypoint name outside ASCII, in a dataset written as UTF-8
+        tmp, _ = workdir
+        doc = json.loads((tmp / "data.json").read_bytes())
+        doc["categories"][0]["keypoints"][0] = "höfte"
+        (tmp / "data.json").write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+        insts = {1: [PoseInstance([(8.0, 10.0, 1.0), (24.0, 22.0, 1.0)], 1.0)]}
+        (tmp / "r.json").write_bytes(dataio.write_results(insts).encode())
+        argv = ["eval", "--config", str(tmp / "toy.cfg"), "--dataset", str(tmp / "data.json"),
+                "--results", str(tmp / "r.json")]
+        c_locale = _cli(argv, "-X", "utf8=0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        utf8 = _cli(argv, "-X", "utf8=1", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        assert c_locale == utf8 and utf8[0] == 0 and b"AP" in utf8[1], c_locale
+
+    def test_commands_open_no_file_in_the_locale_encoding(self, workdir):
+        # an open() in text mode without an encoding warns, and here fails
+        tmp, _ = workdir
+        (tmp / "short.cfg").write_text(TOY_CONFIG + "train.epochs = 2\n", encoding="utf-8")
+        strict = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+        common = ["--config", str(tmp / "short.cfg")]
+        for argv in (["train", "--dataset", str(tmp / "data.json"), "--images", str(tmp),
+                      "--out", str(tmp / "run")],
+                     ["infer", "--checkpoint", str(tmp / "run" / "checkpoint_final.bin"),
+                      "--image", str(tmp / "img0.ppm"), "--out-poses", str(tmp / "r.json"),
+                      "--out-overlay", str(tmp / "overlay.ppm"), "--image-id", "1"],
+                     ["eval", "--dataset", str(tmp / "data.json"),
+                      "--results", str(tmp / "r.json")]):
+            code, _, err = _cli(argv + common, *strict)
+            assert (code, err) == (0, b""), (argv[0], err.decode(errors="replace"))

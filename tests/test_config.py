@@ -1,8 +1,10 @@
 import math
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+from waterfallpose.backbone import PyramidConfig
 from waterfallpose.config import MAX_PARAMETERS, SCHEMA, ConfigError, default_config, \
     parse_config
 from waterfallpose.model import weight_entries, weight_shapes
@@ -63,6 +65,16 @@ class TestParsing:
 
     def test_canonical_text_has_one_line_per_key(self):
         assert len(default_config().canonical_text().splitlines()) == 34
+
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ConfigError, match="^line 2: expected 'key = value', got "
+                                               "'  train.epochs 3'$"):
+            parse_config("# comment\n  train.epochs 3\n")
+
+    @pytest.mark.parametrize("value", ["", ",", " , ,"])
+    def test_empty_list_rejected(self, value):
+        with pytest.raises(ConfigError, match="^expected a comma-separated list$"):
+            parse_config(f"pyramid.widths = {value}")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
@@ -159,11 +171,43 @@ class TestParsing:
 
     def test_falloff_broadcast(self):
         cfg = parse_config("waterfall.keypoints = 3\noks.falloffs = 0.2")
-        assert cfg.falloffs == (0.2, 0.2, 0.2)
+        assert cfg.oks.falloffs == cfg.decode.falloffs == (0.2, 0.2, 0.2)
         cfg = parse_config("waterfall.keypoints = 2\noks.falloffs = 0.1,0.3")
-        assert cfg.falloffs == (0.1, 0.3)
+        assert cfg.oks.falloffs == cfg.decode.falloffs == (0.1, 0.3)
         with pytest.raises(ConfigError, match="falloffs"):
-            parse_config("waterfall.keypoints = 2\noks.falloffs = 1,2,3").decode
+            parse_config("waterfall.keypoints = 2\noks.falloffs = 1,2,3")
+
+    @pytest.mark.parametrize("text", ["", "waterfall.keypoints = 3\noks.falloffs = 0.2"],
+                             ids=["default", "edited"])
+    def test_sections_are_built_once(self, text):
+        cfg = default_config() if not text else parse_config(text)
+        for name in ("pyramid", "waterfall", "train", "decode", "oks", "eval_style",
+                     "area_edges", "crowd_edges"):
+            assert getattr(cfg, name) is getattr(cfg, name), name
+        assert cfg.decode.falloffs is cfg.oks.falloffs
+
+    def test_sections_and_keys_cannot_be_rebound(self):
+        # an edited key would move the fingerprint away from the sections
+        cfg = default_config()
+        with pytest.raises(FrozenInstanceError):
+            cfg.pyramid = PyramidConfig()
+        with pytest.raises(TypeError):
+            cfg.values["train.epochs"] = 3
+        assert cfg.fingerprint() == DEFAULT_FINGERPRINT
+
+    @pytest.mark.parametrize("text, message", [
+        ("waterfall.keypoints = 500\ntrain.epochs = -1", "cannot support 500"),
+        ("waterfall.keypoints = 2\noks.falloffs = 1,2,3\ntrain.sigma = 0",
+         "sigma must be finite"),
+        ("waterfall.keypoints = 2\noks.falloffs = 1,2,3\ndecode.nms_window = 0",
+         "oks.falloffs needs 1 or 2 values, got 3"),
+        ("oks.falloffs = 11\neval.style = voc", "falloff constant"),
+        ("eval.style = voc\neval.area_large = -5", "eval.style must be coco"),
+    ], ids=["waterfall-before-train", "train-before-falloffs", "falloffs-before-decode",
+            "oks-before-eval", "style-before-edges"])
+    def test_first_failing_check_is_reported(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
 
 
 TOY = """

@@ -41,6 +41,12 @@ class TestAnnotations:
         with pytest.raises(D.FormatError, match=r"annotations\[id=10\].*50.*51"):
             D.parse_annotations(json.dumps(doc))
 
+    def test_duplicate_image_ids_rejected(self):
+        doc = minimal_doc()
+        doc["images"].append({**doc["images"][0], "file_name": "b.ppm"})
+        with pytest.raises(D.FormatError, match="^duplicate image ids$"):
+            D.parse_annotations(json.dumps(doc))
+
     def test_unknown_image_rejected(self):
         doc = minimal_doc()
         doc["annotations"][0]["image_id"] = 99
@@ -257,6 +263,12 @@ class TestPpm:
     def test_non_numeric_header_rejected(self):
         with pytest.raises(D.FormatError, match="decimal"):
             D.read_image_ppm(b"P6\n1 x\n255\n\xff\xff\xff")
+
+    @pytest.mark.parametrize("data", [b"P6", b"P6\n2 1", b"P6 2 1 # 255"],
+                             ids=["no-fields", "two-fields", "comment-to-the-end"])
+    def test_header_ending_before_its_fields_rejected(self, data):
+        with pytest.raises(D.FormatError, match="PPM header ended unexpectedly"):
+            D.read_image_ppm(data)
 
     def test_write_read_round_trip(self, rng):
         img = (rng.integers(0, 256, size=(1, 3, 5, 7)) / 255.0).astype(np.float32)

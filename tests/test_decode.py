@@ -170,6 +170,13 @@ class TestDecodePoses:
         with pytest.raises(ValueError, match="finite"):
             decode_poses(field_maps(heat, offs), CFG)
 
+    def test_falloff_count_other_than_k_is_an_error(self):
+        heat = np.zeros((1, 3, 16, 16), dtype=np.float32)
+        heat[0, 2, 8, 8] = 1.0
+        maps = field_maps(heat, np.zeros((1, 4, 16, 16), dtype=np.float32))
+        with pytest.raises(ValueError, match="^need 2 falloffs, got 1$"):
+            decode_poses(maps, DecodeConfig(falloffs=(0.1,)))
+
     def test_round_trip_single_person(self, rng):
         anns = random_pose_scene(rng, 1)
         maps = scene_maps(anns, 3)

@@ -84,6 +84,13 @@ class TestOffsetTargets:
         assert offs[0, 0, 10, 10] == -2.0
         assert scale[0, 0, 10, 10] == np.sqrt(25.0) / 2.0
 
+    def test_shared_center_goes_to_earlier_annotation(self):
+        a = person([(8, 10, 2), (12, 10, 2)], area=25.0)
+        b = person([(6, 9, 2), (14, 11, 2)], area=36.0)     # the same centre (10, 10)
+        both = render_offset_targets([a, b], 2, 32, 32)
+        for got, want in zip(both, render_offset_targets([a], 2, 32, 32)):
+            np.testing.assert_array_equal(got, want)
+
     def test_nearest_center_wins(self):
         a = person([(8, 10, 2), (8, 10, 2)], area=25.0)
         b = person([(13, 10, 2), (13, 10, 2)], area=36.0)
